@@ -34,11 +34,11 @@ from .linalg import (
 )
 from .subspaces import (
     OrderedBasis,
+    _graph_and_iso,
     automorphism_to_basis,
     basis_to_automorphism,
     block_decompose,
     canonical_iso,
-    complement_to_map,
     compose,
     map_apply,
     map_inverse,
@@ -113,8 +113,7 @@ def inverse(q: Matrix) -> tuple[Matrix, Vector]:
     k = v_sub.dim
     vec = basis.vectors[0] if k else Vector.zero(q.spec, n)
     u_sub = steinitz_complement(v_sub)
-    f = complement_to_map(w_sub, v_sub, u_sub)
-    iso = canonical_iso(v_sub, u_sub, w_sub)
+    f, iso = _graph_and_iso(v_sub, u_sub, w_sub)
     t_uu = compose(compose(map_inverse(iso), pair.S), iso)
     cols = [b.entries for b in basis.vectors]
     images = [

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .bijection import degree, forward, inverse
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, DimensionMismatch
 from .field import FieldSpec
 from .fitting import fitting_decompose
 from .joyal import (
@@ -34,6 +34,11 @@ DEFAULT_BUDGET = 1 << 24
 def _check_budget(size: int, budget: int, what: str) -> None:
     if size > budget:
         raise BudgetExceeded(f"{what} needs {size} evaluations, budget is {budget}")
+
+
+def _check_dim(n: int) -> None:
+    if n < 0:
+        raise DimensionMismatch(f"dimension must be nonnegative, got n={n}")
 
 
 def _operator_at(spec: FieldSpec, n: int, index: int) -> Matrix:
@@ -70,6 +75,7 @@ def enumerate_operators(
     stop: int | None = None,
 ):
     """All n x n matrices over the field, lexicographic in element codes."""
+    _check_dim(n)
     total = spec.q ** (n * n)
     _check_budget(total, budget, f"enumerating {n}x{n} operators over GF({spec.q})")
     if stop is None:
@@ -148,6 +154,7 @@ def verify_theorem(
     left, stabilized image dimension on the right).
     """
     started = time.perf_counter()
+    _check_dim(n)
     total = spec.q ** (n * n)
     _check_budget(total, budget, f"verifying the bijection over GF({spec.q}), n={n}")
     nilpotent_count = 0
@@ -220,6 +227,7 @@ def verify_degree_refinement(
     whose stabilized image has dimension k.  Also checks the forward
     map sends each left stratum into the matching right stratum.
     """
+    _check_dim(n)
     total = spec.q ** (n * n)
     _check_budget(total, budget, f"degree refinement over GF({spec.q}), n={n}")
     left: Counter[int] = Counter()

@@ -184,10 +184,8 @@ def _add_field_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_report_flags(sp: argparse.ArgumentParser) -> None:
-    mode = sp.add_mutually_exclusive_group()
-    mode.add_argument("--json", action="store_true", help="emit canonical JSON")
-    mode.add_argument(
-        "--table", action="store_true", help="emit a fixed-width table (default)"
+    sp.add_argument(
+        "--json", action="store_true", help="emit canonical JSON instead of a table"
     )
     sp.add_argument(
         "--budget",

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 from .errors import DivisionByZero, SchemaError
 
@@ -258,8 +257,3 @@ class FieldSpec:
         if poly is not None:
             poly = tuple(int(c) for c in poly)
         return cls(p, k, poly)
-
-
-def enumerate_elements(spec: FieldSpec) -> Iterator[int]:
-    """Yield each element code exactly once, ascending."""
-    return iter(spec.elements())

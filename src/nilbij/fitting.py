@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .errors import (
     DimensionMismatch,
     NotAutomorphism,
-    NotComplement,
     NotNilpotent,
     NonSquare,
     SchemaError,
@@ -32,7 +31,6 @@ from .subspaces import (
     SubspaceMap,
     block_assemble,
     block_decompose,
-    is_complementary,
     span,
 )
 
@@ -105,15 +103,15 @@ def fitting_decompose(q: Matrix) -> FittingPair:
 def fitting_assemble(pair: FittingPair) -> Matrix:
     """Rebuild the operator with the given Fitting data.
 
-    Validates that V and W are complementary, R is invertible and S is
-    nilpotent, then conjugates the block-diagonal matrix back into
-    ambient coordinates.
+    Conjugates the block-diagonal matrix back into ambient coordinates;
+    the inversion of the [V | W] basis matrix in :func:`block_assemble`
+    raises :class:`NotComplement` if V and W are not complementary.
+    Only then are R checked invertible and S nilpotent.
     """
     v, w = pair.V, pair.W
-    if not is_complementary(v, w):
-        raise NotComplement("V and W are not complementary")
+    q = block_assemble(v, w, pair.R, SubspaceMap.zero(w, v), pair.S)
     if not is_invertible(pair.R.matrix):
         raise NotAutomorphism("R is not invertible on V")
     if not is_nilpotent(pair.S.matrix):
         raise NotNilpotent("S is not nilpotent on W")
-    return block_assemble(v, w, pair.R, SubspaceMap.zero(w, v), pair.S)
+    return q

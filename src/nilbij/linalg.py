@@ -58,8 +58,10 @@ class Vector:
     def from_json(cls, obj: object) -> "Vector":
         if not isinstance(obj, dict) or "entries" not in obj or "field" not in obj:
             raise SchemaError(f"vector payload needs 'field' and 'entries': {obj!r}")
-        spec = FieldSpec.from_json(obj["field"])
-        return cls(spec, tuple(obj["entries"]))
+        try:
+            return cls(FieldSpec.from_json(obj["field"]), tuple(obj["entries"]))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"bad vector payload: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -122,10 +124,9 @@ class Matrix:
         try:
             spec = FieldSpec.from_json(obj["field"])
             rows, cols = int(obj["rows"]), int(obj["cols"])
-            data = tuple(tuple(row) for row in obj["data"])
+            return cls(spec, rows, cols, tuple(tuple(row) for row in obj["data"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad matrix payload: {exc}") from exc
-        return cls(spec, rows, cols, data)
 
 
 def _require_same_spec(a: FieldSpec, b: FieldSpec) -> None:
@@ -317,7 +318,7 @@ def mat_inv(t: Matrix) -> Matrix:
     return Matrix(t.spec, n, n, tuple(row[n:] for row in r.data))
 
 
-# -- small vector helpers used by the subspace constructions ------------
+# -- vector addition, used by the bijection ------------------------------
 
 
 def vec_add(x: Vector, y: Vector) -> Vector:
@@ -326,16 +327,3 @@ def vec_add(x: Vector, y: Vector) -> Vector:
         raise DimensionMismatch(f"vector lengths differ: {x.n} vs {y.n}")
     add = x.spec.add
     return Vector(x.spec, tuple(add(a, b) for a, b in zip(x.entries, y.entries)))
-
-
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    _require_same_spec(x.spec, y.spec)
-    if x.n != y.n:
-        raise DimensionMismatch(f"vector lengths differ: {x.n} vs {y.n}")
-    sub = x.spec.sub
-    return Vector(x.spec, tuple(sub(a, b) for a, b in zip(x.entries, y.entries)))
-
-
-def vec_scale(c: int, x: Vector) -> Vector:
-    mul = x.spec.mul
-    return Vector(x.spec, tuple(mul(c, e) for e in x.entries))

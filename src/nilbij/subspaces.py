@@ -25,7 +25,6 @@ Constructions:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -38,6 +37,7 @@ from .errors import (
     NotComplement,
     NotInSubspace,
     NotInvariant,
+    NotInvertible,
     SchemaError,
 )
 from .field import FieldSpec
@@ -49,7 +49,6 @@ from .linalg import (
     mat_mul,
     rank,
     rref,
-    vec_sub,
 )
 
 
@@ -106,12 +105,11 @@ class Subspace:
         }
 
     @classmethod
-    def from_json(cls, obj: object, strict: bool = True) -> "Subspace":
-        """Load a subspace; basis rows are expected to be RREF already.
+    def from_json(cls, obj: object) -> "Subspace":
+        """Load a subspace; basis rows must be RREF already.
 
         The rows are re-canonicalized; a mismatch raises
-        :class:`NotCanonical` when ``strict``, otherwise warns and keeps
-        the canonical form.
+        :class:`NotCanonical`.
         """
         if not isinstance(obj, dict):
             raise SchemaError(f"subspace payload must be an object: {obj!r}")
@@ -125,13 +123,8 @@ class Subspace:
             [Vector(spec, row) for row in given], spec=spec, ambient_dim=ambient
         )
         if sub.rows != given:
-            if strict:
-                raise NotCanonical(
-                    f"basis {list(given)} is not RREF; canonical form is {list(sub.rows)}"
-                )
-            warnings.warn(
-                f"subspace basis re-canonicalized from {list(given)} to {list(sub.rows)}",
-                stacklevel=2,
+            raise NotCanonical(
+                f"basis {list(given)} is not RREF; canonical form is {list(sub.rows)}"
             )
         return sub
 
@@ -305,25 +298,48 @@ def _block(m: Matrix, r0: int, r1: int, c0: int, c1: int) -> Matrix:
     )
 
 
-def _split_coords(v: Subspace, w: Subspace) -> Matrix:
-    """Inverse of the combined basis matrix [v | w]; its top dim(v) rows
-    read off v-coordinates, the rest w-coordinates."""
-    return mat_inv(_hstack(v.basis_matrix(), w.basis_matrix()))
+def _change_of_basis(v: Subspace, u: Subspace, what: str) -> tuple[Matrix, Matrix]:
+    """B = [v | u] and its inverse, whose top dim(v) rows read off
+    v-coordinates and the rest u-coordinates.  B is invertible exactly
+    when v and u are complementary, so this inversion is the check; it
+    raises :class:`NotComplement` with message ``what`` otherwise."""
+    n = v.ambient_dim
+    if v.spec != u.spec or u.ambient_dim != n or v.dim + u.dim != n:
+        raise NotComplement(what)
+    b = _hstack(v.basis_matrix(), u.basis_matrix())
+    try:
+        return b, mat_inv(b)
+    except NotInvertible:
+        raise NotComplement(what) from None
+
+
+def _graph_and_iso(v: Subspace, u: Subspace, w: Subspace) -> tuple[SubspaceMap, SubspaceMap]:
+    """(f, i) with graph of f : U -> V equal to W and i : U -> W canonical.
+
+    Writing u = a + b in X = V + W, i(u) = b and f(u) = i(u) - u = -a, so
+    both are blocks of split([V | W]) U.  U complements V exactly when
+    dim U = dim W and the W-block is invertible.
+    """
+    _, split = _change_of_basis(v, w, "W is not a complement of V")
+    if u.spec != v.spec or u.ambient_dim != v.ambient_dim or u.dim != w.dim:
+        raise NotComplement("U is not a complement of V")
+    m, k = mat_mul(split, u.basis_matrix()), v.dim
+    iso = _block(m, k, k + w.dim, 0, u.dim)
+    if not is_invertible(iso):
+        raise NotComplement("U is not a complement of V")
+    neg = v.spec.neg
+    f = Matrix(v.spec, k, u.dim, tuple(tuple(neg(x) for x in row) for row in m.data[:k]))
+    return SubspaceMap(u, v, f), SubspaceMap(u, w, iso)
 
 
 def canonical_iso(v: Subspace, u: Subspace, w: Subspace) -> SubspaceMap:
     """The canonical isomorphism U -> W between two complements of V.
 
     Sends u to the unique element of W whose difference from u lies in
-    V; concretely, the W-component of u in the splitting X = V + W.
+    V: the W-block of u's coordinates in X = V + W.  That one change of
+    basis also checks that U and W are complements of V.
     """
-    if not is_complementary(v, u):
-        raise NotComplement("U is not a complement of V")
-    if not is_complementary(v, w):
-        raise NotComplement("W is not a complement of V")
-    split = _split_coords(v, w)
-    m = mat_mul(split, u.basis_matrix())
-    return SubspaceMap(u, w, _block(m, v.dim, v.dim + w.dim, 0, u.dim))
+    return _graph_and_iso(v, u, w)[1]
 
 
 def map_to_complement(f: SubspaceMap) -> Subspace:
@@ -341,15 +357,10 @@ def map_to_complement(f: SubspaceMap) -> Subspace:
 
 
 def complement_to_map(w: Subspace, v: Subspace, u: Subspace) -> SubspaceMap:
-    """The unique f : U -> V whose graph over U is W; f(u) = i(u) - u."""
-    if not is_complementary(u, v):
-        raise NotComplement("U is not a complement of V")
-    iso = canonical_iso(v, u, w)
-    cols = []
-    for uvec in u.basis_vectors():
-        cols.append(coords(v, vec_sub(map_apply(iso, uvec), uvec)).entries)
-    data = tuple(tuple(col[i] for col in cols) for i in range(v.dim))
-    return SubspaceMap(u, v, Matrix(u.spec, v.dim, u.dim, data))
+    """The unique f : U -> V whose graph over U is W; f(u) = i(u) - u,
+    which is minus the V-block of the change of basis that
+    :func:`canonical_iso` reads i off, and checked the same way."""
+    return _graph_and_iso(v, u, w)[0]
 
 
 def block_decompose(
@@ -366,10 +377,8 @@ def block_decompose(
         raise DimensionMismatch(
             f"operator must be {v.ambient_dim}x{v.ambient_dim}, got {t.rows}x{t.cols}"
         )
-    if not is_complementary(v, u):
-        raise NotComplement("V and U are not complementary")
-    b = _hstack(v.basis_matrix(), u.basis_matrix())
-    conj = mat_mul(mat_inv(b), mat_mul(t, b))
+    b, b_inv = _change_of_basis(v, u, "V and U are not complementary")
+    conj = mat_mul(b_inv, mat_mul(t, b))
     m, n = v.dim, v.ambient_dim
     if not _block(conj, m, n, 0, m).is_zero():
         raise NotInvariant("T does not map V into V")
@@ -384,8 +393,7 @@ def block_assemble(
 ) -> Matrix:
     """Inverse of :func:`block_decompose`: the ambient operator with the
     given blocks (and no U -> V leakage from V)."""
-    if not is_complementary(v, u):
-        raise NotComplement("V and U are not complementary")
+    b, b_inv = _change_of_basis(v, u, "V and U are not complementary")
     m, n = v.dim, v.ambient_dim
     rows = []
     for i in range(n):
@@ -394,8 +402,7 @@ def block_assemble(
         else:
             rows.append((0,) * m + t_uu.matrix.data[i - m])
     conj = Matrix(v.spec, n, n, tuple(rows))
-    b = _hstack(v.basis_matrix(), u.basis_matrix())
-    return mat_mul(b, mat_mul(conj, mat_inv(b)))
+    return mat_mul(b, mat_mul(conj, b_inv))
 
 
 @dataclass(frozen=True)

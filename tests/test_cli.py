@@ -156,6 +156,14 @@ def test_exit_two_on_bad_inputs():
         (["count-nilpotents", "--p", "2", "--n", "5", "--budget", "10"], ""),
         (["joyal-forward"], canonical_dumps({"tree": {"n": 2, "edges": []},
                                              "v": 0, "v2": 1})),
+        (["inverse"], canonical_dumps({"field": {"p": 2}, "rows": 1, "cols": 1,
+                                       "data": [["a"]]})),
+        (["forward"], canonical_dumps({"T": Matrix.zero(GF2, 2, 2).to_json(),
+                                       "v": {"field": {"p": 2}, "entries": "ab"}})),
+        (["count-nilpotents", "--p", "2", "--n", "-1"], ""),
+        (["verify-theorem", "--p", "2", "--n", "-1"], ""),
+        (["verify-degrees", "--p", "2", "--n", "-1"], ""),
+        (["verify-joyal", "--n", "-1"], ""),
     ]
     for args, doc in cases:
         code, out, err = run(args, doc)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilbij import DivisionByZero, FieldSpec, SchemaError, enumerate_elements
+from nilbij import DivisionByZero, FieldSpec, SchemaError
 
 AXIOM_SPECS = [FieldSpec(2), FieldSpec(3), FieldSpec(5), FieldSpec(7),
                FieldSpec(2, 2), FieldSpec(2, 3), FieldSpec(3, 2)]
@@ -106,11 +106,6 @@ def test_explicit_poly_accepted():
     f = FieldSpec(7, 2, (3, 1, 1))  # x^2 + x + 3, irreducible over GF(7)
     assert f.q == 49
     assert f.mul(7, 7) == f.code((4, 6))  # x*x = -x - 3 = 6x + 4
-
-
-def test_enumerate_elements():
-    assert list(enumerate_elements(FieldSpec(2, 2))) == [0, 1, 2, 3]
-    assert len(list(enumerate_elements(FieldSpec(3, 2)))) == 9
 
 
 def test_digits_code_roundtrip():

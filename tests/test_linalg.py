@@ -228,6 +228,11 @@ def test_json_roundtrips():
     assert Vector.from_json(v.to_json()) == v
     with pytest.raises(SchemaError):
         Matrix.from_json({"field": {"p": 2}, "rows": 1, "cols": 1})
+    with pytest.raises(SchemaError):
+        Matrix.from_json({"field": {"p": 2}, "rows": 1, "cols": 1, "data": [["a"]]})
+    for entries in ("ab", ["a"], 5, [None]):
+        with pytest.raises(SchemaError):
+            Vector.from_json({"field": {"p": 2}, "entries": entries})
 
 
 @settings(max_examples=100)

@@ -8,6 +8,7 @@ import pytest
 from conftest import GF2, GF3, all_matrices, all_subspaces, all_vectors, subspace_elements
 from nilbij import (
     DimensionMismatch,
+    FittingPair,
     Matrix,
     NotAutomorphism,
     NotBasis,
@@ -29,6 +30,8 @@ from nilbij import (
     compose,
     contains,
     coords,
+    fitting_assemble,
+    fitting_decompose,
     from_coords,
     is_complementary,
     is_invertible,
@@ -215,6 +218,62 @@ def test_graph_rejects_non_complement():
         complement_to_map(steinitz_complement(v), v, not_comp)
 
 
+# complementarity, checked by the change-of-basis inversions
+
+def old_complement_to_map(w: Subspace, v: Subspace, u: Subspace) -> SubspaceMap:
+    """f(u) = i(u) - u, read off vector by vector."""
+    iso = canonical_iso(v, u, w)
+    spec = v.spec
+    cols = []
+    for b in u.basis_vectors():
+        diff = tuple(spec.sub(x, y) for x, y in zip(map_apply(iso, b).entries, b.entries))
+        cols.append(coords(v, Vector(spec, diff)).entries)
+    data = tuple(tuple(col[i] for col in cols) for i in range(v.dim))
+    return SubspaceMap(u, v, Matrix(spec, v.dim, u.dim, data))
+
+
+@pytest.mark.parametrize("spec,n", [(GF2, 3), (GF3, 2)], ids=str)
+def test_complement_checks_match_is_complementary_exhaustive(spec, n):
+    subs = all_subspaces(spec, n)
+    for v in subs:
+        for u in subs:
+            vu = is_complementary(v, u)
+            blocks = (SubspaceMap.identity(v), SubspaceMap.zero(u, v),
+                      SubspaceMap.zero(u, u))
+            pair = FittingPair(v, u, blocks[0], blocks[2])
+            if vu:
+                t = block_assemble(v, u, *blocks)
+                assert block_decompose(t, v, u) == blocks
+                assert fitting_decompose(fitting_assemble(pair)) == pair
+            else:
+                with pytest.raises(NotComplement):
+                    block_assemble(v, u, *blocks)
+                with pytest.raises(NotComplement):
+                    fitting_assemble(pair)
+            for w in subs:
+                if vu and is_complementary(v, w):
+                    assert complement_to_map(w, v, u) == \
+                        old_complement_to_map(w, v, u)
+                    continue
+                with pytest.raises(NotComplement):
+                    canonical_iso(v, u, w)
+                with pytest.raises(NotComplement):
+                    complement_to_map(w, v, u)
+
+
+def test_complement_checks_reject_other_fields_and_ambients():
+    v = span([Vector(GF2, (1, 0))])
+    u = steinitz_complement(v)
+    for other in (Subspace.full(GF3, 1), Subspace.full(GF2, 2)):
+        for args in ((v, u, other), (v, other, u)):
+            with pytest.raises(NotComplement):
+                canonical_iso(*args)
+        with pytest.raises(NotComplement):
+            complement_to_map(other, v, u)
+        with pytest.raises(NotComplement):
+            block_decompose(Matrix.identity(GF2, 2), v, other)
+
+
 # block decomposition
 
 def test_block_decompose_frozen_examples():
@@ -354,6 +413,3 @@ def test_subspace_json_strictness():
     payload = {"field": {"p": 2}, "ambient": 2, "basis": [[1, 1], [0, 1]]}
     with pytest.raises(NotCanonical):
         Subspace.from_json(payload)
-    with pytest.warns(UserWarning):
-        sub = Subspace.from_json(payload, strict=False)
-    assert sub == Subspace.full(GF2, 2)
