@@ -27,7 +27,7 @@ from .census import (
     verify_joyal,
     verify_theorem,
 )
-from .errors import NilbijError, SchemaError
+from .errors import NilbijError, SchemaError, _json_int
 from .field import FieldSpec
 from .fitting import fitting_decompose
 from .joyal import EndoFunction, Tree, joyal_forward, joyal_inverse
@@ -91,8 +91,8 @@ def _cmd_joyal_forward(args, stdin, stdout) -> int:
         raise SchemaError("joyal-forward input must be an object")
     try:
         tree = Tree.from_json(payload["tree"])
-        v, v2 = int(payload["v"]), int(payload["v2"])
-    except (KeyError, TypeError, ValueError) as exc:
+        v, v2 = _json_int(payload["v"], "v"), _json_int(payload["v2"], "v2")
+    except KeyError as exc:
         raise SchemaError(f"bad joyal-forward payload: {exc}") from exc
     _write(args, stdout, canonical_dumps(joyal_forward(tree, v, v2).to_json()))
     return 0
@@ -133,7 +133,7 @@ def _cmd_count_nilpotents(args, stdin, stdout) -> int:
 
 
 def _cmd_verify_theorem(args, stdin, stdout) -> int:
-    report = verify_theorem(_field_from_args(args), args.n, args.budget, args.shards)
+    report = verify_theorem(_field_from_args(args), args.n, args.budget)
     _emit_report(args, stdout, report.to_json(), report.render_table())
     return 0 if report.ok else 1
 
@@ -231,9 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-theorem", help="audit both round trips exhaustively")
     _add_field_flags(sp)
     sp.add_argument("--n", type=int, required=True, help="ambient dimension")
-    sp.add_argument(
-        "--shards", type=int, default=1, help="split enumeration into this many ranges"
-    )
     _add_report_flags(sp)
     sp.set_defaults(func=_cmd_verify_theorem)
 

@@ -68,3 +68,14 @@ class InvalidVertex(NilbijError):
 
 class BudgetExceeded(NilbijError):
     """An exhaustive enumeration would exceed the configured budget."""
+
+
+def _json_int(value: object, what: str) -> int:
+    """An integer slot of a JSON payload; bool, float and str are refused.
+
+    ``int()`` would truncate 2.7 to 2 and read true as 1, so a payload
+    could silently name a different object than it wrote.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value

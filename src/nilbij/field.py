@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DivisionByZero, SchemaError
+from .errors import DivisionByZero, SchemaError, _json_int
 
 # Lookup tables are only built for fields at most this large; bigger
 # fields fall back to per-operation digit/polynomial arithmetic.
@@ -40,14 +40,33 @@ BUILTIN_POLYS: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
+# Miller-Rabin with the twelve primes up to 37 as bases has no strong
+# pseudoprime below _PRIME_LIMIT (Sorenson & Webster 2015), so
+# _is_prime is exact there; FieldSpec refuses larger p.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_LIMIT = 318_665_857_834_031_151_167_461
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; exact for p < _PRIME_LIMIT."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -109,6 +128,8 @@ class FieldSpec:
     poly: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        if self.p >= _PRIME_LIMIT:
+            raise SchemaError(f"p = {self.p} is too large; p must be < {_PRIME_LIMIT}")
         if not _is_prime(self.p):
             raise SchemaError(f"p = {self.p} is not prime")
         if self.k < 1:
@@ -187,14 +208,15 @@ class FieldSpec:
         )
 
     @cached_property
-    def _neg_table(self) -> tuple[int, ...]:
-        # Negation table is O(q); kept even for large fields.
+    def _neg_table(self) -> tuple[int, ...] | None:
+        if self.q > _TABLE_MAX:
+            return None
+        return tuple(self._neg_direct(a) for a in range(self.q))
+
+    def _neg_direct(self, a: int) -> int:
         if self.k == 1:
-            return tuple((-a) % self.p for a in range(self.q))
-        return tuple(
-            self.code(tuple((-d) % self.p for d in self.digits(a)))
-            for a in range(self.q)
-        )
+            return (-a) % self.p
+        return self.code(tuple((-d) % self.p for d in self.digits(a)))
 
     def add(self, a: int, b: int) -> int:
         t = self._add_table
@@ -209,7 +231,10 @@ class FieldSpec:
         return self._mul_direct(a, b)
 
     def neg(self, a: int) -> int:
-        return self._neg_table[a]
+        t = self._neg_table
+        if t is not None:
+            return t[a]
+        return self._neg_direct(a)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -249,11 +274,11 @@ class FieldSpec:
         if not isinstance(obj, dict):
             raise SchemaError(f"field spec must be an object, got {type(obj).__name__}")
         try:
-            p = int(obj["p"])
-        except (KeyError, TypeError, ValueError) as exc:
+            p = _json_int(obj["p"], "p")
+            k = _json_int(obj.get("k", 1), "k")
+            poly = obj.get("poly")
+            if poly is not None:
+                poly = tuple(_json_int(c, "poly coefficient") for c in poly)
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad field spec {obj!r}: {exc}") from exc
-        k = int(obj.get("k", 1))
-        poly = obj.get("poly")
-        if poly is not None:
-            poly = tuple(int(c) for c in poly)
         return cls(p, k, poly)

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import InvalidVertex, SchemaError
+from .errors import InvalidVertex, SchemaError, _json_int
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,10 @@ class Tree:
         if not isinstance(obj, dict):
             raise SchemaError(f"tree payload must be an object: {obj!r}")
         try:
-            n = int(obj["n"])
-            edges = tuple((int(a), int(b)) for a, b in obj["edges"])
+            n = _json_int(obj["n"], "n")
+            edges = tuple(
+                (_json_int(a, "vertex"), _json_int(b, "vertex")) for a, b in obj["edges"]
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad tree payload: {exc}") from exc
         return cls(n, edges)
@@ -106,8 +108,8 @@ class EndoFunction:
         if not isinstance(obj, dict):
             raise SchemaError(f"endofunction payload must be an object: {obj!r}")
         try:
-            n = int(obj["n"])
-            table = tuple(int(x) for x in obj["table"])
+            n = _json_int(obj["n"], "n")
+            table = tuple(_json_int(x, "table value") for x in obj["table"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad endofunction payload: {exc}") from exc
         return cls(n, table)

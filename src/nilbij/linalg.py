@@ -18,6 +18,7 @@ from .errors import (
     NonSquare,
     NotInvertible,
     SchemaError,
+    _json_int,
 )
 from .field import FieldSpec
 
@@ -59,7 +60,8 @@ class Vector:
         if not isinstance(obj, dict) or "entries" not in obj or "field" not in obj:
             raise SchemaError(f"vector payload needs 'field' and 'entries': {obj!r}")
         try:
-            return cls(FieldSpec.from_json(obj["field"]), tuple(obj["entries"]))
+            entries = tuple(_json_int(e, "vector entry") for e in obj["entries"])
+            return cls(FieldSpec.from_json(obj["field"]), entries)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"bad vector payload: {exc}") from exc
 
@@ -123,8 +125,11 @@ class Matrix:
             raise SchemaError(f"matrix payload must be an object: {obj!r}")
         try:
             spec = FieldSpec.from_json(obj["field"])
-            rows, cols = int(obj["rows"]), int(obj["cols"])
-            return cls(spec, rows, cols, tuple(tuple(row) for row in obj["data"]))
+            rows, cols = _json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols")
+            data = tuple(
+                tuple(_json_int(x, "matrix entry") for x in row) for row in obj["data"]
+            )
+            return cls(spec, rows, cols, data)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad matrix payload: {exc}") from exc
 

@@ -39,6 +39,7 @@ from .errors import (
     NotInvariant,
     NotInvertible,
     SchemaError,
+    _json_int,
 )
 from .field import FieldSpec
 from .linalg import (
@@ -115,8 +116,10 @@ class Subspace:
             raise SchemaError(f"subspace payload must be an object: {obj!r}")
         try:
             spec = FieldSpec.from_json(obj["field"])
-            ambient = int(obj["ambient"])
-            given = tuple(tuple(int(x) for x in row) for row in obj["basis"])
+            ambient = _json_int(obj["ambient"], "ambient")
+            given = tuple(
+                tuple(_json_int(x, "basis entry") for x in row) for row in obj["basis"]
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad subspace payload: {exc}") from exc
         sub = span(

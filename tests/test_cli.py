@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conftest import GF2, GF4
-from nilbij import CensusReport, Matrix, NilpotentPair, Vector
+from nilbij import CensusReport, FieldSpec, Matrix, NilpotentPair, Vector
 from nilbij.cli import canonical_dumps, main
 
 
@@ -100,16 +100,6 @@ def test_verify_theorem_table_default():
     assert "{" not in out
 
 
-def test_verify_theorem_shard_flag_is_invisible_in_output():
-    _, one, _ = run(["verify-theorem", "--p", "3", "--n", "1", "--json"])
-    _, four, _ = run(["verify-theorem", "--p", "3", "--n", "1", "--json",
-                      "--shards", "4"])
-    a, b = json.loads(one), json.loads(four)
-    a.pop("elapsed_s")
-    b.pop("elapsed_s")
-    assert a == b
-
-
 def test_count_nilpotents_json():
     code, out, _ = run(["count-nilpotents", "--p", "2", "--k", "2", "--n", "1",
                         "--json"])
@@ -142,6 +132,11 @@ def test_explicit_poly_flag():
     assert json.loads(out)["q"] == 4
 
 
+def one_by_one(field, rows=1, data=((1,),)):
+    return canonical_dumps({"field": field, "rows": rows, "cols": 1,
+                            "data": [list(row) for row in data]})
+
+
 def test_exit_two_on_bad_inputs():
     cases = [
         (["inverse"], "not json"),
@@ -164,6 +159,19 @@ def test_exit_two_on_bad_inputs():
         (["verify-theorem", "--p", "2", "--n", "-1"], ""),
         (["verify-degrees", "--p", "2", "--n", "-1"], ""),
         (["verify-joyal", "--n", "-1"], ""),
+        # JSON integer slots take integers only, never bool, float or str
+        (["inverse"], one_by_one({"p": 2.7})),
+        (["inverse"], one_by_one({"p": 2, "k": 1.5})),
+        (["inverse"], one_by_one({"p": 2, "k": True})),
+        (["inverse"], one_by_one({"p": 2, "k": "a"})),
+        (["inverse"], one_by_one({"p": 2}, rows=1.9)),
+        (["inverse"], one_by_one({"p": 2}, data=[[True]])),
+        (["inverse"], one_by_one({"p": 2}, data=[[1.0]])),
+        (["joyal-forward"], canonical_dumps({"tree": {"n": 2, "edges": [[0, 1]]},
+                                             "v": 0.5, "v2": 1})),
+        (["joyal-forward"], canonical_dumps({"tree": {"n": 2, "edges": [[0, 1]]},
+                                             "v": 0, "v2": True})),
+        (["joyal-inverse"], canonical_dumps({"n": 2, "table": [0, 1.0]})),
     ]
     for args, doc in cases:
         code, out, err = run(args, doc)
@@ -176,6 +184,9 @@ def test_exit_two_on_usage_errors(capsys):
     assert run(["verify-theorem", "--n", "2"])[0] == 2  # missing --p
     assert run(["no-such-command"])[0] == 2
     assert run([])[0] == 2
+    for shards in ("0", "4"):  # the flag is gone
+        assert run(["verify-theorem", "--p", "2", "--n", "1",
+                    "--shards", shards])[0] == 2
     capsys.readouterr()
 
 
@@ -191,6 +202,17 @@ def test_exit_one_on_verification_failure(monkeypatch):
     code, out, _ = run(["verify-theorem", "--p", "2", "--n", "1", "--json"])
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+def test_inverse_forward_pipe_over_a_huge_prime():
+    spec = FieldSpec(10**18 + 3)
+    for rows in ([(5,)], [(1, spec.q - 1), (2, 3)], [(0, 1), (0, 0)]):
+        q_doc = canonical_dumps(Matrix.from_rows(spec, rows).to_json())
+        code, pair, err = run(["inverse"], q_doc)
+        assert code == 0, err
+        code, back, err = run(["forward"], pair)
+        assert code == 0, err
+        assert back == q_doc
 
 
 def test_input_output_files(tmp_path):

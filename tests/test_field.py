@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilbij import DivisionByZero, FieldSpec, SchemaError
+from nilbij.field import _PRIME_LIMIT, _is_prime
 
 AXIOM_SPECS = [FieldSpec(2), FieldSpec(3), FieldSpec(5), FieldSpec(7),
                FieldSpec(2, 2), FieldSpec(2, 3), FieldSpec(3, 2)]
@@ -172,6 +173,25 @@ def test_large_prime_field_without_tables():
     assert f.mul(17, f.inv(17)) == 1
 
 
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert [p for p in range(20000) if _is_prime(p)] == \
+        [p for p in range(20000) if sympy.isprime(p)]
+    # strong pseudoprimes to the bases 2..7 and 2..23, and primes near them
+    for n in (3215031751, 3825123056546413051, 10**18 + 3, 2**61 - 1,
+              _PRIME_LIMIT - 2):
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
+def test_huge_prime_field_is_immediate_or_refused():
+    f = FieldSpec(10**18 + 3)
+    assert f._neg_table is None
+    assert f.add(f.neg(5), 5) == 0
+    assert f.mul(f.inv(12345), 12345) == 1
+    with pytest.raises(SchemaError):
+        FieldSpec(_PRIME_LIMIT)  # composite, yet passes all twelve bases
+
+
 def test_inv_zero_raises():
     for spec in (FieldSpec(2), FieldSpec(3, 2)):
         with pytest.raises(DivisionByZero):
@@ -190,3 +210,7 @@ def test_field_json_rejects_garbage():
         FieldSpec.from_json({"p": "two"})
     with pytest.raises(SchemaError):
         FieldSpec.from_json([2])
+    for bad in ({"p": 2.7}, {"p": True}, {"p": 2, "k": 1.5}, {"p": 2, "k": "a"},
+                {"p": 2, "k": 2, "poly": 7}, {"p": 2, "k": 2, "poly": "111"}):
+        with pytest.raises(SchemaError):
+            FieldSpec.from_json(bad)

@@ -202,6 +202,9 @@ def test_tree_json_roundtrip():
     t = Tree(4, ((0, 1), (1, 2), (1, 3)))
     assert Tree.from_json(t.to_json()) == t
     assert t.to_json() == {"n": 4, "edges": [[0, 1], [1, 2], [1, 3]]}
+    for bad in ({"n": 2.0, "edges": [[0, 1]]}, {"n": 2, "edges": [[0, True]]}):
+        with pytest.raises(SchemaError):
+            Tree.from_json(bad)
 
 
 def test_endofunction_json_roundtrip():
@@ -209,3 +212,5 @@ def test_endofunction_json_roundtrip():
     assert EndoFunction.from_json(f.to_json()) == f
     with pytest.raises(SchemaError):
         EndoFunction.from_json({"n": 3})
+    with pytest.raises(SchemaError):
+        EndoFunction.from_json({"n": 3, "table": [1, 2, 2.5]})

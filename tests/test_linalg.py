@@ -230,9 +230,17 @@ def test_json_roundtrips():
         Matrix.from_json({"field": {"p": 2}, "rows": 1, "cols": 1})
     with pytest.raises(SchemaError):
         Matrix.from_json({"field": {"p": 2}, "rows": 1, "cols": 1, "data": [["a"]]})
-    for entries in ("ab", ["a"], 5, [None]):
+    for entries in ("ab", ["a"], 5, [None], [True], [1.0]):
         with pytest.raises(SchemaError):
             Vector.from_json({"field": {"p": 2}, "entries": entries})
+    good = {"field": {"p": 2}, "rows": 1, "cols": 1, "data": [[1]]}
+    for key, bad in [("field", {"p": 2.7}), ("field", {"p": 2, "k": 1.5}),
+                     ("field", {"p": 2, "k": True}), ("field", {"p": 2, "k": "a"}),
+                     ("field", {"p": 2, "k": 2, "poly": [1, 1, 1.0]}),
+                     ("rows", 1.9), ("cols", True),
+                     ("data", [[True]]), ("data", [[1.0]])]:
+        with pytest.raises(SchemaError):
+            Matrix.from_json({**good, key: bad})
 
 
 @settings(max_examples=100)

@@ -17,6 +17,7 @@ from nilbij import (
     NotInSubspace,
     NotInvariant,
     OrderedBasis,
+    SchemaError,
     Subspace,
     SubspaceMap,
     Vector,
@@ -413,3 +414,6 @@ def test_subspace_json_strictness():
     payload = {"field": {"p": 2}, "ambient": 2, "basis": [[1, 1], [0, 1]]}
     with pytest.raises(NotCanonical):
         Subspace.from_json(payload)
+    for key, bad in [("ambient", 2.0), ("basis", [[1, 0.0]])]:
+        with pytest.raises(SchemaError):
+            Subspace.from_json({**payload, "basis": [[1, 0]], key: bad})
