@@ -25,6 +25,7 @@ from .fitting import FittingPair, fitting_assemble, fitting_decompose
 from .linalg import (
     Matrix,
     Vector,
+    _matrix,
     apply,
     is_nilpotent,
     mat_inv,
@@ -33,8 +34,8 @@ from .linalg import (
     vec_add,
 )
 from .subspaces import (
-    OrderedBasis,
     _graph_and_iso,
+    _ordered_basis,
     automorphism_to_basis,
     basis_to_automorphism,
     block_decompose,
@@ -60,7 +61,7 @@ def degree(t: Matrix, v: Vector) -> int:
         x = apply(t, x)
     k = len(orbit)
     if k:
-        stacked = Matrix.from_rows(t.spec, [y.entries for y in orbit])
+        stacked = _matrix(t.spec, k, t.rows, tuple(y.entries for y in orbit))
         assert rank(stacked) == k, "iterates up to the degree must be independent"
     return k
 
@@ -76,7 +77,7 @@ def _check_pair(t: Matrix, v: Vector) -> None:
 
 def _from_columns(spec, n: int, cols: list[tuple[int, ...]]) -> Matrix:
     data = tuple(tuple(col[i] for col in cols) for i in range(n))
-    return Matrix(spec, n, len(cols), data)
+    return _matrix(spec, n, len(cols), data)
 
 
 def forward(t: Matrix, v: Vector) -> Matrix:
@@ -98,7 +99,7 @@ def forward(t: Matrix, v: Vector) -> Matrix:
     w_sub = map_to_complement(t_uv)
     iso = canonical_iso(v_sub, u_sub, w_sub)
     s = compose(compose(iso, t_uu), map_inverse(iso))
-    r = basis_to_automorphism(OrderedBasis(v_sub, tuple(orbit)))
+    r = basis_to_automorphism(_ordered_basis(v_sub, tuple(orbit)))
     return fitting_assemble(FittingPair(v_sub, w_sub, r, s))
 
 

@@ -24,7 +24,7 @@ from .joyal import (
     joyal_forward,
     joyal_inverse,
 )
-from .linalg import Matrix, Vector, is_nilpotent, mat_pow, rank
+from .linalg import Matrix, Vector, _matrix, _vector, is_nilpotent, mat_pow, rank
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -45,11 +45,11 @@ def enumerate_operators(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET):
     total = spec.q ** (n * n)
     _check_budget(total, budget, f"enumerating {n}x{n} operators over GF({spec.q})")
     for flat in product(range(spec.q), repeat=n * n):
-        yield Matrix(spec, n, n, tuple(flat[i * n : (i + 1) * n] for i in range(n)))
+        yield _matrix(spec, n, n, tuple(flat[i * n : (i + 1) * n] for i in range(n)))
 
 
 def _all_vectors(spec: FieldSpec, n: int) -> list[Vector]:
-    return [Vector(spec, entries) for entries in product(range(spec.q), repeat=n)]
+    return [_vector(spec, entries) for entries in product(range(spec.q), repeat=n)]
 
 
 def _stable_image_dim(q_op: Matrix) -> int:

@@ -71,7 +71,8 @@ class BudgetExceeded(NilbijError):
 
 
 def _json_int(value: object, what: str) -> int:
-    """An integer slot of a JSON payload; bool, float and str are refused.
+    """An integer slot of a JSON payload or of a public constructor;
+    bool, float and str are refused.
 
     ``int()`` would truncate 2.7 to 2 and read true as 1, so a payload
     could silently name a different object than it wrote.

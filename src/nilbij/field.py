@@ -19,7 +19,6 @@ with ``c_k == 1``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -99,15 +98,64 @@ def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]
     return _poly_trim(tuple(x % p for x in r[:dm]))
 
 
+def _poly_sub(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    n = max(len(a), len(b))
+    a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+    return _poly_trim(tuple((x - y) % p for x, y in zip(a, b)))
+
+
+def _poly_powmod(
+    a: tuple[int, ...], e: int, m: tuple[int, ...], p: int
+) -> tuple[int, ...]:
+    """a**e modulo the monic polynomial m, by square-and-multiply."""
+    out: tuple[int, ...] = (1,)
+    while e:
+        if e & 1:
+            out = _poly_mod(_poly_mul(out, a, p), m, p)
+        e >>= 1
+        if e:
+            a = _poly_mod(_poly_mul(a, a, p), m, p)
+    return out
+
+
+def _poly_gcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """A greatest common divisor over GF(p), by Euclid's algorithm."""
+    while b:
+        lead = pow(b[-1], p - 2, p)
+        b = tuple(c * lead % p for c in b)  # monic, so _poly_mod applies
+        a, b = b, _poly_mod(a, b, p)
+    return a
+
+
+def _prime_factors(k: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= k:
+        if k % d == 0:
+            out.append(d)
+            while k % d == 0:
+                k //= d
+        d += 1
+    return out + [k] if k > 1 else out
+
+
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= k/2."""
+    """Rabin's test (1980) for a monic poly f of degree k over GF(p).
+
+    f is irreducible iff x^(p^k) = x mod f and, for each prime d | k,
+    gcd(x^(p^(k/d)) - x, f) = 1.  The powers are p-th powers taken k
+    times in turn, so the cost is polynomial in k and log p.
+    """
     k = len(poly) - 1
-    for d in range(1, k // 2 + 1):
-        for low in itertools.product(range(p), repeat=d):
-            divisor = low + (1,)
-            if not _poly_mod(poly, divisor, p):
-                return False
-    return True
+    x = _poly_mod((0, 1), poly, p)
+    frobenius = [x]  # frobenius[j] = x^(p^j) mod f
+    for _ in range(k):
+        frobenius.append(_poly_powmod(frobenius[-1], p, poly, p))
+    if frobenius[k] != x:
+        return False
+    return all(
+        len(_poly_gcd(poly, _poly_sub(frobenius[k // d], x, p), p)) == 1
+        for d in _prime_factors(k)
+    )
 
 
 @dataclass(frozen=True)
@@ -128,6 +176,8 @@ class FieldSpec:
     poly: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        _json_int(self.p, "p")
+        _json_int(self.k, "k")
         if self.p >= _PRIME_LIMIT:
             raise SchemaError(f"p = {self.p} is too large; p must be < {_PRIME_LIMIT}")
         if not _is_prime(self.p):
@@ -145,7 +195,7 @@ class FieldSpec:
                 raise SchemaError(
                     f"no built-in irreducible for GF({self.p}^{self.k}); supply poly"
                 )
-        poly = tuple(int(c) for c in poly)
+        poly = tuple(_json_int(c, "poly coefficient") for c in poly)
         if len(poly) != self.k + 1 or poly[-1] != 1:
             raise SchemaError(f"poly must be monic of degree {self.k}: {poly}")
         if any(not 0 <= c < self.p for c in poly):
@@ -274,11 +324,6 @@ class FieldSpec:
         if not isinstance(obj, dict):
             raise SchemaError(f"field spec must be an object, got {type(obj).__name__}")
         try:
-            p = _json_int(obj["p"], "p")
-            k = _json_int(obj.get("k", 1), "k")
-            poly = obj.get("poly")
-            if poly is not None:
-                poly = tuple(_json_int(c, "poly coefficient") for c in poly)
+            return cls(obj["p"], obj.get("k", 1), obj.get("poly"))
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad field spec {obj!r}: {exc}") from exc
-        return cls(p, k, poly)

@@ -6,6 +6,14 @@ are pure.  An operator on F_q^n is an n x n matrix acting on column
 vectors, ``(Tx)_i = sum_j T[i][j] * x_j``.  The 0 x 0 matrix is a valid
 operator (on the zero space) and is treated as both nilpotent and
 invertible.
+
+The public constructors and ``from_json`` validate everything: shape,
+entry type (integers only, never bool, float or str) and entry range.
+Values the library derives from already-valid operands are built by
+the private factories :func:`_matrix` and :func:`_vector`, which skip
+those checks; a broken internal invariant surfaces as an
+``AssertionError`` from the asserts downstream, not as a
+:class:`SchemaError`.
 """
 
 from __future__ import annotations
@@ -31,10 +39,9 @@ class Vector:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
-        q = self.spec.q
-        if any(not 0 <= e < q for e in self.entries):
-            raise SchemaError(f"vector entries must be codes in [0, {q})")
+        entries = tuple(self.entries)
+        object.__setattr__(self, "entries", entries)
+        _check_codes(entries, self.spec.q, "vector entry")
 
     @property
     def n(self) -> int:
@@ -60,9 +67,8 @@ class Vector:
         if not isinstance(obj, dict) or "entries" not in obj or "field" not in obj:
             raise SchemaError(f"vector payload needs 'field' and 'entries': {obj!r}")
         try:
-            entries = tuple(_json_int(e, "vector entry") for e in obj["entries"])
-            return cls(FieldSpec.from_json(obj["field"]), entries)
-        except (TypeError, ValueError) as exc:
+            return cls(FieldSpec.from_json(obj["field"]), tuple(obj["entries"]))
+        except TypeError as exc:
             raise SchemaError(f"bad vector payload: {exc}") from exc
 
 
@@ -76,15 +82,15 @@ class Matrix:
     data: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        data = tuple(tuple(int(x) for x in row) for row in self.data)
+        rows, cols = _json_int(self.rows, "rows"), _json_int(self.cols, "cols")
+        data = tuple(tuple(row) for row in self.data)
         object.__setattr__(self, "data", data)
-        if len(data) != self.rows or any(len(row) != self.cols for row in data):
-            raise SchemaError(
-                f"matrix data shape does not match {self.rows}x{self.cols}"
-            )
+        shape_ok = rows >= 0 and cols >= 0 and len(data) == rows
+        if not shape_ok or any(len(row) != cols for row in data):
+            raise SchemaError(f"matrix data shape does not match {rows}x{cols}")
         q = self.spec.q
-        if any(not 0 <= x < q for row in data for x in row):
-            raise SchemaError(f"matrix entries must be codes in [0, {q})")
+        for row in data:
+            _check_codes(row, q, "matrix entry")
 
     @classmethod
     def from_rows(cls, spec: FieldSpec, rows) -> "Matrix":
@@ -98,9 +104,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
-        return cls(
-            spec, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        )
+        return cls(spec, n, n, _identity_rows(n))
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.data)
@@ -125,13 +129,40 @@ class Matrix:
             raise SchemaError(f"matrix payload must be an object: {obj!r}")
         try:
             spec = FieldSpec.from_json(obj["field"])
-            rows, cols = _json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols")
-            data = tuple(
-                tuple(_json_int(x, "matrix entry") for x in row) for row in obj["data"]
-            )
-            return cls(spec, rows, cols, data)
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(spec, obj["rows"], obj["cols"], obj["data"])
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad matrix payload: {exc}") from exc
+
+
+def _check_codes(values: tuple, q: int, what: str) -> None:
+    """Each value is an integer code in [0, q); see :func:`_json_int`."""
+    for x in values:
+        _json_int(x, what)
+        if not 0 <= x < q:
+            raise SchemaError(f"{what} {x} is not a code in [0, {q})")
+
+
+def _matrix(
+    spec: FieldSpec, rows: int, cols: int, data: tuple[tuple[int, ...], ...]
+) -> Matrix:
+    """A Matrix the library built from valid operands, unchecked.
+
+    ``data`` must already be a tuple of ``rows`` tuples of ``cols``
+    codes; only library code may call this."""
+    m = object.__new__(Matrix)
+    m.__dict__.update(spec=spec, rows=rows, cols=cols, data=data)
+    return m
+
+
+def _vector(spec: FieldSpec, entries: tuple[int, ...]) -> Vector:
+    """A Vector the library built from valid operands, unchecked."""
+    v = object.__new__(Vector)
+    v.__dict__.update(spec=spec, entries=entries)
+    return v
+
+
+def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def _require_same_spec(a: FieldSpec, b: FieldSpec) -> None:
@@ -180,7 +211,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     _require_same_spec(a.spec, b.spec)
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return Matrix(a.spec, a.rows, b.cols, _mul_data(a.data, b.data, a.spec))
+    return _matrix(a.spec, a.rows, b.cols, _mul_data(a.data, b.data, a.spec))
 
 
 def apply(t: Matrix, x: Vector) -> Vector:
@@ -197,7 +228,7 @@ def apply(t: Matrix, x: Vector) -> Vector:
             if c and e:
                 s = add(s, mul(c, e))
         out.append(s)
-    return Vector(spec, tuple(out))
+    return _vector(spec, tuple(out))
 
 
 def mat_pow(t: Matrix, e: int) -> Matrix:
@@ -207,7 +238,7 @@ def mat_pow(t: Matrix, e: int) -> Matrix:
     if e < 0:
         raise ValueError("exponent must be nonnegative")
     spec = t.spec
-    result = Matrix.identity(spec, t.rows).data
+    result = _identity_rows(t.rows)
     base = t.data
     while e:
         if e & 1:
@@ -215,7 +246,7 @@ def mat_pow(t: Matrix, e: int) -> Matrix:
         e >>= 1
         if e:
             base = _mul_data(base, base, spec)
-    return Matrix(spec, t.rows, t.cols, result)
+    return _matrix(spec, t.rows, t.cols, result)
 
 
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -250,7 +281,7 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         r += 1
         if r == m:
             break
-    return Matrix(spec, m, a.cols, tuple(tuple(row) for row in rows)), tuple(pivots)
+    return _matrix(spec, m, a.cols, tuple(tuple(row) for row in rows)), tuple(pivots)
 
 
 def rank(a: Matrix) -> int:
@@ -275,14 +306,14 @@ def kernel_basis(a: Matrix) -> list[Vector]:
         x[f] = 1
         for i, p in enumerate(pivots):
             x[p] = spec.neg(r.data[i][f])
-        basis.append(Vector(spec, tuple(x)))
+        basis.append(_vector(spec, tuple(x)))
     return basis
 
 
 def image_basis(a: Matrix) -> list[Vector]:
     """Columns of ``a`` at the pivot positions of its RREF, ascending."""
     _, pivots = rref(a)
-    return [Vector(a.spec, a.column(c)) for c in pivots]
+    return [_vector(a.spec, a.column(c)) for c in pivots]
 
 
 def is_invertible(t: Matrix) -> bool:
@@ -313,14 +344,14 @@ def mat_inv(t: Matrix) -> Matrix:
     if not t.is_square():
         raise NonSquare(f"inverse needs a square matrix, got {t.rows}x{t.cols}")
     n = t.rows
-    ident = Matrix.identity(t.spec, n)
-    aug = Matrix(
-        t.spec, n, 2 * n, tuple(row + irow for row, irow in zip(t.data, ident.data))
+    aug = _matrix(
+        t.spec, n, 2 * n,
+        tuple(row + irow for row, irow in zip(t.data, _identity_rows(n))),
     )
     r, pivots = rref(aug)
     if pivots != tuple(range(n)):
         raise NotInvertible(f"matrix of rank {len(pivots)} < {n} has no inverse")
-    return Matrix(t.spec, n, n, tuple(row[n:] for row in r.data))
+    return _matrix(t.spec, n, n, tuple(row[n:] for row in r.data))
 
 
 # -- vector addition, used by the bijection ------------------------------
@@ -331,4 +362,4 @@ def vec_add(x: Vector, y: Vector) -> Vector:
     if x.n != y.n:
         raise DimensionMismatch(f"vector lengths differ: {x.n} vs {y.n}")
     add = x.spec.add
-    return Vector(x.spec, tuple(add(a, b) for a, b in zip(x.entries, y.entries)))
+    return _vector(x.spec, tuple(add(a, b) for a, b in zip(x.entries, y.entries)))

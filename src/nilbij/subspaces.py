@@ -21,6 +21,12 @@ Constructions:
 * ``basis_to_automorphism`` / ``automorphism_to_basis`` - the ordered
   bases of V form a torsor under its automorphism group; anchoring at
   the reference basis turns that into a bijection.
+
+The public ``Subspace`` and ``OrderedBasis`` constructors and
+``Subspace.from_json`` validate their input; subspaces, bases, maps,
+matrices and vectors that the constructions below derive from valid
+operands are built trusted, by :func:`_subspace`, :func:`_ordered_basis`
+and the :mod:`nilbij.linalg` factories.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ from .field import FieldSpec
 from .linalg import (
     Matrix,
     Vector,
+    _matrix,
+    _vector,
     is_invertible,
     mat_inv,
     mat_mul,
@@ -80,7 +88,7 @@ class Subspace:
 
     def basis_vectors(self) -> tuple[Vector, ...]:
         """The reference basis, as ambient vectors."""
-        return tuple(Vector(self.spec, row) for row in self.rows)
+        return tuple(_vector(self.spec, row) for row in self.rows)
 
     @classmethod
     def zero(cls, spec: FieldSpec, ambient_dim: int) -> "Subspace":
@@ -96,7 +104,7 @@ class Subspace:
         data = tuple(
             tuple(row[i] for row in self.rows) for i in range(self.ambient_dim)
         )
-        return Matrix(self.spec, self.ambient_dim, self.dim, data)
+        return _matrix(self.spec, self.ambient_dim, self.dim, data)
 
     def to_json(self) -> dict:
         return {
@@ -117,11 +125,11 @@ class Subspace:
         try:
             spec = FieldSpec.from_json(obj["field"])
             ambient = _json_int(obj["ambient"], "ambient")
-            given = tuple(
-                tuple(_json_int(x, "basis entry") for x in row) for row in obj["basis"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            given = tuple(tuple(row) for row in obj["basis"])
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad subspace payload: {exc}") from exc
+        if any(len(row) != ambient for row in given):
+            raise SchemaError(f"basis rows must have length ambient = {ambient}")
         sub = span(
             [Vector(spec, row) for row in given], spec=spec, ambient_dim=ambient
         )
@@ -132,6 +140,18 @@ class Subspace:
         return sub
 
 
+def _subspace(
+    spec: FieldSpec,
+    ambient_dim: int,
+    rows: tuple[tuple[int, ...], ...],
+    pivots: tuple[int, ...],
+) -> Subspace:
+    """A Subspace from rows the library already holds in RREF, unchecked."""
+    s = object.__new__(Subspace)
+    s.__dict__.update(spec=spec, ambient_dim=ambient_dim, rows=rows, pivots=pivots)
+    return s
+
+
 def span(
     vectors: Iterable[Vector],
     spec: FieldSpec | None = None,
@@ -140,25 +160,26 @@ def span(
     """Canonical subspace spanned by the given vectors.
 
     ``spec`` and ``ambient_dim`` are required when ``vectors`` is empty
-    (the zero subspace carries no hint of its ambient space).
+    (the zero subspace carries no hint of its ambient space); when
+    given with vectors, they must agree with them.
     """
     vecs = list(vectors)
-    if vecs:
-        spec = vecs[0].spec
-        ambient_dim = vecs[0].n
-        for v in vecs:
-            if v.spec != spec:
-                raise FieldMismatch("span of vectors over different fields")
-            if v.n != ambient_dim:
-                raise DimensionMismatch("span of vectors of different lengths")
-    elif spec is None or ambient_dim is None:
-        raise DimensionMismatch("empty span needs explicit spec and ambient_dim")
-    stacked = Matrix.from_rows(spec, [v.entries for v in vecs]) if vecs else None
-    if stacked is None:
+    if not vecs:
+        if spec is None or ambient_dim is None:
+            raise DimensionMismatch("empty span needs explicit spec and ambient_dim")
         return Subspace.zero(spec, ambient_dim)
-    reduced, pivots = rref(stacked)
-    basis = reduced.data[: len(pivots)]
-    return Subspace(spec, ambient_dim, basis, pivots)
+    first, n = vecs[0].spec, vecs[0].n
+    for v in vecs:
+        if v.spec != first:
+            raise FieldMismatch("span of vectors over different fields")
+        if v.n != n:
+            raise DimensionMismatch("span of vectors of different lengths")
+    if spec is not None and spec != first:
+        raise FieldMismatch(f"vectors over {first} spanned in {spec}")
+    if ambient_dim is not None and ambient_dim != n:
+        raise DimensionMismatch(f"length-{n} vectors vs ambient dim {ambient_dim}")
+    reduced, pivots = rref(_matrix(first, len(vecs), n, tuple(v.entries for v in vecs)))
+    return _subspace(first, n, reduced.data[: len(pivots)], pivots)
 
 
 def _reduce_against(v: Subspace, x: Vector) -> tuple[tuple[int, ...], Vector]:
@@ -171,7 +192,7 @@ def _reduce_against(v: Subspace, x: Vector) -> tuple[tuple[int, ...], Vector]:
             for i, r in enumerate(row):
                 if r:
                     residue[i] = spec.sub(residue[i], spec.mul(c, r))
-    return coeffs, Vector(spec, tuple(residue))
+    return coeffs, _vector(spec, tuple(residue))
 
 
 def contains(v: Subspace, x: Vector) -> bool:
@@ -192,11 +213,13 @@ def coords(v: Subspace, x: Vector) -> Vector:
     coeffs, residue = _reduce_against(v, x)
     if not residue.is_zero():
         raise NotInSubspace(f"{x.entries} is not in the subspace")
-    return Vector(v.spec, coeffs)
+    return _vector(v.spec, coeffs)
 
 
 def from_coords(v: Subspace, c: Vector) -> Vector:
     """Ambient vector with the given reference-basis coefficients."""
+    if c.spec != v.spec:
+        raise FieldMismatch("coordinates and subspace live in different fields")
     if c.n != v.dim:
         raise DimensionMismatch(f"expected {v.dim} coordinates, got {c.n}")
     spec = v.spec
@@ -206,7 +229,7 @@ def from_coords(v: Subspace, c: Vector) -> Vector:
             for i, r in enumerate(row):
                 if r:
                     out[i] = spec.add(out[i], spec.mul(coeff, r))
-    return Vector(spec, tuple(out))
+    return _vector(spec, tuple(out))
 
 
 def steinitz_complement(v: Subspace) -> Subspace:
@@ -216,7 +239,7 @@ def steinitz_complement(v: Subspace) -> Subspace:
     rows = tuple(
         tuple(1 if i == j else 0 for i in range(v.ambient_dim)) for j in free
     )
-    return Subspace(v.spec, v.ambient_dim, rows, free)
+    return _subspace(v.spec, v.ambient_dim, rows, free)
 
 
 def is_complementary(u: Subspace, v: Subspace) -> bool:
@@ -226,10 +249,7 @@ def is_complementary(u: Subspace, v: Subspace) -> bool:
     n = u.ambient_dim
     if u.dim + v.dim != n:
         return False
-    stacked = Matrix.from_rows(u.spec, list(u.rows) + list(v.rows))
-    if n == 0:
-        return True
-    return rank(stacked) == n
+    return rank(_matrix(u.spec, n, n, u.rows + v.rows)) == n
 
 
 @dataclass(frozen=True)
@@ -271,7 +291,7 @@ def map_apply(f: SubspaceMap, x: Vector) -> Vector:
             if cj:
                 s = spec.add(s, spec.mul(f.matrix.data[i][j], cj))
         y[i] = s
-    return from_coords(f.codomain, Vector(spec, tuple(y)))
+    return from_coords(f.codomain, _vector(spec, tuple(y)))
 
 
 def compose(g: SubspaceMap, f: SubspaceMap) -> SubspaceMap:
@@ -289,14 +309,14 @@ def map_inverse(f: SubspaceMap) -> SubspaceMap:
 
 
 def _hstack(a: Matrix, b: Matrix) -> Matrix:
-    return Matrix(
+    return _matrix(
         a.spec, a.rows, a.cols + b.cols,
         tuple(ra + rb for ra, rb in zip(a.data, b.data)),
     )
 
 
 def _block(m: Matrix, r0: int, r1: int, c0: int, c1: int) -> Matrix:
-    return Matrix(
+    return _matrix(
         m.spec, r1 - r0, c1 - c0, tuple(row[c0:c1] for row in m.data[r0:r1])
     )
 
@@ -331,7 +351,7 @@ def _graph_and_iso(v: Subspace, u: Subspace, w: Subspace) -> tuple[SubspaceMap, 
     if not is_invertible(iso):
         raise NotComplement("U is not a complement of V")
     neg = v.spec.neg
-    f = Matrix(v.spec, k, u.dim, tuple(tuple(neg(x) for x in row) for row in m.data[:k]))
+    f = _matrix(v.spec, k, u.dim, tuple(tuple(neg(x) for x in row) for row in m.data[:k]))
     return SubspaceMap(u, v, f), SubspaceMap(u, w, iso)
 
 
@@ -351,10 +371,11 @@ def map_to_complement(f: SubspaceMap) -> Subspace:
     if not is_complementary(u, v):
         raise NotComplement("domain and codomain are not complementary")
     graph_cols = []
+    add = u.spec.add
     for j, uvec in enumerate(u.basis_vectors()):
-        img = from_coords(v, Vector(v.spec, f.matrix.column(j)))
+        img = from_coords(v, _vector(v.spec, f.matrix.column(j)))
         graph_cols.append(
-            Vector(u.spec, tuple(u.spec.add(a, b) for a, b in zip(uvec.entries, img.entries)))
+            _vector(u.spec, tuple(add(a, b) for a, b in zip(uvec.entries, img.entries)))
         )
     return span(graph_cols, spec=u.spec, ambient_dim=u.ambient_dim)
 
@@ -397,6 +418,10 @@ def block_assemble(
     """Inverse of :func:`block_decompose`: the ambient operator with the
     given blocks (and no U -> V leakage from V)."""
     b, b_inv = _change_of_basis(v, u, "V and U are not complementary")
+    blocks = (t_vv.domain, t_vv.codomain, t_uv.domain, t_uv.codomain,
+              t_uu.domain, t_uu.codomain)
+    if blocks != (v, v, u, v, u, u):
+        raise DimensionMismatch("blocks must map V to V, U to V and U to U")
     m, n = v.dim, v.ambient_dim
     rows = []
     for i in range(n):
@@ -404,7 +429,7 @@ def block_assemble(
             rows.append(t_vv.matrix.data[i] + t_uv.matrix.data[i])
         else:
             rows.append((0,) * m + t_uu.matrix.data[i - m])
-    conj = Matrix(v.spec, n, n, tuple(rows))
+    conj = _matrix(v.spec, n, n, tuple(rows))
     return mat_mul(b, mat_mul(conj, b_inv))
 
 
@@ -437,12 +462,19 @@ class OrderedBasis:
         return cls(v, v.basis_vectors())
 
 
+def _ordered_basis(subspace: Subspace, vectors: tuple[Vector, ...]) -> OrderedBasis:
+    """An OrderedBasis the library has proved is one, unchecked."""
+    b = object.__new__(OrderedBasis)
+    b.__dict__.update(subspace=subspace, vectors=vectors)
+    return b
+
+
 def basis_to_automorphism(b: OrderedBasis) -> SubspaceMap:
     """The unique automorphism sending the reference basis to b."""
     v = b.subspace
     cols = [coords(v, vec).entries for vec in b.vectors]
     data = tuple(tuple(col[i] for col in cols) for i in range(v.dim))
-    return SubspaceMap(v, v, Matrix(v.spec, v.dim, v.dim, data))
+    return SubspaceMap(v, v, _matrix(v.spec, v.dim, v.dim, data))
 
 
 def automorphism_to_basis(r: SubspaceMap) -> OrderedBasis:
@@ -453,6 +485,6 @@ def automorphism_to_basis(r: SubspaceMap) -> OrderedBasis:
         raise NotAutomorphism("map matrix is singular")
     v = r.domain
     vecs = tuple(
-        from_coords(v, Vector(v.spec, r.matrix.column(j))) for j in range(v.dim)
+        from_coords(v, _vector(v.spec, r.matrix.column(j))) for j in range(v.dim)
     )
-    return OrderedBasis(v, vecs)
+    return _ordered_basis(v, vecs)

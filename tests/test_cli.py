@@ -1,9 +1,12 @@
 """CLI behavior: canonical JSON piping, report modes, exit codes."""
 
+import copy
 import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import GF2, GF4
 from nilbij import CensusReport, FieldSpec, Matrix, NilpotentPair, Vector
@@ -224,3 +227,76 @@ def test_input_output_files(tmp_path):
     assert json.loads(dst.read_text()) == Matrix.identity(GF2, 1).to_json()
     code, _, err = run(["forward", "--input", str(tmp_path / "missing.json")])
     assert code == 2 and "error:" in err
+
+
+# -- boundary fuzzing --------------------------------------------------
+
+GF4_EXPLICIT = {"p": 2, "k": 2, "poly": [1, 1, 1]}
+VALID_PAYLOADS = {
+    "inverse": Matrix.from_rows(GF2, [(1, 1), (0, 1)]).to_json(),
+    "fitting": {"field": GF4_EXPLICIT, "rows": 2, "cols": 2, "data": [[2, 0], [1, 0]]},
+    "forward": NilpotentPair(Matrix.from_rows(GF2, [(0, 0), (1, 0)]),
+                             Vector(GF2, (1, 1))).to_json(),
+    "degree": {
+        "T": {"field": GF4_EXPLICIT, "rows": 2, "cols": 2, "data": [[0, 3], [0, 0]]},
+        "v": {"field": GF4_EXPLICIT, "entries": [2, 1]},
+    },
+    "joyal-forward": {"tree": {"n": 3, "edges": [[0, 1], [1, 2]]}, "v": 0, "v2": 2},
+    "joyal-inverse": {"n": 3, "table": [0, 0, 1]},
+}
+# Wrong-typed, out-of-range, non-prime and huge values for any slot.
+BAD_VALUES = (-1, 0, 1, 2, 3, 4, 9, 2**64, 10**30, 10**18 + 3, 1.5, 2.0, True, False,
+              "a", "2", None, [], {}, [[]], [[0, 1]])
+
+
+def _paths(obj, prefix=()):
+    """Every position below the root of a JSON document."""
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutate(doc, path, kind: str, value):
+    """Apply one mutation at ``path``: drop it (a missing key or a
+    truncated row), or replace it with ``value``."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_fuzzed_payloads_exit_zero_or_two(data):
+    command = data.draw(st.sampled_from(sorted(VALID_PAYLOADS)))
+    doc = copy.deepcopy(VALID_PAYLOADS[command])
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    kind = data.draw(st.sampled_from(("drop", "set")))
+    value = data.draw(st.sampled_from(BAD_VALUES))
+    code, out, err = run([command], canonical_dumps(_mutate(doc, path, kind, value)))
+    assert code in (0, 2), (command, path, kind, value, err)
+    assert (code == 2) == err.startswith("error:")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["count-nilpotents", "verify-theorem", "verify-degrees"]),
+       st.sampled_from([(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (2, 2),
+                        (2, 0), (3, -1)]),
+       st.sampled_from([None, "1,1,1", "1,0,1", "1,1", "x", ""]),
+       st.integers(-1, 2), st.sampled_from([None, 0, 10]), st.booleans())
+def test_fuzzed_report_flags_exit_zero_one_or_two(command, pk, poly, n, budget, as_json):
+    p, k = pk
+    args = [command, "--p", str(p), "--k", str(k), "--n", str(n)]
+    args += ["--poly", poly] if poly is not None else []
+    args += ["--budget", str(budget)] if budget is not None else []
+    args += ["--json"] if as_json else []
+    assert run(args)[0] in (0, 1, 2)
+    joyal = ["verify-joyal", "--n", str(n)] + (["--json"] if as_json else [])
+    assert run(joyal)[0] in (0, 1, 2)

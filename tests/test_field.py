@@ -1,12 +1,15 @@
 """Field arithmetic: frozen values, axioms, and an independent
 polynomial-arithmetic oracle for the extension fields."""
 
+import time
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilbij import DivisionByZero, FieldSpec, SchemaError
-from nilbij.field import _PRIME_LIMIT, _is_prime
+from nilbij.field import BUILTIN_POLYS, _PRIME_LIMIT, _is_irreducible, _is_prime
 
 AXIOM_SPECS = [FieldSpec(2), FieldSpec(3), FieldSpec(5), FieldSpec(7),
                FieldSpec(2, 2), FieldSpec(2, 3), FieldSpec(3, 2)]
@@ -91,6 +94,42 @@ def test_rejects_non_monic_and_bad_degree():
         FieldSpec(3, 2, (1, 1))
     with pytest.raises(SchemaError):
         FieldSpec(3, 2, (2, 2, 2))
+
+
+def test_constructor_rejects_non_integer_slots():
+    for args in [(2.0,), (3, 2.0), (2, 2, (1, 1, 1.0)), (True,), (3, True),
+                 ("2",), (2, 2, (1, True, 1)), (2, 2, "111")]:
+        with pytest.raises(SchemaError):
+            FieldSpec(*args)
+    assert FieldSpec(2, 2, [1, 1, 1]).poly == (1, 1, 1)
+
+
+def test_is_irreducible_matches_sympy():
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy import ZZ
+
+    for p, top in ((2, 4), (3, 4), (5, 3)):
+        for k in range(1, top + 1):
+            for low in product(range(p), repeat=k):
+                poly = low + (1,)
+                expected = galoistools.gf_irreducible_p(list(reversed(poly)), p, ZZ)
+                assert _is_irreducible(poly, p) == expected, (p, poly)
+
+
+def test_builtin_polynomials_are_irreducible():
+    for (p, k), poly in BUILTIN_POLYS.items():
+        assert _is_irreducible(poly, p)
+        assert FieldSpec(p, k).poly == poly
+
+
+def test_irreducibility_is_fast_for_a_large_characteristic():
+    # x^4 + x + 2 over GF(1000003); trial division would try ~p^2 divisors
+    started = time.perf_counter()
+    f = FieldSpec.from_json({"p": 1000003, "k": 4, "poly": [2, 1, 0, 0, 1]})
+    assert time.perf_counter() - started < 1.0
+    assert f.q == 1000003**4
+    with pytest.raises(SchemaError):  # (x^2 + 1)^2 is reducible
+        FieldSpec(1000003, 4, (1, 0, 2, 0, 1))
 
 
 def test_no_builtin_polynomial_available():

@@ -219,6 +219,19 @@ def test_matrix_schema_validation():
         Matrix(GF2, 1, 1, ((2,),))
     with pytest.raises(SchemaError):
         Vector(GF2, (0, 3))
+    # integer slots refuse bool, float and str instead of coercing them
+    for bad in [lambda: Vector(FieldSpec(2), (1.9, True)),
+                lambda: Vector(GF2, (0, True)),
+                lambda: Vector(GF2, "01"),
+                lambda: Matrix(FieldSpec(3), 1, 1, (("2",),)),
+                lambda: Matrix(GF2, 1, 1, ((1.0,),)),
+                lambda: Matrix(GF2, True, 1, ((1,),)),
+                lambda: Matrix(GF2, 1, 1.0, ((1,),)),
+                lambda: Matrix(GF2, 0, -1, ())]:
+        with pytest.raises(SchemaError):
+            bad()
+    assert Matrix(GF2, 1, 2, [[1, 0]]).data == ((1, 0),)
+    assert Vector(GF2, [1, 0]).entries == (1, 0)
 
 
 def test_json_roundtrips():

@@ -8,6 +8,7 @@ import pytest
 from conftest import GF2, GF3, all_matrices, all_subspaces, all_vectors, subspace_elements
 from nilbij import (
     DimensionMismatch,
+    FieldMismatch,
     FittingPair,
     Matrix,
     NotAutomorphism,
@@ -414,6 +415,30 @@ def test_subspace_json_strictness():
     payload = {"field": {"p": 2}, "ambient": 2, "basis": [[1, 1], [0, 1]]}
     with pytest.raises(NotCanonical):
         Subspace.from_json(payload)
-    for key, bad in [("ambient", 2.0), ("basis", [[1, 0.0]])]:
+    for key, bad in [("ambient", 2.0), ("basis", [[1, 0.0]]), ("ambient", 5),
+                     ("ambient", -1), ("basis", [[1, 0, 0]]), ("basis", [[1, True]])]:
         with pytest.raises(SchemaError):
             Subspace.from_json({**payload, "basis": [[1, 0]], key: bad})
+    with pytest.raises(SchemaError):
+        Subspace.from_json({**payload, "basis": [], "ambient": -1})
+
+
+def test_trusted_outputs_check_their_public_inputs():
+    """Constructions that build their result unchecked refuse inputs that
+    would make it invalid."""
+    line = span([Vector(GF2, (1, 0))])
+    with pytest.raises(FieldMismatch):
+        span([Vector(GF2, (1, 0))], spec=GF3)
+    with pytest.raises(DimensionMismatch):
+        span([Vector(GF2, (1, 0))], ambient_dim=3)
+    with pytest.raises(FieldMismatch):
+        from_coords(line, Vector(GF3, (2,)))
+    u = steinitz_complement(line)
+    good = (SubspaceMap.identity(line), SubspaceMap.zero(u, line), SubspaceMap.zero(u, u))
+    assert block_assemble(line, u, *good) == Matrix.from_rows(GF2, [(1, 0), (0, 0)])
+    for i, wrong in enumerate((SubspaceMap.zero(u, u), SubspaceMap.zero(line, line),
+                               SubspaceMap.zero(line, line))):
+        blocks = list(good)
+        blocks[i] = wrong
+        with pytest.raises(DimensionMismatch):
+            block_assemble(line, u, *blocks)

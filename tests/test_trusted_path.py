@@ -1,0 +1,74 @@
+"""The library validates at its boundary and builds its own values
+trusted.  Routing the private factories back through the validating
+public constructors must change no census result and raise nothing:
+every value the library makes itself is one the public checks accept,
+already in the canonical form those constructors would produce."""
+
+import sys
+from collections import Counter
+
+import pytest
+
+from conftest import GF2, GF3
+from nilbij import (
+    Matrix,
+    NilbijError,
+    OrderedBasis,
+    Subspace,
+    Vector,
+    linalg,
+    subspaces,
+    verify_degree_refinement,
+    verify_theorem,
+)
+
+FACTORIES = {
+    "_matrix": (linalg._matrix, Matrix),
+    "_vector": (linalg._vector, Vector),
+    "_subspace": (subspaces._subspace, Subspace),
+    "_ordered_basis": (subspaces._ordered_basis, OrderedBasis),
+}
+
+
+def census_payloads(spec, n):
+    report = verify_theorem(spec, n).to_json()
+    del report["elapsed_s"]
+    strata = [s.to_json() for s in verify_degree_refinement(spec, n)]
+    return report, strata
+
+
+def route_to_public_constructors(monkeypatch) -> Counter:
+    """Patch each factory, in every nilbij module that binds it, to build
+    through its public constructor; returns calls per factory."""
+    calls = Counter()
+
+    def checked(name, trusted, public):
+        def build(*args):
+            calls[name] += 1
+            value = public(*args)
+            assert vars(value) == vars(trusted(*args)), f"{name}{args} is not canonical"
+            return value
+        return build
+
+    for name, (trusted, public) in FACTORIES.items():
+        patched = checked(name, trusted, public)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("nilbij") and vars(mod).get(name) is trusted:
+                monkeypatch.setattr(mod, name, patched)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec,n", [(GF2, 0), (GF2, 1), (GF2, 2), (GF2, 3), (GF3, 2)],
+    ids=["q2-n0", "q2-n1", "q2-n2", "q2-n3", "q3-n2"],
+)
+def test_trusted_values_pass_the_public_checks(monkeypatch, spec, n):
+    expected = census_payloads(spec, n)
+    calls = route_to_public_constructors(monkeypatch)
+    try:
+        got = census_payloads(spec, n)
+    except NilbijError as exc:
+        pytest.fail(f"a library-built value failed validation: {exc!r}")
+    assert got == expected
+    if n >= 2:
+        assert set(calls) == set(FACTORIES)
