@@ -26,6 +26,7 @@ from .linalg import (
     Matrix,
     Vector,
     _matrix,
+    _vector,
     apply,
     is_nilpotent,
     mat_inv,
@@ -112,7 +113,7 @@ def inverse(q: Matrix) -> tuple[Matrix, Vector]:
     v_sub, w_sub = pair.V, pair.W
     basis = automorphism_to_basis(pair.R)
     k = v_sub.dim
-    vec = basis.vectors[0] if k else Vector.zero(q.spec, n)
+    vec = basis.vectors[0] if k else _vector(q.spec, (0,) * n)
     u_sub = steinitz_complement(v_sub)
     f, iso = _graph_and_iso(v_sub, u_sub, w_sub)
     t_uu = compose(compose(map_inverse(iso), pair.S), iso)

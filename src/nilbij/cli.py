@@ -15,6 +15,7 @@ input or usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -196,7 +197,10 @@ def _add_report_flags(sp: argparse.ArgumentParser) -> None:
     _add_io_flags(sp)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    :func:`main` call; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="nilbij",
         description="Exact bijections between nilpotent pairs and linear operators "

@@ -20,6 +20,7 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    _matrix,
     image_basis,
     is_invertible,
     is_nilpotent,
@@ -91,8 +92,8 @@ def fitting_decompose(q: Matrix) -> FittingPair:
     v = span(image_basis(qn), spec=q.spec, ambient_dim=n)
     w = span(kernel_basis(qn), spec=q.spec, ambient_dim=n)
     if n == 0:
-        ident = SubspaceMap.identity(v)
-        return FittingPair(v, w, ident, SubspaceMap.identity(w))
+        empty = _matrix(q.spec, 0, 0, ())
+        return FittingPair(v, w, SubspaceMap(v, v, empty), SubspaceMap(w, w, empty))
     r, cross, s = block_decompose(q, v, w)
     assert cross.matrix.is_zero(), "W must be Q-invariant"
     assert is_invertible(r.matrix), "restriction to im(Q^n) must be invertible"

@@ -9,6 +9,11 @@ points.  Counting both sides gives the n^(n-2) tree count.
 
 The functions whose iterates collapse to a single fixed point are
 exactly the images of pairs with both marks equal, n^(n-1) of them.
+
+The ``Tree`` and ``EndoFunction`` constructors validate their input,
+integer slots included; the endofunctions that the enumeration and
+:func:`joyal_forward` build themselves are made unchecked by
+:func:`_endofunction`.
 """
 
 from __future__ import annotations
@@ -28,11 +33,16 @@ class Tree:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        if _json_int(self.n, "n") < 1:
             raise SchemaError(f"a tree needs at least one vertex, got n={self.n}")
         norm = []
         for e in self.edges:
-            a, b = e
+            try:
+                a, b = e
+            except (TypeError, ValueError):
+                raise SchemaError(f"edge {e!r} is not a pair of vertices") from None
+            _json_int(a, "vertex")
+            _json_int(b, "vertex")
             if not (0 <= a < self.n and 0 <= b < self.n):
                 raise InvalidVertex(f"edge {e} leaves 0..{self.n - 1}")
             if a == b:
@@ -71,13 +81,9 @@ class Tree:
         if not isinstance(obj, dict):
             raise SchemaError(f"tree payload must be an object: {obj!r}")
         try:
-            n = _json_int(obj["n"], "n")
-            edges = tuple(
-                (_json_int(a, "vertex"), _json_int(b, "vertex")) for a, b in obj["edges"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(obj["n"], tuple(obj["edges"]))
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad tree payload: {exc}") from exc
-        return cls(n, edges)
 
 
 @dataclass(frozen=True)
@@ -88,13 +94,13 @@ class EndoFunction:
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        if _json_int(self.n, "n") < 1:
             raise SchemaError(f"need at least one vertex, got n={self.n}")
-        object.__setattr__(self, "table", tuple(int(x) for x in self.table))
+        object.__setattr__(self, "table", tuple(self.table))
         if len(self.table) != self.n:
             raise SchemaError(f"table has {len(self.table)} entries, expected {self.n}")
         for x in self.table:
-            if not 0 <= x < self.n:
+            if not 0 <= _json_int(x, "table value") < self.n:
                 raise InvalidVertex(f"value {x} leaves 0..{self.n - 1}")
 
     def __call__(self, x: int) -> int:
@@ -108,11 +114,17 @@ class EndoFunction:
         if not isinstance(obj, dict):
             raise SchemaError(f"endofunction payload must be an object: {obj!r}")
         try:
-            n = _json_int(obj["n"], "n")
-            table = tuple(_json_int(x, "table value") for x in obj["table"])
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(obj["n"], tuple(obj["table"]))
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad endofunction payload: {exc}") from exc
-        return cls(n, table)
+
+
+def _endofunction(n: int, table: tuple[int, ...]) -> EndoFunction:
+    """An EndoFunction the library built itself, unchecked: ``table`` is
+    already a tuple of n codes in 0..n-1."""
+    f = object.__new__(EndoFunction)
+    f.__dict__.update(n=n, table=table)
+    return f
 
 
 def _iterate_table(f: EndoFunction) -> tuple[int, ...]:
@@ -174,7 +186,7 @@ def joyal_forward(tree: Tree, v: int, v2: int) -> EndoFunction:
                 toward[y] = True
                 table[y] = x
                 queue.append(y)
-    return EndoFunction(n, tuple(table))
+    return _endofunction(n, tuple(table))
 
 
 def joyal_inverse(f: EndoFunction) -> tuple[Tree, int, int]:
@@ -196,7 +208,7 @@ def all_endofunctions(n: int):
     if n < 1:
         raise SchemaError(f"need at least one vertex, got n={n}")
     for table in product(range(n), repeat=n):
-        yield EndoFunction(n, table)
+        yield _endofunction(n, table)
 
 
 def count_trees(n: int) -> int:

@@ -14,11 +14,23 @@ the private factories :func:`_matrix` and :func:`_vector`, which skip
 those checks; a broken internal invariant surfaces as an
 ``AssertionError`` from the asserts downstream, not as a
 :class:`SchemaError`.
+
+All arithmetic on entries runs through one row kernel.
+:func:`_tables` gives the field's addition, multiplication and negation
+as indexables, ``add[a][b]``, ``mul[a][b]`` and ``neg[a]``: the field's
+own lookup tables when q <= ``_TABLE_MAX``, and views that compute each
+value on demand for larger fields, which get no table.  Each operation
+fetches them once per call and has one code path: a product builds
+each row of AB as a combination of the rows of B
+(:func:`_combine_rows`), ``apply`` is the same combination of the
+columns of T, and ``rref`` eliminates with the row operation
+``row + (-f) * pivot_row``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     DimensionMismatch,
@@ -170,40 +182,59 @@ def _require_same_spec(a: FieldSpec, b: FieldSpec) -> None:
         raise FieldMismatch(f"operands live in different fields: {a} vs {b}")
 
 
+class _OnDemand:
+    """``view[x]`` is ``op(x)``: a table-shaped view of a field operation,
+    for fields too large to tabulate."""
+
+    __slots__ = ("_op",)
+
+    def __init__(self, op) -> None:
+        self._op = op
+
+    def __getitem__(self, x):
+        return self._op(x)
+
+
+def _tables(spec: FieldSpec):
+    """(add, mul, neg) indexed as ``add[a][b]``, ``mul[a][b]``, ``neg[a]``.
+
+    The field's own lookup tables when q <= ``_TABLE_MAX``; otherwise
+    views that compute each value through ``FieldSpec.add``/``mul``/
+    ``neg``, so a large field still gets no table in memory."""
+    add = spec._add_table
+    if add is not None:
+        return add, spec._mul_table, spec._neg_table
+    return (
+        _OnDemand(lambda a: _OnDemand(partial(spec.add, a))),
+        _OnDemand(lambda a: _OnDemand(partial(spec.mul, a))),
+        _OnDemand(spec.neg),
+    )
+
+
+def _combine_rows(coeffs, rows, start, add, mul) -> tuple[int, ...]:
+    """start + sum of coeffs[i] * rows[i], entrywise; the row kernel.
+
+    Zero coefficients are skipped; ``add`` and ``mul`` come from
+    :func:`_tables`."""
+    acc = start
+    for c, row in zip(coeffs, rows):
+        if c:
+            srow = mul[c]
+            acc = [add[x][srow[y]] for x, y in zip(acc, row)]
+    return tuple(acc)
+
+
 def _mul_data(
     a: tuple[tuple[int, ...], ...],
     b: tuple[tuple[int, ...], ...],
+    cols: int,
     spec: FieldSpec,
 ) -> tuple[tuple[int, ...], ...]:
-    """Raw row-major product; the census hot path, so table lookups win."""
-    bt = tuple(zip(*b)) if b else ()
-    addt, mult = spec._add_table, spec._mul_table
-    if addt is not None and mult is not None:
-        return tuple(
-            tuple(
-                _dot_table(arow, bcol, addt, mult) for bcol in bt
-            )
-            for arow in a
-        )
-    add, mul = spec.add, spec.mul
-    out = []
-    for arow in a:
-        orow = []
-        for bcol in bt:
-            s = 0
-            for x, y in zip(arow, bcol):
-                s = add(s, mul(x, y))
-            orow.append(s)
-        out.append(tuple(orow))
-    return tuple(out)
-
-
-def _dot_table(arow, bcol, addt, mult) -> int:
-    s = 0
-    for x, y in zip(arow, bcol):
-        if x and y:
-            s = addt[s][mult[x][y]]
-    return s
+    """Raw row-major product AB, B with ``cols`` columns: each row of AB
+    is a combination of the rows of B."""
+    add, mul, _ = _tables(spec)
+    zero = (0,) * cols
+    return tuple(_combine_rows(arow, b, zero, add, mul) for arow in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -211,7 +242,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     _require_same_spec(a.spec, b.spec)
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return _matrix(a.spec, a.rows, b.cols, _mul_data(a.data, b.data, a.spec))
+    return _matrix(a.spec, a.rows, b.cols, _mul_data(a.data, b.data, b.cols, a.spec))
 
 
 def apply(t: Matrix, x: Vector) -> Vector:
@@ -219,16 +250,9 @@ def apply(t: Matrix, x: Vector) -> Vector:
     _require_same_spec(t.spec, x.spec)
     if t.cols != x.n:
         raise DimensionMismatch(f"{t.rows}x{t.cols} matrix applied to length-{x.n} vector")
-    spec = t.spec
-    add, mul = spec.add, spec.mul
-    out = []
-    for row in t.data:
-        s = 0
-        for c, e in zip(row, x.entries):
-            if c and e:
-                s = add(s, mul(c, e))
-        out.append(s)
-    return _vector(spec, tuple(out))
+    # Tx as a row vector: the combination of T's columns weighted by x.
+    (tx,) = _mul_data((x.entries,), tuple(zip(*t.data)), t.rows, t.spec)
+    return _vector(t.spec, tx)
 
 
 def mat_pow(t: Matrix, e: int) -> Matrix:
@@ -237,16 +261,16 @@ def mat_pow(t: Matrix, e: int) -> Matrix:
         raise NonSquare(f"mat_pow needs a square matrix, got {t.rows}x{t.cols}")
     if e < 0:
         raise ValueError("exponent must be nonnegative")
-    spec = t.spec
-    result = _identity_rows(t.rows)
+    spec, n = t.spec, t.rows
+    result = None
     base = t.data
     while e:
         if e & 1:
-            result = _mul_data(result, base, spec)
+            result = base if result is None else _mul_data(result, base, n, spec)
         e >>= 1
         if e:
-            base = _mul_data(base, base, spec)
-    return _matrix(spec, t.rows, t.cols, result)
+            base = _mul_data(base, base, n, spec)
+    return _matrix(spec, n, n, _identity_rows(n) if result is None else result)
 
 
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -258,7 +282,8 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         the pivot column indices in ascending order.
     """
     spec = a.spec
-    rows = [list(row) for row in a.data]
+    add, mul, neg = _tables(spec)
+    rows = list(a.data)
     m = a.rows
     pivots: list[int] = []
     r = 0
@@ -266,22 +291,23 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         pr = next((i for i in range(r, m) if rows[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
+        prow = rows[pr]
+        rows[pr] = rows[r]
+        pv = prow[c]
         if pv != 1:
-            ipv = spec.inv(pv)
-            rows[r] = [spec.mul(ipv, x) for x in rows[r]]
+            srow = mul[spec.inv(pv)]
+            prow = tuple([srow[x] for x in prow])
+        rows[r] = prow
         for i in range(m):
             f = rows[i][c]
-            if i != r and f:
-                rows[i] = [
-                    spec.sub(x, spec.mul(f, y)) for x, y in zip(rows[i], rows[r])
-                ]
+            if f and i != r:
+                srow = mul[neg[f]]
+                rows[i] = tuple([add[x][srow[y]] for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return _matrix(spec, m, a.cols, tuple(tuple(row) for row in rows)), tuple(pivots)
+    return _matrix(spec, m, a.cols, tuple(rows)), tuple(pivots)
 
 
 def rank(a: Matrix) -> int:
@@ -297,6 +323,7 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     in the free column.
     """
     spec = a.spec
+    neg = _tables(spec)[2]
     r, pivots = rref(a)
     pivot_set = set(pivots)
     free = [c for c in range(a.cols) if c not in pivot_set]
@@ -305,7 +332,7 @@ def kernel_basis(a: Matrix) -> list[Vector]:
         x = [0] * a.cols
         x[f] = 1
         for i, p in enumerate(pivots):
-            x[p] = spec.neg(r.data[i][f])
+            x[p] = neg[r.data[i][f]]
         basis.append(_vector(spec, tuple(x)))
     return basis
 
@@ -334,7 +361,7 @@ def is_nilpotent(t: Matrix) -> bool:
     while any(any(row) for row in data):
         if e >= n:
             return False
-        data = _mul_data(data, data, t.spec)
+        data = _mul_data(data, data, n, t.spec)
         e *= 2
     return True
 
@@ -361,5 +388,5 @@ def vec_add(x: Vector, y: Vector) -> Vector:
     _require_same_spec(x.spec, y.spec)
     if x.n != y.n:
         raise DimensionMismatch(f"vector lengths differ: {x.n} vs {y.n}")
-    add = x.spec.add
-    return _vector(x.spec, tuple(add(a, b) for a, b in zip(x.entries, y.entries)))
+    add = _tables(x.spec)[0]
+    return _vector(x.spec, tuple([add[a][b] for a, b in zip(x.entries, y.entries)]))

@@ -51,8 +51,11 @@ from .field import FieldSpec
 from .linalg import (
     Matrix,
     Vector,
+    _combine_rows,
     _matrix,
+    _tables,
     _vector,
+    apply,
     is_invertible,
     mat_inv,
     mat_mul,
@@ -167,7 +170,9 @@ def span(
     if not vecs:
         if spec is None or ambient_dim is None:
             raise DimensionMismatch("empty span needs explicit spec and ambient_dim")
-        return Subspace.zero(spec, ambient_dim)
+        if _json_int(ambient_dim, "ambient_dim") < 0:
+            raise SchemaError(f"ambient_dim must be nonnegative, got {ambient_dim}")
+        return _subspace(spec, ambient_dim, (), ())
     first, n = vecs[0].spec, vecs[0].n
     for v in vecs:
         if v.spec != first:
@@ -185,14 +190,9 @@ def span(
 def _reduce_against(v: Subspace, x: Vector) -> tuple[tuple[int, ...], Vector]:
     """Coefficients of x over v's reference basis plus the residue."""
     coeffs = tuple(x.entries[p] for p in v.pivots)
-    residue = list(x.entries)
-    spec = v.spec
-    for c, row in zip(coeffs, v.rows):
-        if c:
-            for i, r in enumerate(row):
-                if r:
-                    residue[i] = spec.sub(residue[i], spec.mul(c, r))
-    return coeffs, _vector(spec, tuple(residue))
+    add, mul, neg = _tables(v.spec)
+    residue = _combine_rows([neg[c] for c in coeffs], v.rows, x.entries, add, mul)
+    return coeffs, _vector(v.spec, residue)
 
 
 def contains(v: Subspace, x: Vector) -> bool:
@@ -222,14 +222,9 @@ def from_coords(v: Subspace, c: Vector) -> Vector:
         raise FieldMismatch("coordinates and subspace live in different fields")
     if c.n != v.dim:
         raise DimensionMismatch(f"expected {v.dim} coordinates, got {c.n}")
-    spec = v.spec
-    out = [0] * v.ambient_dim
-    for coeff, row in zip(c.entries, v.rows):
-        if coeff:
-            for i, r in enumerate(row):
-                if r:
-                    out[i] = spec.add(out[i], spec.mul(coeff, r))
-    return _vector(spec, tuple(out))
+    add, mul, _ = _tables(v.spec)
+    zero = (0,) * v.ambient_dim
+    return _vector(v.spec, _combine_rows(c.entries, v.rows, zero, add, mul))
 
 
 def steinitz_complement(v: Subspace) -> Subspace:
@@ -282,16 +277,7 @@ class SubspaceMap:
 
 def map_apply(f: SubspaceMap, x: Vector) -> Vector:
     """Apply f to an ambient vector of its domain; result is ambient."""
-    c = coords(f.domain, x)
-    y = [0] * f.codomain.dim
-    spec = f.domain.spec
-    for i in range(f.codomain.dim):
-        s = 0
-        for j, cj in enumerate(c.entries):
-            if cj:
-                s = spec.add(s, spec.mul(f.matrix.data[i][j], cj))
-        y[i] = s
-    return from_coords(f.codomain, _vector(spec, tuple(y)))
+    return from_coords(f.codomain, apply(f.matrix, coords(f.domain, x)))
 
 
 def compose(g: SubspaceMap, f: SubspaceMap) -> SubspaceMap:
@@ -350,8 +336,8 @@ def _graph_and_iso(v: Subspace, u: Subspace, w: Subspace) -> tuple[SubspaceMap, 
     iso = _block(m, k, k + w.dim, 0, u.dim)
     if not is_invertible(iso):
         raise NotComplement("U is not a complement of V")
-    neg = v.spec.neg
-    f = _matrix(v.spec, k, u.dim, tuple(tuple(neg(x) for x in row) for row in m.data[:k]))
+    neg = _tables(v.spec)[2]
+    f = _matrix(v.spec, k, u.dim, tuple(tuple([neg[x] for x in row]) for row in m.data[:k]))
     return SubspaceMap(u, v, f), SubspaceMap(u, w, iso)
 
 
@@ -370,13 +356,11 @@ def map_to_complement(f: SubspaceMap) -> Subspace:
     u, v = f.domain, f.codomain
     if not is_complementary(u, v):
         raise NotComplement("domain and codomain are not complementary")
-    graph_cols = []
-    add = u.spec.add
-    for j, uvec in enumerate(u.basis_vectors()):
-        img = from_coords(v, _vector(v.spec, f.matrix.column(j)))
-        graph_cols.append(
-            _vector(u.spec, tuple(add(a, b) for a, b in zip(uvec.entries, img.entries)))
-        )
+    add, mul, _ = _tables(u.spec)
+    graph_cols = [
+        _vector(u.spec, _combine_rows(f.matrix.column(j), v.rows, urow, add, mul))
+        for j, urow in enumerate(u.rows)
+    ]
     return span(graph_cols, spec=u.spec, ambient_dim=u.ambient_dim)
 
 

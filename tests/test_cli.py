@@ -193,6 +193,38 @@ def test_exit_two_on_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_shared_parser_carries_no_state(capsys):
+    """Each command gives the same exit code and bytes after other
+    commands, usage errors included, as it does on a fresh parser."""
+    import nilbij.cli as cli_mod
+
+    pair = pair_doc(Matrix.from_rows(GF2, [(0, 0), (1, 0)]), Vector(GF2, (1, 1)))
+    _, q_doc, _ = run(["forward"], pair)
+    commands = [
+        (["inverse", "--no-such-flag"], q_doc),
+        (["inverse"], q_doc),
+        (["verify-theorem", "--p", "2", "--n", "2", "--json"], ""),
+        (["forward"], pair),
+    ]
+
+    def outcome(args, text):
+        code, out, err = run(args, text)
+        if args[0] == "verify-theorem":
+            out = json.loads(out)
+            del out["elapsed_s"]
+        return code, out, err, capsys.readouterr()
+
+    first = []
+    for args, text in commands:
+        cli_mod._build_parser.cache_clear()
+        first.append(outcome(args, text))
+    cli_mod._build_parser.cache_clear()
+    in_turn = [outcome(args, text) for args, text in commands]
+    assert in_turn == first
+    assert [code for code, *_ in first] == [2, 0, 0, 0]
+    assert cli_mod._build_parser.cache_info().misses == 1
+
+
 def test_exit_one_on_verification_failure(monkeypatch):
     import nilbij.cli as cli_mod
 

@@ -68,6 +68,18 @@ def test_endofunction_validation():
     assert f(0) == 1 and f(2) == 2
 
 
+def test_constructors_refuse_non_integer_slots():
+    for bad in (lambda: EndoFunction(3, (0, 1.9, True)),
+                lambda: EndoFunction(3, (0, "1", 2)),
+                lambda: EndoFunction(2.0, (0, 1)),
+                lambda: Tree(True, ()),
+                lambda: Tree(2, ((0, 1.0),)),
+                lambda: Tree(2, ((0, 1, 1),)),
+                lambda: Tree(2, (0,))):
+        with pytest.raises(SchemaError):
+            bad()
+
+
 # eventually constant
 
 def test_eventually_constant_frozen():

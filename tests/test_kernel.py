@@ -1,0 +1,192 @@
+"""Differential tests for the table-driven row kernel in ``linalg``.
+
+The references below are the per-entry algorithms the kernel replaced:
+every entry goes through ``FieldSpec.add``/``sub``/``mul``/``inv``, so
+they share no code with ``linalg._tables``.  The kernel must agree with
+them exactly, on every small matrix and on sampled ones, including a
+field too large to tabulate (GF(4099)), and with sympy's RREF over
+prime fields."""
+
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import GF2, GF3, GF4, all_matrices
+from nilbij import (
+    FieldSpec,
+    Matrix,
+    NotInvertible,
+    Vector,
+    apply,
+    kernel_basis,
+    mat_inv,
+    mat_mul,
+    mat_pow,
+    rref,
+)
+
+GF9 = FieldSpec(3, 2)
+GF4099 = FieldSpec(4099)  # q > _TABLE_MAX: the on-demand path
+
+
+def ref_rref(spec, data, cols):
+    rows = [list(row) for row in data]
+    m = len(rows)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        if pv != 1:
+            ipv = spec.inv(pv)
+            rows[r] = [spec.mul(ipv, x) for x in rows[r]]
+        for i in range(m):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [spec.sub(x, spec.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def ref_mul(spec, a, b, cols):
+    out = []
+    for arow in a:
+        orow = []
+        for j in range(cols):
+            s = 0
+            for x, brow in zip(arow, b):
+                s = spec.add(s, spec.mul(x, brow[j]))
+            orow.append(s)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+def ref_pow(spec, data, n, e):
+    out = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    for _ in range(e):
+        out = ref_mul(spec, out, data, n)
+    return out
+
+
+def ref_apply(spec, data, x):
+    return tuple(row[0] for row in ref_mul(spec, data, tuple((c,) for c in x), 1))
+
+
+def ref_inv(spec, data, n):
+    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    r, pivots = ref_rref(spec, tuple(a + b for a, b in zip(data, ident)), 2 * n)
+    if pivots != tuple(range(n)):
+        return None
+    return tuple(row[n:] for row in r)
+
+
+def ref_kernel(spec, data, cols):
+    r, pivots = ref_rref(spec, data, cols)
+    out = []
+    for f in (c for c in range(cols) if c not in pivots):
+        x = [0] * cols
+        x[f] = 1
+        for i, p in enumerate(pivots):
+            x[p] = spec.neg(r[i][f])
+        out.append(tuple(x))
+    return out
+
+
+def check_against_reference(m: Matrix, other: Matrix, x: Vector) -> None:
+    """Every kernel entry point on m agrees with the per-entry reference;
+    ``other`` has m.cols rows and ``x`` has m.cols entries."""
+    spec = m.spec
+    r, pivots = rref(m)
+    assert (r.data, pivots) == ref_rref(spec, m.data, m.cols)
+    prod = mat_mul(m, other)
+    assert (prod.rows, prod.cols) == (m.rows, other.cols)
+    assert prod.data == ref_mul(spec, m.data, other.data, other.cols)
+    assert apply(m, x).entries == ref_apply(spec, m.data, x.entries)
+    assert [k.entries for k in kernel_basis(m)] == ref_kernel(spec, m.data, m.cols)
+    if m.rows != m.cols:
+        return
+    for e in range(5):
+        assert mat_pow(m, e).data == ref_pow(spec, m.data, m.rows, e)
+    expected = ref_inv(spec, m.data, m.rows)
+    if expected is None:
+        with pytest.raises(NotInvertible):
+            mat_inv(m)
+    else:
+        assert mat_inv(m).data == expected
+
+
+@pytest.mark.parametrize("spec,n", [(GF2, 3), (GF3, 2)], ids=["q2-n3", "q3-n2"])
+def test_kernel_matches_reference_exhaustive(spec, n):
+    ms = all_matrices(spec, n, n)
+    partners = ms[:: max(1, len(ms) // 16)]
+    vectors = [Vector(spec, t) for t in product(range(spec.q), repeat=n)]
+    for i, m in enumerate(ms):
+        check_against_reference(m, partners[i % len(partners)], vectors[i % len(vectors)])
+    if spec == GF3:  # every pair of 2x2 operators over GF(3)
+        for a, b in product(ms, repeat=2):
+            assert mat_mul(a, b).data == ref_mul(spec, a.data, b.data, n)
+
+
+def _matrix_strategy(spec, rows, cols):
+    return st.lists(
+        st.tuples(*[st.integers(0, spec.q - 1)] * cols), min_size=rows, max_size=rows
+    ).map(lambda data: Matrix(spec, rows, cols, tuple(data)))
+
+
+@st.composite
+def kernel_cases(draw):
+    spec = draw(st.sampled_from([GF2, GF3, GF4, GF9, GF4099]))
+    rows, cols, other_cols = (draw(st.integers(0, 6)) for _ in range(3))
+    if draw(st.booleans()):
+        cols = rows  # square often enough for mat_pow and mat_inv
+    m = draw(_matrix_strategy(spec, rows, cols))
+    other = draw(_matrix_strategy(spec, cols, other_cols))
+    x = Vector(spec, draw(st.tuples(*[st.integers(0, spec.q - 1)] * cols)))
+    return m, other, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_kernel_matches_reference_sampled(case):
+    check_against_reference(*case)
+
+
+def test_large_field_kernel_builds_no_table():
+    m = Matrix(GF4099, 2, 2, ((4098, 17), (3, 4000)))
+    check_against_reference(m, m, Vector(GF4099, (1, 4098)))
+    assert GF4099._add_table is None
+    assert GF4099._mul_table is None
+    assert GF4099._neg_table is None
+
+
+def test_empty_inner_dimension_product_has_the_right_shape():
+    a, b = Matrix.zero(GF2, 2, 0), Matrix.zero(GF2, 0, 3)
+    prod = mat_mul(a, b)
+    assert prod == Matrix.zero(GF2, 2, 3)
+    assert Matrix.from_json(prod.to_json()) == prod
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 4099]), st.integers(0, 6), st.integers(0, 6), st.data())
+def test_prime_field_rref_matches_sympy(p, rows, cols, data):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    spec = FieldSpec(p)
+    m = data.draw(_matrix_strategy(spec, rows, cols))
+    field = sympy.GF(p)
+    dm = DomainMatrix([[field(x) for x in row] for row in m.data], (rows, cols), field)
+    expected, expected_pivots = dm.rref()
+    r, pivots = rref(m)
+    assert pivots == tuple(expected_pivots)
+    assert [list(row) for row in r.data] == [
+        [int(x) % p for x in row] for row in expected.to_list()
+    ]

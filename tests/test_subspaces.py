@@ -431,6 +431,10 @@ def test_trusted_outputs_check_their_public_inputs():
         span([Vector(GF2, (1, 0))], spec=GF3)
     with pytest.raises(DimensionMismatch):
         span([Vector(GF2, (1, 0))], ambient_dim=3)
+    for bad_dim in (-1, 2.0, True):
+        with pytest.raises(SchemaError):
+            span([], spec=GF2, ambient_dim=bad_dim)
+    assert span([], spec=GF2, ambient_dim=2) == Subspace.zero(GF2, 2)
     with pytest.raises(FieldMismatch):
         from_coords(line, Vector(GF3, (2,)))
     u = steinitz_complement(line)

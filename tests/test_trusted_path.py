@@ -11,14 +11,17 @@ import pytest
 
 from conftest import GF2, GF3
 from nilbij import (
+    EndoFunction,
     Matrix,
     NilbijError,
     OrderedBasis,
     Subspace,
     Vector,
+    joyal,
     linalg,
     subspaces,
     verify_degree_refinement,
+    verify_joyal,
     verify_theorem,
 )
 
@@ -27,7 +30,9 @@ FACTORIES = {
     "_vector": (linalg._vector, Vector),
     "_subspace": (subspaces._subspace, Subspace),
     "_ordered_basis": (subspaces._ordered_basis, OrderedBasis),
+    "_endofunction": (joyal._endofunction, EndoFunction),
 }
+LINEAR_FACTORIES = set(FACTORIES) - {"_endofunction"}
 
 
 def census_payloads(spec, n):
@@ -71,4 +76,21 @@ def test_trusted_values_pass_the_public_checks(monkeypatch, spec, n):
         pytest.fail(f"a library-built value failed validation: {exc!r}")
     assert got == expected
     if n >= 2:
-        assert set(calls) == set(FACTORIES)
+        assert set(calls) == LINEAR_FACTORIES
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_trusted_endofunctions_pass_the_public_checks(monkeypatch, n):
+    def payload():
+        report = verify_joyal(n).to_json()
+        del report["elapsed_s"]
+        return report
+
+    expected = payload()
+    calls = route_to_public_constructors(monkeypatch)
+    try:
+        got = payload()
+    except NilbijError as exc:
+        pytest.fail(f"a library-built endofunction failed validation: {exc!r}")
+    assert got == expected
+    assert set(calls) == {"_endofunction"}
