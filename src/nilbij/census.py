@@ -1,10 +1,15 @@
 """Exhaustive enumeration and verification over small (q, n).
 
 Everything here is a finite, exact computation: counting nilpotent
-operators, auditing both round trips of the bijection over the full
-domain and codomain, the per-degree refinement, and the tree/function
-counts on the set-level side.  Enumeration is in lexicographic
-element-code order (row-major, first entry most significant).
+operators, auditing the bijection, the per-degree refinement, and the
+tree/function counts on the set-level side.  Enumeration is in
+lexicographic element-code order (row-major, first entry most
+significant).
+
+Each audit is one walk over the codomain, proved by counting: if
+``forward(inverse(Q)) == Q`` for every Q, ``inverse`` is injective;
+if it also lands in a domain measured to be as large as the codomain,
+it is a bijection and ``forward`` its two-sided inverse.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .bijection import degree, forward, inverse
-from .errors import BudgetExceeded, DimensionMismatch
+from .errors import BudgetExceeded, DimensionMismatch, NilbijError
 from .field import FieldSpec
 from .joyal import (
     Tree,
@@ -24,7 +29,7 @@ from .joyal import (
     joyal_forward,
     joyal_inverse,
 )
-from .linalg import Matrix, Vector, _matrix, _vector, is_nilpotent, mat_pow, rank
+from .linalg import Matrix, _matrix, _vector, is_nilpotent, mat_pow, rank
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -46,10 +51,6 @@ def enumerate_operators(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET):
     _check_budget(total, budget, f"enumerating {n}x{n} operators over GF({spec.q})")
     for flat in product(range(spec.q), repeat=n * n):
         yield _matrix(spec, n, n, tuple(flat[i * n : (i + 1) * n] for i in range(n)))
-
-
-def _all_vectors(spec: FieldSpec, n: int) -> list[Vector]:
-    return [_vector(spec, entries) for entries in product(range(spec.q), repeat=n)]
 
 
 def _stable_image_dim(q_op: Matrix) -> int:
@@ -118,14 +119,14 @@ class CensusReport:
 def verify_theorem(
     spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET
 ) -> CensusReport:
-    """Audit the bijection exhaustively at one grid point.
+    """Audit the bijection exhaustively at one grid point, in one walk.
 
-    Inverse pass: every operator Q maps to a pair and back to Q.  A Q
-    that comes back is hit by forward, so the surjectivity gap counts
-    the Q that do not.  Forward pass: every (nilpotent T, vector v) maps
-    to an operator and back to (T, v).  Degree strata are counted on
-    both sides independently (degree of the pair on the left, stabilized
-    image dimension on the right).
+    Q fails, and counts in the surjectivity gap, unless inverse(Q) is a
+    pair (T, v) with T nilpotent and forward(T, v) == Q.  With no
+    failures and q^(n(n-1)) nilpotents, inverse injects the q^(n²)
+    operators into as many pairs: no walk over the pairs is needed.
+    Degree strata are counted on both sides independently (degree of
+    inverse(Q) on the left, stabilized image dimension on the right).
     """
     started = time.perf_counter()
     _check_dim(n)
@@ -133,26 +134,18 @@ def verify_theorem(
     _check_budget(total, budget, f"verifying the bijection over GF({spec.q}), n={n}")
     nilpotent_count = 0
     failures = 0
-    missed = 0
     left: Counter[int] = Counter()
     right: Counter[int] = Counter()
-    vectors = _all_vectors(spec, n)
     for q_op in enumerate_operators(spec, n, budget):
         right[_stable_image_dim(q_op)] += 1
+        nilpotent_count += is_nilpotent(q_op)
         t, v = inverse(q_op)
-        if forward(t, v) != q_op:
+        if is_nilpotent(t) and forward(t, v) == q_op:
+            left[degree(t, v)] += 1
+        else:
             failures += 1
-            missed += 1
-        if is_nilpotent(q_op):
-            nilpotent_count += 1
-            for vec in vectors:
-                left[degree(q_op, vec)] += 1
-                if inverse(forward(q_op, vec)) != (q_op, vec):
-                    failures += 1
-    per_degree = tuple(
-        (k, left.get(k, 0), right.get(k, 0))
-        for k in sorted(set(left) | set(right))
-    )
+    degrees = sorted(left.keys() | right.keys())
+    per_degree = tuple((k, left[k], right[k]) for k in degrees)
     return CensusReport(
         q=spec.q,
         n=n,
@@ -160,7 +153,7 @@ def verify_theorem(
         nilpotent_count=nilpotent_count,
         expected_nilpotents=spec.q ** (n * (n - 1)),
         roundtrip_failures=failures,
-        surjectivity_gap=missed,
+        surjectivity_gap=failures,
         per_degree=per_degree,
         elapsed_s=time.perf_counter() - started,
     )
@@ -204,7 +197,7 @@ def verify_degree_refinement(
     left: Counter[int] = Counter()
     right: Counter[int] = Counter()
     consistent: dict[int, bool] = {}
-    vectors = _all_vectors(spec, n)
+    vectors = [_vector(spec, e) for e in product(range(spec.q), repeat=n)]
     for t in enumerate_operators(spec, n, budget):
         right[_stable_image_dim(t)] += 1
         if is_nilpotent(t):
@@ -267,30 +260,41 @@ class JoyalReport:
         return "\n".join(lines)
 
 
+def _is_tree(tree: Tree) -> bool:
+    """Whether the public constructor accepts ``tree`` as it stands."""
+    try:
+        return Tree(tree.n, tree.edges) == tree
+    except NilbijError:
+        return False
+
+
 def verify_joyal(n: int, budget: int = DEFAULT_BUDGET) -> JoyalReport:
-    """Audit the tree/function bijection exhaustively at one n."""
+    """Audit the tree/function bijection exhaustively at one n, in one walk.
+
+    f fails unless joyal_inverse(f) is a (tree, v, v2) that joyal_forward
+    maps back to f, with a tree the public constructor accepts (run once
+    per distinct tree).  With no failures and n^(n-2) trees, the n^n
+    functions inject into as many marked trees: no walk over the marked
+    trees is needed.
+    """
     started = time.perf_counter()
     total = n**n
     _check_budget(total, budget, f"verifying the tree bijection at n={n}")
     failures = 0
     eventually_constant = 0
-    trees: set[Tree] = set()
+    valid: dict[Tree, bool] = {}
     for f in all_endofunctions(n):
         tree, v, v2 = joyal_inverse(f)
-        trees.add(tree)
-        if joyal_forward(tree, v, v2) != f:
+        ok = valid.get(tree)
+        if ok is None:
+            ok = valid[tree] = _is_tree(tree)
+        if not (ok and joyal_forward(tree, v, v2) == f):
             failures += 1
-        if is_eventually_constant(f):
-            eventually_constant += 1
-    for tree in trees:
-        for v in range(n):
-            for v2 in range(n):
-                if joyal_inverse(joyal_forward(tree, v, v2)) != (tree, v, v2):
-                    failures += 1
+        eventually_constant += is_eventually_constant(f)
     return JoyalReport(
         n=n,
         total_functions=total,
-        tree_count=len(trees),
+        tree_count=len(valid),
         expected_trees=1 if n == 1 else n ** (n - 2),
         eventually_constant_count=eventually_constant,
         expected_eventually_constant=n ** (n - 1),

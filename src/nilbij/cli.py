@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from .bijection import NilpotentPair, degree, forward, inverse
@@ -232,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_report_flags(sp)
     sp.set_defaults(func=_cmd_count_nilpotents)
 
-    sp = sub.add_parser("verify-theorem", help="audit both round trips exhaustively")
+    sp = sub.add_parser("verify-theorem", help="audit the bijection exhaustively")
     _add_field_flags(sp)
     sp.add_argument("--n", type=int, required=True, help="ambient dimension")
     _add_report_flags(sp)
@@ -266,7 +267,9 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stderr = sys.stderr if stderr is None else stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage, errors and --help to sys.stdout/stderr
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

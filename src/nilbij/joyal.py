@@ -13,7 +13,8 @@ exactly the images of pairs with both marks equal, n^(n-1) of them.
 The ``Tree`` and ``EndoFunction`` constructors validate their input,
 integer slots included; the endofunctions that the enumeration and
 :func:`joyal_forward` build themselves are made unchecked by
-:func:`_endofunction`.
+:func:`_endofunction`, and the trees of :func:`joyal_inverse` by
+:func:`_tree`.
 """
 
 from __future__ import annotations
@@ -127,6 +128,13 @@ def _endofunction(n: int, table: tuple[int, ...]) -> EndoFunction:
     return f
 
 
+def _tree(n: int, edges: tuple[tuple[int, int], ...]) -> Tree:
+    """A Tree the library built itself, unchecked: ``edges`` are canonical."""
+    t = object.__new__(Tree)
+    t.__dict__.update(n=n, edges=edges)
+    return t
+
+
 def _iterate_table(f: EndoFunction) -> tuple[int, ...]:
     """Value table of the n-th iterate of f."""
     cur = tuple(range(f.n))
@@ -195,12 +203,11 @@ def joyal_inverse(f: EndoFunction) -> tuple[Tree, int, int]:
     periodic = periodic_points(f)
     path = [f.table[a] for a in periodic]
     v, v2 = path[0], path[-1]
-    edges = [(path[i], path[i + 1]) for i in range(len(path) - 1)]
     on_cycle = set(periodic)
-    for x in range(n):
-        if x not in on_cycle:
-            edges.append((x, f.table[x]))
-    return Tree(n, tuple(edges)), v, v2
+    pairs = list(zip(path, path[1:]))
+    pairs += [(x, y) for x, y in enumerate(f.table) if x not in on_cycle]
+    edges = tuple(sorted((a, b) if a < b else (b, a) for a, b in pairs))
+    return _tree(n, edges), v, v2
 
 
 def all_endofunctions(n: int):
@@ -210,14 +217,3 @@ def all_endofunctions(n: int):
     for table in product(range(n), repeat=n):
         yield _endofunction(n, table)
 
-
-def count_trees(n: int) -> int:
-    """Number of trees on n labelled vertices, by construction: distinct
-    trees reached by joyal_inverse over all endofunctions."""
-    return len({joyal_inverse(f)[0] for f in all_endofunctions(n)})
-
-
-def count_eventually_constant(n: int) -> int:
-    """Number of endofunctions of {0..n-1} collapsing to a fixed point,
-    by predicate scan."""
-    return sum(1 for f in all_endofunctions(n) if is_eventually_constant(f))

@@ -45,10 +45,19 @@ from nilbij import (
 )
 
 COUNT_GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2)]
-VERIFY_GRID = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)]
+VERIFY_GRID = [
+    (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (8, 2), (9, 2),
+]
 DEGREE_GRID = [(2, 1), (2, 2), (2, 3), (3, 2)]
 
-SPEC_FOR_Q = {2: FieldSpec(2), 3: FieldSpec(3), 4: FieldSpec(2, 2), 5: FieldSpec(5)}
+SPEC_FOR_Q = {
+    2: FieldSpec(2),
+    3: FieldSpec(3),
+    4: FieldSpec(2, 2),
+    5: FieldSpec(5),
+    8: FieldSpec(2, 3),
+    9: FieldSpec(3, 2),
+}
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,5 @@
 """Census engine: enumeration order, counts, reports, budget guard,
-and a broken bijection being reported."""
+and broken bijections being reported."""
 
 import io
 from itertools import product
@@ -10,10 +10,14 @@ import nilbij.census
 from conftest import GF2, GF3
 from nilbij import (
     BudgetExceeded,
+    EndoFunction,
     FieldSpec,
     Matrix,
     count_nilpotents,
     enumerate_operators,
+    inverse,
+    joyal,
+    joyal_inverse,
     verify_degree_refinement,
     verify_joyal,
     verify_theorem,
@@ -109,6 +113,104 @@ def test_broken_bijection_is_reported(monkeypatch):
     assert not report.ok
     assert main(["verify-theorem", "--p", "2", "--n", "2", "--json"],
                 stdout=io.StringIO()) == 1
+
+
+# Mutants: each breaks one census input on one point.  Every one must
+# make the report not ok and the CLI exit 1, never raise.
+
+ZERO = Matrix.zero(GF2, 2, 2)
+IDENT = Matrix.identity(GF2, 2)
+CONST = EndoFunction(4, (0, 0, 0, 0))
+IDENT_F = EndoFunction(4, (0, 1, 2, 3))
+
+
+def forward_wrong_on_one_pair(real):
+    pair = inverse(IDENT)
+    return lambda t, v: ZERO if (t, v) == pair else real(t, v)
+
+
+def inverse_merges_two_operators(real):
+    return lambda q: real(ZERO) if q == IDENT else real(q)
+
+
+def inverse_gives_a_non_nilpotent_t(real):
+    def mutant(q):
+        t, v = real(q)
+        return (IDENT, v) if q == IDENT else (t, v)
+    return mutant
+
+
+def degree_off_by_one_on_one_stratum(real):
+    def mutant(t, v):
+        k = real(t, v)
+        return k + 1 if k == 1 else k
+    return mutant
+
+
+def stable_image_dim_wrong_on_one_operator(real):
+    return lambda q: real(q) + 1 if q == ZERO else real(q)
+
+
+THEOREM_MUTANTS = [
+    ("forward", forward_wrong_on_one_pair),
+    ("inverse", inverse_merges_two_operators),
+    ("inverse", inverse_gives_a_non_nilpotent_t),
+    ("degree", degree_off_by_one_on_one_stratum),
+    ("_stable_image_dim", stable_image_dim_wrong_on_one_operator),
+]
+
+
+@pytest.mark.parametrize(
+    "name,mutate", THEOREM_MUTANTS, ids=[m.__name__ for _, m in THEOREM_MUTANTS]
+)
+def test_theorem_mutant_is_reported(monkeypatch, name, mutate):
+    monkeypatch.setattr(nilbij.census, name, mutate(getattr(nilbij.census, name)))
+    assert not verify_theorem(GF2, 2).ok
+    assert main(["verify-theorem", "--p", "2", "--n", "2", "--json"],
+                stdout=io.StringIO()) == 1
+
+
+def joyal_forward_wrong_on_one_triple(real):
+    triple = joyal_inverse(IDENT_F)
+    return lambda *t: CONST if t == triple else real(*t)
+
+
+def joyal_inverse_merges_two_functions(real):
+    return lambda f: real(CONST) if f == IDENT_F else real(f)
+
+
+def joyal_inverse_gives_a_cycle_for_one_function(real):
+    cyclic = joyal._tree(4, ((0, 1), (0, 2), (0, 3), (1, 2)))
+    return lambda f: (cyclic, 0, 0) if f == CONST else real(f)
+
+
+def joyal_inverse_doubles_an_edge_of_one_tree(real):
+    # joyal_forward reads the doubled edge as the tree itself, so the
+    # round trips and the tree count hold: only validation sees it
+    star = real(CONST)[0]
+    doubled = joyal._tree(4, star.edges[:1] + star.edges)
+
+    def mutant(f):
+        tree, v, v2 = real(f)
+        return (doubled if tree == star else tree), v, v2
+    return mutant
+
+
+JOYAL_MUTANTS = [
+    ("joyal_forward", joyal_forward_wrong_on_one_triple),
+    ("joyal_inverse", joyal_inverse_merges_two_functions),
+    ("joyal_inverse", joyal_inverse_gives_a_cycle_for_one_function),
+    ("joyal_inverse", joyal_inverse_doubles_an_edge_of_one_tree),
+]
+
+
+@pytest.mark.parametrize(
+    "name,mutate", JOYAL_MUTANTS, ids=[m.__name__ for _, m in JOYAL_MUTANTS]
+)
+def test_joyal_mutant_is_reported(monkeypatch, name, mutate):
+    monkeypatch.setattr(nilbij.census, name, mutate(getattr(nilbij.census, name)))
+    assert not verify_joyal(4).ok
+    assert main(["verify-joyal", "--n", "4", "--json"], stdout=io.StringIO()) == 1
 
 
 def test_degree_refinement_gf2_dim2():

@@ -193,6 +193,20 @@ def test_exit_two_on_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_usage_and_help_go_to_the_given_streams(capsys):
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["inverse", "--no-such-flag"], stdin=io.StringIO(""),
+                stdout=out, stderr=err) == 2
+    assert err.getvalue().startswith("usage: nilbij")
+    assert "--no-such-flag" in err.getvalue()
+    assert out.getvalue() == ""
+    out = io.StringIO()
+    assert main(["--help"], stdout=out) == 0
+    assert out.getvalue().startswith("usage: nilbij")
+    assert "verify-theorem" in out.getvalue()
+    assert capsys.readouterr() == ("", "")
+
+
 def test_shared_parser_carries_no_state(capsys):
     """Each command gives the same exit code and bytes after other
     commands, usage errors included, as it does on a fresh parser."""

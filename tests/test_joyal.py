@@ -11,12 +11,11 @@ from nilbij import (
     SchemaError,
     Tree,
     all_endofunctions,
-    count_eventually_constant,
-    count_trees,
     is_eventually_constant,
     joyal_forward,
     joyal_inverse,
     periodic_points,
+    verify_joyal,
 )
 
 
@@ -186,23 +185,24 @@ def test_forward_periodic_points_are_the_path(n):
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 1), (3, 3), (4, 16), (5, 125)])
 def test_count_trees_frozen(n, expected):
-    assert count_trees(n) == expected
+    assert verify_joyal(n).tree_count == expected
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_count_trees_matches_edge_subset_oracle(n):
-    assert count_trees(n) == brute_tree_count(n)
+    assert verify_joyal(n).tree_count == brute_tree_count(n)
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 2), (3, 9), (4, 64), (5, 625)])
 def test_count_eventually_constant_frozen(n, expected):
-    assert count_eventually_constant(n) == expected
+    assert verify_joyal(n).eventually_constant_count == expected
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_rooted_tree_correspondence(n):
     # eventually constant functions = (tree, root) pairs
-    assert count_eventually_constant(n) == n * count_trees(n)
+    report = verify_joyal(n)
+    assert report.eventually_constant_count == n * report.tree_count
     for f in all_endofunctions(n):
         tree, v, v2 = joyal_inverse(f)
         assert is_eventually_constant(f) == (v == v2)

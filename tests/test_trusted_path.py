@@ -16,6 +16,7 @@ from nilbij import (
     NilbijError,
     OrderedBasis,
     Subspace,
+    Tree,
     Vector,
     joyal,
     linalg,
@@ -31,8 +32,10 @@ FACTORIES = {
     "_subspace": (subspaces._subspace, Subspace),
     "_ordered_basis": (subspaces._ordered_basis, OrderedBasis),
     "_endofunction": (joyal._endofunction, EndoFunction),
+    "_tree": (joyal._tree, Tree),
 }
-LINEAR_FACTORIES = set(FACTORIES) - {"_endofunction"}
+JOYAL_FACTORIES = {"_endofunction", "_tree"}
+LINEAR_FACTORIES = set(FACTORIES) - JOYAL_FACTORIES
 
 
 def census_payloads(spec, n):
@@ -81,6 +84,8 @@ def test_trusted_values_pass_the_public_checks(monkeypatch, spec, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_trusted_endofunctions_pass_the_public_checks(monkeypatch, n):
+    """The census's endofunctions and trees, built trusted, are ones the
+    public constructors accept unchanged."""
     def payload():
         report = verify_joyal(n).to_json()
         del report["elapsed_s"]
@@ -91,6 +96,6 @@ def test_trusted_endofunctions_pass_the_public_checks(monkeypatch, n):
     try:
         got = payload()
     except NilbijError as exc:
-        pytest.fail(f"a library-built endofunction failed validation: {exc!r}")
+        pytest.fail(f"a library-built endofunction or tree failed validation: {exc!r}")
     assert got == expected
-    assert set(calls) == {"_endofunction"}
+    assert set(calls) == JOYAL_FACTORIES
