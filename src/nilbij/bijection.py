@@ -3,11 +3,14 @@ operators on F_q^n.
 
 Forward: a pair (T, v) with T nilpotent determines the cyclic subspace
 V spanned by the iterates of v, an ordered basis (v, Tv, ..., T^(k-1)v)
-of it, and, over the Steinitz complement of V, a graph complement W and
-a nilpotent action; these assemble into a single operator Q whose
-Fitting decomposition is exactly that data.  Inverse: read the Fitting
-data of Q back off.  Both directions are mutually inverse, which is
-what the census module checks exhaustively.
+of it, and, over the Steinitz complement U of V, the blocks of T; the
+U -> V block becomes a graph complement W and the U -> U block a
+nilpotent action on W.  These assemble into a single operator Q whose
+Fitting decomposition is exactly that data.  Inverse runs the same
+steps backwards: it reads the Fitting data of Q off, turns each piece
+back into a block of T and rebuilds T with ``block_assemble``.  Both
+directions are mutually inverse, which is what the census module
+checks exhaustively.
 """
 
 from __future__ import annotations
@@ -31,40 +34,23 @@ from .linalg import (
     is_nilpotent,
     mat_inv,
     mat_mul,
-    rank,
-    vec_add,
 )
 from .subspaces import (
+    Subspace,
+    SubspaceMap,
     _graph_and_iso,
     _ordered_basis,
-    automorphism_to_basis,
     basis_to_automorphism,
+    block_assemble,
     block_decompose,
     canonical_iso,
     compose,
-    map_apply,
+    from_coords,
     map_inverse,
     map_to_complement,
     span,
     steinitz_complement,
 )
-
-
-def degree(t: Matrix, v: Vector) -> int:
-    """Least k >= 0 with T^k v = 0; requires T nilpotent."""
-    _check_pair(t, v)
-    if not is_nilpotent(t):
-        raise NotNilpotent("degree is only defined for nilpotent operators")
-    orbit: list[Vector] = []
-    x = v
-    while not x.is_zero():
-        orbit.append(x)
-        x = apply(t, x)
-    k = len(orbit)
-    if k:
-        stacked = _matrix(t.spec, k, t.rows, tuple(y.entries for y in orbit))
-        assert rank(stacked) == k, "iterates up to the degree must be independent"
-    return k
 
 
 def _check_pair(t: Matrix, v: Vector) -> None:
@@ -76,60 +62,62 @@ def _check_pair(t: Matrix, v: Vector) -> None:
         raise DimensionMismatch(f"length-{v.n} vector vs {t.rows}x{t.cols} operator")
 
 
-def _from_columns(spec, n: int, cols: list[tuple[int, ...]]) -> Matrix:
-    data = tuple(tuple(col[i] for col in cols) for i in range(n))
-    return _matrix(spec, n, len(cols), data)
-
-
-def forward(t: Matrix, v: Vector) -> Matrix:
-    """Map a nilpotent pair (T, v) to the operator Q it corresponds to."""
+def _cyclic(t: Matrix, v: Vector) -> tuple[tuple[Vector, ...], Subspace]:
+    """The orbit (v, Tv, ..., T^(k-1)v) of v under a nilpotent T, up to
+    its first zero, and its span V, the cyclic subspace of v."""
     _check_pair(t, v)
     if not is_nilpotent(t):
-        raise NotNilpotent("forward requires a nilpotent operator")
+        raise NotNilpotent("the pair's operator T must be nilpotent")
     orbit: list[Vector] = []
     x = v
     while not x.is_zero():
         orbit.append(x)
         x = apply(t, x)
-    k = len(orbit)
     v_sub = span(orbit, spec=t.spec, ambient_dim=t.rows)
-    assert v_sub.dim == k, "iterates up to the degree must be independent"
+    assert v_sub.dim == len(orbit), "iterates up to the degree must be independent"
+    return tuple(orbit), v_sub
+
+
+def degree(t: Matrix, v: Vector) -> int:
+    """Least k >= 0 with T^k v = 0; requires T nilpotent."""
+    return len(_cyclic(t, v)[0])
+
+
+def forward(t: Matrix, v: Vector) -> Matrix:
+    """Map a nilpotent pair (T, v) to the operator Q it corresponds to."""
+    orbit, v_sub = _cyclic(t, v)
     u_sub = steinitz_complement(v_sub)
     _, t_uv, t_uu = block_decompose(t, v_sub, u_sub)
     assert is_nilpotent(t_uu.matrix), "the co-restriction must stay nilpotent"
     w_sub = map_to_complement(t_uv)
     iso = canonical_iso(v_sub, u_sub, w_sub)
     s = compose(compose(iso, t_uu), map_inverse(iso))
-    r = basis_to_automorphism(_ordered_basis(v_sub, tuple(orbit)))
+    r = basis_to_automorphism(_ordered_basis(v_sub, orbit))
     return fitting_assemble(FittingPair(v_sub, w_sub, r, s))
 
 
 def inverse(q: Matrix) -> tuple[Matrix, Vector]:
-    """Map an operator Q back to its nilpotent pair (T, v)."""
+    """Map an operator Q back to its nilpotent pair (T, v).
+
+    The mirror of :func:`forward`: W is the graph of T's U -> V block,
+    S is T's U -> U block carried to W, and R sends the reference basis
+    of V to the orbit (v, Tv, ...), on which T acts as the shift N,
+    e_j -> e_(j+1).  So T acts on V as R N R^-1 (R N is R's columns
+    moved one place left), and v has R's first column as coordinates
+    (none, so v = 0, when V = 0)."""
     if not q.is_square():
         raise NonSquare(f"operator must be square, got {q.rows}x{q.cols}")
-    n = q.rows
     pair = fitting_decompose(q)
-    v_sub, w_sub = pair.V, pair.W
-    basis = automorphism_to_basis(pair.R)
+    v_sub, r = pair.V, pair.R.matrix
     k = v_sub.dim
-    vec = basis.vectors[0] if k else _vector(q.spec, (0,) * n)
     u_sub = steinitz_complement(v_sub)
-    f, iso = _graph_and_iso(v_sub, u_sub, w_sub)
+    t_uv, iso = _graph_and_iso(v_sub, u_sub, pair.W)
     t_uu = compose(compose(map_inverse(iso), pair.S), iso)
-    cols = [b.entries for b in basis.vectors]
-    images = [
-        basis.vectors[j + 1].entries if j + 1 < k else (0,) * n for j in range(k)
-    ]
-    for uvec in u_sub.basis_vectors():
-        cols.append(uvec.entries)
-        img = vec_add(map_apply(f, uvec), map_apply(t_uu, uvec))
-        images.append(img.entries)
-    b = _from_columns(q.spec, n, cols)
-    c = _from_columns(q.spec, n, images)
-    t = mat_mul(c, mat_inv(b))
+    rn = _matrix(q.spec, k, k, tuple(row[1:] + (0,) for row in r.data))
+    t_vv = SubspaceMap(v_sub, v_sub, mat_mul(rn, mat_inv(r)))
+    t = block_assemble(v_sub, u_sub, t_vv, t_uv, t_uu)
     assert is_nilpotent(t), "the reassembled operator must be nilpotent"
-    return t, vec
+    return t, from_coords(v_sub, _vector(q.spec, r.column(0)))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,12 @@ additive identity and code 1 the multiplicative identity.  For prime
 fields (``k == 1``) arithmetic is plain mod-p; extension fields reduce
 polynomial products modulo a monic irreducible of degree ``k``.
 
-A :class:`FieldSpec` owns the arithmetic.  Codes do not carry their
-field, so mixing fields is detected where specs travel with the data
+A :class:`FieldSpec` owns the arithmetic.  Its ``_ops`` hold addition,
+multiplication and negation as lookup tables when q <= ``_TABLE_MAX``
+and as views that compute each value on demand for larger fields,
+which get no table; ``add``/``mul``/``neg`` and the row kernel of
+:mod:`nilbij.linalg` both read them.  Codes do not carry their field,
+so mixing fields is detected where specs travel with the data
 (vectors, matrices, JSON payloads), not at the element level.
 
 Built-in irreducibles (the standard Conway choices) cover
@@ -20,12 +24,12 @@ with ``c_k == 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import DivisionByZero, SchemaError, _json_int
 
 # Lookup tables are only built for fields at most this large; bigger
-# fields fall back to per-operation digit/polynomial arithmetic.
+# fields compute each value on demand (see FieldSpec._ops).
 _TABLE_MAX = 4096
 
 # Conway polynomials, little-endian coefficients c_0 .. c_k.
@@ -67,6 +71,19 @@ def _is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+class _OnDemand:
+    """``view[x]`` is ``op(x)``: a table-shaped view of a field operation,
+    for fields too large to tabulate."""
+
+    __slots__ = ("_op",)
+
+    def __init__(self, op) -> None:
+        self._op = op
+
+    def __getitem__(self, x):
+        return self._op(x)
 
 
 def _poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:
@@ -241,50 +258,37 @@ class FieldSpec:
         rem = _poly_mod(prod, self.poly, self.p)  # type: ignore[arg-type]
         return self.code(rem + (0,) * (self.k - len(rem)))
 
-    @cached_property
-    def _add_table(self) -> tuple[tuple[int, ...], ...] | None:
-        if self.q > _TABLE_MAX:
-            return None
-        return tuple(
-            tuple(self._add_direct(a, b) for b in range(self.q)) for a in range(self.q)
-        )
-
-    @cached_property
-    def _mul_table(self) -> tuple[tuple[int, ...], ...] | None:
-        if self.q > _TABLE_MAX:
-            return None
-        return tuple(
-            tuple(self._mul_direct(a, b) for b in range(self.q)) for a in range(self.q)
-        )
-
-    @cached_property
-    def _neg_table(self) -> tuple[int, ...] | None:
-        if self.q > _TABLE_MAX:
-            return None
-        return tuple(self._neg_direct(a) for a in range(self.q))
-
     def _neg_direct(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
         return self.code(tuple((-d) % self.p for d in self.digits(a)))
 
+    @cached_property
+    def _ops(self):
+        """(add, mul, neg), indexed as ``add[a][b]``, ``mul[a][b]`` and
+        ``neg[a]``: lookup tables when q <= ``_TABLE_MAX``, and views
+        that compute each value on demand for larger fields."""
+        q = self.q
+        if q > _TABLE_MAX:
+            return (
+                _OnDemand(lambda a: _OnDemand(partial(self._add_direct, a))),
+                _OnDemand(lambda a: _OnDemand(partial(self._mul_direct, a))),
+                _OnDemand(self._neg_direct),
+            )
+        return (
+            tuple(tuple(self._add_direct(a, b) for b in range(q)) for a in range(q)),
+            tuple(tuple(self._mul_direct(a, b) for b in range(q)) for a in range(q)),
+            tuple(self._neg_direct(a) for a in range(q)),
+        )
+
     def add(self, a: int, b: int) -> int:
-        t = self._add_table
-        if t is not None:
-            return t[a][b]
-        return self._add_direct(a, b)
+        return self._ops[0][a][b]
 
     def mul(self, a: int, b: int) -> int:
-        t = self._mul_table
-        if t is not None:
-            return t[a][b]
-        return self._mul_direct(a, b)
+        return self._ops[1][a][b]
 
     def neg(self, a: int) -> int:
-        t = self._neg_table
-        if t is not None:
-            return t[a]
-        return self._neg_direct(a)
+        return self._ops[2][a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

@@ -182,7 +182,6 @@ def joyal_forward(tree: Tree, v: int, v2: int) -> EndoFunction:
     for a, b in zip(on_path, path):
         table[a] = b
     # off-path vertices: one step toward the path
-    in_path = set(path)
     queue = deque(path)
     toward = [False] * n
     for x in path:

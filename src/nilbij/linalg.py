@@ -15,11 +15,9 @@ those checks; a broken internal invariant surfaces as an
 ``AssertionError`` from the asserts downstream, not as a
 :class:`SchemaError`.
 
-All arithmetic on entries runs through one row kernel.
-:func:`_tables` gives the field's addition, multiplication and negation
-as indexables, ``add[a][b]``, ``mul[a][b]`` and ``neg[a]``: the field's
-own lookup tables when q <= ``_TABLE_MAX``, and views that compute each
-value on demand for larger fields, which get no table.  Each operation
+All arithmetic on entries runs through one row kernel over the field's
+own ``FieldSpec._ops``: ``add[a][b]``, ``mul[a][b]`` and ``neg[a]``,
+tabulated or computed on demand as the field decides.  Each operation
 fetches them once per call and has one code path: a product builds
 each row of AB as a combination of the rows of B
 (:func:`_combine_rows`), ``apply`` is the same combination of the
@@ -30,7 +28,6 @@ columns of T, and ``rref`` eliminates with the row operation
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import (
     DimensionMismatch,
@@ -65,11 +62,6 @@ class Vector:
     @classmethod
     def zero(cls, spec: FieldSpec, n: int) -> "Vector":
         return cls(spec, (0,) * n)
-
-    @classmethod
-    def standard_basis(cls, spec: FieldSpec, n: int, i: int) -> "Vector":
-        """e_i, zero-indexed."""
-        return cls(spec, tuple(1 if j == i else 0 for j in range(n)))
 
     def to_json(self) -> dict:
         return {"field": self.spec.to_json(), "entries": list(self.entries)}
@@ -182,40 +174,11 @@ def _require_same_spec(a: FieldSpec, b: FieldSpec) -> None:
         raise FieldMismatch(f"operands live in different fields: {a} vs {b}")
 
 
-class _OnDemand:
-    """``view[x]`` is ``op(x)``: a table-shaped view of a field operation,
-    for fields too large to tabulate."""
-
-    __slots__ = ("_op",)
-
-    def __init__(self, op) -> None:
-        self._op = op
-
-    def __getitem__(self, x):
-        return self._op(x)
-
-
-def _tables(spec: FieldSpec):
-    """(add, mul, neg) indexed as ``add[a][b]``, ``mul[a][b]``, ``neg[a]``.
-
-    The field's own lookup tables when q <= ``_TABLE_MAX``; otherwise
-    views that compute each value through ``FieldSpec.add``/``mul``/
-    ``neg``, so a large field still gets no table in memory."""
-    add = spec._add_table
-    if add is not None:
-        return add, spec._mul_table, spec._neg_table
-    return (
-        _OnDemand(lambda a: _OnDemand(partial(spec.add, a))),
-        _OnDemand(lambda a: _OnDemand(partial(spec.mul, a))),
-        _OnDemand(spec.neg),
-    )
-
-
 def _combine_rows(coeffs, rows, start, add, mul) -> tuple[int, ...]:
     """start + sum of coeffs[i] * rows[i], entrywise; the row kernel.
 
     Zero coefficients are skipped; ``add`` and ``mul`` come from
-    :func:`_tables`."""
+    ``FieldSpec._ops``."""
     acc = start
     for c, row in zip(coeffs, rows):
         if c:
@@ -232,7 +195,7 @@ def _mul_data(
 ) -> tuple[tuple[int, ...], ...]:
     """Raw row-major product AB, B with ``cols`` columns: each row of AB
     is a combination of the rows of B."""
-    add, mul, _ = _tables(spec)
+    add, mul, _ = spec._ops
     zero = (0,) * cols
     return tuple(_combine_rows(arow, b, zero, add, mul) for arow in a)
 
@@ -282,7 +245,7 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         the pivot column indices in ascending order.
     """
     spec = a.spec
-    add, mul, neg = _tables(spec)
+    add, mul, neg = spec._ops
     rows = list(a.data)
     m = a.rows
     pivots: list[int] = []
@@ -323,7 +286,7 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     in the free column.
     """
     spec = a.spec
-    neg = _tables(spec)[2]
+    neg = spec._ops[2]
     r, pivots = rref(a)
     pivot_set = set(pivots)
     free = [c for c in range(a.cols) if c not in pivot_set]
@@ -379,14 +342,3 @@ def mat_inv(t: Matrix) -> Matrix:
     if pivots != tuple(range(n)):
         raise NotInvertible(f"matrix of rank {len(pivots)} < {n} has no inverse")
     return _matrix(t.spec, n, n, tuple(row[n:] for row in r.data))
-
-
-# -- vector addition, used by the bijection ------------------------------
-
-
-def vec_add(x: Vector, y: Vector) -> Vector:
-    _require_same_spec(x.spec, y.spec)
-    if x.n != y.n:
-        raise DimensionMismatch(f"vector lengths differ: {x.n} vs {y.n}")
-    add = _tables(x.spec)[0]
-    return _vector(x.spec, tuple([add[a][b] for a, b in zip(x.entries, y.entries)]))

@@ -53,7 +53,6 @@ from .linalg import (
     Vector,
     _combine_rows,
     _matrix,
-    _tables,
     _vector,
     apply,
     is_invertible,
@@ -190,7 +189,7 @@ def span(
 def _reduce_against(v: Subspace, x: Vector) -> tuple[tuple[int, ...], Vector]:
     """Coefficients of x over v's reference basis plus the residue."""
     coeffs = tuple(x.entries[p] for p in v.pivots)
-    add, mul, neg = _tables(v.spec)
+    add, mul, neg = v.spec._ops
     residue = _combine_rows([neg[c] for c in coeffs], v.rows, x.entries, add, mul)
     return coeffs, _vector(v.spec, residue)
 
@@ -222,7 +221,7 @@ def from_coords(v: Subspace, c: Vector) -> Vector:
         raise FieldMismatch("coordinates and subspace live in different fields")
     if c.n != v.dim:
         raise DimensionMismatch(f"expected {v.dim} coordinates, got {c.n}")
-    add, mul, _ = _tables(v.spec)
+    add, mul, _ = v.spec._ops
     zero = (0,) * v.ambient_dim
     return _vector(v.spec, _combine_rows(c.entries, v.rows, zero, add, mul))
 
@@ -336,7 +335,7 @@ def _graph_and_iso(v: Subspace, u: Subspace, w: Subspace) -> tuple[SubspaceMap, 
     iso = _block(m, k, k + w.dim, 0, u.dim)
     if not is_invertible(iso):
         raise NotComplement("U is not a complement of V")
-    neg = _tables(v.spec)[2]
+    neg = v.spec._ops[2]
     f = _matrix(v.spec, k, u.dim, tuple(tuple([neg[x] for x in row]) for row in m.data[:k]))
     return SubspaceMap(u, v, f), SubspaceMap(u, w, iso)
 
@@ -356,7 +355,7 @@ def map_to_complement(f: SubspaceMap) -> Subspace:
     u, v = f.domain, f.codomain
     if not is_complementary(u, v):
         raise NotComplement("domain and codomain are not complementary")
-    add, mul, _ = _tables(u.spec)
+    add, mul, _ = u.spec._ops
     graph_cols = [
         _vector(u.spec, _combine_rows(f.matrix.column(j), v.rows, urow, add, mul))
         for j, urow in enumerate(u.rows)

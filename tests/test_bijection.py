@@ -12,18 +12,31 @@ from conftest import GF2, GF3, GF4, GF5, all_matrices, all_vectors
 from nilbij import (
     DimensionMismatch,
     FieldMismatch,
+    FieldSpec,
     Matrix,
     NilpotentPair,
     NonSquare,
     NotNilpotent,
     SchemaError,
     Vector,
+    automorphism_to_basis,
+    canonical_iso,
+    complement_to_map,
+    compose,
     degree,
     fitting_decompose,
     forward,
     inverse,
     is_nilpotent,
+    map_apply,
+    map_inverse,
+    mat_inv,
+    mat_mul,
+    steinitz_complement,
 )
+
+GF9 = FieldSpec(3, 2)
+GF4099 = FieldSpec(4099)  # too large to tabulate: the on-demand path
 
 
 def nilpotents(spec, n):
@@ -114,6 +127,56 @@ def test_zero_dimensional_roundtrip():
     t, v = inverse(q)
     assert t == q and v.n == 0
     assert forward(t, v) == q
+
+
+# inverse against the column-by-column reference
+
+def ref_inverse(q):
+    """The inverse that ``block_assemble`` replaced: T = C B^-1, with B
+    the orbit basis of V (read off R) followed by the Steinitz basis of
+    U, and C their images: the next orbit vector on V, f(u) + T_UU(u)
+    on U.  Vector sums go entry by entry through ``FieldSpec.add``."""
+    spec, n = q.spec, q.rows
+    pair = fitting_decompose(q)
+    basis = automorphism_to_basis(pair.R).vectors
+    k = len(basis)
+    v = basis[0] if k else Vector.zero(spec, n)
+    u_sub = steinitz_complement(pair.V)
+    f = complement_to_map(pair.W, pair.V, u_sub)
+    iso = canonical_iso(pair.V, u_sub, pair.W)
+    t_uu = compose(compose(map_inverse(iso), pair.S), iso)
+    cols = [b.entries for b in basis]
+    images = [basis[j + 1].entries if j + 1 < k else (0,) * n for j in range(k)]
+    for u in u_sub.basis_vectors():
+        cols.append(u.entries)
+        fu, tu = map_apply(f, u).entries, map_apply(t_uu, u).entries
+        images.append(tuple(spec.add(x, y) for x, y in zip(fu, tu)))
+
+    def from_columns(cs):
+        return Matrix(spec, n, len(cs), tuple(tuple(c[i] for c in cs) for i in range(n)))
+
+    return mat_mul(from_columns(images), mat_inv(from_columns(cols))), v
+
+
+@pytest.mark.parametrize(
+    "spec,n", [(GF2, 0), (GF2, 1), (GF2, 2), (GF2, 3), (GF3, 2), (GF4, 2)], ids=str
+)
+def test_inverse_matches_reference_exhaustive(spec, n):
+    for q in all_matrices(spec, n, n):
+        assert inverse(q) == ref_inverse(q)
+
+
+@pytest.mark.parametrize(
+    "spec,n", [(GF2, 8), (GF3, 6), (GF9, 5), (GF4099, 2)], ids=str
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_inverse_matches_reference_sampled(spec, n, data):
+    # zeros drawn often enough to reach every degree stratum
+    entry = st.just(0) | st.integers(0, spec.q - 1)
+    flat = data.draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    q = Matrix(spec, n, n, tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)))
+    assert inverse(q) == ref_inverse(q)
 
 
 # round trips on inline grids

@@ -206,10 +206,18 @@ def test_gf16_axioms_sampled(a, b, c):
 
 def test_large_prime_field_without_tables():
     f = FieldSpec(4099)
-    assert f._add_table is None
+    assert not any(isinstance(op, tuple) for op in f._ops)
     assert f.mul(4098, 4098) == (4098 * 4098) % 4099
     assert f.add(4000, 200) == (4000 + 200) % 4099
     assert f.mul(17, f.inv(17)) == 1
+
+
+def test_small_fields_are_tabulated():
+    for f in (FieldSpec(2), FieldSpec(3, 2), FieldSpec(2, 4)):
+        add, mul, neg = f._ops
+        assert all(isinstance(op, tuple) for op in (add, mul, neg))
+        assert len(add) == len(mul) == len(neg) == f.q
+        assert add[f.q - 1][1] == f.add(f.q - 1, 1)
 
 
 def test_is_prime_matches_sympy():
@@ -224,7 +232,7 @@ def test_is_prime_matches_sympy():
 
 def test_huge_prime_field_is_immediate_or_refused():
     f = FieldSpec(10**18 + 3)
-    assert f._neg_table is None
+    assert not any(isinstance(op, tuple) for op in f._ops)
     assert f.add(f.neg(5), 5) == 0
     assert f.mul(f.inv(12345), 12345) == 1
     with pytest.raises(SchemaError):
