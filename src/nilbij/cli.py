@@ -6,10 +6,13 @@ and write canonical JSON (sorted keys, no insignificant whitespace) to
 --output or standard output, so piping forward into inverse reproduces
 the original document byte for byte.  Report commands (count-nilpotents,
 verify-theorem, verify-degrees, verify-joyal) take the grid point as
-flags and print a table by default or JSON with --json.
+flags, take no --input, and print a table by default or JSON with
+--json, to --output or standard output.  Each command is one row of
+``_COMMANDS``.
 
 Exit codes: 0 success/verified, 1 a verification check failed, 2 bad
-input or usage.
+input or usage, undecodable documents and grid points beyond --budget
+included.
 """
 
 from __future__ import annotations
@@ -41,8 +44,14 @@ def canonical_dumps(obj: object) -> str:
 
 
 def _read_json(args: argparse.Namespace, stdin) -> object:
-    text = Path(args.input).read_text() if args.input else stdin.read()
-    return json.loads(text)
+    """The one JSON document of a data command, from --input or stdin.
+    Undecodable bytes, syntax errors and integers past Python's digit
+    limit (each a ``ValueError``) and too deep nesting are bad input."""
+    try:
+        text = Path(args.input).read_text() if args.input else stdin.read()
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from None
 
 
 def _write(args: argparse.Namespace, stdout, text: str) -> None:
@@ -52,6 +61,55 @@ def _write(args: argparse.Namespace, stdout, text: str) -> None:
         stdout.write(text)
 
 
+def _run_data(compute, args, stdin, stdout) -> int:
+    _write(args, stdout, canonical_dumps(compute(_read_json(args, stdin))))
+    return 0
+
+
+def _run_report(compute, args, stdin, stdout) -> int:
+    """Write the report's table, or its payload with --json; exit 1
+    unless the payload is ``ok``."""
+    payload, table = compute(args)
+    _write(args, stdout, canonical_dumps(payload) if args.json else table + "\n")
+    return 0 if payload["ok"] else 1
+
+
+# -- data commands: parsed document -> JSON result ----------------------
+def _forward(doc):
+    pair = NilpotentPair.from_json(doc)
+    return forward(pair.t, pair.v).to_json()
+
+
+def _inverse(doc):
+    return NilpotentPair(*inverse(Matrix.from_json(doc))).to_json()
+
+
+def _fitting(doc):
+    return fitting_decompose(Matrix.from_json(doc)).to_json()
+
+
+def _degree(doc):
+    pair = NilpotentPair.from_json(doc)
+    return {"degree": degree(pair.t, pair.v)}
+
+
+def _joyal_forward(doc):
+    if not isinstance(doc, dict):
+        raise SchemaError("joyal-forward input must be an object")
+    try:
+        tree = Tree.from_json(doc["tree"])
+        v, v2 = _json_int(doc["v"], "v"), _json_int(doc["v2"], "v2")
+    except KeyError as exc:
+        raise SchemaError(f"bad joyal-forward payload: {exc}") from exc
+    return joyal_forward(tree, v, v2).to_json()
+
+
+def _joyal_inverse(doc):
+    tree, v, v2 = joyal_inverse(EndoFunction.from_json(doc))
+    return {"tree": tree.to_json(), "v": v, "v2": v2}
+
+
+# -- report commands: parsed flags -> (JSON payload, table) ----------------
 def _field_from_args(args: argparse.Namespace) -> FieldSpec:
     poly = None
     if args.poly is not None:
@@ -62,94 +120,31 @@ def _field_from_args(args: argparse.Namespace) -> FieldSpec:
     return FieldSpec(args.p, args.k, poly)
 
 
-def _cmd_forward(args, stdin, stdout) -> int:
-    pair = NilpotentPair.from_json(_read_json(args, stdin))
-    _write(args, stdout, canonical_dumps(forward(pair.t, pair.v).to_json()))
-    return 0
-
-
-def _cmd_inverse(args, stdin, stdout) -> int:
-    q = Matrix.from_json(_read_json(args, stdin))
-    t, v = inverse(q)
-    _write(args, stdout, canonical_dumps(NilpotentPair(t, v).to_json()))
-    return 0
-
-
-def _cmd_fitting(args, stdin, stdout) -> int:
-    q = Matrix.from_json(_read_json(args, stdin))
-    _write(args, stdout, canonical_dumps(fitting_decompose(q).to_json()))
-    return 0
-
-
-def _cmd_degree(args, stdin, stdout) -> int:
-    pair = NilpotentPair.from_json(_read_json(args, stdin))
-    _write(args, stdout, canonical_dumps({"degree": degree(pair.t, pair.v)}))
-    return 0
-
-
-def _cmd_joyal_forward(args, stdin, stdout) -> int:
-    payload = _read_json(args, stdin)
-    if not isinstance(payload, dict):
-        raise SchemaError("joyal-forward input must be an object")
-    try:
-        tree = Tree.from_json(payload["tree"])
-        v, v2 = _json_int(payload["v"], "v"), _json_int(payload["v2"], "v2")
-    except KeyError as exc:
-        raise SchemaError(f"bad joyal-forward payload: {exc}") from exc
-    _write(args, stdout, canonical_dumps(joyal_forward(tree, v, v2).to_json()))
-    return 0
-
-
-def _cmd_joyal_inverse(args, stdin, stdout) -> int:
-    f = EndoFunction.from_json(_read_json(args, stdin))
-    tree, v, v2 = joyal_inverse(f)
-    _write(args, stdout, canonical_dumps({"tree": tree.to_json(), "v": v, "v2": v2}))
-    return 0
-
-
-def _emit_report(args, stdout, payload: dict, table: str) -> None:
-    if args.json:
-        _write(args, stdout, canonical_dumps(payload))
-    else:
-        _write(args, stdout, table + "\n")
-
-
-def _cmd_count_nilpotents(args, stdin, stdout) -> int:
+def _count_nilpotents(args):
     spec = _field_from_args(args)
     count = count_nilpotents(spec, args.n, args.budget)
     expected = spec.q ** (args.n * (args.n - 1))
     ok = count == expected
-    payload = {
-        "q": spec.q, "n": args.n, "count": count, "expected": expected, "ok": ok,
-    }
-    table = "\n".join(
-        [
-            f"nilpotent operators over GF({spec.q}), n = {args.n}",
-            f"{'count':<10}{count}",
-            f"{'expected':<10}{expected}",
-            f"{'status':<10}{'ok' if ok else 'FAILED'}",
-        ]
-    )
-    _emit_report(args, stdout, payload, table)
-    return 0 if ok else 1
+    payload = {"q": spec.q, "n": args.n, "count": count, "expected": expected, "ok": ok}
+    table = [
+        f"nilpotent operators over GF({spec.q}), n = {args.n}",
+        f"{'count':<10}{count}",
+        f"{'expected':<10}{expected}",
+        f"{'status':<10}{'ok' if ok else 'FAILED'}",
+    ]
+    return payload, "\n".join(table)
 
 
-def _cmd_verify_theorem(args, stdin, stdout) -> int:
+def _verify_theorem(args):
     report = verify_theorem(_field_from_args(args), args.n, args.budget)
-    _emit_report(args, stdout, report.to_json(), report.render_table())
-    return 0 if report.ok else 1
+    return report.to_json(), report.render_table()
 
 
-def _cmd_verify_degrees(args, stdin, stdout) -> int:
+def _verify_degrees(args):
     spec = _field_from_args(args)
     strata = verify_degree_refinement(spec, args.n, args.budget)
     ok = all(s.ok for s in strata)
-    payload = {
-        "q": spec.q,
-        "n": args.n,
-        "strata": [s.to_json() for s in strata],
-        "ok": ok,
-    }
+    payload = {"q": spec.q, "n": args.n, "strata": [s.to_json() for s in strata], "ok": ok}
     lines = [
         f"degree refinement over GF({spec.q}), n = {args.n}",
         f"{'k':>4} {'left':>10} {'right':>10} {'forward':>8}",
@@ -160,42 +155,52 @@ def _cmd_verify_degrees(args, stdin, stdout) -> int:
             f"{'ok' if s.forward_consistent else 'BAD':>8}"
         )
     lines.append(f"status: {'ok' if ok else 'FAILED'}")
-    _emit_report(args, stdout, payload, "\n".join(lines))
-    return 0 if ok else 1
+    return payload, "\n".join(lines)
 
 
-def _cmd_verify_joyal(args, stdin, stdout) -> int:
+def _verify_joyal(args):
     report = verify_joyal(args.n, args.budget)
-    _emit_report(args, stdout, report.to_json(), report.render_table())
-    return 0 if report.ok else 1
+    return report.to_json(), report.render_table()
 
 
-def _add_io_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--input", help="read JSON from this file instead of stdin")
-    sp.add_argument("--output", help="write to this file instead of stdout")
+# -- the command table ------------------------------------------------------
 
+_OUTPUT = ("--output", dict(help="write to this file instead of stdout"))
+_IO = (("--input", dict(help="read JSON from this file instead of stdin")), _OUTPUT)
+_GRID = (
+    ("--p", dict(type=int, required=True, help="field characteristic (prime)")),
+    ("--k", dict(type=int, default=1, help="extension degree (default 1)")),
+    ("--poly", dict(help="reduction polynomial, comma-separated coefficients "
+                         "c0,c1,...,ck (constant term first); built-in for small fields")),
+    ("--n", dict(type=int, required=True, help="ambient dimension")),
+)
+_REPORT = (
+    ("--json", dict(action="store_true", help="emit canonical JSON instead of a table")),
+    ("--budget", dict(type=int, default=DEFAULT_BUDGET,
+                      help=f"enumeration size guard (default {DEFAULT_BUDGET})")),
+    _OUTPUT,
+)
+_VERTICES = (("--n", dict(type=int, required=True, help="number of vertices")),)
 
-def _add_field_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
-    sp.add_argument("--k", type=int, default=1, help="extension degree (default 1)")
-    sp.add_argument(
-        "--poly",
-        help="reduction polynomial, comma-separated coefficients c0,c1,...,ck "
-        "(constant term first); built-in for small fields",
-    )
-
-
-def _add_report_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument(
-        "--json", action="store_true", help="emit canonical JSON instead of a table"
-    )
-    sp.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_BUDGET,
-        help=f"enumeration size guard (default {DEFAULT_BUDGET})",
-    )
-    _add_io_flags(sp)
+# (name, help, flags, run, compute), in the order of ``nilbij --help``.
+_COMMANDS = (
+    ("forward", "pair JSON {T, v} -> operator JSON", _IO, _run_data, _forward),
+    ("inverse", "operator JSON -> pair JSON {T, v}", _IO, _run_data, _inverse),
+    ("fitting", "operator JSON -> Fitting data JSON", _IO, _run_data, _fitting),
+    ("degree", "pair JSON {T, v} -> {degree}", _IO, _run_data, _degree),
+    ("count-nilpotents", "exhaustively count nilpotent operators",
+     _GRID + _REPORT, _run_report, _count_nilpotents),
+    ("verify-theorem", "audit the bijection exhaustively",
+     _GRID + _REPORT, _run_report, _verify_theorem),
+    ("verify-degrees", "audit the per-degree refinement",
+     _GRID + _REPORT, _run_report, _verify_degrees),
+    ("joyal-forward", "{tree, v, v2} JSON -> function JSON", _IO, _run_data,
+     _joyal_forward),
+    ("joyal-inverse", "function JSON -> {tree, v, v2} JSON", _IO, _run_data,
+     _joyal_inverse),
+    ("verify-joyal", "audit the tree bijection exhaustively",
+     _VERTICES + _REPORT, _run_report, _verify_joyal),
+)
 
 
 @functools.cache
@@ -208,56 +213,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "over finite fields, with the tree/endofunction analogue.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("forward", help="pair JSON {T, v} -> operator JSON")
-    _add_io_flags(sp)
-    sp.set_defaults(func=_cmd_forward)
-
-    sp = sub.add_parser("inverse", help="operator JSON -> pair JSON {T, v}")
-    _add_io_flags(sp)
-    sp.set_defaults(func=_cmd_inverse)
-
-    sp = sub.add_parser("fitting", help="operator JSON -> Fitting data JSON")
-    _add_io_flags(sp)
-    sp.set_defaults(func=_cmd_fitting)
-
-    sp = sub.add_parser("degree", help="pair JSON {T, v} -> {degree}")
-    _add_io_flags(sp)
-    sp.set_defaults(func=_cmd_degree)
-
-    sp = sub.add_parser(
-        "count-nilpotents", help="exhaustively count nilpotent operators"
-    )
-    _add_field_flags(sp)
-    sp.add_argument("--n", type=int, required=True, help="ambient dimension")
-    _add_report_flags(sp)
-    sp.set_defaults(func=_cmd_count_nilpotents)
-
-    sp = sub.add_parser("verify-theorem", help="audit the bijection exhaustively")
-    _add_field_flags(sp)
-    sp.add_argument("--n", type=int, required=True, help="ambient dimension")
-    _add_report_flags(sp)
-    sp.set_defaults(func=_cmd_verify_theorem)
-
-    sp = sub.add_parser("verify-degrees", help="audit the per-degree refinement")
-    _add_field_flags(sp)
-    sp.add_argument("--n", type=int, required=True, help="ambient dimension")
-    _add_report_flags(sp)
-    sp.set_defaults(func=_cmd_verify_degrees)
-
-    sp = sub.add_parser("joyal-forward", help="{tree, v, v2} JSON -> function JSON")
-    _add_io_flags(sp)
-    sp.set_defaults(func=_cmd_joyal_forward)
-
-    sp = sub.add_parser("joyal-inverse", help="function JSON -> {tree, v, v2} JSON")
-    _add_io_flags(sp)
-    sp.set_defaults(func=_cmd_joyal_inverse)
-
-    sp = sub.add_parser("verify-joyal", help="audit the tree bijection exhaustively")
-    sp.add_argument("--n", type=int, required=True, help="number of vertices")
-    _add_report_flags(sp)
-    sp.set_defaults(func=_cmd_verify_joyal)
-
+    for name, help_text, flags, run, compute in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flag, options in flags:
+            sp.add_argument(flag, **options)
+        sp.set_defaults(func=functools.partial(run, compute))
     return parser
 
 
@@ -275,13 +235,7 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args, stdin, stdout)
-    except NilbijError as exc:
-        print(f"error: {exc}", file=stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=stderr)
-        return 2
-    except OSError as exc:
+    except (NilbijError, OSError) as exc:
         print(f"error: {exc}", file=stderr)
         return 2
 

@@ -29,8 +29,12 @@ from functools import cached_property, partial
 from .errors import DivisionByZero, SchemaError, _json_int
 
 # Lookup tables are only built for fields at most this large; bigger
-# fields compute each value on demand (see FieldSpec._ops).
-_TABLE_MAX = 4096
+# fields compute each value on demand (see FieldSpec._ops).  A table
+# costs q² products on the field's first arithmetic, paid again by each
+# CLI call: GF(2^10) took 33 s on a 2-CPU Linux host.  The tests, the
+# census grid and the benchmark use q <= 49; GF(2^6), the largest table
+# at this limit, builds in about 50 ms.
+_TABLE_MAX = 64
 
 # Conway polynomials, little-endian coefficients c_0 .. c_k.
 BUILTIN_POLYS: dict[tuple[int, int], tuple[int, ...]] = {

@@ -173,6 +173,8 @@ def joyal_forward(tree: Tree, v: int, v2: int) -> EndoFunction:
                 seen[y] = True
                 parent[y] = x
                 queue.append(y)
+    if not seen[v2]:  # a Tree is connected; only an unchecked build can get here
+        raise AssertionError(f"vertex {v2} is not connected to vertex {v}")
     path = [v2]
     while path[-1] != v:
         path.append(parent[path[-1]])

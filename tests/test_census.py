@@ -64,6 +64,13 @@ def test_budget_guard():
         verify_theorem(FieldSpec(2), 30)
     with pytest.raises(BudgetExceeded):
         verify_degree_refinement(FieldSpec(2), 30)
+    # the guard decides without computing q^(n²) or n^n, and names the
+    # size as a power: these powers have up to 69 million digits
+    for census, *args in ((count_nilpotents, GF3, 12000), (count_nilpotents, GF2, 200),
+                          (verify_theorem, GF2, 200), (verify_degree_refinement, GF2, 200),
+                          (verify_joyal, 2000)):
+        with pytest.raises(BudgetExceeded, match=r"needs \d+\^\d+ evaluations"):
+            census(*args)
 
 
 def test_verify_theorem_smallest_grid():

@@ -14,8 +14,10 @@ from nilbij.cli import canonical_dumps, main
 
 
 def run(args, stdin_text=""):
+    """Run the CLI in process; ``stdin_text`` is a string or a text stream."""
+    stdin = io.StringIO(stdin_text) if isinstance(stdin_text, str) else stdin_text
     out, err = io.StringIO(), io.StringIO()
-    code = main(args, stdin=io.StringIO(stdin_text), stdout=out, stderr=err)
+    code = main(args, stdin=stdin, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -140,7 +142,9 @@ def one_by_one(field, rows=1, data=((1,),)):
                             "data": [list(row) for row in data]})
 
 
-def test_exit_two_on_bad_inputs():
+def test_exit_two_on_bad_inputs(tmp_path):
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b"\xff")
     cases = [
         (["inverse"], "not json"),
         (["inverse"], canonical_dumps({"field": {"p": 2}, "rows": 1, "cols": 2,
@@ -175,6 +179,17 @@ def test_exit_two_on_bad_inputs():
         (["joyal-forward"], canonical_dumps({"tree": {"n": 2, "edges": [[0, 1]]},
                                              "v": 0, "v2": True})),
         (["joyal-inverse"], canonical_dumps({"n": 2, "table": [0, 1.0]})),
+        # grid points far beyond --budget are refused before any q^(n²) is built
+        (["count-nilpotents", "--p", "3", "--n", "12000"], ""),
+        (["count-nilpotents", "--p", "2", "--n", "200", "--json"], ""),
+        (["verify-theorem", "--p", "2", "--n", "200"], ""),
+        (["verify-degrees", "--p", "2", "--n", "200"], ""),
+        (["verify-joyal", "--n", "2000"], ""),
+        # documents that do not decode to JSON the library can hold
+        (["inverse", "--input", str(not_utf8)], ""),
+        (["inverse"], io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8")),
+        (["inverse"], "1" * 5000),
+        (["inverse"], "[" * 100_000),
     ]
     for args, doc in cases:
         code, out, err = run(args, doc)
@@ -190,6 +205,11 @@ def test_exit_two_on_usage_errors(capsys):
     for shards in ("0", "4"):  # the flag is gone
         assert run(["verify-theorem", "--p", "2", "--n", "1",
                     "--shards", shards])[0] == 2
+    for report in (["count-nilpotents", "--p", "2", "--n", "1"],
+                   ["verify-theorem", "--p", "2", "--n", "1"],
+                   ["verify-degrees", "--p", "2", "--n", "1"],
+                   ["verify-joyal", "--n", "1"]):  # report commands read no input
+        assert run(report + ["--input", "/nonexistent"])[0] == 2
     capsys.readouterr()
 
 
@@ -273,6 +293,13 @@ def test_input_output_files(tmp_path):
     assert json.loads(dst.read_text()) == Matrix.identity(GF2, 1).to_json()
     code, _, err = run(["forward", "--input", str(tmp_path / "missing.json")])
     assert code == 2 and "error:" in err
+    for command, payload in VALID_PAYLOADS.items():  # files give the stdio bytes
+        src.write_text(canonical_dumps(payload))
+        expected = run([command], canonical_dumps(payload))
+        assert expected[0] == 0
+        code, out, err = run([command, "--input", str(src), "--output", str(dst)])
+        assert (code, out, err) == (0, "", "")
+        assert dst.read_text() == expected[1]
 
 
 # -- boundary fuzzing --------------------------------------------------
@@ -336,7 +363,8 @@ def test_fuzzed_payloads_exit_zero_or_two(data):
        st.sampled_from([(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (2, 2),
                         (2, 0), (3, -1)]),
        st.sampled_from([None, "1,1,1", "1,0,1", "1,1", "x", ""]),
-       st.integers(-1, 2), st.sampled_from([None, 0, 10]), st.booleans())
+       st.one_of(st.integers(-1, 2), st.sampled_from([200, 10**6])),
+       st.sampled_from([None, 0, 10]), st.booleans())
 def test_fuzzed_report_flags_exit_zero_one_or_two(command, pk, poly, n, budget, as_json):
     p, k = pk
     args = [command, "--p", str(p), "--k", str(k), "--n", str(n)]

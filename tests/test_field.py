@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilbij import DivisionByZero, FieldSpec, SchemaError
+from nilbij import DivisionByZero, FieldSpec, Matrix, SchemaError, forward, inverse
 from nilbij.field import BUILTIN_POLYS, _PRIME_LIMIT, _is_irreducible, _is_prime
 
 AXIOM_SPECS = [FieldSpec(2), FieldSpec(3), FieldSpec(5), FieldSpec(7),
@@ -210,6 +210,16 @@ def test_large_prime_field_without_tables():
     assert f.mul(4098, 4098) == (4098 * 4098) % 4099
     assert f.add(4000, 200) == (4000 + 200) % 4099
     assert f.mul(17, f.inv(17)) == 1
+
+
+def test_field_above_the_table_limit_computes_on_demand():
+    """GF(2^8) builds no table, so its first arithmetic is immediate,
+    and the bijection still round-trips over it."""
+    f = FieldSpec(2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1))  # x^8 + x^4 + x^3 + x^2 + 1
+    assert not any(isinstance(op, tuple) for op in f._ops)
+    for rows in ([(0, 1), (0, 0)], [(7, 200), (255, 3)]):
+        q = Matrix.from_rows(f, rows)
+        assert forward(*inverse(q)) == q
 
 
 def test_small_fields_are_tabulated():

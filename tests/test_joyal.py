@@ -12,6 +12,7 @@ from nilbij import (
     Tree,
     all_endofunctions,
     is_eventually_constant,
+    joyal,
     joyal_forward,
     joyal_inverse,
     periodic_points,
@@ -117,6 +118,14 @@ def test_forward_rejects_bad_vertex():
         joyal_forward(t, 0, 2)
     with pytest.raises(InvalidVertex):
         joyal_forward(t, -1, 0)
+
+
+def test_forward_fails_at_once_on_an_unchecked_disconnected_tree():
+    """The path walk needs v2 reachable from v; an unchecked build that
+    breaks this is an internal fault, not an endless walk."""
+    broken = joyal._tree(4, ((0, 1), (0, 2), (1, 2)))  # vertex 3 is isolated
+    with pytest.raises(AssertionError):
+        joyal_forward(broken, 0, 3)
 
 
 # inverse, frozen
