@@ -53,6 +53,14 @@ BUILTIN_POLYS: dict[tuple[int, int], tuple[int, ...]] = {
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIME_LIMIT = 318_665_857_834_031_151_167_461
 
+# Extension fields must have q = p^k < 2^_Q_BITS.  Rabin's test costs
+# about k³ digit operations, so an unbounded k lets one payload line
+# stall: x^400 + x + 1 over GF(2) took 7 s on a 2-CPU Linux host.  Below
+# 2^128, dense polynomials of GF(2^127), GF(3^80) and GF(5^55) take at
+# most 0.2 s there, and 128 bits is far beyond any field a census can
+# walk.  Prime fields never reach the cap, since _PRIME_LIMIT < 2^79.
+_Q_BITS = 128
+
 
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin; exact for p < _PRIME_LIMIT."""
@@ -209,6 +217,9 @@ class FieldSpec:
             if self.poly is not None:
                 raise SchemaError("prime fields take no reduction polynomial")
             return
+        # p^min(k, _Q_BITS) >= 2^_Q_BITS exactly when p^k is, as p >= 2
+        if self.p ** min(self.k, _Q_BITS) >> _Q_BITS:
+            raise SchemaError(f"GF({self.p}^{self.k}) is too large; q must be < 2^{_Q_BITS}")
         poly = self.poly
         if poly is None:
             poly = BUILTIN_POLYS.get((self.p, self.k))

@@ -20,7 +20,6 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
-    _matrix,
     image_basis,
     is_invertible,
     is_nilpotent,
@@ -91,9 +90,6 @@ def fitting_decompose(q: Matrix) -> FittingPair:
     qn = mat_pow(q, n)
     v = span(image_basis(qn), spec=q.spec, ambient_dim=n)
     w = span(kernel_basis(qn), spec=q.spec, ambient_dim=n)
-    if n == 0:
-        empty = _matrix(q.spec, 0, 0, ())
-        return FittingPair(v, w, SubspaceMap(v, v, empty), SubspaceMap(w, w, empty))
     r, cross, s = block_decompose(q, v, w)
     assert cross.matrix.is_zero(), "W must be Q-invariant"
     assert is_invertible(r.matrix), "restriction to im(Q^n) must be invertible"

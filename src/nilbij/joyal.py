@@ -4,8 +4,10 @@ A tree on {0..n-1} with an ordered pair of marked vertices corresponds
 to an endofunction of {0..n-1}: the unique path between the marks
 becomes the cycle part (the increasing enumeration of the path's vertex
 set is sent to the path order), and every off-path vertex points one
-step toward the path.  Inverting reads the cycle part off the periodic
-points.  Counting both sides gives the n^(n-2) tree count.
+step toward v, which in a tree is its step toward the path, so one
+breadth-first search from v finds both.  Inverting reads the cycle part
+off the periodic points.  Counting both sides gives the n^(n-2) tree
+count.
 
 The functions whose iterates collapse to a single fixed point are
 exactly the images of pairs with both marks equal, n^(n-1) of them.
@@ -19,7 +21,6 @@ integer slots included; the endofunctions that the enumeration and
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
@@ -55,16 +56,7 @@ class Tree:
         object.__setattr__(self, "edges", tuple(norm))
         if len(norm) != self.n - 1:
             raise SchemaError(f"expected {self.n - 1} edges, got {len(norm)}")
-        seen = {0}
-        queue = deque([0])
-        adj = self.adjacency()
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if len(seen) != self.n:
+        if -1 in _parents(self, 0):
             raise SchemaError("edges do not connect all vertices")
 
     def adjacency(self) -> list[list[int]]:
@@ -135,6 +127,22 @@ def _tree(n: int, edges: tuple[tuple[int, int], ...]) -> Tree:
     return t
 
 
+def _parents(tree: Tree, root: int) -> list[int]:
+    """Breadth-first search from ``root``: each vertex's neighbour one step
+    nearer ``root``, ``root`` itself at ``root``, and -1 where the search
+    never reaches."""
+    adj = tree.adjacency()
+    parent = [-1] * tree.n
+    parent[root] = root
+    order = [root]
+    for x in order:
+        for y in adj[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                order.append(y)
+    return parent
+
+
 def _iterate_table(f: EndoFunction) -> tuple[int, ...]:
     """Value table of the n-th iterate of f."""
     cur = tuple(range(f.n))
@@ -145,9 +153,7 @@ def _iterate_table(f: EndoFunction) -> tuple[int, ...]:
 
 def is_eventually_constant(f: EndoFunction) -> bool:
     """Whether every orbit of f lands on one common fixed point."""
-    stable = _iterate_table(f)
-    c = stable[0]
-    return all(x == c for x in stable) and f.table[c] == c
+    return len(set(_iterate_table(f))) == 1
 
 
 def periodic_points(f: EndoFunction) -> tuple[int, ...]:
@@ -161,40 +167,16 @@ def joyal_forward(tree: Tree, v: int, v2: int) -> EndoFunction:
     for x in (v, v2):
         if not 0 <= x < n:
             raise InvalidVertex(f"marked vertex {x} leaves 0..{n - 1}")
-    adj = tree.adjacency()
-    parent = [-1] * n
-    seen = [False] * n
-    seen[v] = True
-    queue = deque([v])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent[y] = x
-                queue.append(y)
-    if not seen[v2]:  # a Tree is connected; only an unchecked build can get here
+    table = _parents(tree, v)
+    if table[v2] < 0:  # a Tree is connected; only an unchecked build can get here
         raise AssertionError(f"vertex {v2} is not connected to vertex {v}")
     path = [v2]
     while path[-1] != v:
-        path.append(parent[path[-1]])
+        path.append(table[path[-1]])
     path.reverse()
-    table = [-1] * n
-    on_path = sorted(path)
-    for a, b in zip(on_path, path):
+    # off-path vertices keep their step toward v: their step toward the path
+    for a, b in zip(sorted(path), path):
         table[a] = b
-    # off-path vertices: one step toward the path
-    queue = deque(path)
-    toward = [False] * n
-    for x in path:
-        toward[x] = True
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if not toward[y]:
-                toward[y] = True
-                table[y] = x
-                queue.append(y)
     return _endofunction(n, tuple(table))
 
 

@@ -317,8 +317,6 @@ def is_nilpotent(t: Matrix) -> bool:
     if not t.is_square():
         raise NonSquare(f"nilpotency needs a square matrix, got {t.rows}x{t.cols}")
     n = t.rows
-    if n == 0:
-        return True
     data = t.data
     e = 1
     while any(any(row) for row in data):

@@ -179,6 +179,8 @@ def test_exit_two_on_bad_inputs(tmp_path):
         (["joyal-forward"], canonical_dumps({"tree": {"n": 2, "edges": [[0, 1]]},
                                              "v": 0, "v2": True})),
         (["joyal-inverse"], canonical_dumps({"n": 2, "table": [0, 1.0]})),
+        # a field of q >= 2^128 is refused before its poly is tested
+        (["inverse"], one_by_one({"p": 2, "k": 400, "poly": [1, 1] + [0] * 398 + [1]})),
         # grid points far beyond --budget are refused before any q^(n²) is built
         (["count-nilpotents", "--p", "3", "--n", "12000"], ""),
         (["count-nilpotents", "--p", "2", "--n", "200", "--json"], ""),

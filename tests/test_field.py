@@ -132,6 +132,26 @@ def test_irreducibility_is_fast_for_a_large_characteristic():
         FieldSpec(1000003, 4, (1, 0, 2, 0, 1))
 
 
+def trinomial(k):
+    """x^k + x + 1 as little-endian coefficients."""
+    return (1, 1) + (0,) * (k - 2) + (1,)
+
+
+def test_extension_fields_stop_below_two_to_the_128():
+    # Rabin's test costs about k³, so long polys are refused before it runs
+    for k in (400, 2000):
+        started = time.perf_counter()
+        with pytest.raises(SchemaError):
+            FieldSpec(2, k, trinomial(k))
+        assert time.perf_counter() - started < 0.05
+    with pytest.raises(SchemaError):
+        FieldSpec(2, 128, trinomial(128))  # q = 2^128 exactly
+    f = FieldSpec(2, 127, trinomial(127))
+    assert f.q == 2**127
+    assert f.mul(2**126, 2) == 3  # x^126 * x = x^127 = x + 1
+    assert f.mul(f.inv(12345), 12345) == 1
+
+
 def test_no_builtin_polynomial_available():
     with pytest.raises(SchemaError):
         FieldSpec(7, 2)

@@ -1,9 +1,12 @@
 """Tree/endofunction bijection: frozen examples, exhaustive round
 trips, and an independent spanning-tree count oracle."""
 
+from collections import deque
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilbij import (
     EndoFunction,
@@ -33,6 +36,43 @@ def brute_tree_count(n: int) -> int:
         except SchemaError:
             pass
     return count
+
+
+def ref_joyal_forward(tree: Tree, v: int, v2: int) -> EndoFunction:
+    """Two-search reference: a search from v finds the path, and a second
+    search from the whole path gives each off-path vertex its step."""
+    n = tree.n
+    adj = tree.adjacency()
+    parent = [-1] * n
+    seen = [False] * n
+    seen[v] = True
+    queue = deque([v])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if not seen[y]:
+                seen[y] = True
+                parent[y] = x
+                queue.append(y)
+    path = [v2]
+    while path[-1] != v:
+        path.append(parent[path[-1]])
+    path.reverse()
+    table = [-1] * n
+    for a, b in zip(sorted(path), path):
+        table[a] = b
+    queue = deque(path)
+    toward = [False] * n
+    for x in path:
+        toward[x] = True
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if not toward[y]:
+                toward[y] = True
+                table[y] = x
+                queue.append(y)
+    return EndoFunction(n, tuple(table))
 
 
 # construction and validation
@@ -164,6 +204,21 @@ def test_roundtrip_over_all_marked_trees(n):
             for v2 in range(n):
                 f = joyal_forward(tree, v, v2)
                 assert joyal_inverse(f) == (tree, v, v2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_forward_matches_two_search_reference_on_larger_trees(data):
+    """The exhaustive walks stop at n = 6; a tree drawn as the inverse
+    image of a drawn function, with drawn marks, reaches n = 40."""
+    n = data.draw(st.integers(7, 40), label="n")
+    table = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                      label="table")
+    tree = joyal_inverse(EndoFunction(n, tuple(table)))[0]
+    assert Tree(n, tree.edges) == tree
+    v = data.draw(st.integers(0, n - 1), label="v")
+    v2 = data.draw(st.integers(0, n - 1), label="v2")
+    assert joyal_forward(tree, v, v2) == ref_joyal_forward(tree, v, v2)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
