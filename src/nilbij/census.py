@@ -29,7 +29,7 @@ from .joyal import (
     joyal_forward,
     joyal_inverse,
 )
-from .linalg import Matrix, _matrix, _vector, is_nilpotent, mat_pow, rank
+from .linalg import Matrix, _matrix, _vector, is_nilpotent, rank
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -56,7 +56,29 @@ def enumerate_operators(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET):
 
 def _stable_image_dim(q_op: Matrix) -> int:
     """dim im(Q^n), the dimension of Q's Fitting V, without building V."""
-    return rank(mat_pow(q_op, q_op.rows))
+    return rank(q_op._fitting_power)
+
+
+def expected_strata(q: int, n: int) -> tuple[int, ...]:
+    """Exact number of n x n operators over GF(q) with dim im(Q^n) = k,
+    indexed by k = 0..n.
+
+    Q is fixed by its Fitting data, chosen in turn: V = im(Q^n), one of
+    [n k]_q subspaces; a complement W = ker(Q^n) of V, one of
+    q^(k(n-k)); an automorphism of V, one of |GL_k(F_q)|; and a
+    nilpotent operator on W, one of q^((n-k)(n-k-1)) (Fine and
+    Herstein).  The counts sum to q^(n²).
+    """
+    strata = []
+    for k in range(n + 1):
+        gaussian = 1  # [n k]_q, exact: each partial product is [n i]_q
+        for i in range(k):
+            gaussian = gaussian * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+        gl_k = 1
+        for i in range(k):
+            gl_k *= q**k - q**i
+        strata.append(gaussian * q ** (k * (n - k)) * gl_k * q ** ((n - k) * (n - k - 1)))
+    return tuple(strata)
 
 
 def count_nilpotents(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -66,7 +88,12 @@ def count_nilpotents(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET) -> i
 
 @dataclass(frozen=True)
 class CensusReport:
-    """Outcome of a full bijectivity audit at one (q, n) grid point."""
+    """Outcome of a full bijectivity audit at one (q, n) grid point.
+
+    In the one-walk census every failing operator is one not known to
+    be hit, so ``surjectivity_gap`` equals ``roundtrip_failures`` by
+    construction; both keys stay so that the payload is stable.
+    """
 
     q: int
     n: int
@@ -80,11 +107,14 @@ class CensusReport:
 
     @property
     def ok(self) -> bool:
+        """No failures, and both tallies of every stratum k = 0..n equal
+        :func:`expected_strata`; that includes the nilpotent count."""
+        expected = tuple((k, e, e) for k, e in enumerate(expected_strata(self.q, self.n)))
         return (
             self.nilpotent_count == self.expected_nilpotents
             and self.roundtrip_failures == 0
             and self.surjectivity_gap == 0
-            and all(left == right for _, left, right in self.per_degree)
+            and self.per_degree == expected
         )
 
     def to_json(self) -> dict:
@@ -143,7 +173,7 @@ def verify_theorem(
             left[degree(t, v)] += 1
         else:
             failures += 1
-    degrees = sorted(left.keys() | right.keys())
+    degrees = sorted(left.keys() | right.keys() | set(range(n + 1)))
     per_degree = tuple((k, left[k], right[k]) for k in degrees)
     return CensusReport(
         q=spec.q,
@@ -166,10 +196,14 @@ class DegreeStratum:
     left_count: int
     right_count: int
     forward_consistent: bool
+    expected_count: int  # from expected_strata; not in the payload
 
     @property
     def ok(self) -> bool:
-        return self.left_count == self.right_count and self.forward_consistent
+        return (
+            self.left_count == self.right_count == self.expected_count
+            and self.forward_consistent
+        )
 
     def to_json(self) -> dict:
         return {
@@ -188,7 +222,9 @@ def verify_degree_refinement(
 
     Left: pairs (T, v) with T nilpotent and degree k.  Right: operators
     whose stabilized image has dimension k.  Also checks the forward
-    map sends each left stratum into the matching right stratum.
+    map sends each left stratum into the matching right stratum.  Every
+    k = 0..n gets a row, empty or not, and each row is ok only if both
+    counts equal :func:`expected_strata`.
     """
     _check_dim(n)
     _check_budget(spec.q, n * n, budget, f"degree refinement over GF({spec.q}), n={n}")
@@ -205,9 +241,13 @@ def verify_degree_refinement(
                 left[k] += 1
                 image_dim = _stable_image_dim(forward(t, vec))
                 consistent[k] = consistent.get(k, True) and image_dim == k
+    expected = expected_strata(spec.q, n)
     return tuple(
-        DegreeStratum(k, left.get(k, 0), right.get(k, 0), consistent.get(k, True))
-        for k in sorted(set(left) | set(right))
+        DegreeStratum(
+            k, left[k], right[k], consistent.get(k, True),
+            expected[k] if k <= n else 0,
+        )
+        for k in sorted(left.keys() | right.keys() | set(range(n + 1)))
     )
 
 

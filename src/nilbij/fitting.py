@@ -24,7 +24,6 @@ from .linalg import (
     is_invertible,
     is_nilpotent,
     kernel_basis,
-    mat_pow,
 )
 from .subspaces import (
     Subspace,
@@ -87,7 +86,7 @@ def fitting_decompose(q: Matrix) -> FittingPair:
     if not q.is_square():
         raise NonSquare(f"operator must be square, got {q.rows}x{q.cols}")
     n = q.rows
-    qn = mat_pow(q, n)
+    qn = q._fitting_power
     v = span(image_basis(qn), spec=q.spec, ambient_dim=n)
     w = span(kernel_basis(qn), spec=q.spec, ambient_dim=n)
     r, cross, s = block_decompose(q, v, w)

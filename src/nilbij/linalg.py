@@ -23,11 +23,24 @@ each row of AB as a combination of the rows of B
 (:func:`_combine_rows`), ``apply`` is the same combination of the
 columns of T, and ``rref`` eliminates with the row operation
 ``row + (-f) * pivot_row``.
+
+A ``Matrix`` remembers four derived facts on first use: its RREF with
+the pivot columns, its inverse or the fact that it has none, whether
+it is nilpotent, and its power T**n, whose image the census and the
+Fitting decomposition both read.  Each is a pure function of the
+matrix's immutable fields, so computing it once per value is safe; the
+facts live in the instance ``__dict__`` (``functools.cached_property``)
+and never enter ``==``, ``hash``, ``repr`` or ``to_json``.  ``rank``,
+``image_basis``, ``kernel_basis``, ``is_invertible``, ``mat_inv`` and
+``is_nilpotent`` read them, so a call to :func:`rref` is a real
+elimination.  Nothing is remembered across values: an equal matrix
+built anew computes its facts again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DimensionMismatch,
@@ -118,6 +131,43 @@ class Matrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
+
+    @cached_property
+    def _rref(self) -> tuple["Matrix", tuple[int, ...]]:
+        return rref(self)
+
+    @cached_property
+    def _fitting_power(self) -> "Matrix":
+        """T**n for a square n x n matrix, where the image and kernel
+        chains of T have stabilized."""
+        return mat_pow(self, self.rows)
+
+    @cached_property
+    def _inverse(self) -> "Matrix | None":
+        """The inverse of a square matrix, None when it is singular."""
+        n = self.rows
+        aug = _matrix(
+            self.spec, n, 2 * n,
+            tuple(row + irow for row, irow in zip(self.data, _identity_rows(n))),
+        )
+        r, pivots = rref(aug)
+        if pivots != tuple(range(n)):
+            return None
+        return _matrix(self.spec, n, n, tuple(row[n:] for row in r.data))
+
+    @cached_property
+    def _nilpotent(self) -> bool:
+        """Whether a square matrix has T**n = 0; a nilpotent on
+        dimension n has index <= n."""
+        n = self.rows
+        data = self.data
+        e = 1
+        while any(map(any, data)):
+            if e >= n:
+                return False
+            data = _mul_data(data, data, n, self.spec)
+            e *= 2
+        return True
 
     def to_json(self) -> dict:
         return {
@@ -274,7 +324,7 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+    return len(a._rref[1])
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
@@ -287,7 +337,7 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     """
     spec = a.spec
     neg = spec._ops[2]
-    r, pivots = rref(a)
+    r, pivots = a._rref
     pivot_set = set(pivots)
     free = [c for c in range(a.cols) if c not in pivot_set]
     basis = []
@@ -302,13 +352,17 @@ def kernel_basis(a: Matrix) -> list[Vector]:
 
 def image_basis(a: Matrix) -> list[Vector]:
     """Columns of ``a`` at the pivot positions of its RREF, ascending."""
-    _, pivots = rref(a)
+    _, pivots = a._rref
     return [_vector(a.spec, a.column(c)) for c in pivots]
 
 
 def is_invertible(t: Matrix) -> bool:
+    """Whether T is invertible: read off its inverse when one has been
+    computed, and otherwise off its rank, without inverting."""
     if not t.is_square():
         raise NonSquare(f"invertibility needs a square matrix, got {t.rows}x{t.cols}")
+    if "_inverse" in t.__dict__:
+        return t._inverse is not None
     return rank(t) == t.rows
 
 
@@ -316,27 +370,14 @@ def is_nilpotent(t: Matrix) -> bool:
     """Whether T**n = 0; a nilpotent on dimension n has index <= n."""
     if not t.is_square():
         raise NonSquare(f"nilpotency needs a square matrix, got {t.rows}x{t.cols}")
-    n = t.rows
-    data = t.data
-    e = 1
-    while any(any(row) for row in data):
-        if e >= n:
-            return False
-        data = _mul_data(data, data, n, t.spec)
-        e *= 2
-    return True
+    return t._nilpotent
 
 
 def mat_inv(t: Matrix) -> Matrix:
-    """Inverse via Gauss-Jordan on the augmented matrix."""
+    """Inverse via Gauss-Jordan on the augmented matrix [T | I]."""
     if not t.is_square():
         raise NonSquare(f"inverse needs a square matrix, got {t.rows}x{t.cols}")
-    n = t.rows
-    aug = _matrix(
-        t.spec, n, 2 * n,
-        tuple(row + irow for row, irow in zip(t.data, _identity_rows(n))),
-    )
-    r, pivots = rref(aug)
-    if pivots != tuple(range(n)):
-        raise NotInvertible(f"matrix of rank {len(pivots)} < {n} has no inverse")
-    return _matrix(t.spec, n, n, tuple(row[n:] for row in r.data))
+    inv = t._inverse
+    if inv is None:
+        raise NotInvertible(f"matrix of rank {rank(t)} < {t.rows} has no inverse")
+    return inv

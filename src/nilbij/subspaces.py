@@ -27,11 +27,24 @@ The public ``Subspace`` and ``OrderedBasis`` constructors and
 matrices and vectors that the constructions below derive from valid
 operands are built trusted, by :func:`_subspace`, :func:`_ordered_basis`
 and the :mod:`nilbij.linalg` factories.
+
+Splitting X = V + U reads coordinates off the inverse of the basis
+matrix B = [V | U], and that inversion is also the check that U
+complements V.  A ``Subspace`` remembers, for each complement U it has
+been split against, the matrix B, which in turn remembers its inverse
+or that it has none (see :mod:`nilbij.linalg`).  So the block
+decomposition, the graph and the canonical isomorphism of one
+``forward`` or ``inverse`` invert each [V | U] and [V | W] once.  B is a
+pure function of the immutable fields of V and U, so remembering it
+is safe; it lives in V's instance ``__dict__`` and never enters ``==``,
+``hash``, ``repr`` or ``to_json``.  Nothing is remembered across
+values: an equal subspace built anew splits again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -107,6 +120,12 @@ class Subspace:
             tuple(row[i] for row in self.rows) for i in range(self.ambient_dim)
         )
         return _matrix(self.spec, self.ambient_dim, self.dim, data)
+
+    @cached_property
+    def _splits(self) -> dict["Subspace", Matrix]:
+        """The [self | U] basis matrix for each U this space was split
+        against; see :func:`_change_of_basis`."""
+        return {}
 
     def to_json(self) -> dict:
         return {
@@ -310,11 +329,15 @@ def _change_of_basis(v: Subspace, u: Subspace, what: str) -> tuple[Matrix, Matri
     """B = [v | u] and its inverse, whose top dim(v) rows read off
     v-coordinates and the rest u-coordinates.  B is invertible exactly
     when v and u are complementary, so this inversion is the check; it
-    raises :class:`NotComplement` with message ``what`` otherwise."""
+    raises :class:`NotComplement` with message ``what`` otherwise.  B is
+    kept on v, keyed by u, and remembers its inverse or its failure, so
+    a later split of the same pair inverts nothing."""
     n = v.ambient_dim
     if v.spec != u.spec or u.ambient_dim != n or v.dim + u.dim != n:
         raise NotComplement(what)
-    b = _hstack(v.basis_matrix(), u.basis_matrix())
+    b = v._splits.get(u)
+    if b is None:
+        b = v._splits[u] = _hstack(v.basis_matrix(), u.basis_matrix())
     try:
         return b, mat_inv(b)
     except NotInvertible:
@@ -326,15 +349,18 @@ def _graph_and_iso(v: Subspace, u: Subspace, w: Subspace) -> tuple[SubspaceMap, 
 
     Writing u = a + b in X = V + W, i(u) = b and f(u) = i(u) - u = -a, so
     both are blocks of split([V | W]) U.  U complements V exactly when
-    dim U = dim W and the W-block is invertible.
+    dim U = dim W and the W-block is invertible; the check inverts it,
+    so :func:`map_inverse` of i reads the remembered inverse.
     """
     _, split = _change_of_basis(v, w, "W is not a complement of V")
     if u.spec != v.spec or u.ambient_dim != v.ambient_dim or u.dim != w.dim:
         raise NotComplement("U is not a complement of V")
     m, k = mat_mul(split, u.basis_matrix()), v.dim
     iso = _block(m, k, k + w.dim, 0, u.dim)
-    if not is_invertible(iso):
-        raise NotComplement("U is not a complement of V")
+    try:
+        mat_inv(iso)
+    except NotInvertible:
+        raise NotComplement("U is not a complement of V") from None
     neg = v.spec._ops[2]
     f = _matrix(v.spec, k, u.dim, tuple(tuple([neg[x] for x in row]) for row in m.data[:k]))
     return SubspaceMap(u, v, f), SubspaceMap(u, w, iso)
@@ -351,10 +377,12 @@ def canonical_iso(v: Subspace, u: Subspace, w: Subspace) -> SubspaceMap:
 
 
 def map_to_complement(f: SubspaceMap) -> Subspace:
-    """The graph {u + f(u)} of f : U -> V, a complement of V."""
+    """The graph {u + f(u)} of f : U -> V, a complement of V.
+
+    Complementarity is checked by the [V | U] change of basis, which a
+    block decomposition over (V, U) has usually made already."""
     u, v = f.domain, f.codomain
-    if not is_complementary(u, v):
-        raise NotComplement("domain and codomain are not complementary")
+    _change_of_basis(v, u, "domain and codomain are not complementary")
     add, mul, _ = u.spec._ops
     graph_cols = [
         _vector(u.spec, _combine_rows(f.matrix.column(j), v.rows, urow, add, mul))

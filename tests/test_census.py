@@ -177,6 +177,32 @@ def test_theorem_mutant_is_reported(monkeypatch, name, mutate):
                 stdout=io.StringIO()) == 1
 
 
+def test_strata_shifted_alike_on_both_sides_are_reported(monkeypatch):
+    # stratum 1 moves to 2 on both sides and stratum 0 stays, so left
+    # equals right in every row: only the closed form sees it
+    def one_reads_as_two(real):
+        return lambda *args: 2 if real(*args) == 1 else real(*args)
+
+    for name in ("degree", "_stable_image_dim"):
+        monkeypatch.setattr(nilbij.census, name, one_reads_as_two(getattr(nilbij.census, name)))
+    report = verify_theorem(GF2, 2)
+    assert report.per_degree == ((0, 4, 4), (1, 0, 0), (2, 12, 12))
+    assert report.roundtrip_failures == 0 and not report.ok
+    strata = verify_degree_refinement(GF2, 2)
+    assert [s.ok for s in strata] == [True, False, False]
+    for args in (["verify-theorem"], ["verify-degrees"]):
+        assert main(args + ["--p", "2", "--n", "2", "--json"], stdout=io.StringIO()) == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_expected_strata_sum_to_all_operators(q):
+    for n in range(7):
+        strata = nilbij.census.expected_strata(q, n)
+        assert len(strata) == n + 1
+        assert strata[0] == q ** (n * (n - 1))  # the nilpotents
+        assert sum(strata) == q ** (n * n)
+
+
 def joyal_forward_wrong_on_one_triple(real):
     triple = joyal_inverse(IDENT_F)
     return lambda *t: CONST if t == triple else real(*t)
