@@ -108,11 +108,12 @@ class CensusReport:
     @property
     def ok(self) -> bool:
         """No failures, and both tallies of every stratum k = 0..n equal
-        :func:`expected_strata`; that includes the nilpotent count."""
+        :func:`expected_strata`.  The nilpotent count is the right-hand
+        tally of stratum 0 and ``expected_strata(q, n)[0]`` is
+        q^(n(n-1)), so this checks it too."""
         expected = tuple((k, e, e) for k, e in enumerate(expected_strata(self.q, self.n)))
         return (
-            self.nilpotent_count == self.expected_nilpotents
-            and self.roundtrip_failures == 0
+            self.roundtrip_failures == 0
             and self.surjectivity_gap == 0
             and self.per_degree == expected
         )
@@ -190,18 +191,22 @@ def verify_theorem(
 
 @dataclass(frozen=True)
 class DegreeStratum:
-    """One row of the degree refinement table."""
+    """One row of the degree refinement table over GF(q), n x n."""
 
     k: int
     left_count: int
     right_count: int
     forward_consistent: bool
-    expected_count: int  # from expected_strata; not in the payload
+    q: int
+    n: int
 
     @property
     def ok(self) -> bool:
+        """Both counts equal :func:`expected_strata` at k, and forward
+        keeps the stratum; a row k > n is never ok."""
         return (
-            self.left_count == self.right_count == self.expected_count
+            self.k <= self.n
+            and self.left_count == self.right_count == expected_strata(self.q, self.n)[self.k]
             and self.forward_consistent
         )
 
@@ -241,12 +246,8 @@ def verify_degree_refinement(
                 left[k] += 1
                 image_dim = _stable_image_dim(forward(t, vec))
                 consistent[k] = consistent.get(k, True) and image_dim == k
-    expected = expected_strata(spec.q, n)
     return tuple(
-        DegreeStratum(
-            k, left[k], right[k], consistent.get(k, True),
-            expected[k] if k <= n else 0,
-        )
+        DegreeStratum(k, left[k], right[k], consistent.get(k, True), spec.q, n)
         for k in sorted(left.keys() | right.keys() | set(range(n + 1)))
     )
 

@@ -25,7 +25,7 @@ columns of T, and ``rref`` eliminates with the row operation
 ``row + (-f) * pivot_row``.
 
 A ``Matrix`` remembers four derived facts on first use: its RREF with
-the pivot columns, its inverse or the fact that it has none, whether
+the pivot columns, its inverse or, when it has none, its rank, whether
 it is nilpotent, and its power T**n, whose image the census and the
 Fitting decomposition both read.  Each is a pure function of the
 matrix's immutable fields, so computing it once per value is safe; the
@@ -143,8 +143,9 @@ class Matrix:
         return mat_pow(self, self.rows)
 
     @cached_property
-    def _inverse(self) -> "Matrix | None":
-        """The inverse of a square matrix, None when it is singular."""
+    def _inverse(self) -> tuple["Matrix | None", int]:
+        """The inverse of a square matrix, None when it is singular, and
+        its rank: the pivots of [T | I] that fall among T's columns."""
         n = self.rows
         aug = _matrix(
             self.spec, n, 2 * n,
@@ -152,8 +153,8 @@ class Matrix:
         )
         r, pivots = rref(aug)
         if pivots != tuple(range(n)):
-            return None
-        return _matrix(self.spec, n, n, tuple(row[n:] for row in r.data))
+            return None, sum(1 for c in pivots if c < n)
+        return _matrix(self.spec, n, n, tuple(row[n:] for row in r.data)), n
 
     @cached_property
     def _nilpotent(self) -> bool:
@@ -357,12 +358,8 @@ def image_basis(a: Matrix) -> list[Vector]:
 
 
 def is_invertible(t: Matrix) -> bool:
-    """Whether T is invertible: read off its inverse when one has been
-    computed, and otherwise off its rank, without inverting."""
     if not t.is_square():
         raise NonSquare(f"invertibility needs a square matrix, got {t.rows}x{t.cols}")
-    if "_inverse" in t.__dict__:
-        return t._inverse is not None
     return rank(t) == t.rows
 
 
@@ -377,7 +374,7 @@ def mat_inv(t: Matrix) -> Matrix:
     """Inverse via Gauss-Jordan on the augmented matrix [T | I]."""
     if not t.is_square():
         raise NonSquare(f"inverse needs a square matrix, got {t.rows}x{t.cols}")
-    inv = t._inverse
+    inv, r = t._inverse
     if inv is None:
-        raise NotInvertible(f"matrix of rank {rank(t)} < {t.rows} has no inverse")
+        raise NotInvertible(f"matrix of rank {r} < {t.rows} has no inverse")
     return inv

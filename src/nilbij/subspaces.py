@@ -30,15 +30,17 @@ and the :mod:`nilbij.linalg` factories.
 
 Splitting X = V + U reads coordinates off the inverse of the basis
 matrix B = [V | U], and that inversion is also the check that U
-complements V.  A ``Subspace`` remembers, for each complement U it has
-been split against, the matrix B, which in turn remembers its inverse
-or that it has none (see :mod:`nilbij.linalg`).  So the block
-decomposition, the graph and the canonical isomorphism of one
-``forward`` or ``inverse`` invert each [V | U] and [V | W] once.  B is a
-pure function of the immutable fields of V and U, so remembering it
-is safe; it lives in V's instance ``__dict__`` and never enters ``==``,
-``hash``, ``repr`` or ``to_json``.  Nothing is remembered across
-values: an equal subspace built anew splits again.
+complements V.  A ``Subspace`` remembers the matrix B of the last
+complement U it was split against, and B in turn remembers its inverse
+or that it has none (see :mod:`nilbij.linalg`).  One ``forward`` or
+``inverse`` splits V against one complement and then against the
+other, never back, so its block decompositions, graph and canonical
+isomorphism invert each [V | U] and [V | W] once, and a long-lived V
+keeps one B, not one per complement.  B is a pure function of the
+immutable fields of V and U, so remembering it is safe; it lives in
+V's instance ``__dict__`` and never enters ``==``, ``hash``, ``repr``
+or ``to_json``.  Nothing is remembered across values: an equal
+subspace built anew splits again.
 """
 
 from __future__ import annotations
@@ -123,8 +125,8 @@ class Subspace:
 
     @cached_property
     def _splits(self) -> dict["Subspace", Matrix]:
-        """The [self | U] basis matrix for each U this space was split
-        against; see :func:`_change_of_basis`."""
+        """The [self | U] basis matrix of the last U this space was
+        split against, keyed by U; see :func:`_change_of_basis`."""
         return {}
 
     def to_json(self) -> dict:
@@ -330,14 +332,16 @@ def _change_of_basis(v: Subspace, u: Subspace, what: str) -> tuple[Matrix, Matri
     v-coordinates and the rest u-coordinates.  B is invertible exactly
     when v and u are complementary, so this inversion is the check; it
     raises :class:`NotComplement` with message ``what`` otherwise.  B is
-    kept on v, keyed by u, and remembers its inverse or its failure, so
-    a later split of the same pair inverts nothing."""
+    kept on v in place of the last split, and remembers its inverse or
+    its failure, so a next split of the same pair inverts nothing."""
     n = v.ambient_dim
     if v.spec != u.spec or u.ambient_dim != n or v.dim + u.dim != n:
         raise NotComplement(what)
-    b = v._splits.get(u)
+    splits = v._splits
+    b = splits.get(u)
     if b is None:
-        b = v._splits[u] = _hstack(v.basis_matrix(), u.basis_matrix())
+        splits.clear()
+        b = splits[u] = _hstack(v.basis_matrix(), u.basis_matrix())
     try:
         return b, mat_inv(b)
     except NotInvertible:

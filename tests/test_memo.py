@@ -1,5 +1,5 @@
 """Remembered facts: a Matrix keeps its RREF, inverse, nilpotency and
-n-th power, a Subspace the [V | U] basis matrix of each split.  Turning
+n-th power, a Subspace the [V | U] basis matrix of its last split.  Turning
 every lookup into a miss must change no result, the facts must stay out
 of equality, hashing, repr and JSON, and failures must repeat."""
 
@@ -111,6 +111,10 @@ def test_facts_stay_out_of_eq_hash_repr_and_json():
     u = steinitz_complement(v)
     _change_of_basis(v, u, "not a complement")
     assert u in vars(v)["_splits"]
+    other = span([Vector(GF2, (1, 0, 0)), Vector(GF2, (0, 0, 1))])
+    assert other != u
+    _change_of_basis(v, other, "not a complement")
+    assert vars(v)["_splits"].keys() == {other}  # only the last split is kept
     bare = Subspace(GF2, 3, v.rows, v.pivots)
     assert v == bare and hash(v) == hash(bare)
     assert repr(v) == repr(bare) and v.to_json() == bare.to_json()
@@ -122,6 +126,9 @@ def test_failures_repeat():
         with pytest.raises(NotInvertible, match=r"rank 1 < 2"):
             mat_inv(singular)
     assert is_invertible(singular) is False and rank(singular) == 1
+    fresh = Matrix(GF3, 2, 2, ((1, 2), (2, 1)))
+    _, seen = count_eliminations(lambda: pytest.raises(NotInvertible, mat_inv, fresh))
+    assert len(seen) == 1  # the message's rank comes from the [T | I] elimination
 
     line = span([Vector(GF2, (1, 0, 0))])
     plane = span([Vector(GF2, (1, 0, 0)), Vector(GF2, (0, 1, 0))])
