@@ -91,7 +91,8 @@ def fitting_decompose(q: Matrix) -> FittingPair:
     w = span(kernel_basis(qn), spec=q.spec, ambient_dim=n)
     r, cross, s = block_decompose(q, v, w)
     assert cross.matrix.is_zero(), "W must be Q-invariant"
-    assert is_invertible(r.matrix), "restriction to im(Q^n) must be invertible"
+    # by R's inversion, which ``bijection.inverse`` reads back, not by a rank
+    assert r.matrix._inverse[0] is not None, "restriction to im(Q^n) must be invertible"
     assert is_nilpotent(s.matrix), "restriction to ker(Q^n) must be nilpotent"
     return FittingPair(v, w, r, s)
 

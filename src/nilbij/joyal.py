@@ -6,11 +6,11 @@ becomes the cycle part (the increasing enumeration of the path's vertex
 set is sent to the path order), and every off-path vertex points one
 step toward v, which in a tree is its step toward the path, so one
 breadth-first search from v finds both.  Inverting reads the cycle part
-off the periodic points.  Counting both sides gives the n^(n-2) tree
-count.
-
-The functions whose iterates collapse to a single fixed point are
-exactly the images of pairs with both marks equal, n^(n-1) of them.
+off the periodic points, im(f^m) for any m >= n, found by squaring the
+value table as V = im(Q^n) is found on the linear side.  Counting both
+sides gives the n^(n-2) tree count; the functions whose iterates
+collapse to a single fixed point are exactly the images of pairs with
+both marks equal, n^(n-1) of them.
 
 The ``Tree`` and ``EndoFunction`` constructors validate their input,
 integer slots included; the endofunctions that the enumeration and
@@ -143,22 +143,24 @@ def _parents(tree: Tree, root: int) -> list[int]:
     return parent
 
 
-def _iterate_table(f: EndoFunction) -> tuple[int, ...]:
-    """Value table of the n-th iterate of f."""
-    cur = tuple(range(f.n))
-    for _ in range(f.n):
-        cur = tuple(f.table[x] for x in cur)
+def _stable_power(f: EndoFunction) -> tuple[int, ...]:
+    """Value table of f^m by squaring, m the least power of two >= n.
+    Every tail of f has length <= n - 1, so for any m >= n the image of
+    f^m is exactly the set of periodic points."""
+    cur = f.table
+    for _ in range((f.n - 1).bit_length()):
+        cur = tuple(map(cur.__getitem__, cur))
     return cur
 
 
 def is_eventually_constant(f: EndoFunction) -> bool:
     """Whether every orbit of f lands on one common fixed point."""
-    return len(set(_iterate_table(f))) == 1
+    return len(set(_stable_power(f))) == 1
 
 
 def periodic_points(f: EndoFunction) -> tuple[int, ...]:
     """The vertices lying on cycles of f, ascending."""
-    return tuple(sorted(set(_iterate_table(f))))
+    return tuple(sorted(set(_stable_power(f))))
 
 
 def joyal_forward(tree: Tree, v: int, v2: int) -> EndoFunction:
@@ -182,15 +184,13 @@ def joyal_forward(tree: Tree, v: int, v2: int) -> EndoFunction:
 
 def joyal_inverse(f: EndoFunction) -> tuple[Tree, int, int]:
     """Tree and marked vertices recovering f under :func:`joyal_forward`."""
-    n = f.n
-    periodic = periodic_points(f)
-    path = [f.table[a] for a in periodic]
-    v, v2 = path[0], path[-1]
-    on_cycle = set(periodic)
-    pairs = list(zip(path, path[1:]))
-    pairs += [(x, y) for x, y in enumerate(f.table) if x not in on_cycle]
-    edges = tuple(sorted((a, b) if a < b else (b, a) for a, b in pairs))
-    return _tree(n, edges), v, v2
+    on_cycle = set(_stable_power(f))
+    path = [f.table[a] for a in sorted(on_cycle)]
+    edges = [(a, b) if a < b else (b, a) for a, b in zip(path, path[1:])]
+    edges += [(x, y) if x < y else (y, x)
+              for x, y in enumerate(f.table) if x not in on_cycle]
+    edges.sort()
+    return _tree(f.n, tuple(edges)), path[0], path[-1]
 
 
 def all_endofunctions(n: int):

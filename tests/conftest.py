@@ -1,7 +1,11 @@
-"""Shared brute-force enumeration helpers for the exhaustive suites."""
+"""Shared brute-force enumeration helpers for the exhaustive suites, and
+the opt-in ``slow`` marker: its tests run only with NILBIJ_SLOW=1."""
 
+import os
 from functools import lru_cache
 from itertools import product
+
+import pytest
 
 from nilbij import FieldSpec, Matrix, Subspace, Vector, span
 
@@ -9,6 +13,21 @@ GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
 GF4 = FieldSpec(2, 2)
 GF5 = FieldSpec(5)
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a census point of a minute or less; runs only with NILBIJ_SLOW=1"
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if os.environ.get("NILBIJ_SLOW") == "1":
+        return
+    skip = pytest.mark.skip(reason="slow census point; set NILBIJ_SLOW=1 to run it")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
 
 
 @lru_cache(maxsize=None)

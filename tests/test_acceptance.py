@@ -49,6 +49,10 @@ VERIFY_GRID = [
     (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (8, 2), (9, 2),
 ]
 DEGREE_GRID = [(2, 1), (2, 2), (2, 3), (3, 2)]
+# opt-in slow points (NILBIJ_SLOW=1): criterion 2 at 3^9 and 2^16
+# operators, criterion 5 at 7^7 functions
+SLOW_VERIFY_GRID = [(3, 3), (2, 4)]
+SLOW_JOYAL_N = 7
 
 SPEC_FOR_Q = {
     2: FieldSpec(2),
@@ -90,6 +94,16 @@ def test_criterion_2_bijectivity():
           f"PASS in {elapsed:.1f}s")
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("q,n", SLOW_VERIFY_GRID)
+def test_criterion_2_bijectivity_slow_points(q, n):
+    report = verify_theorem(SPEC_FOR_Q[q], n)
+    assert report.roundtrip_failures == 0, (q, n)
+    assert report.surjectivity_gap == 0, (q, n)
+    assert report.ok, (q, n)
+    print(f"criterion 2 (bijectivity at q={q}, n={n}): PASS in {report.elapsed_s:.1f}s")
+
+
 def test_criterion_3_probability_ratio(nilpotent_counts):
     for q, n in COUNT_GRID:
         ratio = Fraction(nilpotent_counts[(q, n)], q ** (n * n))
@@ -122,6 +136,17 @@ def test_criterion_5_tree_function_counts():
     elapsed = time.perf_counter() - started
     assert elapsed < 60
     print(f"criterion 5 (tree/function counts, n = 2..6): PASS in {elapsed:.1f}s")
+
+
+@pytest.mark.slow
+def test_criterion_5_tree_function_counts_slow_point():
+    n = SLOW_JOYAL_N
+    report = verify_joyal(n)
+    assert report.tree_count == n ** (n - 2)
+    assert report.eventually_constant_count == n ** (n - 1)
+    assert report.roundtrip_failures == 0
+    assert report.ok
+    print(f"criterion 5 (tree/function counts, n = {n}): PASS in {report.elapsed_s:.1f}s")
 
 
 def test_criterion_6_lemma_suites():

@@ -44,6 +44,15 @@ def test_decompose_invertible_and_nilpotent_extremes():
     assert pair.S.matrix == nil
 
 
+def test_singular_restriction_is_an_internal_fault():
+    """A wrong Q^n that keeps Q's kernel inside V makes R singular; the
+    inversion that checks R says so at once."""
+    q = Matrix.from_rows(GF2, [(0, 0), (1, 0)])
+    vars(q)["_fitting_power"] = Matrix.identity(GF2, 2)  # V is everything, R is Q
+    with pytest.raises(AssertionError, match="must be invertible"):
+        fitting_decompose(q)
+
+
 def test_assemble_frozen_examples():
     full = Subspace.full(GF2, 2)
     zero = Subspace.zero(GF2, 2)

@@ -75,6 +75,46 @@ def ref_joyal_forward(tree: Tree, v: int, v2: int) -> EndoFunction:
     return EndoFunction(n, tuple(table))
 
 
+def ref_iterate_table(f: EndoFunction) -> tuple[int, ...]:
+    """The n-pass reference that squaring replaced: the table of f^n."""
+    cur = tuple(range(f.n))
+    for _ in range(f.n):
+        cur = tuple(f.table[x] for x in cur)
+    return cur
+
+
+def ref_joyal_inverse(f: EndoFunction) -> tuple[Tree, int, int]:
+    """The inverse on the n-pass iterate, building its tree publicly."""
+    periodic = sorted(set(ref_iterate_table(f)))
+    path = [f.table[a] for a in periodic]
+    pairs = list(zip(path, path[1:]))
+    pairs += [(x, y) for x, y in enumerate(f.table) if x not in periodic]
+    return Tree(f.n, tuple(pairs)), path[0], path[-1]
+
+
+def brute_periodic_points(f: EndoFunction) -> tuple[int, ...]:
+    """x is periodic iff f^k(x) = x for some 1 <= k <= n."""
+    out = []
+    for x in range(f.n):
+        y = x
+        for _ in range(f.n):
+            y = f.table[y]
+            if y == x:
+                out.append(x)
+                break
+    return tuple(out)
+
+
+def longest_tails(n: int):
+    """The chain x -> max(x - 1, 0), whose tail from n - 1 has the
+    longest length, n - 1, and the same chain feeding a 2-cycle on
+    {0, 1}, with their periodic points."""
+    chain = (0,) + tuple(range(n - 1))
+    yield EndoFunction(n, chain), (0,)
+    if n >= 2:
+        yield EndoFunction(n, (1, 0) + chain[2:]), (0, 1)
+
+
 # construction and validation
 
 def test_tree_canonicalizes_edges():
@@ -136,6 +176,32 @@ def test_eventually_constant_iff_single_periodic_fixed_point():
             per = periodic_points(f)
             expected = len(per) == 1 and f.table[per[0]] == per[0]
             assert is_eventually_constant(f) == expected
+
+
+# periodic points
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_periodic_points_match_brute_force(n):
+    for f in all_endofunctions(n):
+        assert periodic_points(f) == brute_periodic_points(f)
+
+
+def test_periodic_points_on_longest_tails_across_powers_of_two():
+    """n = 1..70 crosses every power of two and every power of two plus
+    one up to 65, where one squaring fewer or more would show."""
+    for n in range(1, 71):
+        for f, periodic in longest_tails(n):
+            assert periodic_points(f) == brute_periodic_points(f) == periodic, n
+            assert set(ref_iterate_table(f)) == set(periodic), n
+            assert is_eventually_constant(f) == (len(periodic) == 1), n
+            assert joyal_inverse(f) == ref_joyal_inverse(f), n
+            assert joyal_forward(*joyal_inverse(f)) == f, n
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inverse_matches_n_pass_reference(n):
+    for f in all_endofunctions(n):
+        assert joyal_inverse(f) == ref_joyal_inverse(f)
 
 
 # forward, frozen
