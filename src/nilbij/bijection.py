@@ -36,7 +36,6 @@ from .linalg import (
     mat_mul,
 )
 from .subspaces import (
-    Subspace,
     SubspaceMap,
     _graph_and_iso,
     _ordered_basis,
@@ -62,9 +61,9 @@ def _check_pair(t: Matrix, v: Vector) -> None:
         raise DimensionMismatch(f"length-{v.n} vector vs {t.rows}x{t.cols} operator")
 
 
-def _cyclic(t: Matrix, v: Vector) -> tuple[tuple[Vector, ...], Subspace]:
+def _orbit(t: Matrix, v: Vector) -> tuple[Vector, ...]:
     """The orbit (v, Tv, ..., T^(k-1)v) of v under a nilpotent T, up to
-    its first zero, and its span V, the cyclic subspace of v."""
+    its first zero."""
     _check_pair(t, v)
     if not is_nilpotent(t):
         raise NotNilpotent("the pair's operator T must be nilpotent")
@@ -73,19 +72,19 @@ def _cyclic(t: Matrix, v: Vector) -> tuple[tuple[Vector, ...], Subspace]:
     while not x.is_zero():
         orbit.append(x)
         x = apply(t, x)
-    v_sub = span(orbit, spec=t.spec, ambient_dim=t.rows)
-    assert v_sub.dim == len(orbit), "iterates up to the degree must be independent"
-    return tuple(orbit), v_sub
+    return tuple(orbit)
 
 
 def degree(t: Matrix, v: Vector) -> int:
     """Least k >= 0 with T^k v = 0; requires T nilpotent."""
-    return len(_cyclic(t, v)[0])
+    return len(_orbit(t, v))
 
 
 def forward(t: Matrix, v: Vector) -> Matrix:
     """Map a nilpotent pair (T, v) to the operator Q it corresponds to."""
-    orbit, v_sub = _cyclic(t, v)
+    orbit = _orbit(t, v)
+    v_sub = span(orbit, spec=t.spec, ambient_dim=t.rows)
+    assert v_sub.dim == len(orbit), "iterates up to the degree must be independent"
     u_sub = steinitz_complement(v_sub)
     _, t_uv, t_uu = block_decompose(t, v_sub, u_sub)
     assert is_nilpotent(t_uu.matrix), "the co-restriction must stay nilpotent"

@@ -6,17 +6,22 @@ tree/function counts on the set-level side.  Enumeration is in
 lexicographic element-code order (row-major, first entry most
 significant).
 
-Each audit is one walk over the codomain, proved by counting: if
-``forward(inverse(Q)) == Q`` for every Q, ``inverse`` is injective;
-if it also lands in a domain measured to be as large as the codomain,
-it is a bijection and ``forward`` its two-sided inverse.
+Both bijections are audited by one walk, :func:`_walk`, over the
+codomain, and proved by counting as in Joyal's proof of Cayley's
+formula: if ``forward(inverse(x)) == x`` for every x, ``inverse`` is
+injective; if it also lands in a domain measured to be as large as the
+codomain, it is a bijection and ``forward`` its two-sided inverse.  The
+walk also checks that each x and its preimage lie in matching strata:
+dim im(Q^n) and the degree of v on the linear side, one periodic point
+and equal marks on the set side.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 from .bijection import degree, forward, inverse
@@ -119,18 +124,8 @@ class CensusReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "total_operators": self.total_operators,
-            "nilpotent_count": self.nilpotent_count,
-            "expected_nilpotents": self.expected_nilpotents,
-            "roundtrip_failures": self.roundtrip_failures,
-            "surjectivity_gap": self.surjectivity_gap,
-            "per_degree": [list(row) for row in self.per_degree],
-            "ok": self.ok,
-            "elapsed_s": self.elapsed_s,
-        }
+        return {**asdict(self), "per_degree": [list(row) for row in self.per_degree],
+                "ok": self.ok}
 
     def render_table(self) -> str:
         lines = [
@@ -148,34 +143,49 @@ class CensusReport:
         return "\n".join(lines)
 
 
+def _walk(elements, inverse, in_domain, forward, left_key, right_key):
+    """One audit walk over a codomain; returns (failures, left, right).
+
+    Each x tallies its stratum ``right_key(x)`` on the right.  It fails
+    unless ``p = inverse(x)`` has ``in_domain(*p)``, ``forward(*p) == x``
+    and ``left_key(*p) == right_key(x)``; otherwise it tallies that
+    stratum on the left.
+    """
+    failures = 0
+    left: Counter = Counter()
+    right: Counter = Counter()
+    for x in elements:
+        k = right_key(x)
+        right[k] += 1
+        p = inverse(x)
+        if in_domain(*p) and forward(*p) == x and left_key(*p) == k:
+            left[k] += 1
+        else:
+            failures += 1
+    return failures, left, right
+
+
 def verify_theorem(
     spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET
 ) -> CensusReport:
     """Audit the bijection exhaustively at one grid point, in one walk.
 
     Q fails, and counts in the surjectivity gap, unless inverse(Q) is a
-    pair (T, v) with T nilpotent and forward(T, v) == Q.  With no
-    failures and q^(n(n-1)) nilpotents, inverse injects the q^(n²)
-    operators into as many pairs: no walk over the pairs is needed.
-    Degree strata are counted on both sides independently (degree of
-    inverse(Q) on the left, stabilized image dimension on the right);
-    the nilpotent count is the right-hand stratum 0.
+    pair (T, v) with T nilpotent, forward(T, v) == Q and degree(T, v)
+    equal to dim im(Q^n).  With no failures and q^(n(n-1)) nilpotents,
+    inverse injects the q^(n²) operators into as many pairs: no walk
+    over the pairs is needed.  Stratum k is tallied on the right for
+    every Q with dim im(Q^n) = k and on the left for every Q that
+    passes; the nilpotent count is the right-hand stratum 0.
     """
     started = time.perf_counter()
     _check_dim(n)
     _check_budget(spec.q, n * n, budget, f"verifying the bijection over GF({spec.q}), n={n}")
-    failures = 0
-    left: Counter[int] = Counter()
-    right: Counter[int] = Counter()
-    for q_op in enumerate_operators(spec, n, budget):
-        right[_stable_image_dim(q_op)] += 1
-        t, v = inverse(q_op)
-        if is_nilpotent(t) and forward(t, v) == q_op:
-            left[degree(t, v)] += 1
-        else:
-            failures += 1
-    degrees = sorted(left.keys() | right.keys() | set(range(n + 1)))
-    per_degree = tuple((k, left[k], right[k]) for k in degrees)
+    failures, left, right = _walk(
+        enumerate_operators(spec, n, budget), inverse,
+        lambda t, v: is_nilpotent(t), forward, degree, _stable_image_dim,
+    )
+    degrees = sorted(right.keys() | set(range(n + 1)))  # every left key is a right key
     return CensusReport(
         q=spec.q,
         n=n,
@@ -184,7 +194,7 @@ def verify_theorem(
         expected_nilpotents=spec.q ** (n * (n - 1)),
         roundtrip_failures=failures,
         surjectivity_gap=failures,
-        per_degree=per_degree,
+        per_degree=tuple((k, left[k], right[k]) for k in degrees),
         elapsed_s=time.perf_counter() - started,
     )
 
@@ -274,17 +284,7 @@ class JoyalReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "total_functions": self.total_functions,
-            "tree_count": self.tree_count,
-            "expected_trees": self.expected_trees,
-            "eventually_constant_count": self.eventually_constant_count,
-            "expected_eventually_constant": self.expected_eventually_constant,
-            "roundtrip_failures": self.roundtrip_failures,
-            "ok": self.ok,
-            "elapsed_s": self.elapsed_s,
-        }
+        return {**asdict(self), "ok": self.ok}
 
     def render_table(self) -> str:
         lines = [
@@ -313,29 +313,24 @@ def verify_joyal(n: int, budget: int = DEFAULT_BUDGET) -> JoyalReport:
 
     f fails unless joyal_inverse(f) is a (tree, v, v2) that joyal_forward
     maps back to f, with a tree the public constructor accepts (run once
-    per distinct tree).  With no failures and n^(n-2) trees, the n^n
-    functions inject into as many marked trees: no walk over the marked
-    trees is needed.
+    per distinct tree), and v == v2 exactly when f is eventually
+    constant.  With no failures and n^(n-2) trees, the n^n functions
+    inject into as many marked trees: no walk over the marked trees is
+    needed.
     """
     started = time.perf_counter()
     _check_budget(n, n, budget, f"verifying the tree bijection at n={n}")
-    failures = 0
-    eventually_constant = 0
-    valid: dict[Tree, bool] = {}
-    for f in all_endofunctions(n):
-        tree, v, v2 = joyal_inverse(f)
-        ok = valid.get(tree)
-        if ok is None:
-            ok = valid[tree] = _is_tree(tree)
-        if not (ok and joyal_forward(tree, v, v2) == f):
-            failures += 1
-        eventually_constant += is_eventually_constant(f)
+    is_tree = functools.cache(_is_tree)
+    failures, _, right = _walk(
+        all_endofunctions(n), joyal_inverse, lambda tree, v, v2: is_tree(tree),
+        joyal_forward, lambda tree, v, v2: v == v2, is_eventually_constant,
+    )
     return JoyalReport(
         n=n,
         total_functions=n**n,
-        tree_count=len(valid),
+        tree_count=is_tree.cache_info().currsize,
         expected_trees=1 if n == 1 else n ** (n - 2),
-        eventually_constant_count=eventually_constant,
+        eventually_constant_count=right[True],
         expected_eventually_constant=n ** (n - 1),
         roundtrip_failures=failures,
         elapsed_s=time.perf_counter() - started,

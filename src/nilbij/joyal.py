@@ -7,7 +7,9 @@ set is sent to the path order), and every off-path vertex points one
 step toward v, which in a tree is its step toward the path, so one
 breadth-first search from v finds both.  Inverting reads the cycle part
 off the periodic points, im(f^m) for any m >= n, found by squaring the
-value table as V = im(Q^n) is found on the linear side.  Counting both
+value table as V = im(Q^n) is found on the linear side; an
+``EndoFunction`` remembers that power, as a ``Matrix`` remembers Q^n,
+outside ``==``, ``hash`` and ``to_json``.  Counting both
 sides gives the n^(n-2) tree count; the functions whose iterates
 collapse to a single fixed point are exactly the images of pairs with
 both marks equal, n^(n-1) of them.
@@ -22,6 +24,7 @@ integer slots included; the endofunctions that the enumeration and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .errors import InvalidVertex, SchemaError, _json_int
@@ -99,6 +102,16 @@ class EndoFunction:
     def __call__(self, x: int) -> int:
         return self.table[x]
 
+    @cached_property
+    def _stable_power(self) -> tuple[int, ...]:
+        """Value table of f^m by squaring, m the least power of two >= n.
+        Every tail of f has length <= n - 1, so for any m >= n the image
+        of f^m is exactly the set of periodic points."""
+        cur = self.table
+        for _ in range((self.n - 1).bit_length()):
+            cur = tuple(map(cur.__getitem__, cur))
+        return cur
+
     def to_json(self) -> dict:
         return {"n": self.n, "table": list(self.table)}
 
@@ -143,24 +156,14 @@ def _parents(tree: Tree, root: int) -> list[int]:
     return parent
 
 
-def _stable_power(f: EndoFunction) -> tuple[int, ...]:
-    """Value table of f^m by squaring, m the least power of two >= n.
-    Every tail of f has length <= n - 1, so for any m >= n the image of
-    f^m is exactly the set of periodic points."""
-    cur = f.table
-    for _ in range((f.n - 1).bit_length()):
-        cur = tuple(map(cur.__getitem__, cur))
-    return cur
-
-
 def is_eventually_constant(f: EndoFunction) -> bool:
     """Whether every orbit of f lands on one common fixed point."""
-    return len(set(_stable_power(f))) == 1
+    return len(set(f._stable_power)) == 1
 
 
 def periodic_points(f: EndoFunction) -> tuple[int, ...]:
     """The vertices lying on cycles of f, ascending."""
-    return tuple(sorted(set(_stable_power(f))))
+    return tuple(sorted(set(f._stable_power)))
 
 
 def joyal_forward(tree: Tree, v: int, v2: int) -> EndoFunction:
@@ -184,7 +187,7 @@ def joyal_forward(tree: Tree, v: int, v2: int) -> EndoFunction:
 
 def joyal_inverse(f: EndoFunction) -> tuple[Tree, int, int]:
     """Tree and marked vertices recovering f under :func:`joyal_forward`."""
-    on_cycle = set(_stable_power(f))
+    on_cycle = set(f._stable_power)
     path = [f.table[a] for a in sorted(on_cycle)]
     edges = [(a, b) if a < b else (b, a) for a, b in zip(path, path[1:])]
     edges += [(x, y) if x < y else (y, x)

@@ -158,20 +158,51 @@ def stable_image_dim_wrong_on_one_operator(real):
     return lambda q: real(q) + 1 if q == ZERO else real(q)
 
 
+def swap_preimages(real_inverse, real_forward, x, y):
+    """``inverse`` and ``forward`` with the preimages of x and y
+    exchanged in both, so every round trip still holds: only a
+    per-element stratum check sees it."""
+    px, py = real_inverse(x), real_inverse(y)
+    images = {px: y, py: x}
+
+    def inverse(q):
+        return py if q == x else px if q == y else real_inverse(q)
+
+    def forward(*pair):
+        return images[pair] if pair in images else real_forward(*pair)
+    return inverse, forward
+
+
+def inverse_and_forward_swap_degrees_0_and_2(real_inverse, real_forward):
+    return swap_preimages(real_inverse, real_forward, ZERO, IDENT)
+
+
 THEOREM_MUTANTS = [
     ("forward", forward_wrong_on_one_pair),
     ("inverse", inverse_merges_two_operators),
     ("inverse", inverse_gives_a_non_nilpotent_t),
     ("degree", degree_off_by_one_on_one_stratum),
     ("_stable_image_dim", stable_image_dim_wrong_on_one_operator),
+    (("inverse", "forward"), inverse_and_forward_swap_degrees_0_and_2),
 ]
+
+
+def patch_mutant(monkeypatch, names, mutate):
+    """Replace one census name, or a tuple of names together, by what
+    ``mutate`` makes of the real callables."""
+    if isinstance(names, str):
+        monkeypatch.setattr(nilbij.census, names, mutate(getattr(nilbij.census, names)))
+        return
+    mutants = mutate(*(getattr(nilbij.census, name) for name in names))
+    for name, mutant in zip(names, mutants):
+        monkeypatch.setattr(nilbij.census, name, mutant)
 
 
 @pytest.mark.parametrize(
     "name,mutate", THEOREM_MUTANTS, ids=[m.__name__ for _, m in THEOREM_MUTANTS]
 )
 def test_theorem_mutant_is_reported(monkeypatch, name, mutate):
-    monkeypatch.setattr(nilbij.census, name, mutate(getattr(nilbij.census, name)))
+    patch_mutant(monkeypatch, name, mutate)
     assert not verify_theorem(GF2, 2).ok
     assert main(["verify-theorem", "--p", "2", "--n", "2", "--json"],
                 stdout=io.StringIO()) == 1
@@ -229,11 +260,19 @@ def joyal_inverse_doubles_an_edge_of_one_tree(real):
     return mutant
 
 
+def joyal_inverse_and_forward_swap_equal_and_distinct_marks(real_inverse, real_forward):
+    # (T, a, a) and (T, a, a + 1) stay marked trees of T, so the tree
+    # count holds too; the constant function now has distinct marks
+    tree, a, _ = real_inverse(CONST)
+    return swap_preimages(real_inverse, real_forward, CONST, real_forward(tree, a, a + 1))
+
+
 JOYAL_MUTANTS = [
     ("joyal_forward", joyal_forward_wrong_on_one_triple),
     ("joyal_inverse", joyal_inverse_merges_two_functions),
     ("joyal_inverse", joyal_inverse_gives_a_cycle_for_one_function),
     ("joyal_inverse", joyal_inverse_doubles_an_edge_of_one_tree),
+    (("joyal_inverse", "joyal_forward"), joyal_inverse_and_forward_swap_equal_and_distinct_marks),
 ]
 
 
@@ -241,7 +280,7 @@ JOYAL_MUTANTS = [
     "name,mutate", JOYAL_MUTANTS, ids=[m.__name__ for _, m in JOYAL_MUTANTS]
 )
 def test_joyal_mutant_is_reported(monkeypatch, name, mutate):
-    monkeypatch.setattr(nilbij.census, name, mutate(getattr(nilbij.census, name)))
+    patch_mutant(monkeypatch, name, mutate)
     assert not verify_joyal(4).ok
     assert main(["verify-joyal", "--n", "4", "--json"], stdout=io.StringIO()) == 1
 

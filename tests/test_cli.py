@@ -1,6 +1,7 @@
 """CLI behavior: canonical JSON piping, report modes, exit codes."""
 
 import copy
+import hashlib
 import io
 import json
 
@@ -128,6 +129,39 @@ def test_verify_joyal_modes():
     code, out, _ = run(["verify-joyal", "--n", "2"])
     assert code == 0
     assert "distinct trees" in out
+
+
+# One sha256 per report command: its exit codes, its table without the
+# elapsed line and its --json payload without elapsed_s.  Correct code
+# must keep these bytes whatever the census does inside.
+GOLDEN = {
+    "verify-theorem --p 2 --n 2":
+        "1bf611b676347c6876a20a05a0fc0b6875d91e77ad6ed79f2f150a9f3ad9b6eb",
+    "verify-theorem --p 3 --n 2":
+        "a0ee1da7a75d0761f3a60531952b08fcd620c3a511d309735efd9a6df1df7fb3",
+    "verify-joyal --n 1": "8f0299c0310e09ddf9e22b3c6aecdaedac04cf68fb1d35a546ad93e129e20d5d",
+    "verify-joyal --n 2": "a4d5d497e2dce9892733479696881f149c08f2a6455a7e3cf9b44fa954dd6775",
+    "verify-joyal --n 3": "cd6550c8c2938fed85777c9e1003de0bd87ff8571773257453d0c60432e7b425",
+    "verify-joyal --n 4": "96390599e8576a7f46c6cbf438e10d1764b6cb2efdd7b26f70475ba5b8bcb20b",
+    "verify-joyal --n 5": "c820e4b9a2f79939666ca0c080e1458e97db58b9d6e5912bd20c2f1f93ea967b",
+    "verify-degrees --p 2 --n 2":
+        "ec29e303c934030819c41481540bb6011bc8dee99de40bb57ad11166626bf0d5",
+    "count-nilpotents --p 3 --n 2":
+        "23793db296189feb16b4a6781b1c1f766c38ff618629a1ff754247a15ce43fb8",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_report_bytes_are_pinned(command):
+    args = command.split()
+    code, table, _ = run(args)
+    json_code, out, _ = run(args + ["--json"])
+    payload = json.loads(out)
+    payload.pop("elapsed_s", None)
+    kept = "".join(line for line in table.splitlines(keepends=True)
+                   if not line.startswith("elapsed"))
+    blob = f"{code}\n{kept}{json_code}\n{canonical_dumps(payload)}"
+    assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[command]
 
 
 def test_explicit_poly_flag():

@@ -1,5 +1,6 @@
 """Remembered facts: a Matrix keeps its RREF, inverse, nilpotency and
-n-th power, a Subspace the [V | U] basis matrix of its last split.  Turning
+n-th power, a Subspace the [V | U] basis matrix of its last split, an
+EndoFunction the value table of its stable power.  Turning
 every lookup into a miss must change no result, the facts must stay out
 of equality, hashing, repr and JSON, and failures must repeat."""
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import GF2, GF3, GF4
 from nilbij import (
+    EndoFunction,
     FieldSpec,
     Matrix,
     NotComplement,
@@ -22,19 +24,22 @@ from nilbij import (
     inverse,
     is_invertible,
     is_nilpotent,
+    joyal_inverse,
     linalg,
     mat_inv,
+    periodic_points,
     rank,
     span,
     steinitz_complement,
     subspaces,
     verify_degree_refinement,
+    verify_joyal,
     verify_theorem,
 )
 from nilbij.subspaces import _change_of_basis
 
 GF9 = FieldSpec(3, 2)
-MEMO_CLASSES = (Matrix, Subspace)
+MEMO_CLASSES = (Matrix, Subspace, EndoFunction)
 
 
 def remembered(cls) -> list[str]:
@@ -65,6 +70,22 @@ def test_census_payloads_match_with_memo_off(spec, n):
     assert on[0]["ok"] and all(s["ok"] for s in on[1])
 
 
+def joyal_payloads():
+    payloads = [verify_joyal(n).to_json() for n in range(1, 6)]
+    for payload in payloads:
+        del payload["elapsed_s"]
+    return payloads
+
+
+def test_joyal_payloads_match_with_memo_off():
+    on = joyal_payloads()
+    with pytest.MonkeyPatch.context() as mp:
+        memo_off(mp)
+        off = joyal_payloads()
+    assert off == on
+    assert all(payload["ok"] for payload in on)
+
+
 def round_trip(rows, spec, n):
     t, v = inverse(Matrix(spec, n, n, rows))
     return t, v, forward(t, v)
@@ -90,8 +111,11 @@ def test_memo_off_stores_nothing():
         memo_off(mp)
         t, _ = inverse(q)
         pair = fitting_decompose(q)
+        f = EndoFunction(3, (1, 2, 1))
+        joyal_inverse(f)
     assert vars(q).keys() == vars(t).keys() == {"spec", "rows", "cols", "data"}
     assert vars(pair.V).keys() == {"spec", "ambient_dim", "rows", "pivots"}
+    assert vars(f).keys() == {"n", "table"}
 
 
 def test_facts_stay_out_of_eq_hash_repr_and_json():
@@ -118,6 +142,12 @@ def test_facts_stay_out_of_eq_hash_repr_and_json():
     bare = Subspace(GF2, 3, v.rows, v.pivots)
     assert v == bare and hash(v) == hash(bare)
     assert repr(v) == repr(bare) and v.to_json() == bare.to_json()
+
+    f, fresh_f = EndoFunction(3, (1, 2, 1)), EndoFunction(3, (1, 2, 1))
+    assert periodic_points(f) == (1, 2)
+    assert "_stable_power" in vars(f)
+    assert f == fresh_f and hash(f) == hash(fresh_f)
+    assert repr(f) == repr(fresh_f) and f.to_json() == fresh_f.to_json()
 
 
 def test_failures_repeat():
