@@ -104,8 +104,6 @@ def inverse(q: Matrix) -> tuple[Matrix, Vector]:
     e_j -> e_(j+1).  So T acts on V as R N R^-1 (R N is R's columns
     moved one place left), and v has R's first column as coordinates
     (none, so v = 0, when V = 0)."""
-    if not q.is_square():
-        raise NonSquare(f"operator must be square, got {q.rows}x{q.cols}")
     pair = fitting_decompose(q)
     v_sub, r = pair.V, pair.R.matrix
     k = v_sub.dim

@@ -302,6 +302,8 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     pivots: list[int] = []
     r = 0
     for c in range(a.cols):
+        if r == m:
+            break
         pr = next((i for i in range(r, m) if rows[i][c]), None)
         if pr is None:
             continue
@@ -319,8 +321,6 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
                 rows[i] = tuple([add[x][srow[y]] for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
-        if r == m:
-            break
     return _matrix(spec, m, a.cols, tuple(rows)), tuple(pivots)
 
 

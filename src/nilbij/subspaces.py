@@ -22,11 +22,14 @@ Constructions:
   bases of V form a torsor under its automorphism group; anchoring at
   the reference basis turns that into a bijection.
 
-The public ``Subspace`` and ``OrderedBasis`` constructors and
-``Subspace.from_json`` validate their input; subspaces, bases, maps,
-matrices and vectors that the constructions below derive from valid
-operands are built trusted, by :func:`_subspace`, :func:`_ordered_basis`
-and the :mod:`nilbij.linalg` factories.
+The public ``Subspace`` constructor takes the rows alone; the one
+elimination that checks they are their own RREF also yields the
+pivots.  ``Subspace.from_json`` goes through it, and the public
+``OrderedBasis`` constructor validates its vectors.  Values the
+constructions below derive from valid operands are built trusted, by
+:func:`_subspace`, :func:`_ordered_basis` and the :mod:`nilbij.linalg`
+factories, and read facts off the canonical rows: a vector of V has its
+entries at V's pivots as its reference-basis coordinates.
 
 Splitting X = V + U reads coordinates off the inverse of the basis
 matrix B = [V | U], and that inversion is also the check that U
@@ -45,9 +48,9 @@ subspace built anew splits again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     DimensionMismatch,
@@ -80,24 +83,27 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of F_q^n, held as its RREF basis rows."""
+    """Subspace of F_q^n, held as its RREF basis rows.
+
+    The rows must be their own RREF, with no zero row, or the
+    constructor raises :class:`NotCanonical` naming the canonical form;
+    ``pivots``, their pivot columns, are derived from that check."""
 
     spec: FieldSpec
     ambient_dim: int
     rows: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...]
+    pivots: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        object.__setattr__(self, "pivots", tuple(self.pivots))
-        mat = Matrix(self.spec, len(self.rows), self.ambient_dim, self.rows)
-        reduced, pivots = rref(mat)
-        if reduced.data != self.rows or pivots != self.pivots:
+        rows = tuple(tuple(r) for r in self.rows)
+        object.__setattr__(self, "rows", rows)
+        reduced, pivots = rref(Matrix(self.spec, len(rows), self.ambient_dim, rows))
+        canonical = reduced.data[: len(pivots)]
+        if canonical != rows:
             raise NotCanonical(
-                f"rows {self.rows} are not an RREF basis with pivots {self.pivots}"
+                f"basis {list(rows)} is not RREF; canonical form is {list(canonical)}"
             )
-        if len(self.pivots) != len(self.rows):
-            raise NotCanonical("zero rows are not allowed in a subspace basis")
+        object.__setattr__(self, "pivots", pivots)
 
     @property
     def dim(self) -> int:
@@ -109,12 +115,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, spec: FieldSpec, ambient_dim: int) -> "Subspace":
-        return cls(spec, ambient_dim, (), ())
+        return cls(spec, ambient_dim, ())
 
     @classmethod
     def full(cls, spec: FieldSpec, ambient_dim: int) -> "Subspace":
-        ident = Matrix.identity(spec, ambient_dim)
-        return cls(spec, ambient_dim, ident.data, tuple(range(ambient_dim)))
+        return cls(spec, ambient_dim, Matrix.identity(spec, ambient_dim).data)
 
     def basis_matrix(self) -> Matrix:
         """n x m matrix whose columns are the reference basis vectors."""
@@ -138,11 +143,8 @@ class Subspace:
 
     @classmethod
     def from_json(cls, obj: object) -> "Subspace":
-        """Load a subspace; basis rows must be RREF already.
-
-        The rows are re-canonicalized; a mismatch raises
-        :class:`NotCanonical`.
-        """
+        """Load a subspace; the constructor checks that the basis rows
+        are RREF already."""
         if not isinstance(obj, dict):
             raise SchemaError(f"subspace payload must be an object: {obj!r}")
         try:
@@ -151,16 +153,7 @@ class Subspace:
             given = tuple(tuple(row) for row in obj["basis"])
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad subspace payload: {exc}") from exc
-        if any(len(row) != ambient for row in given):
-            raise SchemaError(f"basis rows must have length ambient = {ambient}")
-        sub = span(
-            [Vector(spec, row) for row in given], spec=spec, ambient_dim=ambient
-        )
-        if sub.rows != given:
-            raise NotCanonical(
-                f"basis {list(given)} is not RREF; canonical form is {list(sub.rows)}"
-            )
-        return sub
+        return cls(spec, ambient, given)
 
 
 def _subspace(
@@ -209,6 +202,10 @@ def span(
 
 def _reduce_against(v: Subspace, x: Vector) -> tuple[tuple[int, ...], Vector]:
     """Coefficients of x over v's reference basis plus the residue."""
+    if x.spec != v.spec:
+        raise FieldMismatch("vector and subspace live in different fields")
+    if x.n != v.ambient_dim:
+        raise DimensionMismatch(f"length-{x.n} vector vs ambient dim {v.ambient_dim}")
     coeffs = tuple(x.entries[p] for p in v.pivots)
     add, mul, neg = v.spec._ops
     residue = _combine_rows([neg[c] for c in coeffs], v.rows, x.entries, add, mul)
@@ -216,20 +213,11 @@ def _reduce_against(v: Subspace, x: Vector) -> tuple[tuple[int, ...], Vector]:
 
 
 def contains(v: Subspace, x: Vector) -> bool:
-    if x.spec != v.spec:
-        raise FieldMismatch("vector and subspace live in different fields")
-    if x.n != v.ambient_dim:
-        raise DimensionMismatch(f"length-{x.n} vector vs ambient dim {v.ambient_dim}")
-    _, residue = _reduce_against(v, x)
-    return residue.is_zero()
+    return _reduce_against(v, x)[1].is_zero()
 
 
 def coords(v: Subspace, x: Vector) -> Vector:
     """The unique coefficients of x over v's reference basis (length dim v)."""
-    if x.spec != v.spec:
-        raise FieldMismatch("vector and subspace live in different fields")
-    if x.n != v.ambient_dim:
-        raise DimensionMismatch(f"length-{x.n} vector vs ambient dim {v.ambient_dim}")
     coeffs, residue = _reduce_against(v, x)
     if not residue.is_zero():
         raise NotInSubspace(f"{x.entries} is not in the subspace")
@@ -314,13 +302,6 @@ def map_inverse(f: SubspaceMap) -> SubspaceMap:
     return SubspaceMap(f.codomain, f.domain, mat_inv(f.matrix))
 
 
-def _hstack(a: Matrix, b: Matrix) -> Matrix:
-    return _matrix(
-        a.spec, a.rows, a.cols + b.cols,
-        tuple(ra + rb for ra, rb in zip(a.data, b.data)),
-    )
-
-
 def _block(m: Matrix, r0: int, r1: int, c0: int, c1: int) -> Matrix:
     return _matrix(
         m.spec, r1 - r0, c1 - c0, tuple(row[c0:c1] for row in m.data[r0:r1])
@@ -341,7 +322,7 @@ def _change_of_basis(v: Subspace, u: Subspace, what: str) -> tuple[Matrix, Matri
     b = splits.get(u)
     if b is None:
         splits.clear()
-        b = splits[u] = _hstack(v.basis_matrix(), u.basis_matrix())
+        b = splits[u] = _matrix(v.spec, n, n, tuple(zip(*(v.rows + u.rows))))
     try:
         return b, mat_inv(b)
     except NotInvertible:
@@ -485,10 +466,12 @@ def _ordered_basis(subspace: Subspace, vectors: tuple[Vector, ...]) -> OrderedBa
 
 
 def basis_to_automorphism(b: OrderedBasis) -> SubspaceMap:
-    """The unique automorphism sending the reference basis to b."""
+    """The unique automorphism sending the reference basis to b.
+
+    Column j holds the coordinates of b's j-th vector, which lies in V
+    since b is a basis of V: its entries at V's pivots."""
     v = b.subspace
-    cols = [coords(v, vec).entries for vec in b.vectors]
-    data = tuple(tuple(col[i] for col in cols) for i in range(v.dim))
+    data = tuple(tuple(vec.entries[p] for vec in b.vectors) for p in v.pivots)
     return SubspaceMap(v, v, _matrix(v.spec, v.dim, v.dim, data))
 
 

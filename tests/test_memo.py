@@ -139,7 +139,7 @@ def test_facts_stay_out_of_eq_hash_repr_and_json():
     assert other != u
     _change_of_basis(v, other, "not a complement")
     assert vars(v)["_splits"].keys() == {other}  # only the last split is kept
-    bare = Subspace(GF2, 3, v.rows, v.pivots)
+    bare = Subspace(GF2, 3, v.rows)
     assert v == bare and hash(v) == hash(bare)
     assert repr(v) == repr(bare) and v.to_json() == bare.to_json()
 

@@ -11,6 +11,7 @@ from nilbij import (
     FieldMismatch,
     FittingPair,
     Matrix,
+    NilbijError,
     NotAutomorphism,
     NotBasis,
     NotCanonical,
@@ -40,6 +41,7 @@ from nilbij import (
     map_apply,
     map_inverse,
     map_to_complement,
+    rank,
     span,
     steinitz_complement,
 )
@@ -101,9 +103,51 @@ def test_coords_from_coords_roundtrip_exhaustive():
 
 def test_subspace_rejects_non_rref_rows():
     with pytest.raises(NotCanonical):
-        Subspace(GF2, 2, ((1, 1), (0, 1)), (0, 1))
+        Subspace(GF2, 2, ((1, 1), (0, 1)))
     with pytest.raises(NotCanonical):
-        Subspace(GF2, 2, ((0, 0),), (0,))
+        Subspace(GF2, 2, ((0, 0),))
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except NilbijError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("spec,n,most", [(GF2, 2, 2), (GF3, 2, 2), (GF2, 3, 3)], ids=str)
+def test_constructor_and_from_json_are_one_validator(spec, n, most):
+    """Every tuple of at most ``most`` rows is accepted by both as the
+    same value, the span of the rows with the same pivots, or refused by
+    both with the same error class; a NotCanonical names the span's rows."""
+    accepted = set()
+    for size in range(most + 1):
+        for vecs in product(all_vectors(spec, n), repeat=size):
+            rows = tuple(v.entries for v in vecs)
+            payload = {"field": spec.to_json(), "ambient": n, "basis": [list(r) for r in rows]}
+            built = outcome(Subspace, spec, n, rows)
+            loaded = outcome(Subspace.from_json, payload)
+            canonical = span(vecs, spec=spec, ambient_dim=n)
+            if isinstance(built, Subspace):
+                assert loaded == built == canonical
+                assert loaded.pivots == built.pivots == canonical.pivots
+                accepted.add(built)
+                continue
+            assert type(loaded) is type(built)
+            if isinstance(built, NotCanonical):
+                for exc in (built, loaded):
+                    assert f"canonical form is {list(canonical.rows)}" in str(exc)
+    assert accepted == set(all_subspaces(spec, n))
+
+
+def test_zero_subspace_of_a_huge_ambient_is_immediate():
+    """An elimination with no rows left scans no further columns."""
+    huge = 10**12
+    payload = {"field": {"p": 2}, "ambient": huge, "basis": []}
+    for sub in (Subspace.zero(GF2, huge), Subspace(GF2, huge, ()),
+                Subspace.from_json(payload)):
+        assert sub.dim == 0 and sub.ambient_dim == huge
+    assert rank(Matrix(GF2, 0, huge, ())) == 0
 
 
 # Steinitz complements
@@ -131,6 +175,19 @@ def test_is_complementary_negative_cases():
     assert not is_complementary(line, span([Vector(GF2, (0, 1, 0))]))
     plane_containing = span([Vector(GF2, (1, 0, 0)), Vector(GF2, (0, 1, 0))])
     assert not is_complementary(line, plane_containing)
+
+
+@pytest.mark.parametrize("spec,n", [(GF2, 3), (GF3, 2)], ids=str)
+def test_is_complementary_matches_element_sets_exhaustive(spec, n):
+    """The reference that every construction's NotComplement is checked
+    against, checked itself against the definition on element sets."""
+    subs = all_subspaces(spec, n)
+    elements = {s: subspace_elements(s) for s in subs}
+    zero = {(0,) * n}
+    for u in subs:
+        for v in subs:
+            by_sets = u.dim + v.dim == n and elements[u] & elements[v] == zero
+            assert is_complementary(u, v) == by_sets
 
 
 # canonical isomorphism between complements

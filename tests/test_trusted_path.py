@@ -29,7 +29,8 @@ from nilbij import (
 FACTORIES = {
     "_matrix": (linalg._matrix, Matrix),
     "_vector": (linalg._vector, Vector),
-    "_subspace": (subspaces._subspace, Subspace),
+    # the public constructor derives the pivots that the factory is given
+    "_subspace": (subspaces._subspace, lambda spec, n, rows, _: Subspace(spec, n, rows)),
     "_ordered_basis": (subspaces._ordered_basis, OrderedBasis),
     "_endofunction": (joyal._endofunction, EndoFunction),
     "_tree": (joyal._tree, Tree),
