@@ -52,11 +52,17 @@ def _check_dim(n: int) -> None:
 
 
 def enumerate_operators(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET):
-    """All n x n matrices over the field, lexicographic in element codes."""
+    """All n x n matrices over the field, lexicographic in element codes.
+
+    The q^n rows are built once, after the budget check, and each
+    operator is a tuple of n of them: ``product`` over whole rows gives
+    the same row-major order, first entry most significant, as
+    ``product`` over the n² entries."""
     _check_dim(n)
     _check_budget(spec.q, n * n, budget, f"enumerating {n}x{n} operators over GF({spec.q})")
-    for flat in product(range(spec.q), repeat=n * n):
-        yield _matrix(spec, n, n, tuple(flat[i * n : (i + 1) * n] for i in range(n)))
+    rows = tuple(product(range(spec.q), repeat=n))
+    for data in product(rows, repeat=n):
+        yield _matrix(spec, n, n, data)
 
 
 def _stable_image_dim(q_op: Matrix) -> int:

@@ -35,6 +35,12 @@ and never enter ``==``, ``hash``, ``repr`` or ``to_json``.  ``rank``,
 ``is_nilpotent`` read them, so a call to :func:`rref` is a real
 elimination.  Nothing is remembered across values: an equal matrix
 built anew computes its facts again.
+
+Nilpotency is decided by squaring, and each power's trace is summed
+before the next product: a nonzero trace rejects at once, which is
+exact because a power of a nilpotent is nilpotent and a nilpotent has
+trace 0 in every characteristic.  A zero trace never accepts; the
+zero power or the bound e >= n decides.
 """
 
 from __future__ import annotations
@@ -159,12 +165,22 @@ class Matrix:
     @cached_property
     def _nilpotent(self) -> bool:
         """Whether a square matrix has T**n = 0; a nilpotent on
-        dimension n has index <= n."""
+        dimension n has index <= n.
+
+        Squares T until the power is zero or T**e with e >= n is not.
+        Before each product it sums the diagonal of T**e and rejects a
+        nonzero trace: a power of a nilpotent is nilpotent, and a
+        nilpotent has trace 0 in every characteristic.  A zero trace
+        never accepts (every power of I_2 over GF(2) has trace 0)."""
         n = self.rows
         data = self.data
+        add = self.spec._ops[0]
         e = 1
         while any(map(any, data)):
-            if e >= n:
+            trace = 0
+            for i, row in enumerate(data):
+                trace = add[trace][row[i]]
+            if trace or e >= n:
                 return False
             data = _mul_data(data, data, n, self.spec)
             e *= 2
@@ -364,7 +380,11 @@ def is_invertible(t: Matrix) -> bool:
 
 
 def is_nilpotent(t: Matrix) -> bool:
-    """Whether T**n = 0; a nilpotent on dimension n has index <= n."""
+    """Whether T**n = 0; a nilpotent on dimension n has index <= n.
+
+    A nonzero trace of T or of any power of it decides False before
+    the next squaring, since a nilpotent and all its powers have trace
+    0; a zero trace never decides True."""
     if not t.is_square():
         raise NonSquare(f"nilpotency needs a square matrix, got {t.rows}x{t.cols}")
     return t._nilpotent

@@ -44,7 +44,9 @@ from nilbij import (
     verify_theorem,
 )
 
-COUNT_GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2)]
+COUNT_GRID = [
+    (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2), (8, 2), (9, 2),
+]
 VERIFY_GRID = [
     (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (8, 2), (9, 2),
 ]

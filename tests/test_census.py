@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 import nilbij.census
-from conftest import GF2, GF3
+from conftest import GF2, GF3, GF4
 from nilbij import (
     BudgetExceeded,
     EndoFunction,
@@ -37,11 +37,13 @@ def test_enumeration_order_and_count():
 
 
 def test_enumeration_matches_product_reference():
-    ref = [
-        Matrix(GF3, 2, 2, (flat[:2], flat[2:]))
-        for flat in product(range(3), repeat=4)
-    ]
-    assert list(enumerate_operators(GF3, 2)) == ref
+    # row-major over the flat n² entries, first entry most significant
+    for spec, n in ((GF2, 0), (GF2, 1), (GF2, 3), (GF3, 2), (GF4, 2)):
+        ref = [
+            Matrix(spec, n, n, tuple(flat[i * n : (i + 1) * n] for i in range(n)))
+            for flat in product(range(spec.q), repeat=n * n)
+        ]
+        assert list(enumerate_operators(spec, n)) == ref, (spec, n)
 
 
 def test_count_nilpotents_frozen():
@@ -71,6 +73,15 @@ def test_budget_guard():
                           (verify_joyal, 2000)):
         with pytest.raises(BudgetExceeded, match=r"needs \d+\^\d+ evaluations"):
             census(*args)
+    # and before the q^n rows of an operator are built
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows built before the budget check")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nilbij.census, "product", no_rows)
+        for spec, n in ((GF2, 200), (GF3, 12000)):
+            with pytest.raises(BudgetExceeded):
+                count_nilpotents(spec, n)
 
 
 def test_verify_theorem_smallest_grid():

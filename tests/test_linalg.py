@@ -4,7 +4,7 @@ and invertibility, against brute-force oracles on small fields."""
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import GF2, GF3, GF4, GF5, all_matrices, all_vectors
@@ -161,11 +161,67 @@ def test_mat_pow_addition_law():
     assert mat_pow(Matrix.zero(GF2, 2, 2), 0) == Matrix.identity(GF2, 2)
 
 
-@pytest.mark.parametrize("spec,n", [(GF2, 1), (GF2, 2), (GF2, 3), (GF3, 2)], ids=str)
+GF9 = FieldSpec(3, 2)
+GF67 = FieldSpec(67)  # q > 64: its ``_ops`` are on-demand views, not tables
+
+
+def trace(m: Matrix) -> int:
+    t = 0
+    for i in range(m.rows):
+        t = m.spec.add(t, m.data[i][i])
+    return t
+
+
+# (GF3, 3) and (GF9, 2) are the points of the ``count`` benchmark
+@pytest.mark.parametrize("spec,n", [(GF2, 1), (GF2, 2), (GF2, 3), (GF3, 2), (GF3, 3),
+                                    (GF4, 2), (GF9, 2)], ids=str)
 def test_nilpotent_matches_direct_power(spec, n):
     for m in all_matrices(spec, n, n):
         direct = mat_pow(m, n).is_zero()
         assert is_nilpotent(m) == direct
+
+
+def test_zero_trace_never_accepts():
+    # I_p over GF(p) at n = p: every power is I_p, of trace p = 0
+    for spec, n in ((GF2, 2), (GF3, 3)):
+        ident = Matrix.identity(spec, n)
+        assert all(trace(mat_pow(ident, e)) == 0 for e in range(1, 2 * n + 1))
+        assert not is_nilpotent(ident)
+    # trace 0 at T, not at T² = I_2
+    t = Matrix.from_rows(GF3, [(1, 0), (0, 2)])
+    assert trace(t) == 0 and trace(mat_pow(t, 2)) == 2
+    assert not is_nilpotent(t)
+
+
+def test_conjugated_strictly_triangular_is_nilpotent():
+    n_mat = Matrix.from_rows(GF3, [(0, 1, 2), (0, 0, 1), (0, 0, 0)])
+    p = Matrix.from_rows(GF3, [(1, 0, 0), (1, 1, 0), (2, 1, 1)])
+    t = mat_mul(mat_mul(p, n_mat), mat_inv(p))
+    assert any(t.data[i][i] for i in range(3)) and trace(t) == 0
+    assert is_nilpotent(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4), st.data())
+def test_nilpotent_matches_direct_power_on_demand_field(n, data):
+    def draw_rows(below_diagonal_only=False):
+        return [[data.draw(st.integers(0, 66)) if j < i or not below_diagonal_only else 0
+                 for j in range(n)] for i in range(n)]
+
+    rows = draw_rows()
+    m = Matrix.from_rows(GF67, rows)
+    assert is_nilpotent(m) == mat_pow(m, n).is_zero()
+    # the same matrix with its last diagonal entry set for trace 0
+    rows[-1][-1] = 0
+    rows[-1][-1] = GF67.neg(trace(Matrix.from_rows(GF67, rows)))
+    m0 = Matrix.from_rows(GF67, rows)
+    assert trace(m0) == 0
+    assert is_nilpotent(m0) == mat_pow(m0, n).is_zero()
+    # P N P⁻¹ with N strictly lower triangular is nilpotent
+    p = Matrix.from_rows(GF67, draw_rows())
+    assume(is_invertible(p))
+    t = mat_mul(mat_mul(p, Matrix.from_rows(GF67, draw_rows(True))), mat_inv(p))
+    assert is_nilpotent(t) and mat_pow(t, n).is_zero()
 
 
 def test_nilpotent_trivial_cases():

@@ -19,6 +19,7 @@ from nilbij import (
     NotInvertible,
     Subspace,
     Vector,
+    count_nilpotents,
     fitting_decompose,
     forward,
     inverse,
@@ -199,3 +200,28 @@ def test_each_direction_inverts_its_v_w_basis_once():
     assert q.data == data
     assert inverts_v_w(seen) == 1
     assert len(seen) == 6  # 9 before the memo
+
+
+def count_products(call):
+    """Run ``call`` with ``linalg._mul_data`` counted; return its result
+    and the number of raw products."""
+    calls = 0
+    real = linalg._mul_data
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_mul_data", counted)
+        return call(), calls
+
+
+@pytest.mark.parametrize("spec,n,products", [(GF3, 3, 8_642), (GF9, 2, 728)], ids=str)
+def test_nilpotency_census_squarings(spec, n, products):
+    # a nonzero trace of T**e rejects before the next squaring; squaring
+    # every power up to e >= n takes 39,260 and 6,560 products
+    count, seen = count_products(lambda: count_nilpotents(spec, n))
+    assert count == spec.q ** (n * (n - 1))
+    assert seen == products
