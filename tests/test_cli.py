@@ -4,6 +4,7 @@ import copy
 import hashlib
 import io
 import json
+from functools import cached_property
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -60,6 +61,34 @@ def test_degree_command():
     code, out, _ = run(["degree"], doc)
     assert code == 0
     assert json.loads(out) == {"degree": 2}
+
+
+def test_pair_payload_builds_its_field_once():
+    gf9 = FieldSpec(3, 2)
+    t = Matrix.from_rows(gf9, [[(i * 5 + j) % 9 if j < i else 0 for j in range(5)]
+                               for i in range(5)])
+    doc = pair_doc(t, Vector(gf9, (1, 0, 3, 8, 2)))
+    builds = 0
+    real = vars(FieldSpec)["_ops"].func
+
+    def counted(spec):
+        nonlocal builds
+        builds += 1
+        return real(spec)
+
+    ops = cached_property(counted)
+    ops.__set_name__(FieldSpec, "_ops")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FieldSpec, "_ops", ops)
+        for command in ("forward", "degree"):
+            builds = 0
+            assert run([command], doc)[0] == 0
+            assert builds == 1, command  # v is read over T's FieldSpec
+    # an equal (p, k) with another modulus is another field
+    other = Vector(FieldSpec(3, 2, (1, 0, 1)), (1, 0, 3, 8, 2))
+    code, _, err = run(["forward"], canonical_dumps({"T": t.to_json(), "v": other.to_json()}))
+    assert code == 2
+    assert err == "error: operator and vector live in different fields\n"
 
 
 def test_fitting_command_fields():

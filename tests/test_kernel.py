@@ -1,16 +1,18 @@
-"""Differential tests for the table-driven row kernel in ``linalg``.
+"""Differential tests for the row kernel in ``linalg``.
 
 The references below are the per-entry algorithms the kernel replaced:
 every entry goes through ``FieldSpec.add``/``sub``/``mul``/``inv`` one
 at a time, so they share the field's arithmetic with the kernel but
-none of its row code.  The kernel must agree with them exactly, on every small matrix and on sampled ones, including a
-field too large to tabulate (GF(4099)), and with sympy's RREF over
-prime fields."""
+none of its row code.  The kernel must agree with them exactly, on
+every small matrix and on sampled ones, including a field too large to
+tabulate (GF(4099)), and with sympy's RREF over prime fields.  GF(2)
+runs its own packed-row path, so it is also sampled up to 20 x 20,
+where a row spans several machine words."""
 
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import GF2, GF3, GF4, all_matrices
@@ -20,6 +22,7 @@ from nilbij import (
     NotInvertible,
     Vector,
     apply,
+    is_nilpotent,
     kernel_basis,
     mat_inv,
     mat_mul,
@@ -159,6 +162,63 @@ def test_kernel_matches_reference_sampled(case):
     check_against_reference(*case)
 
 
+@st.composite
+def gf2_cases(draw):
+    """GF(2) operands up to 20 x 20: empty and non-square shapes, and
+    products L R of inner width k, so low ranks, long kernels and
+    singular squares come up as often as full-rank ones."""
+    rows, cols, other_cols = (draw(st.integers(0, 20)) for _ in range(3))
+    if draw(st.booleans()):
+        cols = rows
+    m = draw(_matrix_strategy(GF2, rows, cols))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(rows, cols)))
+        left = draw(_matrix_strategy(GF2, rows, k))
+        right = draw(_matrix_strategy(GF2, k, cols))
+        m = Matrix(GF2, rows, cols, ref_mul(GF2, left.data, right.data, cols))
+    other = draw(_matrix_strategy(GF2, cols, other_cols))
+    x = Vector(GF2, draw(st.tuples(*[st.integers(0, 1)] * cols)))
+    return m, other, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(gf2_cases())
+def test_gf2_kernel_matches_reference_up_to_20(case):
+    check_against_reference(*case)
+
+
+def ref_is_nilpotent(spec, data, n):
+    """T**n = 0, by squaring with the per-entry product: the index of a
+    nilpotent is at most n, so T**(2**j) with 2**j >= n decides."""
+    e = 1
+    while e < n:
+        data = ref_mul(spec, data, data, n)
+        e *= 2
+    return not any(map(any, data))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(8, 16), st.data())
+def test_gf2_nilpotent_matches_reference_power(n, data):
+    m = data.draw(_matrix_strategy(GF2, n, n))
+    assert is_nilpotent(m) == ref_is_nilpotent(GF2, m.data, n)
+    # the same matrix with its last diagonal entry set for trace 0
+    rows = [list(row) for row in m.data]
+    rows[-1][-1] = sum(rows[i][i] for i in range(n - 1)) % 2
+    m0 = Matrix.from_rows(GF2, rows)
+    assert is_nilpotent(m0) == ref_is_nilpotent(GF2, m0.data, n)
+    # P N P⁻¹ with N strictly lower triangular is nilpotent
+    p = data.draw(_matrix_strategy(GF2, n, n))
+    p_inv = ref_inv(GF2, p.data, n)
+    assume(p_inv is not None)
+    strict = data.draw(_matrix_strategy(GF2, n, n))
+    strict = tuple(tuple(x if j < i else 0 for j, x in enumerate(row))
+                   for i, row in enumerate(strict.data))
+    t_data = ref_mul(GF2, ref_mul(GF2, p.data, strict, n), p_inv, n)
+    t = Matrix(GF2, n, n, t_data)
+    assert is_nilpotent(t) and ref_is_nilpotent(GF2, t_data, n)
+
+
 def test_large_field_kernel_builds_no_table():
     m = Matrix(GF4099, 2, 2, ((4098, 17), (3, 4000)))
     check_against_reference(m, m, Vector(GF4099, (1, 4098)))
@@ -173,11 +233,13 @@ def test_empty_inner_dimension_product_has_the_right_shape():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([2, 3, 5, 4099]), st.integers(0, 6), st.integers(0, 6), st.data())
-def test_prime_field_rref_matches_sympy(p, rows, cols, data):
+@given(st.sampled_from([2, 3, 5, 4099]), st.data())
+def test_prime_field_rref_matches_sympy(p, data):
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
+    size = st.integers(0, 20 if p == 2 else 6)  # GF(2) packs its rows
+    rows, cols = data.draw(size), data.draw(size)
     spec = FieldSpec(p)
     m = data.draw(_matrix_strategy(spec, rows, cols))
     field = sympy.GF(p)
