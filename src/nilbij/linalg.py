@@ -15,26 +15,11 @@ those checks; a broken internal invariant surfaces as an
 ``AssertionError`` from the asserts downstream, not as a
 :class:`SchemaError`.
 
-All arithmetic on entries runs through one row kernel over the field's
-own ``FieldSpec._ops``: ``add[a][b]``, ``mul[a][b]`` and ``neg[a]``,
-tabulated or computed on demand as the field decides.  Each operation
-fetches them once per call: a product builds
-each row of AB as a combination of the rows of B
-(:func:`_combine_rows`), ``apply`` is the same combination of the
-columns of T, and ``rref`` eliminates with the row operation
-``row + (-f) * pivot_row``.
-
-GF(2) alone (``p == 2 and k == 1``, read once per call) takes a packed
-path inside ``_mul_data`` and ``rref``: each row becomes one integer,
-one byte per 0/1 entry (:func:`_pack`), converted in C by ``bytes`` and
-``int.from_bytes``.  A product row is the XOR of the packed rows of B
-where A's row has a 1; elimination tests the pivot's bit and clears its
-column by XOR, and never scales, since every pivot is 1.  Both unpack
-to tuple rows before they return, so no caller sees the packing.  Other
-fields keep the tables: only over GF(2) is addition of codes the XOR of
-their bytes.  At n = 16 a product or an elimination of [T | I] runs
-about 4 times faster than through the tables; at n = 3 the two paths
-cost about the same.
+All arithmetic on entries runs through the field's row kernel,
+``FieldSpec._kernel`` (see :mod:`nilbij.field`), which the field chose
+from q: products, ``apply`` (the combination of T's columns weighted
+by x), ``mat_pow`` and the nilpotency test call its ``product``, and
+``rref`` its ``rref``.
 
 A ``Matrix`` remembers four derived facts on first use: its RREF with
 the pivot columns, its inverse or, when it has none, its rank, whether
@@ -58,9 +43,7 @@ zero power or the bound e >= n decides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import compress
-from operator import xor
+from functools import cached_property
 
 from .errors import (
     DimensionMismatch,
@@ -188,7 +171,7 @@ class Matrix:
         never accepts (every power of I_2 over GF(2) has trace 0)."""
         n = self.rows
         data = self.data
-        add = self.spec._ops[0]
+        add = self.spec._kernel.add
         e = 1
         while any(map(any, data)):
             trace = 0
@@ -196,7 +179,7 @@ class Matrix:
                 trace = add[trace][row[i]]
             if trace or e >= n:
                 return False
-            data = _mul_data(data, data, n, self.spec)
+            data = self.spec._kernel.product(data, data, n)
             e *= 2
         return True
 
@@ -255,53 +238,12 @@ def _require_same_spec(a: FieldSpec, b: FieldSpec) -> None:
         raise FieldMismatch(f"operands live in different fields: {a} vs {b}")
 
 
-def _combine_rows(coeffs, rows, start, add, mul) -> tuple[int, ...]:
-    """start + sum of coeffs[i] * rows[i], entrywise; the row kernel.
-
-    Zero coefficients are skipped; ``add`` and ``mul`` come from
-    ``FieldSpec._ops``."""
-    acc = start
-    for c, row in zip(coeffs, rows):
-        if c:
-            srow = mul[c]
-            acc = [add[x][srow[y]] for x, y in zip(acc, row)]
-    return tuple(acc)
-
-
-def _pack(row: tuple[int, ...]) -> int:
-    """A GF(2) row as one integer, one byte per 0/1 entry, first entry
-    most significant: adding rows is XOR."""
-    return int.from_bytes(bytes(row), "big")
-
-
-def _unpack(x: int, cols: int) -> tuple[int, ...]:
-    """The row of ``cols`` entries that :func:`_pack` packed into x."""
-    return tuple(x.to_bytes(cols, "big"))
-
-
-def _mul_data(
-    a: tuple[tuple[int, ...], ...],
-    b: tuple[tuple[int, ...], ...],
-    cols: int,
-    spec: FieldSpec,
-) -> tuple[tuple[int, ...], ...]:
-    """Raw row-major product AB, B with ``cols`` columns: each row of AB
-    is a combination of the rows of B; over GF(2), the XOR of the packed
-    rows of B where A's row has a 1."""
-    if spec.p == 2 and spec.k == 1:
-        packed = [_pack(row) for row in b]
-        return tuple(_unpack(reduce(xor, compress(packed, arow), 0), cols) for arow in a)
-    add, mul, _ = spec._ops
-    zero = (0,) * cols
-    return tuple(_combine_rows(arow, b, zero, add, mul) for arow in a)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact matrix product."""
     _require_same_spec(a.spec, b.spec)
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return _matrix(a.spec, a.rows, b.cols, _mul_data(a.data, b.data, b.cols, a.spec))
+    return _matrix(a.spec, a.rows, b.cols, a.spec._kernel.product(a.data, b.data, b.cols))
 
 
 def apply(t: Matrix, x: Vector) -> Vector:
@@ -310,7 +252,7 @@ def apply(t: Matrix, x: Vector) -> Vector:
     if t.cols != x.n:
         raise DimensionMismatch(f"{t.rows}x{t.cols} matrix applied to length-{x.n} vector")
     # Tx as a row vector: the combination of T's columns weighted by x.
-    (tx,) = _mul_data((x.entries,), tuple(zip(*t.data)), t.rows, t.spec)
+    (tx,) = t.spec._kernel.product((x.entries,), tuple(zip(*t.data)), t.rows)
     return _vector(t.spec, tx)
 
 
@@ -325,10 +267,10 @@ def mat_pow(t: Matrix, e: int) -> Matrix:
     base = t.data
     while e:
         if e & 1:
-            result = base if result is None else _mul_data(result, base, n, spec)
+            result = base if result is None else spec._kernel.product(result, base, n)
         e >>= 1
         if e:
-            base = _mul_data(base, base, n, spec)
+            base = spec._kernel.product(base, base, n)
     return _matrix(spec, n, n, _identity_rows(n) if result is None else result)
 
 
@@ -340,54 +282,8 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         pivot columns elsewhere 0, zero rows last) and ``pivots`` lists
         the pivot column indices in ascending order.
     """
-    spec = a.spec
-    m, cols = a.rows, a.cols
-    pivots: list[int] = []
-    r = 0
-    if spec.p == 2 and spec.k == 1:
-        # every pivot is 1: no scaling, and clearing a column is XOR
-        packed = [_pack(row) for row in a.data]
-        for c in range(cols):
-            if r == m:
-                break
-            bit = 1 << 8 * (cols - 1 - c)
-            for pr in range(r, m):
-                if packed[pr] & bit:
-                    break
-            else:
-                continue
-            prow = packed[pr]
-            packed[pr] = packed[r]
-            packed[r] = prow
-            for i in range(m):
-                if i != r and packed[i] & bit:
-                    packed[i] ^= prow
-            pivots.append(c)
-            r += 1
-        return _matrix(spec, m, cols, tuple(_unpack(x, cols) for x in packed)), tuple(pivots)
-    add, mul, neg = spec._ops
-    rows = list(a.data)
-    for c in range(cols):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if rows[i][c]), None)
-        if pr is None:
-            continue
-        prow = rows[pr]
-        rows[pr] = rows[r]
-        pv = prow[c]
-        if pv != 1:
-            srow = mul[spec.inv(pv)]
-            prow = tuple([srow[x] for x in prow])
-        rows[r] = prow
-        for i in range(m):
-            f = rows[i][c]
-            if f and i != r:
-                srow = mul[neg[f]]
-                rows[i] = tuple([add[x][srow[y]] for x, y in zip(rows[i], prow)])
-        pivots.append(c)
-        r += 1
-    return _matrix(spec, m, cols, tuple(rows)), tuple(pivots)
+    data, pivots = a.spec._kernel.rref(a.data, a.cols)
+    return _matrix(a.spec, a.rows, a.cols, data), pivots
 
 
 def rank(a: Matrix) -> int:
@@ -403,7 +299,7 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     in the free column.
     """
     spec = a.spec
-    neg = spec._ops[2]
+    neg = spec._kernel.neg
     r, pivots = a._rref
     pivot_set = set(pivots)
     free = [c for c in range(a.cols) if c not in pivot_set]

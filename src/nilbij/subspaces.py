@@ -69,7 +69,6 @@ from .field import FieldSpec
 from .linalg import (
     Matrix,
     Vector,
-    _combine_rows,
     _matrix,
     _vector,
     apply,
@@ -207,8 +206,8 @@ def _reduce_against(v: Subspace, x: Vector) -> tuple[tuple[int, ...], Vector]:
     if x.n != v.ambient_dim:
         raise DimensionMismatch(f"length-{x.n} vector vs ambient dim {v.ambient_dim}")
     coeffs = tuple(x.entries[p] for p in v.pivots)
-    add, mul, neg = v.spec._ops
-    residue = _combine_rows([neg[c] for c in coeffs], v.rows, x.entries, add, mul)
+    kernel = v.spec._kernel
+    residue = kernel.combine([kernel.neg[c] for c in coeffs], v.rows, x.entries)
     return coeffs, _vector(v.spec, residue)
 
 
@@ -230,9 +229,8 @@ def from_coords(v: Subspace, c: Vector) -> Vector:
         raise FieldMismatch("coordinates and subspace live in different fields")
     if c.n != v.dim:
         raise DimensionMismatch(f"expected {v.dim} coordinates, got {c.n}")
-    add, mul, _ = v.spec._ops
     zero = (0,) * v.ambient_dim
-    return _vector(v.spec, _combine_rows(c.entries, v.rows, zero, add, mul))
+    return _vector(v.spec, v.spec._kernel.combine(c.entries, v.rows, zero))
 
 
 def steinitz_complement(v: Subspace) -> Subspace:
@@ -346,7 +344,7 @@ def _graph_and_iso(v: Subspace, u: Subspace, w: Subspace) -> tuple[SubspaceMap, 
         mat_inv(iso)
     except NotInvertible:
         raise NotComplement("U is not a complement of V") from None
-    neg = v.spec._ops[2]
+    neg = v.spec._kernel.neg
     f = _matrix(v.spec, k, u.dim, tuple(tuple([neg[x] for x in row]) for row in m.data[:k]))
     return SubspaceMap(u, v, f), SubspaceMap(u, w, iso)
 
@@ -368,9 +366,9 @@ def map_to_complement(f: SubspaceMap) -> Subspace:
     block decomposition over (V, U) has usually made already."""
     u, v = f.domain, f.codomain
     _change_of_basis(v, u, "domain and codomain are not complementary")
-    add, mul, _ = u.spec._ops
+    combine = u.spec._kernel.combine
     graph_cols = [
-        _vector(u.spec, _combine_rows(f.matrix.column(j), v.rows, urow, add, mul))
+        _vector(u.spec, combine(f.matrix.column(j), v.rows, urow))
         for j, urow in enumerate(u.rows)
     ]
     return span(graph_cols, spec=u.spec, ambient_dim=u.ambient_dim)

@@ -48,9 +48,9 @@ COUNT_GRID = [
     (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2), (8, 2), (9, 2),
 ]
 VERIFY_GRID = [
-    (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (8, 2), (9, 2),
+    (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2), (7, 2), (8, 2), (9, 2),
 ]
-DEGREE_GRID = [(2, 1), (2, 2), (2, 3), (3, 2)]
+DEGREE_GRID = [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (8, 2), (9, 2)]
 # opt-in slow points (NILBIJ_SLOW=1): criterion 2 at 3^9 and 2^16
 # operators, criterion 5 at 7^7 functions
 SLOW_VERIFY_GRID = [(3, 3), (2, 4)]
@@ -61,6 +61,7 @@ SPEC_FOR_Q = {
     3: FieldSpec(3),
     4: FieldSpec(2, 2),
     5: FieldSpec(5),
+    7: FieldSpec(7),
     8: FieldSpec(2, 3),
     9: FieldSpec(3, 2),
 }
@@ -222,7 +223,7 @@ def test_criterion_6_lemma_suites():
     print(f"criterion 6 (lemma-level exhaustive suites): PASS in {elapsed:.1f}s")
 
 
-def test_criterion_7_shard_determinism():
+def test_criterion_7_forward_image_is_every_operator():
     """Surjectivity, by an oracle independent of verify_theorem: the
     forward images of all nilpotent pairs are every operator."""
     for q, n in VERIFY_GRID:

@@ -69,17 +69,17 @@ def test_pair_payload_builds_its_field_once():
                                for i in range(5)])
     doc = pair_doc(t, Vector(gf9, (1, 0, 3, 8, 2)))
     builds = 0
-    real = vars(FieldSpec)["_ops"].func
+    real = vars(FieldSpec)["_kernel"].func
 
     def counted(spec):
         nonlocal builds
         builds += 1
         return real(spec)
 
-    ops = cached_property(counted)
-    ops.__set_name__(FieldSpec, "_ops")
+    kernel = cached_property(counted)
+    kernel.__set_name__(FieldSpec, "_kernel")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(FieldSpec, "_ops", ops)
+        mp.setattr(FieldSpec, "_kernel", kernel)
         for command in ("forward", "degree"):
             builds = 0
             assert run([command], doc)[0] == 0

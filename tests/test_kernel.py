@@ -1,15 +1,17 @@
-"""Differential tests for the row kernel in ``linalg``.
+"""Differential tests for the row kernels of ``FieldSpec._kernel``.
 
-The references below are the per-entry algorithms the kernel replaced:
+The references below are the per-entry algorithms the kernels replaced:
 every entry goes through ``FieldSpec.add``/``sub``/``mul``/``inv`` one
 at a time, so they share the field's arithmetic with the kernel but
-none of its row code.  The kernel must agree with them exactly, on
-every small matrix and on sampled ones, including a field too large to
+none of its row code; the GF(2) product sums in integers mod 2 and
+shares nothing.  Each kernel must agree with them exactly, on every
+small matrix and on sampled ones, including a field too large to
 tabulate (GF(4099)), and with sympy's RREF over prime fields.  GF(2)
-runs its own packed-row path, so it is also sampled up to 20 x 20,
-where a row spans several machine words."""
+packs its rows, so it is also sampled up to 20 x 20, where a row spans
+several machine words."""
 
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,6 +31,7 @@ from nilbij import (
     mat_pow,
     rref,
 )
+from nilbij.field import _PackedGF2, _Rows
 
 GF9 = FieldSpec(3, 2)
 GF4099 = FieldSpec(4099)  # q > _TABLE_MAX: the on-demand path
@@ -60,6 +63,11 @@ def ref_rref(spec, data, cols):
 
 
 def ref_mul(spec, a, b, cols):
+    if spec == GF2:
+        # the same sums in integer arithmetic mod 2, with no field tables:
+        # a cheap shrink step for the cases up to 20 x 20
+        bcols = list(zip(*b)) if b else [()] * cols
+        return tuple(tuple(sum(map(mul, arow, col)) % 2 for col in bcols) for arow in a)
     out = []
     for arow in a:
         orow = []
@@ -72,11 +80,8 @@ def ref_mul(spec, a, b, cols):
     return tuple(out)
 
 
-def ref_pow(spec, data, n, e):
-    out = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    for _ in range(e):
-        out = ref_mul(spec, out, data, n)
-    return out
+def ref_identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def ref_apply(spec, data, x):
@@ -84,8 +89,7 @@ def ref_apply(spec, data, x):
 
 
 def ref_inv(spec, data, n):
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    r, pivots = ref_rref(spec, tuple(a + b for a, b in zip(data, ident)), 2 * n)
+    r, pivots = ref_rref(spec, tuple(a + b for a, b in zip(data, ref_identity(n))), 2 * n)
     if pivots != tuple(range(n)):
         return None
     return tuple(row[n:] for row in r)
@@ -116,8 +120,11 @@ def check_against_reference(m: Matrix, other: Matrix, x: Vector) -> None:
     assert [k.entries for k in kernel_basis(m)] == ref_kernel(spec, m.data, m.cols)
     if m.rows != m.cols:
         return
+    power = ref_identity(m.rows)
     for e in range(5):
-        assert mat_pow(m, e).data == ref_pow(spec, m.data, m.rows, e)
+        if e:  # T**e from T**(e-1): four reference products in all
+            power = ref_mul(spec, power, m.data, m.rows)
+        assert mat_pow(m, e).data == power
     expected = ref_inv(spec, m.data, m.rows)
     if expected is None:
         with pytest.raises(NotInvertible):
@@ -139,6 +146,13 @@ def test_kernel_matches_reference_exhaustive(spec, n):
 
 
 def _matrix_strategy(spec, rows, cols):
+    if spec == GF2:
+        # one block of bytes, an entry per low bit: a failing 16 x 16 case
+        # shrinks in seconds, where one draw per entry ran into
+        # hypothesis's five-minute cap
+        return st.binary(min_size=rows * cols, max_size=rows * cols).map(
+            lambda b: Matrix(GF2, rows, cols, tuple(
+                tuple(x & 1 for x in b[i * cols:(i + 1) * cols]) for i in range(rows))))
     return st.lists(
         st.tuples(*[st.integers(0, spec.q - 1)] * cols), min_size=rows, max_size=rows
     ).map(lambda data: Matrix(spec, rows, cols, tuple(data)))
@@ -219,10 +233,47 @@ def test_gf2_nilpotent_matches_reference_power(n, data):
     assert is_nilpotent(t) and ref_is_nilpotent(GF2, t_data, n)
 
 
+def test_kernel_is_chosen_from_q():
+    """Packed rows for GF(2), tables for 3 <= q <= 64, on-demand views
+    past that, for prime and extension fields alike."""
+    assert type(GF2._kernel) is _PackedGF2
+    gf64 = FieldSpec(2, 6, (1, 1, 0, 0, 0, 0, 1))  # x^6 + x + 1
+    for spec in (GF3, GF4, gf64):
+        kernel = spec._kernel
+        assert type(kernel) is _Rows
+        for op in (kernel.add, kernel.mul, kernel.neg):
+            assert isinstance(op, tuple) and len(op) == spec.q
+    gf128 = FieldSpec(2, 7, (1, 1, 0, 0, 0, 0, 0, 1))  # x^7 + x + 1
+    for spec in (FieldSpec(67), gf128):
+        kernel = spec._kernel
+        assert type(kernel) is _Rows
+        assert not any(isinstance(op, tuple) for op in (kernel.add, kernel.mul, kernel.neg))
+
+
+def ref_combine(spec, coeffs, rows, start):
+    out = start
+    for c, row in zip(coeffs, rows):
+        out = tuple(spec.add(x, spec.mul(c, y)) for x, y in zip(out, row))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([GF2, GF4, GF9, GF4099]), st.data())
+def test_combine_matches_reference(spec, data):
+    """``combine``, the entry point of the subspace constructions."""
+    n, k = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 6))
+    code = st.integers(0, spec.q - 1)
+    rows = data.draw(st.lists(st.tuples(*[code] * n), min_size=k, max_size=k))
+    coeffs = data.draw(st.lists(code, min_size=k, max_size=k))
+    start = data.draw(st.tuples(*[code] * n))
+    assert spec._kernel.combine(coeffs, rows, start) == ref_combine(spec, coeffs, rows, start)
+
+
 def test_large_field_kernel_builds_no_table():
     m = Matrix(GF4099, 2, 2, ((4098, 17), (3, 4000)))
     check_against_reference(m, m, Vector(GF4099, (1, 4098)))
-    assert not any(isinstance(op, tuple) for op in GF4099._ops)
+    kernel = GF4099._kernel
+    assert not any(isinstance(op, tuple) for op in (kernel.add, kernel.mul, kernel.neg))
 
 
 def test_empty_inner_dimension_product_has_the_right_shape():

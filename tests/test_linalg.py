@@ -162,7 +162,7 @@ def test_mat_pow_addition_law():
 
 
 GF9 = FieldSpec(3, 2)
-GF67 = FieldSpec(67)  # q > 64: its ``_ops`` are on-demand views, not tables
+GF67 = FieldSpec(67)  # q > 64: its kernel reads on-demand views, not tables
 
 
 def trace(m: Matrix) -> int:

@@ -20,6 +20,7 @@ from nilbij import (
     Subspace,
     Vector,
     count_nilpotents,
+    field,
     fitting_decompose,
     forward,
     inverse,
@@ -203,18 +204,20 @@ def test_each_direction_inverts_its_v_w_basis_once():
 
 
 def count_products(call):
-    """Run ``call`` with ``linalg._mul_data`` counted; return its result
-    and the number of raw products."""
+    """Run ``call`` with the ``product`` of both row kernel types
+    counted; return its result and the number of raw products."""
     calls = 0
-    real = linalg._mul_data
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
+    def counting(real):
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+        return counted
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_mul_data", counted)
+        for kernel in (field._Rows, field._PackedGF2):
+            mp.setattr(kernel, "product", counting(kernel.product))
         return call(), calls
 
 
