@@ -5,12 +5,16 @@ Forward: a pair (T, v) with T nilpotent determines the cyclic subspace
 V spanned by the iterates of v, an ordered basis (v, Tv, ..., T^(k-1)v)
 of it, and, over the Steinitz complement U of V, the blocks of T; the
 U -> V block becomes a graph complement W and the U -> U block a
-nilpotent action on W.  These assemble into a single operator Q whose
-Fitting decomposition is exactly that data.  Inverse runs the same
-steps backwards: it reads the Fitting data of Q off, turns each piece
-back into a block of T and rebuilds T with ``block_assemble``.  Both
-directions are mutually inverse, which is what the census module
-checks exhaustively.
+nilpotent action on W.  These assemble, by ``block_assemble`` over
+(V, W), into a single operator Q whose Fitting decomposition is exactly
+that data.  Inverse runs the same steps backwards: it reads the Fitting
+data of Q off, turns each piece back into a block of T and rebuilds T
+with ``block_assemble`` over (V, U).  Neither direction proves again
+what it has just built: forward's R is invertible because the orbit is
+a basis of V, and its S is nilpotent because it is conjugate to T's
+U -> U block, both asserted on the way; ``fitting_assemble`` is the
+checked entry point for Fitting data from outside.  Both directions are
+mutually inverse, which is what the census module checks exhaustively.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .errors import (
     NotNilpotent,
     SchemaError,
 )
-from .fitting import FittingPair, fitting_assemble, fitting_decompose
+from .fitting import fitting_decompose
 from .linalg import (
     Matrix,
     Vector,
@@ -92,7 +96,7 @@ def forward(t: Matrix, v: Vector) -> Matrix:
     iso = canonical_iso(v_sub, u_sub, w_sub)
     s = compose(compose(iso, t_uu), map_inverse(iso))
     r = basis_to_automorphism(_ordered_basis(v_sub, orbit))
-    return fitting_assemble(FittingPair(v_sub, w_sub, r, s))
+    return block_assemble(v_sub, w_sub, r, SubspaceMap.zero(w_sub, v_sub), s)
 
 
 def inverse(q: Matrix) -> tuple[Matrix, Vector]:

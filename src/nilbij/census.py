@@ -66,8 +66,9 @@ def enumerate_operators(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET):
 
 
 def _stable_image_dim(q_op: Matrix) -> int:
-    """dim im(Q^n), the dimension of Q's Fitting V, without building V."""
-    return rank(q_op._fitting_power)
+    """dim im(Q^n), the dimension of Q's Fitting V, without building V:
+    the rank of Q's stable power Q^m, m the least power of two >= n."""
+    return rank(q_op._stable_power)
 
 
 def expected_strata(q: int, n: int) -> tuple[int, ...]:

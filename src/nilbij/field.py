@@ -41,9 +41,9 @@ from .errors import DivisionByZero, SchemaError, _json_int
 # Lookup tables are only built for fields at most this large; bigger
 # fields compute each value on demand (see FieldSpec._kernel).  A table
 # costs q² products on the field's first arithmetic, paid again by each
-# CLI call: GF(2^10) took 33 s on a 2-CPU Linux host.  The tests, the
-# census grid and the benchmark use q <= 49; GF(2^6), the largest table
-# at this limit, builds in about 50 ms.
+# CLI call: GF(2^10) took 33 s on a 2-CPU Linux host.  The census grid
+# and the benchmark use q <= 49, and the tests build tables up to
+# GF(2^6), the largest at this limit, which builds in about 50 ms.
 _TABLE_MAX = 64
 
 # Conway polynomials, little-endian coefficients c_0 .. c_k.

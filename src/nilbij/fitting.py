@@ -4,7 +4,9 @@ Any operator Q splits the space as V + W where V = im(Q^n) carries an
 invertible restriction and W = ker(Q^n) a nilpotent one (n the ambient
 dimension; both chains have stabilized by step n).  The pair of
 restrictions, in reference-basis coordinates, determines Q together
-with the two subspaces, and ``fitting_assemble`` rebuilds it.
+with the two subspaces, and ``fitting_assemble`` rebuilds it: the
+checked entry point for Fitting data from outside the library, which
+proves R invertible and S nilpotent before it answers.
 """
 
 from __future__ import annotations
@@ -81,14 +83,16 @@ def fitting_decompose(q: Matrix) -> FittingPair:
     """Split Q into its invertible and nilpotent parts.
 
     V = im(Q^n) and W = ker(Q^n) are complementary and Q-invariant; the
-    restrictions are read off by block decomposition.
+    restrictions are read off by block decomposition.  Both subspaces
+    are read off Q's stable power Q^m, m the least power of two >= n,
+    whose image and kernel are those of Q^n.
     """
     if not q.is_square():
         raise NonSquare(f"operator must be square, got {q.rows}x{q.cols}")
     n = q.rows
-    qn = q._fitting_power
-    v = span(image_basis(qn), spec=q.spec, ambient_dim=n)
-    w = span(kernel_basis(qn), spec=q.spec, ambient_dim=n)
+    qm = q._stable_power
+    v = span(image_basis(qm), spec=q.spec, ambient_dim=n)
+    w = span(kernel_basis(qm), spec=q.spec, ambient_dim=n)
     r, cross, s = block_decompose(q, v, w)
     assert cross.matrix.is_zero(), "W must be Q-invariant"
     # by R's inversion, which ``bijection.inverse`` reads back, not by a rank

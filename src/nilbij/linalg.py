@@ -18,20 +18,21 @@ those checks; a broken internal invariant surfaces as an
 All arithmetic on entries runs through the field's row kernel,
 ``FieldSpec._kernel`` (see :mod:`nilbij.field`), which the field chose
 from q: products, ``apply`` (the combination of T's columns weighted
-by x), ``mat_pow`` and the nilpotency test call its ``product``, and
-``rref`` its ``rref``.
+by x), ``mat_pow``, the stable power and the nilpotency test call its
+``product``, and ``rref`` its ``rref``.
 
 A ``Matrix`` remembers four derived facts on first use: its RREF with
 the pivot columns, its inverse or, when it has none, its rank, whether
-it is nilpotent, and its power T**n, whose image the census and the
-Fitting decomposition both read.  Each is a pure function of the
-matrix's immutable fields, so computing it once per value is safe; the
-facts live in the instance ``__dict__`` (``functools.cached_property``)
-and never enter ``==``, ``hash``, ``repr`` or ``to_json``.  ``rank``,
-``image_basis``, ``kernel_basis``, ``is_invertible``, ``mat_inv`` and
-``is_nilpotent`` read them, so a call to :func:`rref` is a real
-elimination.  Nothing is remembered across values: an equal matrix
-built anew computes its facts again.
+it is nilpotent, and its stable power T**m, m the least power of two
+>= n, found by squaring as ``EndoFunction`` finds its own; the census
+and the Fitting decomposition both read its image.  Each is a pure
+function of the matrix's immutable fields, so computing it once per
+value is safe; the facts live in the instance ``__dict__``
+(``functools.cached_property``) and never enter ``==``, ``hash``,
+``repr`` or ``to_json``.  ``rank``, ``image_basis``, ``kernel_basis``,
+``is_invertible``, ``mat_inv`` and ``is_nilpotent`` read them, so a
+call to :func:`rref` is a real elimination.  Nothing is remembered
+across values: an equal matrix built anew computes its facts again.
 
 Nilpotency is decided by squaring, and each power's trace is summed
 before the next product: a nonzero trace rejects at once, which is
@@ -140,10 +141,14 @@ class Matrix:
         return rref(self)
 
     @cached_property
-    def _fitting_power(self) -> "Matrix":
-        """T**n for a square n x n matrix, where the image and kernel
-        chains of T have stabilized."""
-        return mat_pow(self, self.rows)
+    def _stable_power(self) -> "Matrix":
+        """T**m for a square n x n matrix by squaring, m the least power
+        of two >= n.  The image and kernel chains of T have stabilized
+        by step n, so im(T**m) = im(T**n) and ker(T**m) = ker(T**n)."""
+        data = self.data
+        for _ in range(max(self.rows - 1, 0).bit_length()):
+            data = self.spec._kernel.product(data, data, self.rows)
+        return _matrix(self.spec, self.rows, self.cols, data)
 
     @cached_property
     def _inverse(self) -> tuple["Matrix | None", int]:

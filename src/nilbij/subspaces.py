@@ -417,13 +417,9 @@ def block_assemble(
     if blocks != (v, v, u, v, u, u):
         raise DimensionMismatch("blocks must map V to V, U to V and U to U")
     m, n = v.dim, v.ambient_dim
-    rows = []
-    for i in range(n):
-        if i < m:
-            rows.append(t_vv.matrix.data[i] + t_uv.matrix.data[i])
-        else:
-            rows.append((0,) * m + t_uu.matrix.data[i - m])
-    conj = _matrix(v.spec, n, n, tuple(rows))
+    top = tuple(a + b for a, b in zip(t_vv.matrix.data, t_uv.matrix.data))
+    bottom = tuple((0,) * m + row for row in t_uu.matrix.data)
+    conj = _matrix(v.spec, n, n, top + bottom)
     return mat_mul(b, mat_mul(conj, b_inv))
 
 

@@ -1,7 +1,8 @@
-"""The main bijection: frozen hand-traces, degree behavior, and round
-trips on grids small enough to enumerate inline (census covers the
-rest)."""
+"""The main bijection: frozen hand-traces, degree behavior, the output
+bytes of inverse at four grid points, and round trips on grids small
+enough to enumerate inline (census covers the rest)."""
 
+import hashlib
 from itertools import product
 
 import pytest
@@ -24,6 +25,7 @@ from nilbij import (
     complement_to_map,
     compose,
     degree,
+    enumerate_operators,
     fitting_decompose,
     forward,
     inverse,
@@ -34,6 +36,7 @@ from nilbij import (
     mat_mul,
     steinitz_complement,
 )
+from nilbij.cli import canonical_dumps
 
 GF9 = FieldSpec(3, 2)
 GF4099 = FieldSpec(4099)  # too large to tabulate: the on-demand path
@@ -177,6 +180,28 @@ def test_inverse_matches_reference_sampled(spec, n, data):
     flat = data.draw(st.lists(entry, min_size=n * n, max_size=n * n))
     q = Matrix(spec, n, n, tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)))
     assert inverse(q) == ref_inverse(q)
+
+
+# which bijection: the output bytes of inverse, pinned
+
+# sha256 over canonical_dumps(NilpotentPair(*inverse(Q)).to_json()) for
+# every Q in enumeration order.  The census proves that the code is a
+# bijection and that forward inverts inverse; these digests pin which
+# bijection it is, and so forward's output too.  A different choice of
+# complement, basis or isomorphism keeps the census ok but moves them.
+INVERSE_DIGESTS = {
+    (GF2, 2): "fc10b0a774012206159115b2e9b78521512190d76d3101622a9f72319cc20ca6",
+    (GF2, 3): "d317e7ed9042142eff56639332e843757a192134dd9104b6ccb59cddd2319005",
+    (GF3, 2): "e90888a01ff2fa6a2e62e39cdef728ae7e6ad92459f3c8e3e83c48d2a9c672d9",
+    (GF4, 2): "8336f3fbdfbdf1f604e77aefc9f90b2b02a18e3b61186b479f146eb45a6adc8d",
+}
+
+
+@pytest.mark.parametrize("spec,n", INVERSE_DIGESTS, ids=str)
+def test_inverse_output_bytes_are_pinned(spec, n):
+    blob = "".join(canonical_dumps(NilpotentPair(*inverse(q)).to_json())
+                   for q in enumerate_operators(spec, n))
+    assert hashlib.sha256(blob.encode()).hexdigest() == INVERSE_DIGESTS[spec, n]
 
 
 # round trips on inline grids

@@ -48,7 +48,7 @@ def test_singular_restriction_is_an_internal_fault():
     """A wrong Q^n that keeps Q's kernel inside V makes R singular; the
     inversion that checks R says so at once."""
     q = Matrix.from_rows(GF2, [(0, 0), (1, 0)])
-    vars(q)["_fitting_power"] = Matrix.identity(GF2, 2)  # V is everything, R is Q
+    vars(q)["_stable_power"] = Matrix.identity(GF2, 2)  # V is everything, R is Q
     with pytest.raises(AssertionError, match="must be invertible"):
         fitting_decompose(q)
 
@@ -109,6 +109,17 @@ def test_chain_stabilization_exhaustive(spec, n):
             span(kernel_basis(qn1), spec=spec, ambient_dim=n)
         assert span(image_basis(qn), spec=spec, ambient_dim=n) == \
             span(image_basis(qn1), spec=spec, ambient_dim=n)
+
+
+@pytest.mark.parametrize("spec,n", [(GF2, 3), (GF3, 2)], ids=str)
+def test_stable_power_splits_as_the_nth_power_exhaustive(spec, n):
+    """V and W, read off Q^m with m the least power of two >= n, are
+    im(Q^n) and ker(Q^n)."""
+    for q in all_matrices(spec, n, n):
+        pair = fitting_decompose(q)
+        qn = mat_pow(q, n)
+        assert pair.V == span(image_basis(qn), spec=spec, ambient_dim=n)
+        assert pair.W == span(kernel_basis(qn), spec=spec, ambient_dim=n)
 
 
 def test_nilpotent_iff_trivial_automorphism_part():

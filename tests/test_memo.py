@@ -1,9 +1,10 @@
 """Remembered facts: a Matrix keeps its RREF, inverse, nilpotency and
-n-th power, a Subspace the [V | U] basis matrix of its last split, an
+stable power, a Subspace the [V | U] basis matrix of its last split, an
 EndoFunction the value table of its stable power.  Turning
 every lookup into a miss must change no result, the facts must stay out
 of equality, hashing, repr and JSON, and failures must repeat."""
 
+import math
 from functools import cached_property
 
 import pytest
@@ -29,6 +30,7 @@ from nilbij import (
     joyal_inverse,
     linalg,
     mat_inv,
+    mat_pow,
     periodic_points,
     rank,
     span,
@@ -129,7 +131,7 @@ def test_facts_stay_out_of_eq_hash_repr_and_json():
         mat_inv(m)
     is_nilpotent(m)
     fitting_decompose(m)
-    assert {"_rref", "_inverse", "_nilpotent", "_fitting_power"} <= vars(m).keys()
+    assert {"_rref", "_inverse", "_nilpotent", "_stable_power"} <= vars(m).keys()
     assert m == fresh and hash(m) == hash(fresh)
     assert repr(m) == repr(fresh) and m.to_json() == fresh.to_json()
 
@@ -196,11 +198,39 @@ def test_each_direction_inverts_its_v_w_basis_once():
 
     (t, v), seen = count_eliminations(lambda: inverse(Matrix(GF2, 3, 3, data)))
     assert inverts_v_w(seen) == 1
-    assert len(seen) == 7  # 11 before the memo, 8 before R was checked by its inversion
+    assert len(seen) == 7
     q, seen = count_eliminations(lambda: forward(t, v))
     assert q.data == data
     assert inverts_v_w(seen) == 1
-    assert len(seen) == 6  # 9 before the memo
+    assert len(seen) == 5  # R is not proved invertible again
+
+
+def count_nilpotency_decisions(call):
+    """Run ``call`` with ``Matrix._nilpotent`` counted; return its result
+    and the number of nilpotency decisions actually computed."""
+    calls = 0
+    real = vars(Matrix)["_nilpotent"].func
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return real(self)
+
+    fact = cached_property(counted)
+    fact.__set_name__(Matrix, "_nilpotent")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Matrix, "_nilpotent", fact)
+        return call(), calls
+
+
+def test_each_direction_decides_nilpotency_twice():
+    data = ((1, 1, 0), (0, 0, 0), (0, 0, 1))
+    (t, v), decided = count_nilpotency_decisions(lambda: inverse(Matrix(GF2, 3, 3, data)))
+    assert decided == 2  # S on W, and the rebuilt T
+    fresh = Matrix(GF2, 3, 3, t.data)
+    q, decided = count_nilpotency_decisions(lambda: forward(fresh, v))
+    assert q.data == data
+    assert decided == 2  # T, and its U -> U block; S is not decided again
 
 
 def count_products(call):
@@ -219,6 +249,17 @@ def count_products(call):
         for kernel in (field._Rows, field._PackedGF2):
             mp.setattr(kernel, "product", counting(kernel.product))
         return call(), calls
+
+
+def test_stable_power_squares_ceil_log2_n_times():
+    for spec in (GF2, GF3):
+        for n in range(18):
+            m = Matrix.identity(spec, n)
+            _, seen = count_products(lambda: m._stable_power)
+            assert seen == (math.ceil(math.log2(n)) if n > 1 else 0), n
+    t = Matrix.identity(GF3, 7)
+    _, seen = count_products(lambda: mat_pow(t, 7))
+    assert seen == 4  # square-and-multiply; the stable power of a 7x7 takes 3
 
 
 @pytest.mark.parametrize("spec,n,products", [(GF3, 3, 8_642), (GF9, 2, 728)], ids=str)
