@@ -143,7 +143,4 @@ class NilpotentPair:
             v = Vector.from_json(obj["v"])
         except KeyError as exc:
             raise SchemaError(f"pair payload missing key: {exc}") from exc
-        if v.spec == t.spec:
-            # one FieldSpec for the pair, so its arithmetic is built once
-            v = _vector(t.spec, v.entries)
         return cls(t, v)

@@ -19,6 +19,10 @@ and eliminates the rows of :mod:`nilbij.linalg` and
   ``add[a][b]``, ``mul[a][b]`` and ``neg[a]``.
 - Larger fields get no table: same-shaped views compute on demand.
 
+The kernels of the first two kinds are built once per process for each
+field (p, k, poly) and shared by every equal spec, so a parsed payload
+reads the tables its field already has; see :func:`_tabulated`.
+
 Rows go in and come out as tuples of codes.  Codes do not carry their
 field, so mixing fields is detected where specs travel with the data
 (vectors, matrices, JSON payloads), not at the element level.
@@ -32,7 +36,7 @@ with ``c_k == 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import compress
 from operator import xor
 
@@ -40,10 +44,11 @@ from .errors import DivisionByZero, SchemaError, _json_int
 
 # Lookup tables are only built for fields at most this large; bigger
 # fields compute each value on demand (see FieldSpec._kernel).  A table
-# costs q² products on the field's first arithmetic, paid again by each
-# CLI call: GF(2^10) took 33 s on a 2-CPU Linux host.  The census grid
-# and the benchmark use q <= 49, and the tests build tables up to
-# GF(2^6), the largest at this limit, which builds in about 50 ms.
+# costs q² products on the field's first arithmetic, paid once per
+# process per field (see _tabulated): GF(2^10) took 33 s on a 2-CPU
+# Linux host.  The census grid and the benchmark use q <= 49, and the
+# tests build tables up to GF(2^6), the largest at this limit, which
+# builds in about 50 ms.
 _TABLE_MAX = 64
 
 # Conway polynomials, little-endian coefficients c_0 .. c_k.
@@ -383,20 +388,14 @@ class FieldSpec:
     @cached_property
     def _kernel(self) -> _Rows:
         """The row kernel, chosen once from q: packed rows for GF(2),
-        lookup tables up to ``_TABLE_MAX``, and views that compute each
-        value on demand for larger fields."""
-        q = self.q
-        if q > _TABLE_MAX:
-            return _Rows(
-                _OnDemand(lambda a: _OnDemand(partial(self._add_direct, a))),
-                _OnDemand(lambda a: _OnDemand(partial(self._mul_direct, a))),
-                _OnDemand(self._neg_direct),
-                self.inv,
-            )
-        return (_PackedGF2 if q == 2 else _Rows)(
-            tuple(tuple(self._add_direct(a, b) for b in range(q)) for a in range(q)),
-            tuple(tuple(self._mul_direct(a, b) for b in range(q)) for a in range(q)),
-            tuple(self._neg_direct(a) for a in range(q)),
+        lookup tables up to ``_TABLE_MAX`` (both shared by equal specs),
+        and views that compute each value on demand for larger fields."""
+        if self.q <= _TABLE_MAX:
+            return _tabulated(self)
+        return _Rows(
+            _OnDemand(lambda a: _OnDemand(partial(self._add_direct, a))),
+            _OnDemand(lambda a: _OnDemand(partial(self._mul_direct, a))),
+            _OnDemand(self._neg_direct),
             self.inv,
         )
 
@@ -450,3 +449,25 @@ class FieldSpec:
             return cls(obj["p"], obj.get("k", 1), obj.get("poly"))
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad field spec {obj!r}: {exc}") from exc
+
+
+@cache
+def _tabulated(spec: FieldSpec) -> _Rows:
+    """The kernel of a field with q <= ``_TABLE_MAX``, built once per
+    process and shared by every spec equal to ``spec``.
+
+    The key is the field's value (p, k, poly), so the specs of every
+    parsed payload over one field read one set of tables.  No size bound
+    is needed: exactly 81 fields have q <= 64 (18 primes and 63
+    irreducibles), while fields past the limit, unbounded in number,
+    never enter.  A test that patches ``_add_direct``, ``_mul_direct``
+    or ``_neg_direct`` must call ``_tabulated.cache_clear()``, or fields
+    already built keep their tables and the patch is silently ignored.
+    """
+    q = spec.q
+    return (_PackedGF2 if q == 2 else _Rows)(
+        tuple(tuple(spec._add_direct(a, b) for b in range(q)) for a in range(q)),
+        tuple(tuple(spec._mul_direct(a, b) for b in range(q)) for a in range(q)),
+        tuple(spec._neg_direct(a) for a in range(q)),
+        spec.inv,
+    )

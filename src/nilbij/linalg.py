@@ -234,8 +234,13 @@ def _vector(spec: FieldSpec, entries: tuple[int, ...]) -> Vector:
     return v
 
 
+def _unit_row(n: int, j: int) -> tuple[int, ...]:
+    """The j-th standard basis vector of F^n, as a row of codes."""
+    return (0,) * j + (1,) + (0,) * (n - 1 - j)
+
+
 def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple(_unit_row(n, j) for j in range(n))
 
 
 def _require_same_spec(a: FieldSpec, b: FieldSpec) -> None:

@@ -70,6 +70,7 @@ from .linalg import (
     Matrix,
     Vector,
     _matrix,
+    _unit_row,
     _vector,
     apply,
     is_invertible,
@@ -237,9 +238,7 @@ def steinitz_complement(v: Subspace) -> Subspace:
     """The complement spanned by standard vectors at non-pivot columns."""
     pivot_set = set(v.pivots)
     free = tuple(j for j in range(v.ambient_dim) if j not in pivot_set)
-    rows = tuple(
-        tuple(1 if i == j else 0 for i in range(v.ambient_dim)) for j in free
-    )
+    rows = tuple(_unit_row(v.ambient_dim, j) for j in free)
     return _subspace(v.spec, v.ambient_dim, rows, free)
 
 

@@ -4,7 +4,6 @@ import copy
 import hashlib
 import io
 import json
-from functools import cached_property
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import GF2, GF4
 from nilbij import CensusReport, FieldSpec, Matrix, NilpotentPair, Vector
 from nilbij.cli import canonical_dumps, main
+from nilbij.field import _tabulated
 
 
 def run(args, stdin_text=""):
@@ -64,26 +64,19 @@ def test_degree_command():
 
 
 def test_pair_payload_builds_its_field_once():
+    """GF(9)'s tables are built once per process: every payload after
+    the first reads the kernel its field already has."""
     gf9 = FieldSpec(3, 2)
     t = Matrix.from_rows(gf9, [[(i * 5 + j) % 9 if j < i else 0 for j in range(5)]
                                for i in range(5)])
     doc = pair_doc(t, Vector(gf9, (1, 0, 3, 8, 2)))
-    builds = 0
-    real = vars(FieldSpec)["_kernel"].func
-
-    def counted(spec):
-        nonlocal builds
-        builds += 1
-        return real(spec)
-
-    kernel = cached_property(counted)
-    kernel.__set_name__(FieldSpec, "_kernel")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(FieldSpec, "_kernel", kernel)
-        for command in ("forward", "degree"):
-            builds = 0
-            assert run([command], doc)[0] == 0
-            assert builds == 1, command  # v is read over T's FieldSpec
+    _tabulated.cache_clear()
+    code, q_doc, _ = run(["forward"], doc)
+    assert code == 0
+    for command, payload in (("degree", doc), ("inverse", q_doc), ("fitting", q_doc)):
+        assert run([command], payload)[0] == 0, command
+    assert _tabulated.cache_info().misses == 1
+    assert _tabulated.cache_info().currsize == 1
     # an equal (p, k) with another modulus is another field
     other = Vector(FieldSpec(3, 2, (1, 0, 1)), (1, 0, 3, 8, 2))
     code, _, err = run(["forward"], canonical_dumps({"T": t.to_json(), "v": other.to_json()}))

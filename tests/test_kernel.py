@@ -31,7 +31,7 @@ from nilbij import (
     mat_pow,
     rref,
 )
-from nilbij.field import _PackedGF2, _Rows
+from nilbij.field import _PackedGF2, _Rows, _tabulated
 
 GF9 = FieldSpec(3, 2)
 GF4099 = FieldSpec(4099)  # q > _TABLE_MAX: the on-demand path
@@ -248,6 +248,27 @@ def test_kernel_is_chosen_from_q():
         kernel = spec._kernel
         assert type(kernel) is _Rows
         assert not any(isinstance(op, tuple) for op in (kernel.add, kernel.mul, kernel.neg))
+
+
+def test_equal_tabulated_specs_share_one_kernel():
+    """A field with q <= 64 is tabulated once per process: every equal
+    spec, with or without the built-in poly or parsed from JSON, reads
+    the same kernel, and another modulus is another field."""
+    gf9 = FieldSpec(3, 2)
+    for spec in (FieldSpec(3, 2, (2, 2, 1)), FieldSpec.from_json({"p": 3, "k": 2})):
+        assert spec._kernel is gf9._kernel
+    assert FieldSpec(3, 2, (1, 0, 1))._kernel is not gf9._kernel  # x^2 + 1
+    packed = FieldSpec(2)._kernel
+    assert type(packed) is _PackedGF2 and FieldSpec(2)._kernel is packed
+
+
+def test_fields_past_the_table_limit_stay_out_of_the_shared_memo():
+    held = _tabulated.cache_info().currsize
+    gf128 = (1, 1, 0, 0, 0, 0, 0, 1)  # x^7 + x + 1
+    for a, b in ((FieldSpec(4099), FieldSpec(4099)),
+                 (FieldSpec(2, 7, gf128), FieldSpec(2, 7, gf128))):
+        assert a == b and a._kernel is not b._kernel
+    assert _tabulated.cache_info().currsize == held
 
 
 def ref_combine(spec, coeffs, rows, start):
