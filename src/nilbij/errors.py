@@ -22,6 +22,10 @@ class DivisionByZero(NilbijError, ZeroDivisionError):
     """Multiplicative inverse of the additive identity was requested."""
 
 
+class NegativeExponent(NilbijError, ValueError):
+    """A power with a negative exponent was requested."""
+
+
 class DimensionMismatch(NilbijError):
     """Matrix or vector dimensions are incompatible."""
 

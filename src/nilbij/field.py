@@ -40,7 +40,7 @@ from functools import cache, cached_property, partial, reduce
 from itertools import compress
 from operator import xor
 
-from .errors import DivisionByZero, SchemaError, _json_int
+from .errors import DivisionByZero, NegativeExponent, SchemaError, _json_int
 
 # Lookup tables are only built for fields at most this large; bigger
 # fields compute each value on demand (see FieldSpec._kernel).  A table
@@ -420,7 +420,7 @@ class FieldSpec:
     def pow(self, a: int, e: int) -> int:
         """a**e by square-and-multiply; pow(a, 0) == 1 for every a."""
         if e < 0:
-            raise ValueError("exponent must be nonnegative")
+            raise NegativeExponent("exponent must be nonnegative")
         out = 1
         base = a
         while e:

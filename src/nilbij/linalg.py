@@ -49,6 +49,7 @@ from functools import cached_property
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
+    NegativeExponent,
     NonSquare,
     NotInvertible,
     SchemaError,
@@ -78,6 +79,8 @@ class Vector:
 
     @classmethod
     def zero(cls, spec: FieldSpec, n: int) -> "Vector":
+        if _json_int(n, "length") < 0:
+            raise SchemaError(f"vector length must be nonnegative, got {n}")
         return cls(spec, (0,) * n)
 
     def to_json(self) -> dict:
@@ -271,7 +274,7 @@ def mat_pow(t: Matrix, e: int) -> Matrix:
     if not t.is_square():
         raise NonSquare(f"mat_pow needs a square matrix, got {t.rows}x{t.cols}")
     if e < 0:
-        raise ValueError("exponent must be nonnegative")
+        raise NegativeExponent("exponent must be nonnegative")
     spec, n = t.spec, t.rows
     result = None
     base = t.data

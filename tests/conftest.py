@@ -1,13 +1,34 @@
-"""Shared brute-force enumeration helpers for the exhaustive suites, and
-the opt-in ``slow`` marker: its tests run only with NILBIJ_SLOW=1."""
+"""Shared brute-force enumeration helpers for the exhaustive suites, the
+census audits of the constructions, and the opt-in ``slow`` marker: its
+tests run only with NILBIJ_SLOW=1."""
 
 import os
+from collections import Counter
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 import pytest
 
-from nilbij import FieldSpec, Matrix, Subspace, Vector, span
+from nilbij import (
+    FieldSpec,
+    Matrix,
+    NotBasis,
+    OrderedBasis,
+    Subspace,
+    SubspaceMap,
+    Vector,
+    fitting,
+    is_complementary,
+    is_invertible,
+    is_nilpotent,
+    mat_pow,
+    rank,
+    span,
+    steinitz_complement,
+    subspaces,
+)
+from nilbij.census import _walk, enumerate_operators, expected_strata
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -66,3 +87,66 @@ def subspace_elements(sub: Subspace) -> set[tuple[int, ...]]:
                 acc[i] = spec.add(acc[i], spec.mul(c, r))
         out.add(tuple(acc))
     return out
+
+
+# Census audits of the constructions.  Each walks a construction's
+# codomain with ``census._walk``: x fails unless its preimage lies in the
+# domain and maps back to x, and each stratum is tallied on both sides.
+# With no failures the preimage map is injective, and with a domain as
+# large as the closed form it is a bijection (the counting argument of
+# the census).  Each returns (failures, left, right, expected) and passes
+# when failures == 0 and left == right == expected.  The constructions
+# are read off their modules when the audit runs, so it walks a patched one.
+
+
+def gl_order(q: int, k: int) -> int:
+    """|GL_k(F_q)|, the number of automorphisms of a k-dimensional space."""
+    return prod(q**k - q**i for i in range(k))
+
+
+def audit_complements(spec: FieldSpec, n: int):
+    """Complements W of each V <-> maps U -> V, U the Steinitz complement
+    of V: q^(k(n-k)) for each V of dimension k."""
+    subs = all_subspaces(spec, n)
+    return *_walk(
+        ((v, w) for v in subs for w in subs if is_complementary(v, w)),
+        lambda x: (subspaces.complement_to_map(x[1], x[0], steinitz_complement(x[0])),),
+        lambda f: f.domain == steinitz_complement(f.codomain),
+        lambda f: (f.codomain, subspaces.map_to_complement(f)),
+        lambda f: f.codomain, lambda x: x[0],
+    ), Counter({v: spec.q ** (v.dim * (n - v.dim)) for v in subs})
+
+
+def _is_basis(b: OrderedBasis) -> bool:
+    """Whether the public constructor accepts ``b`` as it stands."""
+    try:
+        return OrderedBasis(b.subspace, b.vectors) == b
+    except NotBasis:
+        return False
+
+
+def audit_torsor(spec: FieldSpec, n: int):
+    """Automorphisms of each V <-> ordered bases of V: |GL_k(F_q)| for each
+    V of dimension k."""
+    subs = all_subspaces(spec, n)
+    return *_walk(
+        (SubspaceMap(v, v, m) for v in subs
+         for m in enumerate_operators(spec, v.dim) if is_invertible(m)),
+        lambda r: (subspaces.automorphism_to_basis(r),), _is_basis,
+        subspaces.basis_to_automorphism, lambda b: b.subspace, lambda r: r.domain,
+    ), Counter({v: gl_order(spec.q, v.dim) for v in subs})
+
+
+def audit_fitting(spec: FieldSpec, n: int):
+    """Operators Q <-> Fitting data (V, W, R, S) with V + W the whole space,
+    R invertible and S nilpotent, in strata k = dim V = dim im(Q^n):
+    ``census.expected_strata``."""
+    return *_walk(
+        enumerate_operators(spec, n), lambda q: (fitting.fitting_decompose(q),),
+        lambda p: (is_complementary(p.V, p.W) and is_invertible(p.R.matrix)
+                   and is_nilpotent(p.S.matrix)),
+        fitting.fitting_assemble, lambda p: p.V.dim, lambda q: rank(mat_pow(q, n)),
+    ), Counter(dict(enumerate(expected_strata(spec.q, n))))
+
+
+AUDITS = {"complements": audit_complements, "torsor": audit_torsor, "fitting": audit_fitting}

@@ -11,6 +11,7 @@ from itertools import product
 import pytest
 
 from conftest import (
+    AUDITS,
     GF2,
     GF3,
     all_matrices,
@@ -20,24 +21,22 @@ from conftest import (
 )
 from nilbij import (
     FieldSpec,
-    FittingPair,
     Matrix,
+    NotBasis,
     OrderedBasis,
+    Subspace,
     SubspaceMap,
     Vector,
+    basis_to_automorphism,
     canonical_iso,
-    complement_to_map,
     compose,
     count_nilpotents,
-    fitting_assemble,
-    fitting_decompose,
     forward,
     is_complementary,
     is_invertible,
     is_nilpotent,
     map_apply,
     map_inverse,
-    map_to_complement,
     steinitz_complement,
     verify_degree_refinement,
     verify_joyal,
@@ -52,9 +51,19 @@ VERIFY_GRID = [
 ]
 DEGREE_GRID = [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (8, 2), (9, 2)]
 # opt-in slow points (NILBIJ_SLOW=1): criterion 2 at 3^9 and 2^16
-# operators, criterion 5 at 7^7 functions
+# operators, criterion 5 at 7^7 functions, and the criterion-6 audits
+# past about 2 s
 SLOW_VERIFY_GRID = [(3, 3), (2, 4)]
 SLOW_JOYAL_N = 7
+AUDIT_GRID = [
+    (construction, q, n)
+    for construction in ("complements", "torsor", "fitting")
+    for q, n in [(2, 2), (2, 3), (3, 2)]
+] + [("complements", 2, 4), ("complements", 3, 3)] + [
+    pytest.param(construction, q, n, marks=pytest.mark.slow)
+    for construction in ("torsor", "fitting")
+    for q, n in [(3, 3), (2, 4)]
+]
 
 SPEC_FOR_Q = {
     2: FieldSpec(2),
@@ -153,47 +162,32 @@ def test_criterion_5_tree_function_counts_slow_point():
 
 
 def test_criterion_6_lemma_suites():
+    """The properties that are not bijections, each once: the construction
+    audits below prove the bijections."""
     started = time.perf_counter()
 
-    # complement axioms, all subspaces of GF(2)^3 and GF(3)^2
+    # Steinitz complement axioms, all subspaces of GF(2)^3 and GF(3)^2
     for spec, n in [(GF2, 3), (GF3, 2)]:
         for sub in all_subspaces(spec, n):
             comp = steinitz_complement(sub)
             assert sub.dim + comp.dim == n
             assert subspace_elements(sub) & subspace_elements(comp) == {(0,) * n}
+            assert is_complementary(sub, comp) and is_complementary(comp, sub)
 
-    # graph/complement round trips, GF(2)^3, every (V, Steinitz U)
-    for sub in all_subspaces(GF2, 3):
-        u = steinitz_complement(sub)
-        for m in all_matrices(GF2, sub.dim, u.dim):
-            f = SubspaceMap(u, sub, m)
-            assert complement_to_map(map_to_complement(f), sub, u) == f
-        for w in all_subspaces(GF2, 3):
-            if is_complementary(sub, w):
-                assert map_to_complement(complement_to_map(w, sub, u)) == w
-
-    # canonical-iso cocycle, GF(2)^3
-    for sub in all_subspaces(GF2, 3):
-        comps = [w for w in all_subspaces(GF2, 3) if is_complementary(sub, w)]
-        for u in comps:
-            assert canonical_iso(sub, u, u).matrix == \
-                Matrix.identity(GF2, u.dim)
-            for w in comps:
-                uw = canonical_iso(sub, u, w)
-                for x in comps:
-                    assert compose(canonical_iso(sub, w, x), uw) == \
-                        canonical_iso(sub, u, x)
-
-    # Fitting round trips, all 16 operators on GF(2)^2 and 512 on GF(2)^3
-    for n in (2, 3):
-        for q_op in all_matrices(GF2, n, n):
-            pair = fitting_decompose(q_op)
-            assert fitting_assemble(pair) == q_op
-            assert fitting_decompose(fitting_assemble(pair)) == pair
+    # canonical-iso cocycle, with iso(u, u) = I, so iso(w, u) inverts
+    # iso(u, w): GF(2)^3 and GF(3)^2
+    for spec, n in [(GF2, 3), (GF3, 2)]:
+        for sub in all_subspaces(spec, n):
+            comps = [w for w in all_subspaces(spec, n) if is_complementary(sub, w)]
+            for u in comps:
+                assert canonical_iso(sub, u, u).matrix == Matrix.identity(spec, u.dim)
+                for w in comps:
+                    uw = canonical_iso(sub, u, w)
+                    for x in comps:
+                        assert compose(canonical_iso(sub, w, x), uw) == \
+                            canonical_iso(sub, u, x)
 
     # torsor freeness and transitivity, dim <= 2, q <= 3
-    from nilbij import NotBasis, Subspace, basis_to_automorphism
-
     for spec, n in [(GF2, 1), (GF2, 2), (GF3, 1), (GF3, 2)]:
         full = Subspace.full(spec, n)
         elements = [Vector(spec, e) for e in subspace_elements(full)]
@@ -221,6 +215,16 @@ def test_criterion_6_lemma_suites():
     elapsed = time.perf_counter() - started
     assert elapsed < 60
     print(f"criterion 6 (lemma-level exhaustive suites): PASS in {elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("construction,q,n", AUDIT_GRID)
+def test_criterion_6_construction_audit(construction, q, n):
+    started = time.perf_counter()
+    failures, left, right, expected = AUDITS[construction](SPEC_FOR_Q[q], n)
+    assert failures == 0, (construction, q, n)
+    assert left == right == expected, (construction, q, n)
+    print(f"criterion 6 ({construction} audit at q={q}, n={n}): "
+          f"PASS in {time.perf_counter() - started:.1f}s")
 
 
 def test_criterion_7_forward_image_is_every_operator():

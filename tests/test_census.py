@@ -7,12 +7,15 @@ from itertools import product
 import pytest
 
 import nilbij.census
-from conftest import GF2, GF3, GF4
+from conftest import AUDITS, GF2, GF3, GF4
 from nilbij import (
     BudgetExceeded,
     EndoFunction,
     FieldSpec,
+    FittingPair,
     Matrix,
+    OrderedBasis,
+    SubspaceMap,
     count_nilpotents,
     enumerate_operators,
     inverse,
@@ -245,6 +248,19 @@ def test_expected_strata_sum_to_all_operators(q):
         assert sum(strata) == q ** (n * n)
 
 
+@pytest.mark.parametrize("spec,n", [(GF2, 3), (GF3, 2)], ids=str)
+def test_strata_factor_as_the_construction_audits_count(spec, n):
+    """Stratum k of expected_strata is Fitting data chosen in turn: a V of
+    dimension k, a complement and an automorphism of V, as the complement
+    and torsor audits tally them for each V, and a nilpotent on W."""
+    complements = AUDITS["complements"](spec, n)[2]
+    automorphisms = AUDITS["torsor"](spec, n)[2]
+    strata = [0] * (n + 1)
+    for v in complements:
+        strata[v.dim] += complements[v] * automorphisms[v] * count_nilpotents(spec, n - v.dim)
+    assert tuple(strata) == nilbij.census.expected_strata(spec.q, n)
+
+
 def joyal_forward_wrong_on_one_triple(real):
     triple = joyal_inverse(IDENT_F)
     return lambda *t: CONST if t == triple else real(*t)
@@ -294,6 +310,52 @@ def test_joyal_mutant_is_reported(monkeypatch, name, mutate):
     patch_mutant(monkeypatch, name, mutate)
     assert not verify_joyal(4).ok
     assert main(["verify-joyal", "--n", "4", "--json"], stdout=io.StringIO()) == 1
+
+
+# Construction mutants: each breaks one construction, which its own
+# criterion-6 audit must report and no other audit may.  Of the three,
+# only map_to_complement lies on the path of forward and inverse.
+
+def map_to_complement_drops_the_map(real):
+    return lambda f: real(SubspaceMap.zero(f.domain, f.codomain))
+
+
+def automorphism_to_basis_reverses_the_basis(real):
+    return lambda r: OrderedBasis(r.domain, real(r).vectors[::-1])
+
+
+def fitting_assemble_drops_s(real):
+    return lambda pair: real(
+        FittingPair(pair.V, pair.W, pair.R, SubspaceMap.zero(pair.W, pair.W)))
+
+
+CONSTRUCTION_MUTANTS = [
+    ("complements", "map_to_complement", map_to_complement_drops_the_map),
+    ("torsor", "automorphism_to_basis", automorphism_to_basis_reverses_the_basis),
+    ("fitting", "fitting_assemble", fitting_assemble_drops_s),
+]
+
+
+@pytest.mark.parametrize(
+    "broken,name,mutate", CONSTRUCTION_MUTANTS,
+    ids=[m.__name__ for _, _, m in CONSTRUCTION_MUTANTS],
+)
+def test_construction_mutant_fails_its_own_audit(monkeypatch, broken, name, mutate):
+    real = getattr(nilbij, name)
+    mutant = mutate(real)
+    for module in (nilbij, nilbij.subspaces, nilbij.fitting, nilbij.bijection):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, mutant)
+    for construction, audit in AUDITS.items():
+        failures, left, right, expected = audit(GF2, 2)
+        if construction == broken:
+            assert failures > 0
+        else:
+            assert failures == 0 and left == right == expected, construction
+    on_path = broken == "complements"
+    assert verify_theorem(GF2, 2).ok is not on_path
+    assert main(["verify-theorem", "--p", "2", "--n", "2", "--json"],
+                stdout=io.StringIO()) == (1 if on_path else 0)
 
 
 def test_degree_refinement_gf2_dim2():

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilbij import DivisionByZero, FieldSpec, Matrix, SchemaError, forward, inverse
+from nilbij import (
+    DivisionByZero,
+    FieldSpec,
+    Matrix,
+    NilbijError,
+    SchemaError,
+    forward,
+    inverse,
+    mat_pow,
+)
 from nilbij.field import BUILTIN_POLYS, _PRIME_LIMIT, _is_irreducible, _is_prime
 
 AXIOM_SPECS = [FieldSpec(2), FieldSpec(3), FieldSpec(5), FieldSpec(7),
@@ -71,8 +80,12 @@ def test_pow_conventions():
     assert f.pow(0, 0) == 1
     assert f.pow(2, 0) == 1
     assert f.pow(2, 2) == 1
-    with pytest.raises(ValueError):
-        f.pow(2, -1)
+    # a library error, and still the ValueError it always was
+    for negative in (lambda: f.pow(2, -1), lambda: mat_pow(Matrix.identity(f, 2), -1)):
+        with pytest.raises(ValueError):
+            negative()
+        with pytest.raises(NilbijError):
+            negative()
 
 
 # construction and validation

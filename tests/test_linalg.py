@@ -283,7 +283,9 @@ def test_matrix_schema_validation():
                 lambda: Matrix(GF2, 1, 1, ((1.0,),)),
                 lambda: Matrix(GF2, True, 1, ((1,),)),
                 lambda: Matrix(GF2, 1, 1.0, ((1,),)),
-                lambda: Matrix(GF2, 0, -1, ())]:
+                lambda: Matrix(GF2, 0, -1, ()),
+                lambda: Vector.zero(GF2, -1),
+                lambda: Vector.zero(GF2, True)]:
         with pytest.raises(SchemaError):
             bad()
     assert Matrix(GF2, 1, 2, [[1, 0]]).data == ((1, 0),)
