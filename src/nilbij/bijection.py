@@ -26,7 +26,7 @@ from .errors import (
     FieldMismatch,
     NonSquare,
     NotNilpotent,
-    SchemaError,
+    _json_fields,
 )
 from .fitting import fitting_decompose
 from .linalg import (
@@ -136,11 +136,5 @@ class NilpotentPair:
 
     @classmethod
     def from_json(cls, obj: object) -> "NilpotentPair":
-        if not isinstance(obj, dict):
-            raise SchemaError(f"pair payload must be an object: {obj!r}")
-        try:
-            t = Matrix.from_json(obj["T"])
-            v = Vector.from_json(obj["v"])
-        except KeyError as exc:
-            raise SchemaError(f"pair payload missing key: {exc}") from exc
-        return cls(t, v)
+        t, v = _json_fields(obj, "pair", "T", "v")
+        return cls(Matrix.from_json(t), Vector.from_json(v))

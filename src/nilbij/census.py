@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from itertools import product
 
 from .bijection import degree, forward, inverse
-from .errors import BudgetExceeded, DimensionMismatch, NilbijError
+from .errors import BudgetExceeded, DimensionMismatch, NilbijError, _json_int
 from .field import FieldSpec
 from .joyal import (
     Tree,
@@ -42,12 +42,12 @@ DEFAULT_BUDGET = 1 << 24
 def _check_budget(base: int, exp: int, budget: int, what: str) -> None:
     """Refuse ``base**exp`` evaluations above ``budget`` without computing
     the power: 2**budget.bit_length() > budget caps the exponent."""
-    if base ** min(exp, budget.bit_length()) > budget:
+    if base ** min(exp, _json_int(budget, "budget").bit_length()) > budget:
         raise BudgetExceeded(f"{what} needs {base}^{exp} evaluations, budget is {budget}")
 
 
 def _check_dim(n: int) -> None:
-    if n < 0:
+    if _json_int(n, "n") < 0:
         raise DimensionMismatch(f"dimension must be nonnegative, got n={n}")
 
 
@@ -326,7 +326,7 @@ def verify_joyal(n: int, budget: int = DEFAULT_BUDGET) -> JoyalReport:
     needed.
     """
     started = time.perf_counter()
-    _check_budget(n, n, budget, f"verifying the tree bijection at n={n}")
+    _check_budget(_json_int(n, "n"), n, budget, f"verifying the tree bijection at n={n}")
     is_tree = functools.cache(_is_tree)
     failures, _, right = _walk(
         all_endofunctions(n), joyal_inverse, lambda tree, v, v2: is_tree(tree),

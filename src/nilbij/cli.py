@@ -32,7 +32,7 @@ from .census import (
     verify_joyal,
     verify_theorem,
 )
-from .errors import NilbijError, SchemaError, _json_int
+from .errors import NilbijError, SchemaError, _json_fields
 from .field import FieldSpec
 from .fitting import fitting_decompose
 from .joyal import EndoFunction, Tree, joyal_forward, joyal_inverse
@@ -94,14 +94,8 @@ def _degree(doc):
 
 
 def _joyal_forward(doc):
-    if not isinstance(doc, dict):
-        raise SchemaError("joyal-forward input must be an object")
-    try:
-        tree = Tree.from_json(doc["tree"])
-        v, v2 = _json_int(doc["v"], "v"), _json_int(doc["v2"], "v2")
-    except KeyError as exc:
-        raise SchemaError(f"bad joyal-forward payload: {exc}") from exc
-    return joyal_forward(tree, v, v2).to_json()
+    tree, v, v2 = _json_fields(doc, "joyal-forward", "tree", "v", "v2")
+    return joyal_forward(Tree.from_json(tree), v, v2).to_json()
 
 
 def _joyal_inverse(doc):

@@ -3,6 +3,14 @@
 Every library-raised error derives from :class:`NilbijError` so callers
 (and the CLI) can distinguish bad input from genuine bugs, which surface
 as plain ``AssertionError`` from internal consistency checks.
+
+Outside data is read through three readers at the end of this module:
+:func:`_json_fields` for the keys of a JSON object, :func:`_json_int`
+for an integer slot and :func:`_json_seq` for a sequence slot.  Each
+``from_json`` is one ``_json_fields`` call and a public constructor,
+and the constructors read every slot through the other two, so no
+handler wraps a constructor call: a ``TypeError`` or ``KeyError`` from
+library code is a fault, never reported as bad input.
 """
 
 
@@ -84,3 +92,26 @@ def _json_int(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _json_seq(value: object, what: str) -> tuple:
+    """A sequence slot of a JSON payload or of a public constructor, as a
+    tuple; a value that does not iterate is refused.
+
+    Only ``tuple(value)`` runs under the handler, so a ``TypeError`` the
+    library raises later is a fault, never a malformed slot."""
+    try:
+        return tuple(value)  # type: ignore[arg-type]
+    except TypeError:
+        raise SchemaError(f"{what} must be a sequence, got {type(value).__name__}") from None
+
+
+def _json_fields(obj: object, what: str, *keys: str) -> tuple:
+    """The values at ``keys`` of a JSON object, in order; a payload that
+    is not an object, or lacks a key, is refused naming ``what``."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} payload must be an object, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise SchemaError(f"{what} payload is missing key {key!r}")
+    return tuple(obj[key] for key in keys)

@@ -40,7 +40,14 @@ from functools import cache, cached_property, partial, reduce
 from itertools import compress
 from operator import xor
 
-from .errors import DivisionByZero, NegativeExponent, SchemaError, _json_int
+from .errors import (
+    DivisionByZero,
+    NegativeExponent,
+    SchemaError,
+    _json_fields,
+    _json_int,
+    _json_seq,
+)
 
 # Lookup tables are only built for fields at most this large; bigger
 # fields compute each value on demand (see FieldSpec._kernel).  A table
@@ -334,7 +341,7 @@ class FieldSpec:
                 raise SchemaError(
                     f"no built-in irreducible for GF({self.p}^{self.k}); supply poly"
                 )
-        poly = tuple(_json_int(c, "poly coefficient") for c in poly)
+        poly = tuple(_json_int(c, "poly coefficient") for c in _json_seq(poly, "poly"))
         if len(poly) != self.k + 1 or poly[-1] != 1:
             raise SchemaError(f"poly must be monic of degree {self.k}: {poly}")
         if any(not 0 <= c < self.p for c in poly):
@@ -443,12 +450,8 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, obj: object) -> "FieldSpec":
-        if not isinstance(obj, dict):
-            raise SchemaError(f"field spec must be an object, got {type(obj).__name__}")
-        try:
-            return cls(obj["p"], obj.get("k", 1), obj.get("poly"))
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad field spec {obj!r}: {exc}") from exc
+        (p,) = _json_fields(obj, "field spec", "p")
+        return cls(p, obj.get("k", 1), obj.get("poly"))  # type: ignore[union-attr]
 
 
 @cache

@@ -18,7 +18,7 @@ from .errors import (
     NotAutomorphism,
     NotNilpotent,
     NonSquare,
-    SchemaError,
+    _json_fields,
 )
 from .linalg import (
     Matrix,
@@ -67,15 +67,9 @@ class FittingPair:
 
     @classmethod
     def from_json(cls, obj: object) -> "FittingPair":
-        if not isinstance(obj, dict):
-            raise SchemaError(f"fitting payload must be an object: {obj!r}")
-        try:
-            v = Subspace.from_json(obj["V"])
-            w = Subspace.from_json(obj["W"])
-            r = Matrix.from_json(obj["R"])
-            s = Matrix.from_json(obj["S"])
-        except KeyError as exc:
-            raise SchemaError(f"fitting payload missing key: {exc}") from exc
+        v, w, r, s = _json_fields(obj, "fitting", "V", "W", "R", "S")
+        v, w, r, s = (Subspace.from_json(v), Subspace.from_json(w),
+                      Matrix.from_json(r), Matrix.from_json(s))
         return cls(v, w, SubspaceMap(v, v, r), SubspaceMap(w, w, s))
 
 

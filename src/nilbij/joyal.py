@@ -15,7 +15,8 @@ collapse to a single fixed point are exactly the images of pairs with
 both marks equal, n^(n-1) of them.
 
 The ``Tree`` and ``EndoFunction`` constructors validate their input,
-integer slots included; the endofunctions that the enumeration and
+integer and sequence slots included, and :func:`joyal_forward` reads
+its marks as integers; the endofunctions that the enumeration and
 :func:`joyal_forward` build themselves are made unchecked by
 :func:`_endofunction`, and the trees of :func:`joyal_inverse` by
 :func:`_tree`.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .errors import InvalidVertex, SchemaError, _json_int
+from .errors import InvalidVertex, SchemaError, _json_fields, _json_int, _json_seq
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class Tree:
         if _json_int(self.n, "n") < 1:
             raise SchemaError(f"a tree needs at least one vertex, got n={self.n}")
         norm = []
-        for e in self.edges:
+        for e in _json_seq(self.edges, "edges"):
             try:
                 a, b = e
             except (TypeError, ValueError):
@@ -74,12 +75,7 @@ class Tree:
 
     @classmethod
     def from_json(cls, obj: object) -> "Tree":
-        if not isinstance(obj, dict):
-            raise SchemaError(f"tree payload must be an object: {obj!r}")
-        try:
-            return cls(obj["n"], tuple(obj["edges"]))
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad tree payload: {exc}") from exc
+        return cls(*_json_fields(obj, "tree", "n", "edges"))
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,7 @@ class EndoFunction:
     def __post_init__(self) -> None:
         if _json_int(self.n, "n") < 1:
             raise SchemaError(f"need at least one vertex, got n={self.n}")
-        object.__setattr__(self, "table", tuple(self.table))
+        object.__setattr__(self, "table", _json_seq(self.table, "table"))
         if len(self.table) != self.n:
             raise SchemaError(f"table has {len(self.table)} entries, expected {self.n}")
         for x in self.table:
@@ -117,12 +113,7 @@ class EndoFunction:
 
     @classmethod
     def from_json(cls, obj: object) -> "EndoFunction":
-        if not isinstance(obj, dict):
-            raise SchemaError(f"endofunction payload must be an object: {obj!r}")
-        try:
-            return cls(obj["n"], tuple(obj["table"]))
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad endofunction payload: {exc}") from exc
+        return cls(*_json_fields(obj, "endofunction", "n", "table"))
 
 
 def _endofunction(n: int, table: tuple[int, ...]) -> EndoFunction:
@@ -169,7 +160,7 @@ def periodic_points(f: EndoFunction) -> tuple[int, ...]:
 def joyal_forward(tree: Tree, v: int, v2: int) -> EndoFunction:
     """Endofunction of the tree with marked vertices (v, v2)."""
     n = tree.n
-    for x in (v, v2):
+    for x in (_json_int(v, "v"), _json_int(v2, "v2")):
         if not 0 <= x < n:
             raise InvalidVertex(f"marked vertex {x} leaves 0..{n - 1}")
     table = _parents(tree, v)

@@ -8,7 +8,8 @@ operator (on the zero space) and is treated as both nilpotent and
 invertible.
 
 The public constructors and ``from_json`` validate everything: shape,
-entry type (integers only, never bool, float or str) and entry range.
+entry type (integers only, never bool, float or str) and entry range,
+each slot read by the readers of :mod:`nilbij.errors`.
 Values the library derives from already-valid operands are built by
 the private factories :func:`_matrix` and :func:`_vector`, which skip
 those checks; a broken internal invariant surfaces as an
@@ -53,9 +54,16 @@ from .errors import (
     NonSquare,
     NotInvertible,
     SchemaError,
+    _json_fields,
     _json_int,
+    _json_seq,
 )
 from .field import FieldSpec
+
+# Matrix.zero, Matrix.identity and Vector.zero build from a bare size.  A
+# size past _SIZE_MAX names nothing a machine could hold (an identity of
+# that order has over 2^40 entries), so it is refused before any row is built.
+_SIZE_MAX = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -66,7 +74,7 @@ class Vector:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(self.entries)
+        entries = _json_seq(self.entries, "vector entries")
         object.__setattr__(self, "entries", entries)
         _check_codes(entries, self.spec.q, "vector entry")
 
@@ -79,21 +87,15 @@ class Vector:
 
     @classmethod
     def zero(cls, spec: FieldSpec, n: int) -> "Vector":
-        if _json_int(n, "length") < 0:
-            raise SchemaError(f"vector length must be nonnegative, got {n}")
-        return cls(spec, (0,) * n)
+        return cls(spec, (0,) * _check_size(n, "vector length"))
 
     def to_json(self) -> dict:
         return {"field": self.spec.to_json(), "entries": list(self.entries)}
 
     @classmethod
     def from_json(cls, obj: object) -> "Vector":
-        if not isinstance(obj, dict) or "entries" not in obj or "field" not in obj:
-            raise SchemaError(f"vector payload needs 'field' and 'entries': {obj!r}")
-        try:
-            return cls(FieldSpec.from_json(obj["field"]), tuple(obj["entries"]))
-        except TypeError as exc:
-            raise SchemaError(f"bad vector payload: {exc}") from exc
+        field, entries = _json_fields(obj, "vector", "field", "entries")
+        return cls(FieldSpec.from_json(field), entries)
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ class Matrix:
 
     def __post_init__(self) -> None:
         rows, cols = _json_int(self.rows, "rows"), _json_int(self.cols, "cols")
-        data = tuple(tuple(row) for row in self.data)
+        data = tuple(_json_seq(row, "matrix row") for row in _json_seq(self.data, "matrix data"))
         object.__setattr__(self, "data", data)
         shape_ok = rows >= 0 and cols >= 0 and len(data) == rows
         if not shape_ok or any(len(row) != cols for row in data):
@@ -118,17 +120,17 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, spec: FieldSpec, rows) -> "Matrix":
-        data = tuple(tuple(row) for row in rows)
-        ncols = len(data[0]) if data else 0
-        return cls(spec, len(data), ncols, data)
+        data = tuple(_json_seq(row, "matrix row") for row in _json_seq(rows, "matrix rows"))
+        return cls(spec, len(data), len(data[0]) if data else 0, data)
 
     @classmethod
     def zero(cls, spec: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return cls(spec, rows, cols, tuple((0,) * cols for _ in range(rows)))
+        row = (0,) * _check_size(cols, "cols")
+        return cls(spec, rows, cols, (row,) * _check_size(rows, "rows"))
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
-        return cls(spec, n, n, _identity_rows(n))
+        return cls(spec, n, n, _identity_rows(_check_size(n, "matrix order")))
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.data)
@@ -201,13 +203,17 @@ class Matrix:
 
     @classmethod
     def from_json(cls, obj: object) -> "Matrix":
-        if not isinstance(obj, dict):
-            raise SchemaError(f"matrix payload must be an object: {obj!r}")
-        try:
-            spec = FieldSpec.from_json(obj["field"])
-            return cls(spec, obj["rows"], obj["cols"], obj["data"])
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad matrix payload: {exc}") from exc
+        field, rows, cols, data = _json_fields(obj, "matrix", "field", "rows", "cols", "data")
+        return cls(FieldSpec.from_json(field), rows, cols, data)
+
+
+def _check_size(n: object, what: str) -> int:
+    """A size of :meth:`Matrix.zero`, :meth:`Matrix.identity` or
+    :meth:`Vector.zero`: an integer in [0, ``_SIZE_MAX``]."""
+    size = _json_int(n, what)
+    if not 0 <= size <= _SIZE_MAX:
+        raise SchemaError(f"{what} must lie in [0, {_SIZE_MAX}]")
+    return size
 
 
 def _check_codes(values: tuple, q: int, what: str) -> None:

@@ -63,7 +63,9 @@ from .errors import (
     NotInvariant,
     NotInvertible,
     SchemaError,
+    _json_fields,
     _json_int,
+    _json_seq,
 )
 from .field import FieldSpec
 from .linalg import (
@@ -95,13 +97,14 @@ class Subspace:
     pivots: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        reduced, pivots = rref(Matrix(self.spec, len(rows), self.ambient_dim, rows))
+        given = _json_seq(self.rows, "basis")
+        m = Matrix(self.spec, len(given), _json_int(self.ambient_dim, "ambient"), given)
+        object.__setattr__(self, "rows", m.data)
+        reduced, pivots = rref(m)
         canonical = reduced.data[: len(pivots)]
-        if canonical != rows:
+        if canonical != m.data:
             raise NotCanonical(
-                f"basis {list(rows)} is not RREF; canonical form is {list(canonical)}"
+                f"basis {list(m.data)} is not RREF; canonical form is {list(canonical)}"
             )
         object.__setattr__(self, "pivots", pivots)
 
@@ -145,15 +148,8 @@ class Subspace:
     def from_json(cls, obj: object) -> "Subspace":
         """Load a subspace; the constructor checks that the basis rows
         are RREF already."""
-        if not isinstance(obj, dict):
-            raise SchemaError(f"subspace payload must be an object: {obj!r}")
-        try:
-            spec = FieldSpec.from_json(obj["field"])
-            ambient = _json_int(obj["ambient"], "ambient")
-            given = tuple(tuple(row) for row in obj["basis"])
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad subspace payload: {exc}") from exc
-        return cls(spec, ambient, given)
+        field, ambient, basis = _json_fields(obj, "subspace", "field", "ambient", "basis")
+        return cls(FieldSpec.from_json(field), ambient, basis)
 
 
 def _subspace(
@@ -430,20 +426,21 @@ class OrderedBasis:
     vectors: tuple[Vector, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vectors", tuple(self.vectors))
-        if len(self.vectors) != self.subspace.dim:
+        vectors = _json_seq(self.vectors, "basis vectors")
+        object.__setattr__(self, "vectors", vectors)
+        if len(vectors) != self.subspace.dim:
             raise NotBasis(
-                f"{len(self.vectors)} vectors cannot be a basis of a "
+                f"{len(vectors)} vectors cannot be a basis of a "
                 f"{self.subspace.dim}-dimensional space"
             )
-        for vec in self.vectors:
+        for vec in vectors:
+            if not isinstance(vec, Vector):
+                raise NotBasis(f"basis vector must be a Vector, got {type(vec).__name__}")
             if not contains(self.subspace, vec):
                 raise NotBasis(f"{vec.entries} lies outside the subspace")
-        if self.vectors:
-            stacked = Matrix.from_rows(
-                self.subspace.spec, [v.entries for v in self.vectors]
-            )
-            if rank(stacked) != len(self.vectors):
+        if vectors:
+            stacked = Matrix.from_rows(self.subspace.spec, [v.entries for v in vectors])
+            if rank(stacked) != len(vectors):
                 raise NotBasis("vectors are linearly dependent")
 
     @classmethod

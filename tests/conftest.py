@@ -5,7 +5,7 @@ tests run only with NILBIJ_SLOW=1."""
 import os
 from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -24,7 +24,6 @@ from nilbij import (
     is_nilpotent,
     mat_pow,
     rank,
-    span,
     steinitz_complement,
     subspaces,
 )
@@ -67,13 +66,22 @@ def all_matrices(spec: FieldSpec, rows: int, cols: int) -> tuple[Matrix, ...]:
 
 @lru_cache(maxsize=None)
 def all_subspaces(spec: FieldSpec, n: int) -> tuple[Subspace, ...]:
-    """Every subspace of F_q^n, via spans of all sets of nonzero vectors."""
-    nonzero = [v for v in all_vectors(spec, n) if not v.is_zero()]
-    seen = {span([], spec=spec, ambient_dim=n)}
-    for size in range(1, n + 1):
-        for picks in product(nonzero, repeat=size):
-            seen.add(span(list(picks), spec=spec, ambient_dim=n))
-    return tuple(sorted(seen, key=lambda s: (s.dim, s.rows)))
+    """Every subspace of F_q^n once, as its RREF rows, sorted by (dim, rows).
+
+    A k-dimensional subspace is one choice of k pivot columns and of the
+    entries of each pivot row in the non-pivot columns right of its
+    pivot; the public constructor checks that each choice is RREF."""
+    out = []
+    for k in range(n + 1):
+        for pivots in combinations(range(n), k):
+            free = [(i, c) for i, p in enumerate(pivots)
+                    for c in range(p + 1, n) if c not in pivots]
+            for values in product(range(spec.q), repeat=len(free)):
+                rows = [[int(c == p) for c in range(n)] for p in pivots]
+                for (i, c), x in zip(free, values):
+                    rows[i][c] = x
+                out.append(Subspace(spec, n, rows))
+    return tuple(sorted(out, key=lambda s: (s.dim, s.rows)))
 
 
 def subspace_elements(sub: Subspace) -> set[tuple[int, ...]]:

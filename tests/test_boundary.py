@@ -1,0 +1,119 @@
+"""Outside data meets one reader.  Every slot of a public constructor,
+classmethod or census entry point, and every position of a document
+given to a ``from_json``, yields a value or a ``NilbijError`` for every
+malformed value, never another exception; and a ``TypeError`` raised by
+library code is never reported as bad input."""
+
+import copy
+
+import pytest
+
+from conftest import GF2
+from nilbij import (
+    EndoFunction,
+    FieldSpec,
+    FittingPair,
+    Matrix,
+    NilbijError,
+    NilpotentPair,
+    OrderedBasis,
+    Subspace,
+    Tree,
+    Vector,
+    count_nilpotents,
+    fitting_decompose,
+    joyal_forward,
+    linalg,
+    verify_degree_refinement,
+    verify_joyal,
+    verify_theorem,
+)
+from test_cli import BAD_VALUES, _mutate, _paths
+
+# Every malformed value, plus a bare int for the slots that take a sequence.
+VALUES = BAD_VALUES + (5,)
+
+# LINE is one-dimensional, so a one-item sequence of basis vectors gets
+# past the length check to the check on its item.
+LINE = Subspace(GF2, 2, ((1, 1),))
+TREE = Tree(3, ((0, 1), (1, 2)))
+BUDGET = 600  # every census point that this budget admits runs in well under 1 s
+
+# name -> (call, valid arguments); the field, subspace and tree operands
+# are the library's own types and stay valid.
+PUBLIC_SLOTS = {
+    "FieldSpec": (FieldSpec, (2, 2, (1, 1, 1))),
+    "Vector": (lambda entries: Vector(GF2, entries), ((1, 0),)),
+    "Vector.zero": (lambda n: Vector.zero(GF2, n), (2,)),
+    "Matrix": (lambda r, c, data: Matrix(GF2, r, c, data), (1, 2, ((0, 1),))),
+    "Matrix.from_rows": (lambda rows: Matrix.from_rows(GF2, rows), (((0, 1),),)),
+    "Matrix.zero": (lambda r, c: Matrix.zero(GF2, r, c), (1, 2)),
+    "Matrix.identity": (lambda n: Matrix.identity(GF2, n), (2,)),
+    "Subspace": (lambda n, rows: Subspace(GF2, n, rows), (2, ((1, 1),))),
+    "Subspace.zero": (lambda n: Subspace.zero(GF2, n), (2,)),
+    "Subspace.full": (lambda n: Subspace.full(GF2, n), (2,)),
+    "OrderedBasis": (lambda vectors: OrderedBasis(LINE, vectors), ((Vector(GF2, (1, 1)),),)),
+    "Tree": (Tree, (3, ((0, 1), (1, 2)))),
+    "EndoFunction": (EndoFunction, (3, (0, 0, 1))),
+    "joyal_forward": (lambda v, v2: joyal_forward(TREE, v, v2), (0, 2)),
+    "count_nilpotents": (lambda n, b: count_nilpotents(GF2, n, b), (2, BUDGET)),
+    "verify_theorem": (lambda n, b: verify_theorem(GF2, n, b), (2, BUDGET)),
+    "verify_degree_refinement": (lambda n, b: verify_degree_refinement(GF2, n, b),
+                                 (2, BUDGET)),
+    "verify_joyal": (verify_joyal, (3, BUDGET)),
+}
+
+GF4_DOC = {"p": 2, "k": 2, "poly": [1, 1, 1]}
+VALID_DOCS = {
+    FieldSpec: GF4_DOC,
+    Vector: Vector(GF2, (1, 0)).to_json(),
+    Matrix: {"field": GF4_DOC, "rows": 2, "cols": 2, "data": [[2, 0], [1, 3]]},
+    Subspace: LINE.to_json(),
+    FittingPair: fitting_decompose(Matrix.from_rows(GF2, [(1, 0), (1, 0)])).to_json(),
+    NilpotentPair: NilpotentPair(Matrix.from_rows(GF2, [(0, 0), (1, 0)]),
+                                 Vector(GF2, (1, 1))).to_json(),
+    Tree: TREE.to_json(),
+    EndoFunction: EndoFunction(3, (0, 0, 1)).to_json(),
+}
+
+
+def value_or_nilbij_error(call, *args):
+    """A NilbijError is an answer; any other exception fails, naming the
+    arguments that raised it."""
+    try:
+        call(*args)
+    except NilbijError:
+        pass
+    except Exception as exc:
+        pytest.fail(f"{args!r} raised {exc!r}")
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_SLOTS))
+def test_every_public_slot_gives_a_value_or_a_nilbij_error(name):
+    call, valid = PUBLIC_SLOTS[name]
+    call(*valid)
+    for slot in range(len(valid)):
+        for value in VALUES:
+            args = valid[:slot] + (value,) + valid[slot + 1:]
+            value_or_nilbij_error(call, *args)
+
+
+@pytest.mark.parametrize("cls", list(VALID_DOCS), ids=lambda cls: cls.__name__)
+def test_every_document_position_gives_a_value_or_a_nilbij_error(cls):
+    doc = VALID_DOCS[cls]
+    assert cls.from_json(doc).to_json() == doc
+    for value in VALUES:
+        value_or_nilbij_error(cls.from_json, value)
+    for path in _paths(doc):
+        value_or_nilbij_error(cls.from_json, _mutate(copy.deepcopy(doc), path, "drop", None))
+        for value in VALUES:
+            value_or_nilbij_error(cls.from_json, _mutate(copy.deepcopy(doc), path, "set", value))
+
+
+def test_a_library_type_error_is_not_bad_input(monkeypatch):
+    def broken(values, q, what):
+        raise TypeError("a fault inside validation")
+
+    monkeypatch.setattr(linalg, "_check_codes", broken)
+    with pytest.raises(TypeError, match="a fault inside validation"):
+        Matrix.from_json(VALID_DOCS[Matrix])

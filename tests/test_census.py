@@ -15,6 +15,7 @@ from nilbij import (
     FittingPair,
     Matrix,
     OrderedBasis,
+    SchemaError,
     SubspaceMap,
     count_nilpotents,
     enumerate_operators,
@@ -85,6 +86,17 @@ def test_budget_guard():
         for spec, n in ((GF2, 200), (GF3, 12000)):
             with pytest.raises(BudgetExceeded):
                 count_nilpotents(spec, n)
+
+
+def test_census_entry_points_read_n_and_budget_as_integers():
+    """A bool, float or str size or budget is refused, not read as the
+    integer it compares equal to, nor left to fail as a TypeError."""
+    for census, *args in ((count_nilpotents, GF2, True), (count_nilpotents, GF2, 2.5),
+                          (count_nilpotents, GF2, 2, "600"), (verify_theorem, GF2, 2.0),
+                          (verify_degree_refinement, GF2, False), (verify_joyal, True),
+                          (verify_joyal, 2.5), (verify_joyal, 3, 600.0)):
+        with pytest.raises(SchemaError):
+            census(*args)
 
 
 def test_verify_theorem_smallest_grid():

@@ -226,6 +226,15 @@ def test_forward_rejects_bad_vertex():
         joyal_forward(t, -1, 0)
 
 
+def test_forward_reads_its_marks_as_integers():
+    """A bool, float or str mark is refused, not read as the vertex it
+    compares equal to, nor left to fail as a TypeError."""
+    t = Tree(3, ((0, 1), (1, 2)))
+    for v, v2 in ((True, 0), (0, False), (1.0, 2), (0, 1.5), ("0", 2), (None, 0)):
+        with pytest.raises(SchemaError):
+            joyal_forward(t, v, v2)
+
+
 def test_forward_fails_at_once_on_an_unchecked_disconnected_tree():
     """The path walk needs v2 reachable from v; an unchecked build that
     breaks this is an internal fault, not an endless walk."""

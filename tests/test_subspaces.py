@@ -4,7 +4,7 @@ graph and torsor round trips are the complement and torsor audits of
 acceptance criterion 6 (``conftest.audit_complements`` and
 ``conftest.audit_torsor``)."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -12,6 +12,7 @@ from conftest import GF2, GF3, all_matrices, all_subspaces, all_vectors, subspac
 from nilbij import (
     DimensionMismatch,
     FieldMismatch,
+    FieldSpec,
     FittingPair,
     Matrix,
     NilbijError,
@@ -89,6 +90,30 @@ def test_subspace_counts():
     # Gaussian binomials: 1 + 7 + 7 + 1 over GF(2)^3; 1 + 4 + 1 over GF(3)^2
     assert len(all_subspaces(GF2, 3)) == 16
     assert len(all_subspaces(GF3, 2)) == 6
+
+
+def gaussian_binomial(n: int, k: int, q: int) -> int:
+    """[n k]_q, the number of k-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("spec,n", [(GF2, n) for n in range(5)] + [(GF3, n) for n in range(4)]
+                         + [(FieldSpec(2, 2), 2), (FieldSpec(5), 2)], ids=str)
+def test_all_subspaces_is_every_subspace_once(spec, n):
+    """The RREF enumeration of ``conftest`` against the spans of every set
+    of at most n distinct nonzero vectors, and the count against the
+    Gaussian binomials, at every point the suites enumerate."""
+    subs = all_subspaces(spec, n)
+    assert list(subs) == sorted(set(subs), key=lambda s: (s.dim, s.rows))
+    assert len(subs) == sum(gaussian_binomial(n, k, spec.q) for k in range(n + 1))
+    nonzero = [v for v in all_vectors(spec, n) if not v.is_zero()]
+    spans = {span(picks, spec=spec, ambient_dim=n)
+             for size in range(n + 1) for picks in combinations(nonzero, size)}
+    assert set(subs) == spans
 
 
 def test_coords_from_coords_roundtrip_exhaustive():
