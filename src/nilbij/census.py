@@ -13,7 +13,11 @@ injective; if it also lands in a domain measured to be as large as the
 codomain, it is a bijection and ``forward`` its two-sided inverse.  The
 walk also checks that each x and its preimage lie in matching strata:
 dim im(Q^n) and the degree of v on the linear side, one periodic point
-and equal marks on the set side.
+and equal marks on the set side.  The walk is the one judge of an
+enumerated input: the constructions do not prove again that their
+output lies in the domain, and a step that raises while x is judged
+makes x fail, so a broken construction yields a report that is not
+ok, never an escaped error.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from .errors import BudgetExceeded, DimensionMismatch, NilbijError, _json_int
 from .field import FieldSpec
 from .joyal import (
     Tree,
+    _joyal_forward,
     all_endofunctions,
     is_eventually_constant,
-    joyal_forward,
     joyal_inverse,
 )
 from .linalg import Matrix, _matrix, _vector, is_nilpotent, rank
@@ -150,13 +154,19 @@ class CensusReport:
         return "\n".join(lines)
 
 
+# What a construction raises on an input it cannot take: a refusal of
+# the library's own value, or a broken internal invariant.  While a walk
+# judges one element, either is that element's failure, never the run's.
+_FAULTS = (NilbijError, AssertionError)
+
+
 def _walk(elements, inverse, in_domain, forward, left_key, right_key):
     """One audit walk over a codomain; returns (failures, left, right).
 
     Each x tallies its stratum ``right_key(x)`` on the right.  It fails
     unless ``p = inverse(x)`` has ``in_domain(*p)``, ``forward(*p) == x``
-    and ``left_key(*p) == right_key(x)``; otherwise it tallies that
-    stratum on the left.
+    and ``left_key(*p) == right_key(x)``, or if one of these raises one
+    of the ``_FAULTS``; otherwise it tallies that stratum on the left.
     """
     failures = 0
     left: Counter = Counter()
@@ -164,11 +174,14 @@ def _walk(elements, inverse, in_domain, forward, left_key, right_key):
     for x in elements:
         k = right_key(x)
         right[k] += 1
-        p = inverse(x)
-        if in_domain(*p) and forward(*p) == x and left_key(*p) == k:
-            left[k] += 1
-        else:
-            failures += 1
+        try:
+            p = inverse(x)
+            if in_domain(*p) and forward(*p) == x and left_key(*p) == k:
+                left[k] += 1
+                continue
+        except _FAULTS:
+            pass
+        failures += 1
     return failures, left, right
 
 
@@ -246,7 +259,9 @@ def verify_degree_refinement(
     whose stabilized image has dimension k.  Also checks the forward
     map sends each left stratum into the matching right stratum.  Every
     k = 0..n gets a row, empty or not, and each row is ok only if both
-    counts equal :func:`expected_strata`.
+    counts equal :func:`expected_strata`.  A pair whose degree or image
+    raises one of the ``_FAULTS`` is tallied in no stratum, so the left
+    counts fall short of the q^(n²) the rows expect together.
     """
     _check_dim(n)
     _check_budget(spec.q, n * n, budget, f"degree refinement over GF({spec.q}), n={n}")
@@ -259,9 +274,12 @@ def verify_degree_refinement(
         right[dim] += 1
         if dim == 0:  # rank(T^n) = 0: T is nilpotent
             for vec in vectors:
-                k = degree(t, vec)
+                try:
+                    k = degree(t, vec)
+                    image_dim = _stable_image_dim(forward(t, vec))
+                except _FAULTS:
+                    continue
                 left[k] += 1
-                image_dim = _stable_image_dim(forward(t, vec))
                 consistent[k] = consistent.get(k, True) and image_dim == k
     return tuple(
         DegreeStratum(k, left[k], right[k], consistent.get(k, True), spec.q, n)
@@ -307,30 +325,24 @@ class JoyalReport:
         return "\n".join(lines)
 
 
-def _is_tree(tree: Tree) -> bool:
-    """Whether the public constructor accepts ``tree`` as it stands."""
-    try:
-        return Tree(tree.n, tree.edges) == tree
-    except NilbijError:
-        return False
-
-
 def verify_joyal(n: int, budget: int = DEFAULT_BUDGET) -> JoyalReport:
     """Audit the tree/function bijection exhaustively at one n, in one walk.
 
     f fails unless joyal_inverse(f) is a (tree, v, v2) that joyal_forward
-    maps back to f, with a tree the public constructor accepts (run once
-    per distinct tree), and v == v2 exactly when f is eventually
-    constant.  With no failures and n^(n-2) trees, the n^n functions
-    inject into as many marked trees: no walk over the marked trees is
-    needed.
+    maps back to f, with a tree the public constructor accepts as it
+    stands (run once per distinct tree; a refusal is f's failure), and
+    v == v2 exactly when f is eventually constant.  With no failures and
+    n^(n-2) trees, the n^n functions inject into as many marked trees: no
+    walk over the marked trees is needed.  The walk maps back with the
+    unchecked core of joyal_forward: the marks are the two ends of
+    joyal_inverse's path, in range by construction.
     """
     started = time.perf_counter()
     _check_budget(_json_int(n, "n"), n, budget, f"verifying the tree bijection at n={n}")
-    is_tree = functools.cache(_is_tree)
+    is_tree = functools.cache(lambda tree: Tree(tree.n, tree.edges) == tree)
     failures, _, right = _walk(
         all_endofunctions(n), joyal_inverse, lambda tree, v, v2: is_tree(tree),
-        joyal_forward, lambda tree, v, v2: v == v2, is_eventually_constant,
+        _joyal_forward, lambda tree, v, v2: v == v2, is_eventually_constant,
     )
     return JoyalReport(
         n=n,

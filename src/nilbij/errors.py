@@ -2,7 +2,10 @@
 
 Every library-raised error derives from :class:`NilbijError` so callers
 (and the CLI) can distinguish bad input from genuine bugs, which surface
-as plain ``AssertionError`` from internal consistency checks.
+as plain ``AssertionError`` from internal consistency checks.  The one
+exception is a census walk: while it judges an input that it enumerated
+itself, either kind raised by a construction is that input's failure,
+reported with exit 1, never bad input (``census._FAULTS``).
 
 Outside data is read through three readers at the end of this module:
 :func:`_json_fields` for the keys of a JSON object, :func:`_json_int`

@@ -16,10 +16,12 @@ both marks equal, n^(n-1) of them.
 
 The ``Tree`` and ``EndoFunction`` constructors validate their input,
 integer and sequence slots included, and :func:`joyal_forward` reads
-its marks as integers; the endofunctions that the enumeration and
-:func:`joyal_forward` build themselves are made unchecked by
-:func:`_endofunction`, and the trees of :func:`joyal_inverse` by
-:func:`_tree`.
+its marks as integers, as :func:`all_endofunctions` reads n; the
+endofunctions that the enumeration and :func:`joyal_forward` build
+themselves are made unchecked by :func:`_endofunction`, the trees of
+:func:`joyal_inverse` by :func:`_tree`, and the census maps the marks
+of :func:`joyal_inverse`, the two ends of its path, by
+:func:`_joyal_forward`, which reads them unchecked.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from functools import cached_property
 from itertools import product
 
 from .errors import InvalidVertex, SchemaError, _json_fields, _json_int, _json_seq
+from .linalg import _SIZE_MAX
 
 
 @dataclass(frozen=True)
@@ -159,10 +162,16 @@ def periodic_points(f: EndoFunction) -> tuple[int, ...]:
 
 def joyal_forward(tree: Tree, v: int, v2: int) -> EndoFunction:
     """Endofunction of the tree with marked vertices (v, v2)."""
-    n = tree.n
     for x in (_json_int(v, "v"), _json_int(v2, "v2")):
-        if not 0 <= x < n:
-            raise InvalidVertex(f"marked vertex {x} leaves 0..{n - 1}")
+        if not 0 <= x < tree.n:
+            raise InvalidVertex(f"marked vertex {x} leaves 0..{tree.n - 1}")
+    return _joyal_forward(tree, v, v2)
+
+
+def _joyal_forward(tree: Tree, v: int, v2: int) -> EndoFunction:
+    """:func:`joyal_forward` on marks the library made itself, unchecked:
+    ``v`` and ``v2`` are vertices of the tree."""
+    n = tree.n
     table = _parents(tree, v)
     if table[v2] < 0:  # a Tree is connected; only an unchecked build can get here
         raise AssertionError(f"vertex {v2} is not connected to vertex {v}")
@@ -189,8 +198,8 @@ def joyal_inverse(f: EndoFunction) -> tuple[Tree, int, int]:
 
 def all_endofunctions(n: int):
     """All n^n endofunctions, in lexicographic table order."""
-    if n < 1:
-        raise SchemaError(f"need at least one vertex, got n={n}")
+    if not 1 <= _json_int(n, "n") <= _SIZE_MAX:
+        raise SchemaError(f"the number of vertices must lie in [1, {_SIZE_MAX}]")
     for table in product(range(n), repeat=n):
         yield _endofunction(n, table)
 

@@ -60,9 +60,11 @@ from .errors import (
 )
 from .field import FieldSpec
 
-# Matrix.zero, Matrix.identity and Vector.zero build from a bare size.  A
-# size past _SIZE_MAX names nothing a machine could hold (an identity of
-# that order has over 2^40 entries), so it is refused before any row is built.
+# Matrix.zero, Matrix.identity, Vector.zero and joyal.all_endofunctions
+# build from a bare size.  A size past _SIZE_MAX names nothing a machine
+# could hold (an identity of that order has over 2^40 entries, and so many
+# vertices have more functions than any enumeration reaches), so it is
+# refused before any row or table is built.
 _SIZE_MAX = 1 << 20
 
 
@@ -279,7 +281,7 @@ def mat_pow(t: Matrix, e: int) -> Matrix:
     """T**e by repeated squaring; T**0 is the identity."""
     if not t.is_square():
         raise NonSquare(f"mat_pow needs a square matrix, got {t.rows}x{t.cols}")
-    if e < 0:
+    if _json_int(e, "exponent") < 0:
         raise NegativeExponent("exponent must be nonnegative")
     spec, n = t.spec, t.rows
     result = None

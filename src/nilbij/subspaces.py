@@ -175,19 +175,21 @@ def span(
     (the zero subspace carries no hint of its ambient space); when
     given with vectors, they must agree with them.
     """
-    vecs = list(vectors)
+    vecs = _json_seq(vectors, "vectors")
     if not vecs:
         if spec is None or ambient_dim is None:
             raise DimensionMismatch("empty span needs explicit spec and ambient_dim")
         if _json_int(ambient_dim, "ambient_dim") < 0:
             raise SchemaError(f"ambient_dim must be nonnegative, got {ambient_dim}")
         return _subspace(spec, ambient_dim, (), ())
-    first, n = vecs[0].spec, vecs[0].n
-    for v in vecs:
-        if v.spec != first:
+    for v in vecs:  # vecs[0] is checked as a Vector before it is read
+        if not isinstance(v, Vector):
+            raise SchemaError(f"a spanning vector must be a Vector, got {type(v).__name__}")
+        if v.spec != vecs[0].spec:
             raise FieldMismatch("span of vectors over different fields")
-        if v.n != n:
+        if v.n != vecs[0].n:
             raise DimensionMismatch("span of vectors of different lengths")
+    first, n = vecs[0].spec, vecs[0].n
     if spec is not None and spec != first:
         raise FieldMismatch(f"vectors over {first} spanned in {spec}")
     if ambient_dim is not None and ambient_dim != n:

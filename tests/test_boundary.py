@@ -20,10 +20,13 @@ from nilbij import (
     Subspace,
     Tree,
     Vector,
+    all_endofunctions,
     count_nilpotents,
     fitting_decompose,
     joyal_forward,
     linalg,
+    mat_pow,
+    span,
     verify_degree_refinement,
     verify_joyal,
     verify_theorem,
@@ -39,8 +42,8 @@ LINE = Subspace(GF2, 2, ((1, 1),))
 TREE = Tree(3, ((0, 1), (1, 2)))
 BUDGET = 600  # every census point that this budget admits runs in well under 1 s
 
-# name -> (call, valid arguments); the field, subspace and tree operands
-# are the library's own types and stay valid.
+# name -> (call, valid arguments); the field, subspace, tree and matrix
+# operands are the library's own types and stay valid.
 PUBLIC_SLOTS = {
     "FieldSpec": (FieldSpec, (2, 2, (1, 1, 1))),
     "Vector": (lambda entries: Vector(GF2, entries), ((1, 0),)),
@@ -61,6 +64,9 @@ PUBLIC_SLOTS = {
     "verify_degree_refinement": (lambda n, b: verify_degree_refinement(GF2, n, b),
                                  (2, BUDGET)),
     "verify_joyal": (verify_joyal, (3, BUDGET)),
+    "all_endofunctions": (lambda n: next(all_endofunctions(n)), (3,)),
+    "mat_pow": (lambda e: mat_pow(Matrix.identity(GF2, 2), e), (3,)),
+    "span": (lambda vectors, n: span(vectors, GF2, n), ((Vector(GF2, (1, 1)),), 2)),
 }
 
 GF4_DOC = {"p": 2, "k": 2, "poly": [1, 1, 1]}

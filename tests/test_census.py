@@ -1,7 +1,9 @@
 """Census engine: enumeration order, counts, reports, budget guard,
 and broken bijections being reported."""
 
+import hashlib
 import io
+import json
 from itertools import product
 
 import pytest
@@ -14,19 +16,23 @@ from nilbij import (
     FieldSpec,
     FittingPair,
     Matrix,
+    NilpotentPair,
     OrderedBasis,
     SchemaError,
     SubspaceMap,
+    Vector,
     count_nilpotents,
     enumerate_operators,
     inverse,
     joyal,
     joyal_inverse,
+    span,
     verify_degree_refinement,
     verify_joyal,
     verify_theorem,
 )
-from nilbij.cli import main
+from nilbij.cli import canonical_dumps, main
+from test_bijection import INVERSE_DIGESTS
 
 
 def test_enumeration_order_and_count():
@@ -307,11 +313,11 @@ def joyal_inverse_and_forward_swap_equal_and_distinct_marks(real_inverse, real_f
 
 
 JOYAL_MUTANTS = [
-    ("joyal_forward", joyal_forward_wrong_on_one_triple),
+    ("_joyal_forward", joyal_forward_wrong_on_one_triple),
     ("joyal_inverse", joyal_inverse_merges_two_functions),
     ("joyal_inverse", joyal_inverse_gives_a_cycle_for_one_function),
     ("joyal_inverse", joyal_inverse_doubles_an_edge_of_one_tree),
-    (("joyal_inverse", "joyal_forward"), joyal_inverse_and_forward_swap_equal_and_distinct_marks),
+    (("joyal_inverse", "_joyal_forward"), joyal_inverse_and_forward_swap_equal_and_distinct_marks),
 ]
 
 
@@ -368,6 +374,95 @@ def test_construction_mutant_fails_its_own_audit(monkeypatch, broken, name, muta
     assert verify_theorem(GF2, 2).ok is not on_path
     assert main(["verify-theorem", "--p", "2", "--n", "2", "--json"],
                 stdout=io.StringIO()) == (1 if on_path else 0)
+
+
+# Construction faults: each breaks a construction on the path of forward
+# and inverse so that it raises, or hands the census an operator that is
+# not nilpotent, on some enumerated input.  The walk must count that
+# input as failed, and the CLI exit 1 with a report, never 2.
+
+def steinitz_complement_returns_the_line_itself(real):
+    return lambda v: v if (v.ambient_dim, v.dim) == (2, 1) else real(v)
+
+
+def fitting_decompose_gives_a_non_nilpotent_s(real):
+    def mutant(q):
+        pair = real(q)
+        if q != ZERO:
+            return pair
+        return FittingPair(pair.V, pair.W, pair.R, SubspaceMap(pair.W, pair.W, IDENT))
+    return mutant
+
+
+# (name bound in bijection, mutant, whether the degree walk meets it):
+# fitting_decompose runs only in inverse, which the degree walk never calls
+FAULT_MUTANTS = [
+    ("steinitz_complement", steinitz_complement_returns_the_line_itself, True),
+    ("fitting_decompose", fitting_decompose_gives_a_non_nilpotent_s, False),
+]
+
+
+@pytest.mark.parametrize(
+    "name,mutate,on_degree_path", FAULT_MUTANTS, ids=[m.__name__ for _, m, _ in FAULT_MUTANTS]
+)
+def test_construction_fault_is_that_inputs_failure(monkeypatch, name, mutate, on_degree_path):
+    monkeypatch.setattr(nilbij.bijection, name, mutate(getattr(nilbij.bijection, name)))
+    report = verify_theorem(GF2, 2)
+    assert report.roundtrip_failures > 0 and not report.ok
+    strata = verify_degree_refinement(GF2, 2)
+    assert all(s.ok for s in strata) is not on_degree_path
+    commands = [["verify-theorem"]] + [["verify-degrees"]] * on_degree_path
+    for command in commands:
+        out, err = io.StringIO(), io.StringIO()
+        assert main(command + ["--p", "2", "--n", "2", "--json"], stdout=out, stderr=err) == 1
+        assert json.loads(out.getvalue())["ok"] is False and err.getvalue() == ""
+
+
+# Near-miss mutants from the record of past changes, each with the
+# cheapest check known to catch it and the checks known not to: the gap
+# between them is on record, so a change that closes or widens it says so.
+
+def steinitz_complement_shifted_by_the_first_row(real):
+    """The complement spanned by e_j + b_1, j over V's free columns and b_1
+    V's first row: a complement of V, but not the Steinitz one."""
+    def mutant(v):
+        u = real(v)
+        if not v.rows:
+            return u
+        shifted = [Vector(v.spec, tuple(v.spec.add(e, b) for e, b in zip(row, v.rows[0])))
+                   for row in u.rows]
+        return span(shifted, spec=v.spec, ambient_dim=v.ambient_dim)
+    return mutant
+
+
+def inverse_digest(spec, n):
+    blob = "".join(canonical_dumps(NilpotentPair(*inverse(q)).to_json())
+                   for q in enumerate_operators(spec, n))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# (name, module and name it patches, mutant, the CHANGES.md entry it
+# comes from, a check that catches it, a check that does not).  Each
+# check returns True where the code is right.  The census misses the
+# complement mutant because it proves a bijection, not which one.
+NEAR_MISS_MUTANTS = [
+    ("complement shifted by V's first row", nilbij.bijection, "steinitz_complement",
+     steinitz_complement_shifted_by_the_first_row,
+     "CHANGES.md: `forward` ends in `block_assemble`",
+     lambda: inverse_digest(GF2, 2) == INVERSE_DIGESTS[GF2, 2],
+     lambda: verify_theorem(GF2, 2).ok),
+]
+
+
+@pytest.mark.parametrize(
+    "entry", NEAR_MISS_MUTANTS, ids=[entry[0] for entry in NEAR_MISS_MUTANTS]
+)
+def test_near_miss_mutant_is_caught_only_where_recorded(monkeypatch, entry):
+    _, module, name, mutate, _, catches, misses = entry
+    assert catches() and misses()
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    assert not catches()
+    assert misses()
 
 
 def test_degree_refinement_gf2_dim2():

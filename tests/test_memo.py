@@ -234,14 +234,23 @@ def count_nilpotency_decisions(call):
         return call(), calls
 
 
-def test_each_direction_decides_nilpotency_twice():
+def test_inverse_decides_nilpotency_never_and_forward_once():
     data = ((1, 1, 0), (0, 0, 0), (0, 0, 1))
     (t, v), decided = count_nilpotency_decisions(lambda: inverse(Matrix(GF2, 3, 3, data)))
-    assert decided == 2  # S on W, and the rebuilt T
+    assert decided == 0  # neither S nor the rebuilt T: the census decides T
     fresh = Matrix(GF2, 3, 3, t.data)
     q, decided = count_nilpotency_decisions(lambda: forward(fresh, v))
     assert q.data == data
-    assert decided == 2  # T, and its U -> U block; S is not decided again
+    assert decided == 1  # T, by the public guard; not its U -> U block
+
+
+def test_census_decides_nilpotency_once_per_operator():
+    report, decided = count_nilpotency_decisions(lambda: verify_theorem(GF2, 3))
+    assert report.ok
+    assert decided == 512  # each T once; forward and degree read it back
+    strata, decided = count_nilpotency_decisions(lambda: verify_degree_refinement(GF2, 3))
+    assert all(s.ok for s in strata)
+    assert decided == 64  # each nilpotent T once, no pair
 
 
 def count_products(call):
