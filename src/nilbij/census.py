@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 from itertools import product
 
 from .bijection import degree, forward, inverse
-from .errors import BudgetExceeded, DimensionMismatch, NilbijError, _json_int
+from .errors import BudgetExceeded, NilbijError, _json_int
 from .field import FieldSpec
 from .joyal import (
     Tree,
@@ -38,35 +38,31 @@ from .joyal import (
     is_eventually_constant,
     joyal_inverse,
 )
-from .linalg import Matrix, _matrix, _vector, is_nilpotent, rank
+from .linalg import _SIZE_MAX, Matrix, _matrix, _vector, is_nilpotent, rank
 
 DEFAULT_BUDGET = 1 << 24
 
 
 def _check_budget(base: int, exp: int, budget: int, what: str) -> None:
     """Refuse ``base**exp`` evaluations above ``budget`` without computing
-    the power: 2**budget.bit_length() > budget caps the exponent."""
-    if base ** min(exp, _json_int(budget, "budget").bit_length()) > budget:
-        raise BudgetExceeded(f"{what} needs {base}^{exp} evaluations, budget is {budget}")
-
-
-def _check_dim(n: int) -> None:
-    if _json_int(n, "n") < 0:
-        raise DimensionMismatch(f"dimension must be nonnegative, got n={n}")
+    the power: 2**budget.bit_length() > budget caps the exponent.  The
+    budget is unbounded above, so the refusal does not format it."""
+    if base ** min(exp, _json_int(budget, "budget", 0).bit_length()) > budget:
+        raise BudgetExceeded(f"{what} needs {base}^{exp} evaluations, over the budget")
 
 
 def enumerate_operators(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET):
-    """All n x n matrices over the field, lexicographic in element codes.
+    """All n x n matrices over the field, lexicographic in element codes,
+    as an iterator; n and the budget are checked at the call.
 
     The q^n rows are built once, after the budget check, and each
     operator is a tuple of n of them: ``product`` over whole rows gives
     the same row-major order, first entry most significant, as
     ``product`` over the n² entries."""
-    _check_dim(n)
+    n = _json_int(n, "n", 0, _SIZE_MAX)
     _check_budget(spec.q, n * n, budget, f"enumerating {n}x{n} operators over GF({spec.q})")
     rows = tuple(product(range(spec.q), repeat=n))
-    for data in product(rows, repeat=n):
-        yield _matrix(spec, n, n, data)
+    return (_matrix(spec, n, n, data) for data in product(rows, repeat=n))
 
 
 def _stable_image_dim(q_op: Matrix) -> int:
@@ -199,8 +195,6 @@ def verify_theorem(
     passes; the nilpotent count is the right-hand stratum 0.
     """
     started = time.perf_counter()
-    _check_dim(n)
-    _check_budget(spec.q, n * n, budget, f"verifying the bijection over GF({spec.q}), n={n}")
     failures, left, right = _walk(
         enumerate_operators(spec, n, budget), inverse,
         lambda t, v: is_nilpotent(t), forward, degree, _stable_image_dim,
@@ -263,13 +257,12 @@ def verify_degree_refinement(
     raises one of the ``_FAULTS`` is tallied in no stratum, so the left
     counts fall short of the q^(n²) the rows expect together.
     """
-    _check_dim(n)
-    _check_budget(spec.q, n * n, budget, f"degree refinement over GF({spec.q}), n={n}")
+    operators = enumerate_operators(spec, n, budget)  # checks n before the q^n vectors
     left: Counter[int] = Counter()
     right: Counter[int] = Counter()
     consistent: dict[int, bool] = {}
     vectors = [_vector(spec, e) for e in product(range(spec.q), repeat=n)]
-    for t in enumerate_operators(spec, n, budget):
+    for t in operators:
         dim = _stable_image_dim(t)
         right[dim] += 1
         if dim == 0:  # rank(T^n) = 0: T is nilpotent
@@ -338,10 +331,11 @@ def verify_joyal(n: int, budget: int = DEFAULT_BUDGET) -> JoyalReport:
     joyal_inverse's path, in range by construction.
     """
     started = time.perf_counter()
-    _check_budget(_json_int(n, "n"), n, budget, f"verifying the tree bijection at n={n}")
+    functions = all_endofunctions(n)
+    _check_budget(n, n, budget, f"verifying the tree bijection at n={n}")
     is_tree = functools.cache(lambda tree: Tree(tree.n, tree.edges) == tree)
     failures, _, right = _walk(
-        all_endofunctions(n), joyal_inverse, lambda tree, v, v2: is_tree(tree),
+        functions, joyal_inverse, lambda tree, v, v2: is_tree(tree),
         _joyal_forward, lambda tree, v, v2: v == v2, is_eventually_constant,
     )
     return JoyalReport(

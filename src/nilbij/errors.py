@@ -14,6 +14,12 @@ for an integer slot and :func:`_json_seq` for a sequence slot.  Each
 and the constructors read every slot through the other two, so no
 handler wraps a constructor call: a ``TypeError`` or ``KeyError`` from
 library code is a fault, never reported as bad input.
+
+``_json_int`` owns the range of every integer slot: sizes, codes,
+vertices, exponents, budgets.  Its caller passes the bounds, and its
+refusal names the slot and those bounds, never the value, so no
+refusal formats an unbounded integer.  A message elsewhere formats an
+integer only once the reader has bounded it.
 """
 
 
@@ -85,15 +91,26 @@ class BudgetExceeded(NilbijError):
     """An exhaustive enumeration would exceed the configured budget."""
 
 
-def _json_int(value: object, what: str) -> int:
-    """An integer slot of a JSON payload or of a public constructor;
-    bool, float and str are refused.
+def _json_int(
+    value: object, what: str, lo: int, hi: int | None = None,
+    error: type[NilbijError] = SchemaError,
+) -> int:
+    """An integer slot of a JSON payload or of a public function, in
+    [``lo``, ``hi``] (no upper bound when ``hi`` is None); bool, float
+    and str are refused with a :class:`SchemaError`, and an integer out
+    of range with ``error``.
 
     ``int()`` would truncate 2.7 to 2 and read true as 1, so a payload
-    could silently name a different object than it wrote.
+    could silently name a different object than it wrote.  A refusal
+    names the slot and its bounds, never the value: an integer of more
+    than 4,300 digits cannot be formatted, so a message that tried would
+    raise ``ValueError`` instead of refusing.
     """
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{what} must be an integer, got {value!r}")
+        raise SchemaError(f"{what} must be an integer, got {type(value).__name__}")
+    if value < lo or hi is not None and value > hi:
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise error(f"{what} must be an integer {bounds}")
     return value
 
 

@@ -319,20 +319,15 @@ class FieldSpec:
     poly: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        _json_int(self.p, "p")
-        _json_int(self.k, "k")
-        if self.p >= _PRIME_LIMIT:
-            raise SchemaError(f"p = {self.p} is too large; p must be < {_PRIME_LIMIT}")
+        _json_int(self.p, "p", 2, _PRIME_LIMIT - 1)
+        _json_int(self.k, "k", 1, _Q_BITS - 1)  # p >= 2, so q < 2^_Q_BITS needs k < _Q_BITS
         if not _is_prime(self.p):
             raise SchemaError(f"p = {self.p} is not prime")
-        if self.k < 1:
-            raise SchemaError(f"extension degree k = {self.k} must be >= 1")
         if self.k == 1:
             if self.poly is not None:
                 raise SchemaError("prime fields take no reduction polynomial")
             return
-        # p^min(k, _Q_BITS) >= 2^_Q_BITS exactly when p^k is, as p >= 2
-        if self.p ** min(self.k, _Q_BITS) >> _Q_BITS:
+        if self.p**self.k >> _Q_BITS:
             raise SchemaError(f"GF({self.p}^{self.k}) is too large; q must be < 2^{_Q_BITS}")
         poly = self.poly
         if poly is None:
@@ -341,11 +336,10 @@ class FieldSpec:
                 raise SchemaError(
                     f"no built-in irreducible for GF({self.p}^{self.k}); supply poly"
                 )
-        poly = tuple(_json_int(c, "poly coefficient") for c in _json_seq(poly, "poly"))
+        poly = tuple(_json_int(c, "poly coefficient", 0, self.p - 1)
+                     for c in _json_seq(poly, "poly"))
         if len(poly) != self.k + 1 or poly[-1] != 1:
             raise SchemaError(f"poly must be monic of degree {self.k}: {poly}")
-        if any(not 0 <= c < self.p for c in poly):
-            raise SchemaError(f"poly coefficients must lie in [0, {self.p})")
         if not _is_irreducible(poly, self.p):
             raise SchemaError(f"poly {poly} is reducible over GF({self.p})")
         object.__setattr__(self, "poly", poly)
@@ -426,8 +420,7 @@ class FieldSpec:
 
     def pow(self, a: int, e: int) -> int:
         """a**e by square-and-multiply; pow(a, 0) == 1 for every a."""
-        if e < 0:
-            raise NegativeExponent("exponent must be nonnegative")
+        _json_int(e, "exponent", 0, error=NegativeExponent)
         out = 1
         base = a
         while e:

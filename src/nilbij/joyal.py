@@ -16,7 +16,9 @@ both marks equal, n^(n-1) of them.
 
 The ``Tree`` and ``EndoFunction`` constructors validate their input,
 integer and sequence slots included, and :func:`joyal_forward` reads
-its marks as integers, as :func:`all_endofunctions` reads n; the
+its marks as :func:`all_endofunctions` reads n: each integer with its
+range, through ``_json_int``, a vertex count in [1, 2^20] and a vertex
+in [0, n - 1] (``InvalidVertex`` outside it); the
 endofunctions that the enumeration and :func:`joyal_forward` build
 themselves are made unchecked by :func:`_endofunction`, the trees of
 :func:`joyal_inverse` by :func:`_tree`, and the census maps the marks
@@ -42,18 +44,15 @@ class Tree:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if _json_int(self.n, "n") < 1:
-            raise SchemaError(f"a tree needs at least one vertex, got n={self.n}")
+        last = _json_int(self.n, "n", 1, _SIZE_MAX) - 1
         norm = []
         for e in _json_seq(self.edges, "edges"):
             try:
                 a, b = e
             except (TypeError, ValueError):
-                raise SchemaError(f"edge {e!r} is not a pair of vertices") from None
-            _json_int(a, "vertex")
-            _json_int(b, "vertex")
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise InvalidVertex(f"edge {e} leaves 0..{self.n - 1}")
+                raise SchemaError("an edge is not a pair of vertices") from None
+            _json_int(a, "vertex", 0, last, InvalidVertex)
+            _json_int(b, "vertex", 0, last, InvalidVertex)
             if a == b:
                 raise SchemaError(f"self-loop at vertex {a}")
             norm.append((min(a, b), max(a, b)))
@@ -89,14 +88,12 @@ class EndoFunction:
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if _json_int(self.n, "n") < 1:
-            raise SchemaError(f"need at least one vertex, got n={self.n}")
+        last = _json_int(self.n, "n", 1, _SIZE_MAX) - 1
         object.__setattr__(self, "table", _json_seq(self.table, "table"))
         if len(self.table) != self.n:
             raise SchemaError(f"table has {len(self.table)} entries, expected {self.n}")
         for x in self.table:
-            if not 0 <= _json_int(x, "table value") < self.n:
-                raise InvalidVertex(f"value {x} leaves 0..{self.n - 1}")
+            _json_int(x, "table value", 0, last, InvalidVertex)
 
     def __call__(self, x: int) -> int:
         return self.table[x]
@@ -162,9 +159,8 @@ def periodic_points(f: EndoFunction) -> tuple[int, ...]:
 
 def joyal_forward(tree: Tree, v: int, v2: int) -> EndoFunction:
     """Endofunction of the tree with marked vertices (v, v2)."""
-    for x in (_json_int(v, "v"), _json_int(v2, "v2")):
-        if not 0 <= x < tree.n:
-            raise InvalidVertex(f"marked vertex {x} leaves 0..{tree.n - 1}")
+    _json_int(v, "v", 0, tree.n - 1, InvalidVertex)
+    _json_int(v2, "v2", 0, tree.n - 1, InvalidVertex)
     return _joyal_forward(tree, v, v2)
 
 
@@ -197,9 +193,12 @@ def joyal_inverse(f: EndoFunction) -> tuple[Tree, int, int]:
 
 
 def all_endofunctions(n: int):
-    """All n^n endofunctions, in lexicographic table order."""
-    if not 1 <= _json_int(n, "n") <= _SIZE_MAX:
-        raise SchemaError(f"the number of vertices must lie in [1, {_SIZE_MAX}]")
+    """All n^n endofunctions, in lexicographic table order, as an
+    iterator; n is checked at the call."""
+    return _endofunctions(_json_int(n, "n", 1, _SIZE_MAX))
+
+
+def _endofunctions(n: int):
     for table in product(range(n), repeat=n):
         yield _endofunction(n, table)
 

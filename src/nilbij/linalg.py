@@ -9,7 +9,9 @@ invertible.
 
 The public constructors and ``from_json`` validate everything: shape,
 entry type (integers only, never bool, float or str) and entry range,
-each slot read by the readers of :mod:`nilbij.errors`.
+each slot read by the readers of :mod:`nilbij.errors`; an integer slot
+and its range are read together by ``_json_int``, so a size or code
+past its bounds is refused without its value in the message.
 Values the library derives from already-valid operands are built by
 the private factories :func:`_matrix` and :func:`_vector`, which skip
 those checks; a broken internal invariant surfaces as an
@@ -60,11 +62,15 @@ from .errors import (
 )
 from .field import FieldSpec
 
-# Matrix.zero, Matrix.identity, Vector.zero and joyal.all_endofunctions
-# build from a bare size.  A size past _SIZE_MAX names nothing a machine
-# could hold (an identity of that order has over 2^40 entries, and so many
-# vertices have more functions than any enumeration reaches), so it is
-# refused before any row or table is built.
+# The largest size that Matrix.zero, Matrix.identity, Vector.zero, a
+# census n and a vertex count (Tree, EndoFunction, all_endofunctions) are
+# read with, through errors._json_int.  A larger size names nothing a
+# machine could hold (an identity of that order has over 2^40 entries, and
+# so many vertices have more functions than any enumeration reaches), so
+# it is refused before any row or table is built; and below it the n²
+# that a BudgetExceeded names stays short enough to format.  A Matrix or
+# Subspace built from data takes any size its data has: a 0 x 10^12
+# matrix holds no entry.
 _SIZE_MAX = 1 << 20
 
 
@@ -89,7 +95,7 @@ class Vector:
 
     @classmethod
     def zero(cls, spec: FieldSpec, n: int) -> "Vector":
-        return cls(spec, (0,) * _check_size(n, "vector length"))
+        return cls(spec, (0,) * _json_int(n, "vector length", 0, _SIZE_MAX))
 
     def to_json(self) -> dict:
         return {"field": self.spec.to_json(), "entries": list(self.entries)}
@@ -110,12 +116,11 @@ class Matrix:
     data: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows, cols = _json_int(self.rows, "rows"), _json_int(self.cols, "cols")
+        rows, cols = _json_int(self.rows, "rows", 0), _json_int(self.cols, "cols", 0)
         data = tuple(_json_seq(row, "matrix row") for row in _json_seq(self.data, "matrix data"))
         object.__setattr__(self, "data", data)
-        shape_ok = rows >= 0 and cols >= 0 and len(data) == rows
-        if not shape_ok or any(len(row) != cols for row in data):
-            raise SchemaError(f"matrix data shape does not match {rows}x{cols}")
+        if len(data) != rows or any(len(row) != cols for row in data):
+            raise SchemaError("matrix data shape does not match its rows and cols")
         q = self.spec.q
         for row in data:
             _check_codes(row, q, "matrix entry")
@@ -127,12 +132,12 @@ class Matrix:
 
     @classmethod
     def zero(cls, spec: FieldSpec, rows: int, cols: int) -> "Matrix":
-        row = (0,) * _check_size(cols, "cols")
-        return cls(spec, rows, cols, (row,) * _check_size(rows, "rows"))
+        row = (0,) * _json_int(cols, "cols", 0, _SIZE_MAX)
+        return cls(spec, rows, cols, (row,) * _json_int(rows, "rows", 0, _SIZE_MAX))
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
-        return cls(spec, n, n, _identity_rows(_check_size(n, "matrix order")))
+        return cls(spec, n, n, _identity_rows(_json_int(n, "matrix order", 0, _SIZE_MAX)))
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.data)
@@ -209,21 +214,11 @@ class Matrix:
         return cls(FieldSpec.from_json(field), rows, cols, data)
 
 
-def _check_size(n: object, what: str) -> int:
-    """A size of :meth:`Matrix.zero`, :meth:`Matrix.identity` or
-    :meth:`Vector.zero`: an integer in [0, ``_SIZE_MAX``]."""
-    size = _json_int(n, what)
-    if not 0 <= size <= _SIZE_MAX:
-        raise SchemaError(f"{what} must lie in [0, {_SIZE_MAX}]")
-    return size
-
-
 def _check_codes(values: tuple, q: int, what: str) -> None:
-    """Each value is an integer code in [0, q); see :func:`_json_int`."""
+    """Each value is an integer code in [0, q - 1]; see :func:`_json_int`."""
+    hi = q - 1
     for x in values:
-        _json_int(x, what)
-        if not 0 <= x < q:
-            raise SchemaError(f"{what} {x} is not a code in [0, {q})")
+        _json_int(x, what, 0, hi)
 
 
 def _matrix(
@@ -281,8 +276,7 @@ def mat_pow(t: Matrix, e: int) -> Matrix:
     """T**e by repeated squaring; T**0 is the identity."""
     if not t.is_square():
         raise NonSquare(f"mat_pow needs a square matrix, got {t.rows}x{t.cols}")
-    if _json_int(e, "exponent") < 0:
-        raise NegativeExponent("exponent must be nonnegative")
+    _json_int(e, "exponent", 0, error=NegativeExponent)
     spec, n = t.spec, t.rows
     result = None
     base = t.data

@@ -98,7 +98,7 @@ class Subspace:
 
     def __post_init__(self) -> None:
         given = _json_seq(self.rows, "basis")
-        m = Matrix(self.spec, len(given), _json_int(self.ambient_dim, "ambient"), given)
+        m = Matrix(self.spec, len(given), _json_int(self.ambient_dim, "ambient", 0), given)
         object.__setattr__(self, "rows", m.data)
         reduced, pivots = rref(m)
         canonical = reduced.data[: len(pivots)]
@@ -179,9 +179,7 @@ def span(
     if not vecs:
         if spec is None or ambient_dim is None:
             raise DimensionMismatch("empty span needs explicit spec and ambient_dim")
-        if _json_int(ambient_dim, "ambient_dim") < 0:
-            raise SchemaError(f"ambient_dim must be nonnegative, got {ambient_dim}")
-        return _subspace(spec, ambient_dim, (), ())
+        return _subspace(spec, _json_int(ambient_dim, "ambient_dim", 0), (), ())
     for v in vecs:  # vecs[0] is checked as a Vector before it is read
         if not isinstance(v, Vector):
             raise SchemaError(f"a spanning vector must be a Vector, got {type(v).__name__}")
@@ -193,7 +191,7 @@ def span(
     if spec is not None and spec != first:
         raise FieldMismatch(f"vectors over {first} spanned in {spec}")
     if ambient_dim is not None and ambient_dim != n:
-        raise DimensionMismatch(f"length-{n} vectors vs ambient dim {ambient_dim}")
+        raise DimensionMismatch(f"length-{n} vectors vs another ambient_dim")
     reduced, pivots = rref(_matrix(first, len(vecs), n, tuple(v.entries for v in vecs)))
     return _subspace(first, n, reduced.data[: len(pivots)], pivots)
 

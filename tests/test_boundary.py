@@ -22,6 +22,7 @@ from nilbij import (
     Vector,
     all_endofunctions,
     count_nilpotents,
+    enumerate_operators,
     fitting_decompose,
     joyal_forward,
     linalg,
@@ -33,8 +34,10 @@ from nilbij import (
 )
 from test_cli import BAD_VALUES, _mutate, _paths
 
-# Every malformed value, plus a bare int for the slots that take a sequence.
-VALUES = BAD_VALUES + (5,)
+# Every malformed value, integers too long to format (json.dumps cannot
+# write them, so the CLI fuzz tests leave them out), and a bare int for
+# the slots that take a sequence.
+VALUES = BAD_VALUES + (10**5000, -10**5000, 5)
 
 # LINE is one-dimensional, so a one-item sequence of basis vectors gets
 # past the length check to the check on its item.
@@ -46,6 +49,7 @@ BUDGET = 600  # every census point that this budget admits runs in well under 1 
 # operands are the library's own types and stay valid.
 PUBLIC_SLOTS = {
     "FieldSpec": (FieldSpec, (2, 2, (1, 1, 1))),
+    "FieldSpec.pow": (lambda e: GF2.pow(1, e), (2,)),
     "Vector": (lambda entries: Vector(GF2, entries), ((1, 0),)),
     "Vector.zero": (lambda n: Vector.zero(GF2, n), (2,)),
     "Matrix": (lambda r, c, data: Matrix(GF2, r, c, data), (1, 2, ((0, 1),))),
@@ -60,11 +64,12 @@ PUBLIC_SLOTS = {
     "EndoFunction": (EndoFunction, (3, (0, 0, 1))),
     "joyal_forward": (lambda v, v2: joyal_forward(TREE, v, v2), (0, 2)),
     "count_nilpotents": (lambda n, b: count_nilpotents(GF2, n, b), (2, BUDGET)),
+    "enumerate_operators": (lambda n, b: enumerate_operators(GF2, n, b), (2, BUDGET)),
     "verify_theorem": (lambda n, b: verify_theorem(GF2, n, b), (2, BUDGET)),
     "verify_degree_refinement": (lambda n, b: verify_degree_refinement(GF2, n, b),
                                  (2, BUDGET)),
     "verify_joyal": (verify_joyal, (3, BUDGET)),
-    "all_endofunctions": (lambda n: next(all_endofunctions(n)), (3,)),
+    "all_endofunctions": (all_endofunctions, (3,)),
     "mat_pow": (lambda e: mat_pow(Matrix.identity(GF2, 2), e), (3,)),
     "span": (lambda vectors, n: span(vectors, GF2, n), ((Vector(GF2, (1, 1)),), 2)),
 }

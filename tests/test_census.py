@@ -4,11 +4,14 @@ and broken bijections being reported."""
 import hashlib
 import io
 import json
+import operator
 from itertools import product
 
 import pytest
 
 import nilbij.census
+import nilbij.field
+import nilbij.subspaces
 from conftest import AUDITS, GF2, GF3, GF4
 from nilbij import (
     BudgetExceeded,
@@ -21,11 +24,13 @@ from nilbij import (
     SchemaError,
     SubspaceMap,
     Vector,
+    all_endofunctions,
     count_nilpotents,
     enumerate_operators,
     inverse,
     joyal,
     joyal_inverse,
+    mat_mul,
     span,
     verify_degree_refinement,
     verify_joyal,
@@ -71,6 +76,8 @@ def test_budget_guard():
         verify_joyal(20)
     with pytest.raises(BudgetExceeded):
         verify_degree_refinement(FieldSpec(5), 4)
+    with pytest.raises(BudgetExceeded):  # at the call, before any item is drawn
+        enumerate_operators(GF2, 5, budget=10)
     # 2^30 vectors would not fit: the guard must fire before they are built
     with pytest.raises(BudgetExceeded):
         verify_theorem(FieldSpec(2), 30)
@@ -96,11 +103,14 @@ def test_budget_guard():
 
 def test_census_entry_points_read_n_and_budget_as_integers():
     """A bool, float or str size or budget is refused, not read as the
-    integer it compares equal to, nor left to fail as a TypeError."""
+    integer it compares equal to, nor left to fail as a TypeError; the
+    enumerations refuse one at the call, before any item is drawn."""
     for census, *args in ((count_nilpotents, GF2, True), (count_nilpotents, GF2, 2.5),
                           (count_nilpotents, GF2, 2, "600"), (verify_theorem, GF2, 2.0),
                           (verify_degree_refinement, GF2, False), (verify_joyal, True),
-                          (verify_joyal, 2.5), (verify_joyal, 3, 600.0)):
+                          (verify_joyal, 2.5), (verify_joyal, 3, 600.0),
+                          (enumerate_operators, GF2, 2.5), (enumerate_operators, GF2, -1),
+                          (all_endofunctions, "a"), (all_endofunctions, 0)):
         with pytest.raises(SchemaError):
             census(*args)
 
@@ -441,28 +451,53 @@ def inverse_digest(spec, n):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-# (name, module and name it patches, mutant, the CHANGES.md entry it
-# comes from, a check that catches it, a check that does not).  Each
-# check returns True where the code is right.  The census misses the
-# complement mutant because it proves a bijection, not which one.
+def basis_to_automorphism_reading_the_basis_reversed(real):
+    return lambda b: real(OrderedBasis(b.subspace, b.vectors[::-1]))
+
+
+def or_for_xor(real):
+    """``field.xor`` is read only by ``_PackedGF2.product``: GF(2)
+    products that add by OR, so 1 + 1 reads 1."""
+    return operator.or_
+
+
+J = Matrix.from_rows(GF2, [(1, 1), (1, 1)])  # J² = 2J = 0 over GF(2)
+
+# (name, modules whose binding of the name it patches, the name,
+# mutant, the CHANGES.md entry it comes from, the cheapest check known
+# to catch it, whether verify_theorem(GF(2), 2) is still ok under it).
+# Each check returns True where the code is right.  The census misses
+# the complement mutant because it proves a bijection, not which one.
 NEAR_MISS_MUTANTS = [
-    ("complement shifted by V's first row", nilbij.bijection, "steinitz_complement",
+    ("complement shifted by V's first row", (nilbij.bijection,), "steinitz_complement",
      steinitz_complement_shifted_by_the_first_row,
      "CHANGES.md: `forward` ends in `block_assemble`",
-     lambda: inverse_digest(GF2, 2) == INVERSE_DIGESTS[GF2, 2],
-     lambda: verify_theorem(GF2, 2).ok),
+     lambda: inverse_digest(GF2, 2) == INVERSE_DIGESTS[GF2, 2], True),
+    ("basis read reversed", (nilbij.subspaces, nilbij.bijection), "basis_to_automorphism",
+     basis_to_automorphism_reading_the_basis_reversed,
+     "CHANGES.md: one audit engine for the constructions",
+     lambda: audit_passes(AUDITS["torsor"](GF2, 2)), False),
+    ("packed product adds by OR", (nilbij.field,), "xor", or_for_xor,
+     "CHANGES.md: the field owns its row kernel",
+     lambda: mat_mul(J, J).is_zero(), False),
 ]
+
+
+def audit_passes(result):
+    failures, left, right, expected = result
+    return failures == 0 and left == right == expected
 
 
 @pytest.mark.parametrize(
     "entry", NEAR_MISS_MUTANTS, ids=[entry[0] for entry in NEAR_MISS_MUTANTS]
 )
 def test_near_miss_mutant_is_caught_only_where_recorded(monkeypatch, entry):
-    _, module, name, mutate, _, catches, misses = entry
-    assert catches() and misses()
-    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    _, modules, name, mutate, _, catches, theorem_misses = entry
+    assert catches() and verify_theorem(GF2, 2).ok
+    for module in modules:
+        monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     assert not catches()
-    assert misses()
+    assert verify_theorem(GF2, 2).ok is theorem_misses
 
 
 def test_degree_refinement_gf2_dim2():

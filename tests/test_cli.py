@@ -243,6 +243,11 @@ def test_exit_two_on_bad_inputs(tmp_path):
         (["verify-theorem", "--p", "2", "--n", "200"], ""),
         (["verify-degrees", "--p", "2", "--n", "200"], ""),
         (["verify-joyal", "--n", "2000"], ""),
+        # an n whose square has more digits than Python formats (4,400)
+        (["verify-theorem", "--p", "2", "--n", "9" * 2200], ""),
+        (["count-nilpotents", "--p", "2", "--n", "9" * 2200], ""),
+        (["verify-degrees", "--p", "2", "--n", "9" * 2200], ""),
+        (["verify-joyal", "--n", "9" * 2200], ""),
         # documents that do not decode to JSON the library can hold
         (["inverse", "--input", str(not_utf8)], ""),
         (["inverse"], io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8")),
