@@ -65,9 +65,9 @@ def _check_pair(t: Matrix, v: Vector) -> None:
     if t.spec != v.spec:
         raise FieldMismatch("operator and vector live in different fields")
     if not t.is_square():
-        raise NonSquare(f"operator must be square, got {t.rows}x{t.cols}")
+        raise NonSquare("operator must be square")
     if v.n != t.rows:
-        raise DimensionMismatch(f"length-{v.n} vector vs {t.rows}x{t.cols} operator")
+        raise DimensionMismatch("vector length does not match the operator size")
 
 
 def _orbit(t: Matrix, v: Vector) -> tuple[Vector, ...]:

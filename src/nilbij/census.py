@@ -26,7 +26,7 @@ import functools
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import product
+from itertools import product, repeat
 
 from .bijection import degree, forward, inverse
 from .errors import BudgetExceeded, NilbijError, _json_int
@@ -51,9 +51,10 @@ def _check_budget(base: int, exp: int, budget: int, what: str) -> None:
         raise BudgetExceeded(f"{what} needs {base}^{exp} evaluations, over the budget")
 
 
-def enumerate_operators(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET):
-    """All n x n matrices over the field, lexicographic in element codes,
-    as an iterator; n and the budget are checked at the call.
+def _operator_rows(spec: FieldSpec, n: int, budget: int):
+    """n, read as a size, and the row tuples of every n x n operator over
+    the field, lexicographic in element codes, as an iterator; n and the
+    budget are checked at the call.
 
     The q^n rows are built once, after the budget check, and each
     operator is a tuple of n of them: ``product`` over whole rows gives
@@ -62,7 +63,14 @@ def enumerate_operators(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET):
     n = _json_int(n, "n", 0, _SIZE_MAX)
     _check_budget(spec.q, n * n, budget, f"enumerating {n}x{n} operators over GF({spec.q})")
     rows = tuple(product(range(spec.q), repeat=n))
-    return (_matrix(spec, n, n, data) for data in product(rows, repeat=n))
+    return n, product(rows, repeat=n)
+
+
+def enumerate_operators(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET):
+    """All n x n matrices over the field, lexicographic in element codes,
+    as an iterator; n and the budget are checked at the call."""
+    n, operators = _operator_rows(spec, n, budget)
+    return (_matrix(spec, n, n, data) for data in operators)
 
 
 def _stable_image_dim(q_op: Matrix) -> int:
@@ -94,8 +102,12 @@ def expected_strata(q: int, n: int) -> tuple[int, ...]:
 
 
 def count_nilpotents(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Exhaustive count of nilpotent n x n operators over the field."""
-    return sum(1 for t in enumerate_operators(spec, n, budget) if is_nilpotent(t))
+    """Exhaustive count of nilpotent n x n operators over the field.
+
+    The field's row kernel decides each operator on its row tuples, in
+    the order of :func:`enumerate_operators`; no ``Matrix`` is built."""
+    n, operators = _operator_rows(spec, n, budget)
+    return sum(map(spec._kernel.nilpotent, operators, repeat(n)))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,10 @@ library code is a fault, never reported as bad input.
 vertices, exponents, budgets.  Its caller passes the bounds, and its
 refusal names the slot and those bounds, never the value, so no
 refusal formats an unbounded integer.  A message elsewhere formats an
-integer only once the reader has bounded it.
+integer only once the reader has bounded it, so a shape check names
+the mismatch and not the sizes: a ``Matrix`` or ``Subspace`` built
+from data takes any size its data has, and a 0 x 10^5000 matrix holds
+no entry.
 """
 
 

@@ -10,7 +10,8 @@ polynomial products modulo a monic irreducible of degree ``k``.
 A :class:`FieldSpec` owns the arithmetic down to whole rows: its
 ``_kernel``, chosen once from q with no option, combines, multiplies
 and eliminates the rows of :mod:`nilbij.linalg` and
-:mod:`nilbij.subspaces`, and ``add``/``mul``/``neg`` read through it.
+:mod:`nilbij.subspaces` and decides whether the square matrix they
+form is nilpotent, and ``add``/``mul``/``neg`` read through it.
 
 - GF(2) packs each row into one integer, so a product row is an XOR
   of rows and elimination never scales: at n = 16 about 4 times faster
@@ -144,6 +145,27 @@ class _Rows:
         zero = (0,) * cols
         return tuple(self.combine(arow, b, zero) for arow in a)
 
+    def nilpotent(self, rows, n: int) -> bool:
+        """Whether the n x n matrix ``rows`` has T**n = 0; a nilpotent on
+        dimension n has index <= n.
+
+        Squares T until the power is zero or T**e with e >= n is not.
+        Before each product it sums the diagonal of T**e and rejects a
+        nonzero trace: a power of a nilpotent is nilpotent, and a
+        nilpotent has trace 0 in every characteristic.  A zero trace
+        never accepts (every power of I_2 over GF(2) has trace 0)."""
+        add = self.add
+        e = 1
+        while any(map(any, rows)):
+            trace = 0
+            for i, row in enumerate(rows):
+                trace = add[trace][row[i]]
+            if trace or e >= n:
+                return False
+            rows = self.product(rows, rows, n)
+            e *= 2
+        return True
+
     def rref(self, rows, cols: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """The RREF of ``rows`` and its pivot columns, by the row
         operation ``row + (-f) * pivot_row``."""
@@ -180,7 +202,8 @@ class _PackedGF2(_Rows):
     0/1 entry, first entry most significant, converted in C by ``bytes``
     and ``int.from_bytes``.  Only over GF(2) is adding codes the XOR of
     their bytes.  Every pivot is 1, so elimination tests the pivot's bit
-    and clears its column by XOR."""
+    and clears its column by XOR.  ``nilpotent`` is inherited: it squares
+    through this ``product``."""
 
     def product(self, a, b, cols: int) -> tuple[tuple[int, ...], ...]:
         packed = [int.from_bytes(bytes(row), "big") for row in b]

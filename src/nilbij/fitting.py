@@ -88,7 +88,7 @@ def fitting_decompose(q: Matrix) -> FittingPair:
     Q^m vanishes on W.
     """
     if not q.is_square():
-        raise NonSquare(f"operator must be square, got {q.rows}x{q.cols}")
+        raise NonSquare("operator must be square")
     n = q.rows
     qm = q._stable_power
     v = span(image_basis(qm), spec=q.spec, ambient_dim=n)

@@ -21,8 +21,8 @@ those checks; a broken internal invariant surfaces as an
 All arithmetic on entries runs through the field's row kernel,
 ``FieldSpec._kernel`` (see :mod:`nilbij.field`), which the field chose
 from q: products, ``apply`` (the combination of T's columns weighted
-by x), ``mat_pow``, the stable power and the nilpotency test call its
-``product``, and ``rref`` its ``rref``.
+by x), ``mat_pow`` and the stable power call its ``product``, ``rref``
+its ``rref``, and the nilpotency test its ``nilpotent``.
 
 A ``Matrix`` remembers four derived facts on first use: its RREF with
 the pivot columns, its inverse or, when it has none, its rank, whether
@@ -37,11 +37,13 @@ value is safe; the facts live in the instance ``__dict__``
 call to :func:`rref` is a real elimination.  Nothing is remembered
 across values: an equal matrix built anew computes its facts again.
 
-Nilpotency is decided by squaring, and each power's trace is summed
-before the next product: a nonzero trace rejects at once, which is
-exact because a power of a nilpotent is nilpotent and a nilpotent has
-trace 0 in every characteristic.  A zero trace never accepts; the
-zero power or the bound e >= n decides.
+Nilpotency is decided by the row kernel, on the rows alone, so the
+census counts nilpotents without building a ``Matrix``; a ``Matrix``
+only remembers the kernel's answer.  The kernel squares, and sums each
+power's trace before the next product: a nonzero trace rejects at
+once, which is exact because a power of a nilpotent is nilpotent and a
+nilpotent has trace 0 in every characteristic.  A zero trace never
+accepts; the zero power or the bound e >= n decides.
 """
 
 from __future__ import annotations
@@ -178,27 +180,9 @@ class Matrix:
 
     @cached_property
     def _nilpotent(self) -> bool:
-        """Whether a square matrix has T**n = 0; a nilpotent on
-        dimension n has index <= n.
-
-        Squares T until the power is zero or T**e with e >= n is not.
-        Before each product it sums the diagonal of T**e and rejects a
-        nonzero trace: a power of a nilpotent is nilpotent, and a
-        nilpotent has trace 0 in every characteristic.  A zero trace
-        never accepts (every power of I_2 over GF(2) has trace 0)."""
-        n = self.rows
-        data = self.data
-        add = self.spec._kernel.add
-        e = 1
-        while any(map(any, data)):
-            trace = 0
-            for i, row in enumerate(data):
-                trace = add[trace][row[i]]
-            if trace or e >= n:
-                return False
-            data = self.spec._kernel.product(data, data, n)
-            e *= 2
-        return True
+        """Whether a square matrix has T**n = 0, as the row kernel
+        decides it (``_Rows.nilpotent``)."""
+        return self.spec._kernel.nilpotent(self.data, self.rows)
 
     def to_json(self) -> dict:
         return {
@@ -258,7 +242,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact matrix product."""
     _require_same_spec(a.spec, b.spec)
     if a.cols != b.rows:
-        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+        raise DimensionMismatch("cannot multiply: the left columns do not match the right rows")
     return _matrix(a.spec, a.rows, b.cols, a.spec._kernel.product(a.data, b.data, b.cols))
 
 
@@ -266,7 +250,7 @@ def apply(t: Matrix, x: Vector) -> Vector:
     """The column vector T x."""
     _require_same_spec(t.spec, x.spec)
     if t.cols != x.n:
-        raise DimensionMismatch(f"{t.rows}x{t.cols} matrix applied to length-{x.n} vector")
+        raise DimensionMismatch("vector length does not match the matrix columns")
     # Tx as a row vector: the combination of T's columns weighted by x.
     (tx,) = t.spec._kernel.product((x.entries,), tuple(zip(*t.data)), t.rows)
     return _vector(t.spec, tx)
@@ -275,7 +259,7 @@ def apply(t: Matrix, x: Vector) -> Vector:
 def mat_pow(t: Matrix, e: int) -> Matrix:
     """T**e by repeated squaring; T**0 is the identity."""
     if not t.is_square():
-        raise NonSquare(f"mat_pow needs a square matrix, got {t.rows}x{t.cols}")
+        raise NonSquare("mat_pow needs a square matrix")
     _json_int(e, "exponent", 0, error=NegativeExponent)
     spec, n = t.spec, t.rows
     result = None
@@ -336,7 +320,7 @@ def image_basis(a: Matrix) -> list[Vector]:
 
 def is_invertible(t: Matrix) -> bool:
     if not t.is_square():
-        raise NonSquare(f"invertibility needs a square matrix, got {t.rows}x{t.cols}")
+        raise NonSquare("invertibility needs a square matrix")
     return rank(t) == t.rows
 
 
@@ -347,14 +331,14 @@ def is_nilpotent(t: Matrix) -> bool:
     the next squaring, since a nilpotent and all its powers have trace
     0; a zero trace never decides True."""
     if not t.is_square():
-        raise NonSquare(f"nilpotency needs a square matrix, got {t.rows}x{t.cols}")
+        raise NonSquare("nilpotency needs a square matrix")
     return t._nilpotent
 
 
 def mat_inv(t: Matrix) -> Matrix:
     """Inverse via Gauss-Jordan on the augmented matrix [T | I]."""
     if not t.is_square():
-        raise NonSquare(f"inverse needs a square matrix, got {t.rows}x{t.cols}")
+        raise NonSquare("inverse needs a square matrix")
     inv, r = t._inverse
     if inv is None:
         raise NotInvertible(f"matrix of rank {r} < {t.rows} has no inverse")

@@ -201,7 +201,7 @@ def _reduce_against(v: Subspace, x: Vector) -> tuple[tuple[int, ...], Vector]:
     if x.spec != v.spec:
         raise FieldMismatch("vector and subspace live in different fields")
     if x.n != v.ambient_dim:
-        raise DimensionMismatch(f"length-{x.n} vector vs ambient dim {v.ambient_dim}")
+        raise DimensionMismatch("vector length does not match the ambient dimension")
     coeffs = tuple(x.entries[p] for p in v.pivots)
     kernel = v.spec._kernel
     residue = kernel.combine([kernel.neg[c] for c in coeffs], v.rows, x.entries)
@@ -259,8 +259,7 @@ class SubspaceMap:
     def __post_init__(self) -> None:
         if self.matrix.rows != self.codomain.dim or self.matrix.cols != self.domain.dim:
             raise DimensionMismatch(
-                f"map matrix is {self.matrix.rows}x{self.matrix.cols}, expected "
-                f"{self.codomain.dim}x{self.domain.dim}"
+                "map matrix shape does not match the codomain and domain dimensions"
             )
         if self.domain.spec != self.codomain.spec:
             raise FieldMismatch("domain and codomain live in different fields")
@@ -387,9 +386,7 @@ def block_decompose(
     if t.spec != v.spec:
         raise FieldMismatch("operator and subspaces live in different fields")
     if not t.is_square() or t.rows != v.ambient_dim:
-        raise DimensionMismatch(
-            f"operator must be {v.ambient_dim}x{v.ambient_dim}, got {t.rows}x{t.cols}"
-        )
+        raise DimensionMismatch("operator must be square, of the ambient dimension")
     b, b_inv = _change_of_basis(v, u, "V and U are not complementary")
     conj = mat_mul(b_inv, mat_mul(t, b))
     m, n = v.dim, v.ambient_dim

@@ -18,14 +18,24 @@ from nilbij import (
     NilpotentPair,
     OrderedBasis,
     Subspace,
+    SubspaceMap,
     Tree,
     Vector,
     all_endofunctions,
+    apply,
+    block_decompose,
+    contains,
     count_nilpotents,
+    degree,
     enumerate_operators,
     fitting_decompose,
+    inverse,
+    is_invertible,
+    is_nilpotent,
     joyal_forward,
     linalg,
+    mat_inv,
+    mat_mul,
     mat_pow,
     span,
     verify_degree_refinement,
@@ -128,3 +138,31 @@ def test_a_library_type_error_is_not_bad_input(monkeypatch):
     monkeypatch.setattr(linalg, "_check_codes", broken)
     with pytest.raises(TypeError, match="a fault inside validation"):
         Matrix.from_json(VALID_DOCS[Matrix])
+
+
+# A Matrix or Subspace built from data takes any size its data has, so a
+# dimension too long to format reaches the shape checks of the library,
+# whose refusals name the mismatch and not the sizes.
+HUGE = 10**5000
+WIDE = Matrix(GF2, 0, HUGE, ())
+EMPTY = Subspace.zero(GF2, 0)
+HUGE_DIMENSION_CALLS = {
+    "is_nilpotent": lambda: is_nilpotent(WIDE),
+    "mat_inv": lambda: mat_inv(WIDE),
+    "is_invertible": lambda: is_invertible(WIDE),
+    "mat_pow": lambda: mat_pow(WIDE, 2),
+    "mat_mul": lambda: mat_mul(WIDE, WIDE),
+    "apply": lambda: apply(WIDE, Vector(GF2, (0,))),
+    "degree": lambda: degree(WIDE, Vector(GF2, ())),
+    "inverse": lambda: inverse(WIDE),
+    "fitting_decompose": lambda: fitting_decompose(WIDE),
+    "block_decompose": lambda: block_decompose(WIDE, EMPTY, EMPTY),
+    "contains": lambda: contains(Subspace.zero(GF2, HUGE), Vector(GF2, (0,))),
+    "SubspaceMap": lambda: SubspaceMap(EMPTY, EMPTY, WIDE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_DIMENSION_CALLS))
+def test_a_huge_empty_dimension_is_refused_with_a_nilbij_error(name):
+    with pytest.raises(NilbijError):
+        HUGE_DIMENSION_CALLS[name]()

@@ -1,6 +1,7 @@
 """Census engine: enumeration order, counts, reports, budget guard,
 and broken bijections being reported."""
 
+import functools
 import hashlib
 import io
 import json
@@ -461,9 +462,43 @@ def or_for_xor(real):
     return operator.or_
 
 
+def nilpotent_accepting_a_zero_trace_at_the_bound(real):
+    """``_Rows.nilpotent`` that returns ``not trace`` in place of False
+    at the bound e >= n, so a zero trace accepts there: I_2 over GF(2),
+    every power of which has trace 0, reads nilpotent.  The census
+    misses it, since its nilpotent count is the rank-0 stratum of the
+    stable power, and so does ``verify_degree_refinement(GF2, 2)``."""
+    def mutant(kernel, rows, n):
+        e = 1
+        while any(map(any, rows)):
+            trace = 0
+            for i, row in enumerate(rows):
+                trace = kernel.add[trace][row[i]]
+            if trace or e >= n:
+                return not trace
+            rows = kernel.product(rows, rows, n)
+            e *= 2
+        return True
+    return mutant
+
+
+def tabulated_unshared(real):
+    """``FieldSpec._kernel`` calling the unwrapped builder of
+    ``_tabulated``: every spec builds its own tables."""
+    return real.__wrapped__
+
+
+def kernel_memoizing_the_views(real):
+    """``FieldSpec._kernel`` memoized by the spec's value past
+    ``_TABLE_MAX`` too, where fields are unbounded in number."""
+    fact = functools.cached_property(functools.cache(real.func))
+    fact.__set_name__(FieldSpec, "_kernel")
+    return fact
+
+
 J = Matrix.from_rows(GF2, [(1, 1), (1, 1)])  # J² = 2J = 0 over GF(2)
 
-# (name, modules whose binding of the name it patches, the name,
+# (name, modules or classes whose binding of the name it patches, the name,
 # mutant, the CHANGES.md entry it comes from, the cheapest check known
 # to catch it, whether verify_theorem(GF(2), 2) is still ok under it).
 # Each check returns True where the code is right.  The census misses
@@ -480,6 +515,17 @@ NEAR_MISS_MUTANTS = [
     ("packed product adds by OR", (nilbij.field,), "xor", or_for_xor,
      "CHANGES.md: the field owns its row kernel",
      lambda: mat_mul(J, J).is_zero(), False),
+    ("zero trace accepts at the bound", (nilbij.field._Rows,), "nilpotent",
+     nilpotent_accepting_a_zero_trace_at_the_bound,
+     "CHANGES.md: the row kernel decides nilpotency",
+     lambda: count_nilpotents(GF2, 2) == 4, True),
+    ("each spec builds its own tables", (nilbij.field,), "_tabulated", tabulated_unshared,
+     "CHANGES.md: each small field is tabulated once per process",
+     lambda: FieldSpec(3, 2)._kernel is FieldSpec(3, 2)._kernel, True),
+    ("views memoized past the table limit", (FieldSpec,), "_kernel",
+     kernel_memoizing_the_views,
+     "CHANGES.md: each small field is tabulated once per process",
+     lambda: FieldSpec(4099)._kernel is not FieldSpec(4099)._kernel, True),
 ]
 
 

@@ -35,6 +35,8 @@ from nilbij.field import _PackedGF2, _Rows, _tabulated
 
 GF9 = FieldSpec(3, 2)
 GF4099 = FieldSpec(4099)  # q > _TABLE_MAX: the on-demand path
+GF67 = FieldSpec(67)  # the smallest prime past _TABLE_MAX
+GF128 = FieldSpec(2, 7, (1, 1, 0, 0, 0, 0, 0, 1))  # x^7 + x + 1, past _TABLE_MAX
 
 
 def ref_rref(spec, data, cols):
@@ -211,26 +213,37 @@ def ref_is_nilpotent(spec, data, n):
     return not any(map(any, data))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(8, 16), st.data())
-def test_gf2_nilpotent_matches_reference_power(n, data):
-    m = data.draw(_matrix_strategy(GF2, n, n))
-    assert is_nilpotent(m) == ref_is_nilpotent(GF2, m.data, n)
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([GF2, GF3, GF9, GF67, GF128]), st.data())
+def test_nilpotent_matches_reference_power(spec, data):
+    """``_Rows.nilpotent`` and ``is_nilpotent``, which remembers its
+    answer, on each kind of kernel: packed GF(2), tables, and on-demand
+    views over a prime and over an extension field."""
+    n = data.draw(st.integers(8, 16) if spec == GF2 else st.integers(1, 6))
+
+    def check(t_data):
+        expected = ref_is_nilpotent(spec, t_data, n)
+        assert spec._kernel.nilpotent(t_data, n) == expected
+        assert is_nilpotent(Matrix(spec, n, n, t_data)) == expected
+        return expected
+
+    m = data.draw(_matrix_strategy(spec, n, n))
+    check(m.data)
     # the same matrix with its last diagonal entry set for trace 0
     rows = [list(row) for row in m.data]
-    rows[-1][-1] = sum(rows[i][i] for i in range(n - 1)) % 2
-    m0 = Matrix.from_rows(GF2, rows)
-    assert is_nilpotent(m0) == ref_is_nilpotent(GF2, m0.data, n)
+    trace = 0
+    for i in range(n - 1):
+        trace = spec.add(trace, rows[i][i])
+    rows[-1][-1] = spec.neg(trace)
+    check(tuple(map(tuple, rows)))
     # P N P⁻¹ with N strictly lower triangular is nilpotent
-    p = data.draw(_matrix_strategy(GF2, n, n))
-    p_inv = ref_inv(GF2, p.data, n)
+    p = data.draw(_matrix_strategy(spec, n, n))
+    p_inv = ref_inv(spec, p.data, n)
     assume(p_inv is not None)
-    strict = data.draw(_matrix_strategy(GF2, n, n))
+    strict = data.draw(_matrix_strategy(spec, n, n))
     strict = tuple(tuple(x if j < i else 0 for j, x in enumerate(row))
                    for i, row in enumerate(strict.data))
-    t_data = ref_mul(GF2, ref_mul(GF2, p.data, strict, n), p_inv, n)
-    t = Matrix(GF2, n, n, t_data)
-    assert is_nilpotent(t) and ref_is_nilpotent(GF2, t_data, n)
+    assert check(ref_mul(spec, ref_mul(spec, p.data, strict, n), p_inv, n))
 
 
 def test_kernel_is_chosen_from_q():
@@ -243,8 +256,7 @@ def test_kernel_is_chosen_from_q():
         assert type(kernel) is _Rows
         for op in (kernel.add, kernel.mul, kernel.neg):
             assert isinstance(op, tuple) and len(op) == spec.q
-    gf128 = FieldSpec(2, 7, (1, 1, 0, 0, 0, 0, 0, 1))  # x^7 + x + 1
-    for spec in (FieldSpec(67), gf128):
+    for spec in (GF67, GF128):
         kernel = spec._kernel
         assert type(kernel) is _Rows
         assert not any(isinstance(op, tuple) for op in (kernel.add, kernel.mul, kernel.neg))
