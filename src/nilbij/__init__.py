@@ -1,157 +1,20 @@
 """Exact bijections between nilpotent pairs and linear operators over
-finite fields, with the labelled-tree/endofunction analogue."""
+finite fields, with the labelled-tree/endofunction analogue.
 
-from .bijection import NilpotentPair, degree, forward, inverse
-from .census import (
-    DEFAULT_BUDGET,
-    CensusReport,
-    DegreeStratum,
-    JoyalReport,
-    count_nilpotents,
-    enumerate_operators,
-    verify_degree_refinement,
-    verify_joyal,
-    verify_theorem,
-)
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    DivisionByZero,
-    FieldMismatch,
-    InvalidVertex,
-    NegativeExponent,
-    NilbijError,
-    NonSquare,
-    NotAutomorphism,
-    NotBasis,
-    NotCanonical,
-    NotComplement,
-    NotInSubspace,
-    NotInvariant,
-    NotInvertible,
-    NotNilpotent,
-    SchemaError,
-)
-from .field import FieldSpec
-from .fitting import FittingPair, fitting_assemble, fitting_decompose
-from .joyal import (
-    EndoFunction,
-    Tree,
-    all_endofunctions,
-    is_eventually_constant,
-    joyal_forward,
-    joyal_inverse,
-    periodic_points,
-)
-from .linalg import (
-    Matrix,
-    Vector,
-    apply,
-    image_basis,
-    is_invertible,
-    is_nilpotent,
-    kernel_basis,
-    mat_inv,
-    mat_mul,
-    mat_pow,
-    rank,
-    rref,
-)
-from .subspaces import (
-    OrderedBasis,
-    Subspace,
-    SubspaceMap,
-    automorphism_to_basis,
-    basis_to_automorphism,
-    block_assemble,
-    block_decompose,
-    canonical_iso,
-    complement_to_map,
-    compose,
-    contains,
-    coords,
-    from_coords,
-    is_complementary,
-    map_apply,
-    map_inverse,
-    map_to_complement,
-    span,
-    steinitz_complement,
-)
+Each public name is declared once, in the ``__all__`` of the module
+that defines it; this package re-exports those names and lists none
+of its own."""
+
+from .bijection import *
+from .census import *
+from .errors import *
+from .field import *
+from .fitting import *
+from .joyal import *
+from .linalg import *
+from .subspaces import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceeded",
-    "CensusReport",
-    "DEFAULT_BUDGET",
-    "DegreeStratum",
-    "DimensionMismatch",
-    "DivisionByZero",
-    "EndoFunction",
-    "FieldMismatch",
-    "FieldSpec",
-    "FittingPair",
-    "InvalidVertex",
-    "JoyalReport",
-    "Matrix",
-    "NegativeExponent",
-    "NilbijError",
-    "NilpotentPair",
-    "NonSquare",
-    "NotAutomorphism",
-    "NotBasis",
-    "NotCanonical",
-    "NotComplement",
-    "NotInSubspace",
-    "NotInvariant",
-    "NotInvertible",
-    "NotNilpotent",
-    "OrderedBasis",
-    "SchemaError",
-    "Subspace",
-    "SubspaceMap",
-    "Tree",
-    "Vector",
-    "all_endofunctions",
-    "apply",
-    "automorphism_to_basis",
-    "basis_to_automorphism",
-    "block_assemble",
-    "block_decompose",
-    "canonical_iso",
-    "complement_to_map",
-    "compose",
-    "contains",
-    "coords",
-    "count_nilpotents",
-    "degree",
-    "enumerate_operators",
-    "fitting_assemble",
-    "fitting_decompose",
-    "forward",
-    "from_coords",
-    "image_basis",
-    "inverse",
-    "is_complementary",
-    "is_eventually_constant",
-    "is_invertible",
-    "is_nilpotent",
-    "joyal_forward",
-    "joyal_inverse",
-    "kernel_basis",
-    "mat_inv",
-    "mat_mul",
-    "mat_pow",
-    "map_apply",
-    "map_inverse",
-    "map_to_complement",
-    "periodic_points",
-    "rank",
-    "rref",
-    "span",
-    "steinitz_complement",
-    "verify_degree_refinement",
-    "verify_joyal",
-    "verify_theorem",
-]
+__all__ = (bijection.__all__ + census.__all__ + errors.__all__ + field.__all__
+           + fitting.__all__ + joyal.__all__ + linalg.__all__ + subspaces.__all__)

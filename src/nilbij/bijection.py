@@ -60,6 +60,8 @@ from .subspaces import (
     steinitz_complement,
 )
 
+__all__ = ["NilpotentPair", "degree", "forward", "inverse"]
+
 
 def _check_pair(t: Matrix, v: Vector) -> None:
     if t.spec != v.spec:
@@ -121,7 +123,7 @@ def inverse(q: Matrix) -> tuple[Matrix, Vector]:
     rn = _matrix(q.spec, k, k, tuple(row[1:] + (0,) for row in r.data))
     t_vv = SubspaceMap(v_sub, v_sub, mat_mul(rn, mat_inv(r)))
     t = block_assemble(v_sub, u_sub, t_vv, t_uv, t_uu)
-    return t, from_coords(v_sub, _vector(q.spec, r.column(0)))
+    return t, from_coords(v_sub, _vector(q.spec, r.column(0) if k else ()))
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,18 @@ from .joyal import (
 )
 from .linalg import _SIZE_MAX, Matrix, _matrix, _vector, is_nilpotent, rank
 
+__all__ = [
+    "DEFAULT_BUDGET",
+    "CensusReport",
+    "DegreeStratum",
+    "JoyalReport",
+    "count_nilpotents",
+    "enumerate_operators",
+    "verify_degree_refinement",
+    "verify_joyal",
+    "verify_theorem",
+]
+
 DEFAULT_BUDGET = 1 << 24
 
 

@@ -16,7 +16,10 @@ handler wraps a constructor call: a ``TypeError`` or ``KeyError`` from
 library code is a fault, never reported as bad input.
 
 ``_json_int`` owns the range of every integer slot: sizes, codes,
-vertices, exponents, budgets.  Its caller passes the bounds, and its
+vertices, exponents, budgets, and the scalar slots of the values, that
+is the codes of ``FieldSpec``'s arithmetic and ``digits``, the digits of
+``FieldSpec.code``, the column of ``Matrix.column`` and the point of an
+``EndoFunction`` call.  Its caller passes the bounds, and its
 refusal names the slot and those bounds, never the value, so no
 refusal formats an unbounded integer.  A message elsewhere formats an
 integer only once the reader has bounded it, so a shape check names
@@ -24,6 +27,26 @@ the mismatch and not the sizes: a ``Matrix`` or ``Subspace`` built
 from data takes any size its data has, and a 0 x 10^5000 matrix holds
 no entry.
 """
+
+__all__ = [
+    "BudgetExceeded",
+    "DimensionMismatch",
+    "DivisionByZero",
+    "FieldMismatch",
+    "InvalidVertex",
+    "NegativeExponent",
+    "NilbijError",
+    "NonSquare",
+    "NotAutomorphism",
+    "NotBasis",
+    "NotCanonical",
+    "NotComplement",
+    "NotInSubspace",
+    "NotInvariant",
+    "NotInvertible",
+    "NotNilpotent",
+    "SchemaError",
+]
 
 
 class NilbijError(Exception):

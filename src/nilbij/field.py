@@ -50,6 +50,8 @@ from .errors import (
     _json_seq,
 )
 
+__all__ = ["FieldSpec"]
+
 # Lookup tables are only built for fields at most this large; bigger
 # fields compute each value on demand (see FieldSpec._kernel).  A table
 # costs q² products on the field's first arithmetic, paid once per
@@ -376,6 +378,21 @@ class FieldSpec:
 
     def digits(self, code: int) -> tuple[int, ...]:
         """Little-endian base-p digits of a code (length k)."""
+        return self._digits(self._element(code))
+
+    def code(self, digits: tuple[int, ...]) -> int:
+        """The code of exactly k base-p digits, little endian."""
+        digits = _json_seq(digits, "digits")
+        if len(digits) != self.k:
+            raise SchemaError(f"digits must have exactly {self.k} entries")
+        return self._code(tuple(_json_int(d, "digit", 0, self.p - 1) for d in digits))
+
+    def _element(self, a: int) -> int:
+        """A code of this field, read by ``_json_int``: an integer in
+        [0, q - 1]."""
+        return _json_int(a, "field element", 0, self.q - 1)
+
+    def _digits(self, code: int) -> tuple[int, ...]:
         p = self.p
         out = []
         for _ in range(self.k):
@@ -383,10 +400,10 @@ class FieldSpec:
             code //= p
         return tuple(out)
 
-    def code(self, digits: tuple[int, ...]) -> int:
+    def _code(self, digits: tuple[int, ...]) -> int:
         out = 0
         for d in reversed(digits):
-            out = out * self.p + d % self.p
+            out = out * self.p + d
         return out
 
     # -- arithmetic ----------------------------------------------------
@@ -394,20 +411,20 @@ class FieldSpec:
     def _add_direct(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        da, db = self.digits(a), self.digits(b)
-        return self.code(tuple((x + y) % self.p for x, y in zip(da, db)))
+        da, db = self._digits(a), self._digits(b)
+        return self._code(tuple((x + y) % self.p for x, y in zip(da, db)))
 
     def _mul_direct(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        prod = _poly_mul(self.digits(a), self.digits(b), self.p)
+        prod = _poly_mul(self._digits(a), self._digits(b), self.p)
         rem = _poly_mod(prod, self.poly, self.p)  # type: ignore[arg-type]
-        return self.code(rem + (0,) * (self.k - len(rem)))
+        return self._code(rem + (0,) * (self.k - len(rem)))
 
     def _neg_direct(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        return self.code(tuple((-d) % self.p for d in self.digits(a)))
+        return self._code(tuple((-d) % self.p for d in self._digits(a)))
 
     @cached_property
     def _kernel(self) -> _Rows:
@@ -424,32 +441,33 @@ class FieldSpec:
         )
 
     def add(self, a: int, b: int) -> int:
-        return self._kernel.add[a][b]
+        return self._kernel.add[self._element(a)][self._element(b)]
 
     def mul(self, a: int, b: int) -> int:
-        return self._kernel.mul[a][b]
+        return self._kernel.mul[self._element(a)][self._element(b)]
 
     def neg(self, a: int) -> int:
-        return self._kernel.neg[a]
+        return self._kernel.neg[self._element(a)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; a must be nonzero."""
-        if a == 0:
+        if self._element(a) == 0:
             raise DivisionByZero(f"0 has no inverse in GF({self.q})")
         return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
         """a**e by square-and-multiply; pow(a, 0) == 1 for every a."""
+        base = self._element(a)
         _json_int(e, "exponent", 0, error=NegativeExponent)
+        mul = self._kernel.mul
         out = 1
-        base = a
         while e:
             if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = mul[out][base]
+            base = mul[base][base]
             e >>= 1
         return out
 

@@ -40,6 +40,8 @@ from .subspaces import (
     span,
 )
 
+__all__ = ["FittingPair", "fitting_assemble", "fitting_decompose"]
+
 
 @dataclass(frozen=True)
 class FittingPair:

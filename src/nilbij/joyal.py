@@ -35,6 +35,16 @@ from itertools import product
 from .errors import InvalidVertex, SchemaError, _json_fields, _json_int, _json_seq
 from .linalg import _SIZE_MAX
 
+__all__ = [
+    "EndoFunction",
+    "Tree",
+    "all_endofunctions",
+    "is_eventually_constant",
+    "joyal_forward",
+    "joyal_inverse",
+    "periodic_points",
+]
+
 
 @dataclass(frozen=True)
 class Tree:
@@ -96,7 +106,7 @@ class EndoFunction:
             _json_int(x, "table value", 0, last, InvalidVertex)
 
     def __call__(self, x: int) -> int:
-        return self.table[x]
+        return self.table[_json_int(x, "vertex", 0, self.n - 1, InvalidVertex)]
 
     @cached_property
     def _stable_power(self) -> tuple[int, ...]:

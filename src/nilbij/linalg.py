@@ -27,8 +27,9 @@ its ``rref``, and the nilpotency test its ``nilpotent``.
 A ``Matrix`` remembers four derived facts on first use: its RREF with
 the pivot columns, its inverse or, when it has none, its rank, whether
 it is nilpotent, and its stable power T**m, m the least power of two
->= n, found by squaring as ``EndoFunction`` finds its own; the census
-and the Fitting decomposition both read its image.  Each is a pure
+>= n, found by squaring through :func:`mat_pow` as ``EndoFunction``
+finds its own; the census and the Fitting decomposition both read its
+image.  Each is a pure
 function of the matrix's immutable fields, so computing it once per
 value is safe; the facts live in the instance ``__dict__``
 (``functools.cached_property``) and never enter ``==``, ``hash``,
@@ -63,6 +64,21 @@ from .errors import (
     _json_seq,
 )
 from .field import FieldSpec
+
+__all__ = [
+    "Matrix",
+    "Vector",
+    "apply",
+    "image_basis",
+    "is_invertible",
+    "is_nilpotent",
+    "kernel_basis",
+    "mat_inv",
+    "mat_mul",
+    "mat_pow",
+    "rank",
+    "rref",
+]
 
 # The largest size that Matrix.zero, Matrix.identity, Vector.zero, a
 # census n and a vertex count (Tree, EndoFunction, all_endofunctions) are
@@ -148,6 +164,7 @@ class Matrix:
         return self.rows == self.cols
 
     def column(self, j: int) -> tuple[int, ...]:
+        j = _json_int(j, "column", 0, self.cols - 1)
         return tuple(row[j] for row in self.data)
 
     @cached_property
@@ -158,11 +175,10 @@ class Matrix:
     def _stable_power(self) -> "Matrix":
         """T**m for a square n x n matrix by squaring, m the least power
         of two >= n.  The image and kernel chains of T have stabilized
-        by step n, so im(T**m) = im(T**n) and ker(T**m) = ker(T**n)."""
-        data = self.data
-        for _ in range(max(self.rows - 1, 0).bit_length()):
-            data = self.spec._kernel.product(data, data, self.rows)
-        return _matrix(self.spec, self.rows, self.cols, data)
+        by step n, so im(T**m) = im(T**n) and ker(T**m) = ker(T**n).
+        For an exponent 2^j, :func:`mat_pow` squares j times and never
+        multiplies."""
+        return mat_pow(self, 1 << max(self.rows - 1, 0).bit_length())
 
     @cached_property
     def _inverse(self) -> tuple["Matrix | None", int]:

@@ -82,6 +82,28 @@ from .linalg import (
     rref,
 )
 
+__all__ = [
+    "OrderedBasis",
+    "Subspace",
+    "SubspaceMap",
+    "automorphism_to_basis",
+    "basis_to_automorphism",
+    "block_assemble",
+    "block_decompose",
+    "canonical_iso",
+    "complement_to_map",
+    "compose",
+    "contains",
+    "coords",
+    "from_coords",
+    "is_complementary",
+    "map_apply",
+    "map_inverse",
+    "map_to_complement",
+    "span",
+    "steinitz_complement",
+]
+
 
 @dataclass(frozen=True)
 class Subspace:

@@ -5,10 +5,15 @@ malformed value, never another exception; and a ``TypeError`` raised by
 library code is never reported as bad input."""
 
 import copy
+import hashlib
+import inspect
+import types
+import typing
 
 import pytest
 
-from conftest import GF2
+import nilbij
+from conftest import GF2, GF4
 from nilbij import (
     EndoFunction,
     FieldSpec,
@@ -59,19 +64,28 @@ BUDGET = 600  # every census point that this budget admits runs in well under 1 
 # operands are the library's own types and stay valid.
 PUBLIC_SLOTS = {
     "FieldSpec": (FieldSpec, (2, 2, (1, 1, 1))),
-    "FieldSpec.pow": (lambda e: GF2.pow(1, e), (2,)),
+    "FieldSpec.add": (GF2.add, (1, 1)),
+    "FieldSpec.mul": (GF2.mul, (1, 1)),
+    "FieldSpec.neg": (GF2.neg, (1,)),
+    "FieldSpec.sub": (GF2.sub, (1, 1)),
+    "FieldSpec.inv": (GF2.inv, (1,)),
+    "FieldSpec.pow": (GF2.pow, (1, 2)),
+    "FieldSpec.digits": (GF4.digits, (3,)),
+    "FieldSpec.code": (GF4.code, ((1, 1),)),
     "Vector": (lambda entries: Vector(GF2, entries), ((1, 0),)),
     "Vector.zero": (lambda n: Vector.zero(GF2, n), (2,)),
     "Matrix": (lambda r, c, data: Matrix(GF2, r, c, data), (1, 2, ((0, 1),))),
     "Matrix.from_rows": (lambda rows: Matrix.from_rows(GF2, rows), (((0, 1),),)),
     "Matrix.zero": (lambda r, c: Matrix.zero(GF2, r, c), (1, 2)),
     "Matrix.identity": (lambda n: Matrix.identity(GF2, n), (2,)),
+    "Matrix.column": (Matrix.identity(GF2, 2).column, (1,)),
     "Subspace": (lambda n, rows: Subspace(GF2, n, rows), (2, ((1, 1),))),
     "Subspace.zero": (lambda n: Subspace.zero(GF2, n), (2,)),
     "Subspace.full": (lambda n: Subspace.full(GF2, n), (2,)),
     "OrderedBasis": (lambda vectors: OrderedBasis(LINE, vectors), ((Vector(GF2, (1, 1)),),)),
     "Tree": (Tree, (3, ((0, 1), (1, 2)))),
     "EndoFunction": (EndoFunction, (3, (0, 0, 1))),
+    "EndoFunction.__call__": (EndoFunction(3, (0, 0, 1)), (2,)),
     "joyal_forward": (lambda v, v2: joyal_forward(TREE, v, v2), (0, 2)),
     "count_nilpotents": (lambda n, b: count_nilpotents(GF2, n, b), (2, BUDGET)),
     "enumerate_operators": (lambda n, b: enumerate_operators(GF2, n, b), (2, BUDGET)),
@@ -117,6 +131,103 @@ def test_every_public_slot_gives_a_value_or_a_nilbij_error(name):
         for value in VALUES:
             args = valid[:slot] + (value,) + valid[slot + 1:]
             value_or_nilbij_error(call, *args)
+
+
+# Calls that read a wrong value without an error before their slot was
+# read by _json_int: a code, digit, column or vertex taken modulo its
+# range, or indexed from the end.
+SILENT_MISREADS = {
+    "neg(-1)": lambda: GF2.neg(-1),
+    "inv(5)": lambda: GF2.inv(5),
+    "inv(1.5)": lambda: GF2.inv(1.5),
+    "code((5, 0))": lambda: FieldSpec(3, 2).code((5, 0)),
+    "code((1.5,))": lambda: FieldSpec(3, 2).code((1.5,)),
+    "add(10**5000, 1)": lambda: FieldSpec(4099).add(10**5000, 1),
+    "column(-1)": lambda: Matrix.identity(GF2, 2).column(-1),
+    "EndoFunction(-1)": lambda: EndoFunction(2, (0, 1))(-1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SILENT_MISREADS))
+def test_a_scalar_out_of_range_is_refused_not_misread(name):
+    with pytest.raises(NilbijError):
+        SILENT_MISREADS[name]()
+
+
+# The public surface, as nilbij.__all__ declares it: the sha256 of its
+# sorted names, one a line.
+SURFACE_SHA256 = "db8c2862a9800dbf5654e2985485fafeb845f15e9bc37f93b63ec135d32f770c"
+
+
+def test_the_public_surface_is_declared_once():
+    names = nilbij.__all__
+    assert len(names) == len(set(names)) == 72
+    assert hashlib.sha256("\n".join(sorted(names)).encode()).hexdigest() == SURFACE_SHA256
+    namespace: dict = {}
+    exec("from nilbij import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(names)
+    modules = [getattr(nilbij, name) for name in dir(nilbij)
+               if isinstance(getattr(nilbij, name), types.ModuleType)]
+    owners = {name: [m.__name__ for m in modules if name in getattr(m, "__all__", ())]
+              for name in names}
+    assert all(len(found) == 1 for found in owners.values()), owners
+    for name, (owner,) in owners.items():
+        obj = getattr(nilbij, name)
+        assert getattr(obj, "__module__", owner) == owner, name
+
+
+# Types that only the library builds, and that no call takes as an argument.
+RESULT_TYPES = {"CensusReport", "DegreeStratum", "JoyalReport"}
+VALUE_CLASSES = {getattr(nilbij, name) for name in nilbij.__all__
+                 if isinstance(getattr(nilbij, name), type)
+                 and not issubclass(getattr(nilbij, name), Exception)}
+
+
+def _is_library_value(annotation) -> bool:
+    """The annotation is a value class of the library, or that class | None."""
+    if annotation in VALUE_CLASSES:
+        return True
+    if typing.get_origin(annotation) in (typing.Union, types.UnionType):
+        args = set(typing.get_args(annotation)) - {type(None)}
+        return len(args) == 1 and args <= VALUE_CLASSES
+    return False
+
+
+def _public_callables():
+    """(name, callable) for each callable of nilbij.__all__ and each public
+    method of its classes, __call__ included; the exception classes, the
+    result types and from_json (which VALID_DOCS covers) are left out."""
+    for name in nilbij.__all__:
+        obj = getattr(nilbij, name)
+        if not isinstance(obj, type):
+            if callable(obj):
+                yield name, obj
+            continue
+        if issubclass(obj, Exception) or name in RESULT_TYPES:
+            continue
+        yield name, obj
+        for attr in dir(obj):
+            member = getattr(obj, attr)
+            public = attr == "__call__" or not attr.startswith("_")
+            if public and attr != "from_json" and callable(member):
+                yield f"{name}.{attr}", member
+
+
+def _slots(call) -> list[str]:
+    """The parameters of ``call`` that take outside data: every one but
+    self and those annotated with a library value."""
+    params = inspect.signature(call, eval_str=True).parameters.values()
+    return [p.name for p in params if p.name != "self" and not _is_library_value(p.annotation)]
+
+
+def test_every_public_callable_with_a_slot_is_probed():
+    slots = {name: _slots(call) for name, call in _public_callables()}
+    slotted = {name: found for name, found in slots.items() if found}
+    unprobed = {name: found for name, found in slotted.items()
+                if name not in PUBLIC_SLOTS or len(PUBLIC_SLOTS[name][1]) != len(found)}
+    assert not unprobed, f"each slot needs one valid argument in PUBLIC_SLOTS: {unprobed}"
+    assert set(PUBLIC_SLOTS) <= set(slotted), set(PUBLIC_SLOTS) - set(slotted)
 
 
 @pytest.mark.parametrize("cls", list(VALID_DOCS), ids=lambda cls: cls.__name__)
