@@ -16,7 +16,11 @@ U -> U block, a block of a nilpotent; inverse's T is nilpotent because
 it is block-triangular over (V, U), with diagonal blocks conjugate to
 the shift and to S.  The one nilpotency decided here is that of the T
 given to forward or degree, by their public guard; ``fitting_assemble``
-is the checked entry point for Fitting data from outside.  Both
+is the checked entry point for Fitting data from outside.  The orbit
+is one call of the field's row kernel, which reads T's columns once,
+and the spans and maps both directions derive are built trusted, by
+``subspaces._span`` and ``subspaces._map``; only forward's zero
+W -> V block is a public ``SubspaceMap.zero`` build.  Both
 directions are mutually inverse, which is what the census module
 checks exhaustively: its walk decides the nilpotency of each T that
 inverse returns, and counts a step that raises as that input's failure.
@@ -39,7 +43,6 @@ from .linalg import (
     Vector,
     _matrix,
     _vector,
-    apply,
     is_nilpotent,
     mat_inv,
     mat_mul,
@@ -47,7 +50,9 @@ from .linalg import (
 from .subspaces import (
     SubspaceMap,
     _graph_and_iso,
+    _map,
     _ordered_basis,
+    _span,
     basis_to_automorphism,
     block_assemble,
     block_decompose,
@@ -56,7 +61,6 @@ from .subspaces import (
     from_coords,
     map_inverse,
     map_to_complement,
-    span,
     steinitz_complement,
 )
 
@@ -74,16 +78,11 @@ def _check_pair(t: Matrix, v: Vector) -> None:
 
 def _orbit(t: Matrix, v: Vector) -> tuple[Vector, ...]:
     """The orbit (v, Tv, ..., T^(k-1)v) of v under a nilpotent T, up to
-    its first zero."""
+    its first zero: one call of the row kernel's ``orbit``."""
     _check_pair(t, v)
     if not is_nilpotent(t):
         raise NotNilpotent("the pair's operator T must be nilpotent")
-    orbit: list[Vector] = []
-    x = v
-    while not x.is_zero():
-        orbit.append(x)
-        x = apply(t, x)
-    return tuple(orbit)
+    return tuple(_vector(t.spec, x) for x in t.spec._kernel.orbit(t.data, v.entries))
 
 
 def degree(t: Matrix, v: Vector) -> int:
@@ -94,7 +93,7 @@ def degree(t: Matrix, v: Vector) -> int:
 def forward(t: Matrix, v: Vector) -> Matrix:
     """Map a nilpotent pair (T, v) to the operator Q it corresponds to."""
     orbit = _orbit(t, v)
-    v_sub = span(orbit, spec=t.spec, ambient_dim=t.rows)
+    v_sub = _span(t.spec, t.rows, tuple(x.entries for x in orbit))
     assert v_sub.dim == len(orbit), "iterates up to the degree must be independent"
     u_sub = steinitz_complement(v_sub)
     _, t_uv, t_uu = block_decompose(t, v_sub, u_sub)
@@ -102,6 +101,8 @@ def forward(t: Matrix, v: Vector) -> Matrix:
     iso = canonical_iso(v_sub, u_sub, w_sub)
     s = compose(compose(iso, t_uu), map_inverse(iso))
     r = basis_to_automorphism(_ordered_basis(v_sub, orbit))
+    # the one validated Matrix build on verify_theorem's path, which the
+    # benchmark's tracer test counts (ROADMAP item 9)
     return block_assemble(v_sub, w_sub, r, SubspaceMap.zero(w_sub, v_sub), s)
 
 
@@ -121,9 +122,9 @@ def inverse(q: Matrix) -> tuple[Matrix, Vector]:
     t_uv, iso = _graph_and_iso(v_sub, u_sub, pair.W)
     t_uu = compose(compose(map_inverse(iso), pair.S), iso)
     rn = _matrix(q.spec, k, k, tuple(row[1:] + (0,) for row in r.data))
-    t_vv = SubspaceMap(v_sub, v_sub, mat_mul(rn, mat_inv(r)))
+    t_vv = _map(v_sub, v_sub, mat_mul(rn, mat_inv(r)))
     t = block_assemble(v_sub, u_sub, t_vv, t_uv, t_uu)
-    return t, from_coords(v_sub, _vector(q.spec, r.column(0) if k else ()))
+    return t, from_coords(v_sub, _vector(q.spec, tuple([row[0] for row in r.data])))
 
 
 @dataclass(frozen=True)

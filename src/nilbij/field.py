@@ -10,8 +10,9 @@ polynomial products modulo a monic irreducible of degree ``k``.
 A :class:`FieldSpec` owns the arithmetic down to whole rows: its
 ``_kernel``, chosen once from q with no option, combines, multiplies
 and eliminates the rows of :mod:`nilbij.linalg` and
-:mod:`nilbij.subspaces` and decides whether the square matrix they
-form is nilpotent, and ``add``/``mul``/``neg`` read through it.
+:mod:`nilbij.subspaces`, walks the orbit of a vector under a square
+matrix and decides whether that matrix is nilpotent, and
+``add``/``mul``/``neg`` read through it.
 
 - GF(2) packs each row into one integer, so a product row is an XOR
   of rows and elimination never scales: at n = 16 about 4 times faster
@@ -146,6 +147,18 @@ class _Rows:
         combination of the rows of B."""
         zero = (0,) * cols
         return tuple(self.combine(arow, b, zero) for arow in a)
+
+    def orbit(self, rows, x) -> tuple[tuple[int, ...], ...]:
+        """(x, Tx, T²x, ...) for the n x n matrix ``rows``, up to the
+        first zero and at most n vectors, so a T that is not nilpotent
+        cannot make it loop.  T is transposed once, and each step
+        combines its columns weighted by the last vector."""
+        cols, zero = tuple(zip(*rows)), (0,) * len(rows)
+        out: list[tuple[int, ...]] = []
+        while any(x) and len(out) < len(rows):
+            out.append(x)
+            x = self.combine(x, cols, zero)
+        return tuple(out)
 
     def nilpotent(self, rows, n: int) -> bool:
         """Whether the n x n matrix ``rows`` has T**n = 0; a nilpotent on

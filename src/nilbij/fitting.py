@@ -35,9 +35,9 @@ from .linalg import (
 from .subspaces import (
     Subspace,
     SubspaceMap,
+    _span,
     block_assemble,
     block_decompose,
-    span,
 )
 
 __all__ = ["FittingPair", "fitting_assemble", "fitting_decompose"]
@@ -93,8 +93,8 @@ def fitting_decompose(q: Matrix) -> FittingPair:
         raise NonSquare("operator must be square")
     n = q.rows
     qm = q._stable_power
-    v = span(image_basis(qm), spec=q.spec, ambient_dim=n)
-    w = span(kernel_basis(qm), spec=q.spec, ambient_dim=n)
+    v = _span(q.spec, n, tuple(x.entries for x in image_basis(qm)))
+    w = _span(q.spec, n, tuple(x.entries for x in kernel_basis(qm)))
     r, cross, s = block_decompose(q, v, w)
     assert cross.matrix.is_zero(), "W must be Q-invariant"
     # by R's inversion, which ``bijection.inverse`` reads back, not by a rank

@@ -16,13 +16,18 @@ Values the library derives from already-valid operands are built by
 the private factories :func:`_matrix` and :func:`_vector`, which skip
 those checks; a broken internal invariant surfaces as an
 ``AssertionError`` from the asserts downstream, not as a
-:class:`SchemaError`.
+:class:`SchemaError`.  Library code reads the columns of a matrix it
+holds by indexing ``data``; ``Matrix.column`` is the public reader, and
+checks its index.
 
 All arithmetic on entries runs through the field's row kernel,
 ``FieldSpec._kernel`` (see :mod:`nilbij.field`), which the field chose
 from q: products, ``apply`` (the combination of T's columns weighted
 by x), ``mat_pow`` and the stable power call its ``product``, ``rref``
-its ``rref``, and the nilpotency test its ``nilpotent``.
+its ``rref``, and the nilpotency test its ``nilpotent``.  The orbit
+(x, Tx, T²x, ...) that the bijection walks is one call of its
+``orbit``, which reads T's columns once where ``apply`` reads them per
+vector.
 
 A ``Matrix`` remembers four derived facts on first use: its RREF with
 the pivot columns, its inverse or, when it has none, its rank, whether
@@ -250,7 +255,7 @@ def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _require_same_spec(a: FieldSpec, b: FieldSpec) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise FieldMismatch(f"operands live in different fields: {a} vs {b}")
 
 
@@ -331,7 +336,7 @@ def kernel_basis(a: Matrix) -> list[Vector]:
 def image_basis(a: Matrix) -> list[Vector]:
     """Columns of ``a`` at the pivot positions of its RREF, ascending."""
     _, pivots = a._rref
-    return [_vector(a.spec, a.column(c)) for c in pivots]
+    return [_vector(a.spec, tuple([row[c] for row in a.data])) for c in pivots]
 
 
 def is_invertible(t: Matrix) -> bool:

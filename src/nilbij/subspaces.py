@@ -25,11 +25,14 @@ Constructions:
 The public ``Subspace`` constructor takes the rows alone; the one
 elimination that checks they are their own RREF also yields the
 pivots.  ``Subspace.from_json`` goes through it, and the public
-``OrderedBasis`` constructor validates its vectors.  Values the
-constructions below derive from valid operands are built trusted, by
-:func:`_subspace`, :func:`_ordered_basis` and the :mod:`nilbij.linalg`
-factories, and read facts off the canonical rows: a vector of V has its
-entries at V's pivots as its reference-basis coordinates.
+``OrderedBasis``, ``SubspaceMap`` and ``span`` validate their inputs.
+Values the constructions below derive from valid operands are built
+trusted, by :func:`_subspace`, :func:`_span` (the RREF of rows the
+library holds; public ``span`` ends in it), :func:`_map`,
+:func:`_ordered_basis` and the :mod:`nilbij.linalg` factories, and
+read facts off the canonical rows: a vector of V has its entries at
+V's pivots as its reference-basis coordinates.  ``compose`` and
+``map_inverse`` check their operands, then build trusted.
 
 Splitting X = V + U reads coordinates off the inverse of the basis
 matrix B = [V | U], and that inversion is also the check that U
@@ -201,7 +204,7 @@ def span(
     if not vecs:
         if spec is None or ambient_dim is None:
             raise DimensionMismatch("empty span needs explicit spec and ambient_dim")
-        return _subspace(spec, _json_int(ambient_dim, "ambient_dim", 0), (), ())
+        return _span(spec, _json_int(ambient_dim, "ambient_dim", 0), ())
     for v in vecs:  # vecs[0] is checked as a Vector before it is read
         if not isinstance(v, Vector):
             raise SchemaError(f"a spanning vector must be a Vector, got {type(v).__name__}")
@@ -214,8 +217,17 @@ def span(
         raise FieldMismatch(f"vectors over {first} spanned in {spec}")
     if ambient_dim is not None and ambient_dim != n:
         raise DimensionMismatch(f"length-{n} vectors vs another ambient_dim")
-    reduced, pivots = rref(_matrix(first, len(vecs), n, tuple(v.entries for v in vecs)))
-    return _subspace(first, n, reduced.data[: len(pivots)], pivots)
+    return _span(first, n, tuple(v.entries for v in vecs))
+
+
+def _span(spec: FieldSpec, n: int, rows: tuple[tuple[int, ...], ...]) -> Subspace:
+    """The subspace spanned by rows of n codes the library holds, as
+    their RREF, unchecked; no rows span the zero subspace, with no
+    elimination."""
+    if not rows:
+        return _subspace(spec, n, (), ())
+    reduced, pivots = rref(_matrix(spec, len(rows), n, rows))
+    return _subspace(spec, n, reduced.data[: len(pivots)], pivots)
 
 
 def _reduce_against(v: Subspace, x: Vector) -> tuple[tuple[int, ...], Vector]:
@@ -297,6 +309,14 @@ class SubspaceMap:
         return cls(domain, codomain, Matrix.zero(domain.spec, codomain.dim, domain.dim))
 
 
+def _map(domain: Subspace, codomain: Subspace, matrix: Matrix) -> SubspaceMap:
+    """A SubspaceMap the library built from valid operands, unchecked:
+    ``matrix`` is dim codomain x dim domain, over their field."""
+    f = object.__new__(SubspaceMap)
+    f.__dict__.update(domain=domain, codomain=codomain, matrix=matrix)
+    return f
+
+
 def map_apply(f: SubspaceMap, x: Vector) -> Vector:
     """Apply f to an ambient vector of its domain; result is ambient."""
     return from_coords(f.codomain, apply(f.matrix, coords(f.domain, x)))
@@ -306,14 +326,14 @@ def compose(g: SubspaceMap, f: SubspaceMap) -> SubspaceMap:
     """g after f."""
     if f.codomain != g.domain:
         raise DimensionMismatch("compose: codomain of f is not the domain of g")
-    return SubspaceMap(f.domain, g.codomain, mat_mul(g.matrix, f.matrix))
+    return _map(f.domain, g.codomain, mat_mul(g.matrix, f.matrix))
 
 
 def map_inverse(f: SubspaceMap) -> SubspaceMap:
     """Inverse of an isomorphism (equal dimensions, invertible matrix)."""
     if f.domain.dim != f.codomain.dim:
         raise DimensionMismatch("only maps between equal dimensions can invert")
-    return SubspaceMap(f.codomain, f.domain, mat_inv(f.matrix))
+    return _map(f.codomain, f.domain, mat_inv(f.matrix))
 
 
 def _block(m: Matrix, r0: int, r1: int, c0: int, c1: int) -> Matrix:
@@ -362,7 +382,7 @@ def _graph_and_iso(v: Subspace, u: Subspace, w: Subspace) -> tuple[SubspaceMap, 
         raise NotComplement("U is not a complement of V") from None
     neg = v.spec._kernel.neg
     f = _matrix(v.spec, k, u.dim, tuple(tuple([neg[x] for x in row]) for row in m.data[:k]))
-    return SubspaceMap(u, v, f), SubspaceMap(u, w, iso)
+    return _map(u, v, f), _map(u, w, iso)
 
 
 def canonical_iso(v: Subspace, u: Subspace, w: Subspace) -> SubspaceMap:
@@ -382,12 +402,12 @@ def map_to_complement(f: SubspaceMap) -> Subspace:
     block decomposition over (V, U) has usually made already."""
     u, v = f.domain, f.codomain
     _change_of_basis(v, u, "domain and codomain are not complementary")
-    combine = u.spec._kernel.combine
-    graph_cols = [
-        _vector(u.spec, combine(f.matrix.column(j), v.rows, urow))
-        for j, urow in enumerate(u.rows)
-    ]
-    return span(graph_cols, spec=u.spec, ambient_dim=u.ambient_dim)
+    combine, data = u.spec._kernel.combine, f.matrix.data
+    # column j of f, read by index: with V = 0 the matrix has no rows to zip
+    graph = tuple(
+        combine([row[j] for row in data], v.rows, urow) for j, urow in enumerate(u.rows)
+    )
+    return _span(u.spec, u.ambient_dim, graph)
 
 
 def complement_to_map(w: Subspace, v: Subspace, u: Subspace) -> SubspaceMap:
@@ -414,9 +434,9 @@ def block_decompose(
     m, n = v.dim, v.ambient_dim
     if not _block(conj, m, n, 0, m).is_zero():
         raise NotInvariant("T does not map V into V")
-    t_vv = SubspaceMap(v, v, _block(conj, 0, m, 0, m))
-    t_uv = SubspaceMap(u, v, _block(conj, 0, m, m, n))
-    t_uu = SubspaceMap(u, u, _block(conj, m, n, m, n))
+    t_vv = _map(v, v, _block(conj, 0, m, 0, m))
+    t_uv = _map(u, v, _block(conj, 0, m, m, n))
+    t_uu = _map(u, u, _block(conj, m, n, m, n))
     return t_vv, t_uv, t_uu
 
 
@@ -481,7 +501,7 @@ def basis_to_automorphism(b: OrderedBasis) -> SubspaceMap:
     since b is a basis of V: its entries at V's pivots."""
     v = b.subspace
     data = tuple(tuple(vec.entries[p] for vec in b.vectors) for p in v.pivots)
-    return SubspaceMap(v, v, _matrix(v.spec, v.dim, v.dim, data))
+    return _map(v, v, _matrix(v.spec, v.dim, v.dim, data))
 
 
 def automorphism_to_basis(r: SubspaceMap) -> OrderedBasis:
@@ -491,7 +511,5 @@ def automorphism_to_basis(r: SubspaceMap) -> OrderedBasis:
     if not is_invertible(r.matrix):
         raise NotAutomorphism("map matrix is singular")
     v = r.domain
-    vecs = tuple(
-        from_coords(v, _vector(v.spec, r.matrix.column(j))) for j in range(v.dim)
-    )
+    vecs = tuple(from_coords(v, _vector(v.spec, col)) for col in zip(*r.matrix.data))
     return _ordered_basis(v, vecs)

@@ -27,6 +27,7 @@ from nilbij import (
     Vector,
     all_endofunctions,
     count_nilpotents,
+    degree,
     enumerate_operators,
     inverse,
     joyal,
@@ -482,6 +483,13 @@ def nilpotent_accepting_a_zero_trace_at_the_bound(real):
     return mutant
 
 
+def orbit_one_step_short(real):
+    """``_Rows.orbit`` that stops at n - 1 vectors in place of n:
+    an orbit of full length n loses its last vector, a shorter one
+    keeps all of its vectors."""
+    return lambda kernel, rows, x: real(kernel, rows, x)[: len(rows) - 1]
+
+
 def tabulated_unshared(real):
     """``FieldSpec._kernel`` calling the unwrapped builder of
     ``_tabulated``: every spec builds its own tables."""
@@ -497,6 +505,7 @@ def kernel_memoizing_the_views(real):
 
 
 J = Matrix.from_rows(GF2, [(1, 1), (1, 1)])  # J² = 2J = 0 over GF(2)
+E1 = Vector(GF2, (1, 0))  # J e_1 = (1, 1) and J² e_1 = 0: an orbit of length 2
 
 # (name, modules or classes whose binding of the name it patches, the name,
 # mutant, the CHANGES.md entry it comes from, the cheapest check known
@@ -519,6 +528,9 @@ NEAR_MISS_MUTANTS = [
      nilpotent_accepting_a_zero_trace_at_the_bound,
      "CHANGES.md: the row kernel decides nilpotency",
      lambda: count_nilpotents(GF2, 2) == 4, True),
+    ("orbit stops one step short", (nilbij.field._Rows,), "orbit", orbit_one_step_short,
+     "CHANGES.md: the bijection walks each orbit in one kernel call",
+     lambda: degree(J, E1) == 2, False),
     ("each spec builds its own tables", (nilbij.field,), "_tabulated", tabulated_unshared,
      "CHANGES.md: each small field is tabulated once per process",
      lambda: FieldSpec(3, 2)._kernel is FieldSpec(3, 2)._kernel, True),

@@ -10,6 +10,7 @@ tabulate (GF(4099)), and with sympy's RREF over prime fields.  GF(2)
 packs its rows, so it is also sampled up to 20 x 20, where a row spans
 several machine words."""
 
+import signal
 from itertools import product
 from operator import mul
 
@@ -24,6 +25,7 @@ from nilbij import (
     NotInvertible,
     Vector,
     apply,
+    degree,
     is_nilpotent,
     kernel_basis,
     mat_inv,
@@ -244,6 +246,77 @@ def test_nilpotent_matches_reference_power(spec, data):
     strict = tuple(tuple(x if j < i else 0 for j, x in enumerate(row))
                    for i, row in enumerate(strict.data))
     assert check(ref_mul(spec, ref_mul(spec, p.data, strict, n), p_inv, n))
+
+
+def ref_orbit(spec, data, x):
+    """(x, Tx, T²x, ...) up to the first zero, one ``ref_apply`` per
+    step; T must be nilpotent, or this never ends."""
+    out = []
+    while any(x):
+        out.append(x)
+        x = ref_apply(spec, data, x)
+    return tuple(out)
+
+
+def _unit_triangular(data, lower):
+    """``data`` with 1 on the diagonal and 0 on the other side of it."""
+    return tuple(tuple(1 if i == j else x if (j < i) == lower else 0
+                       for j, x in enumerate(row)) for i, row in enumerate(data))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([GF2, GF3, GF9, GF4099, GF128]), st.data())
+def test_orbit_matches_reference(spec, data):
+    """``_Rows.orbit`` and ``degree`` on each kind of kernel: packed
+    GF(2) up to n = 64, where a row spans several machine words, tables,
+    and on-demand views over a prime and over an extension field."""
+    n = data.draw(st.integers(1, 64) if spec == GF2 else st.integers(1, 6))
+    code = st.integers(0, spec.q - 1)
+
+    def draw():
+        return data.draw(_matrix_strategy(spec, n, n)).data
+
+    def check(t_data, x):
+        expected = ref_orbit(spec, t_data, x)
+        assert spec._kernel.orbit(t_data, x) == expected
+        assert degree(Matrix(spec, n, n, t_data), Vector(spec, x)) == len(expected) <= n
+        return len(expected)
+
+    # the shift e_j -> e_(j+1) walks e_1 through every unit vector
+    shift = tuple(tuple(int(i == j + 1) for j in range(n)) for i in range(n))
+    assert check(shift, (1,) + (0,) * (n - 1)) == n
+    # P N P⁻¹, N strictly lower triangular and P = L U invertible
+    p = Matrix(spec, n, n, ref_mul(spec, _unit_triangular(draw(), True),
+                                   _unit_triangular(draw(), False), n))
+    strict = tuple(tuple(x if j < i else 0 for j, x in enumerate(row))
+                   for i, row in enumerate(draw()))
+    t = ref_mul(spec, ref_mul(spec, p.data, strict, n), mat_inv(p).data, n)
+    check(t, data.draw(st.tuples(*[code] * n)))
+    assert check(t, (0,) * n) == 0
+    (in_kernel, *_) = kernel_basis(Matrix(spec, n, n, t))  # a nilpotent is singular
+    assert check(t, in_kernel.entries) == 1
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, GF9, GF4099, GF128],
+                         ids=["q2", "q3", "q9", "q4099", "q128"])
+def test_orbit_of_an_operator_that_is_not_nilpotent_ends_after_n_vectors(spec):
+    """Given to the kernel directly, past ``degree``'s nilpotency guard,
+    the identity fixes x forever; the orbit stops at n vectors.  An
+    alarm turns a lost bound into a failure in seconds, not a hang."""
+    def looping(signum, frame):
+        pytest.fail(f"{spec}: the orbit of the identity ran past n vectors")
+
+    previous = signal.signal(signal.SIGALRM, looping)
+    signal.alarm(10)
+    try:
+        for n in (1, 2, 5, 64 if spec == GF2 else 6):
+            identity = ref_identity(n)
+            x = (1,) * n
+            assert spec._kernel.orbit(identity, x) == (x,) * n
+        assert spec._kernel.orbit((), ()) == ()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_kernel_is_chosen_from_q():

@@ -7,6 +7,7 @@ must change no result, the facts must stay out of equality, hashing,
 repr and JSON, and failures must repeat."""
 
 import math
+import sys
 from functools import cached_property
 
 import pytest
@@ -23,6 +24,7 @@ from nilbij import (
     Subspace,
     Vector,
     count_nilpotents,
+    degree,
     field,
     fitting_decompose,
     forward,
@@ -289,3 +291,29 @@ def test_nilpotency_census_squarings(spec, n, products):
     count, seen = count_products(lambda: count_nilpotents(spec, n))
     assert count == spec.q ** (n * (n - 1))
     assert seen == products
+
+
+def test_the_orbit_is_one_kernel_call():
+    """``forward`` and ``degree`` walk the orbit in one call of the row
+    kernel, not one ``apply`` per vector, and the kernel's walk
+    transposes T itself: no product."""
+    t = Matrix(GF2, 3, 3, ((0, 0, 0), (1, 0, 0), (1, 1, 0)))  # e_1 has degree 3
+    v = Vector(GF2, (1, 0, 0))
+    applied = 0
+    real = linalg.apply
+
+    def counted(*args):
+        nonlocal applied
+        applied += 1
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("nilbij") and vars(module).get("apply") is real:
+                mp.setattr(module, "apply", counted)
+        assert inverse(forward(t, v)) == (t, v)
+        assert degree(t, v) == 3
+    assert applied == 0
+    orbit, seen = count_products(lambda: GF2._kernel.orbit(t.data, v.entries))
+    assert orbit == ((1, 0, 0), (0, 1, 1), (0, 0, 1))
+    assert seen == 0

@@ -16,15 +16,26 @@ from nilbij import (
     NilbijError,
     OrderedBasis,
     Subspace,
+    SubspaceMap,
     Tree,
     Vector,
     joyal,
     linalg,
+    rref,
     subspaces,
     verify_degree_refinement,
     verify_joyal,
     verify_theorem,
 )
+
+
+def public_span(spec, n, rows):
+    """The public RREF of the rows, cut to its rank, given to the public
+    ``Subspace``, which checks the canonical form itself; ``span`` would
+    not do, as it ends in ``_span``."""
+    reduced, pivots = rref(Matrix(spec, len(rows), n, rows))
+    return Subspace(spec, n, reduced.data[: len(pivots)])
+
 
 FACTORIES = {
     "_matrix": (linalg._matrix, Matrix),
@@ -32,6 +43,8 @@ FACTORIES = {
     # the public constructor derives the pivots that the factory is given
     "_subspace": (subspaces._subspace, lambda spec, n, rows, _: Subspace(spec, n, rows)),
     "_ordered_basis": (subspaces._ordered_basis, OrderedBasis),
+    "_map": (subspaces._map, SubspaceMap),
+    "_span": (subspaces._span, public_span),
     "_endofunction": (joyal._endofunction, EndoFunction),
     "_tree": (joyal._tree, Tree),
 }
