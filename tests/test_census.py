@@ -2,7 +2,6 @@
 and broken bijections being reported."""
 
 import functools
-import hashlib
 import io
 import json
 import operator
@@ -20,7 +19,6 @@ from nilbij import (
     FieldSpec,
     FittingPair,
     Matrix,
-    NilpotentPair,
     OrderedBasis,
     SchemaError,
     SubspaceMap,
@@ -38,8 +36,8 @@ from nilbij import (
     verify_joyal,
     verify_theorem,
 )
-from nilbij.cli import canonical_dumps, main
-from test_bijection import INVERSE_DIGESTS
+from nilbij.cli import main
+from test_relations import direct_sum_mismatches
 
 
 def test_enumeration_order_and_count():
@@ -447,12 +445,6 @@ def steinitz_complement_shifted_by_the_first_row(real):
     return mutant
 
 
-def inverse_digest(spec, n):
-    blob = "".join(canonical_dumps(NilpotentPair(*inverse(q)).to_json())
-                   for q in enumerate_operators(spec, n))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def basis_to_automorphism_reading_the_basis_reversed(real):
     return lambda b: real(OrderedBasis(b.subspace, b.vectors[::-1]))
 
@@ -516,7 +508,7 @@ NEAR_MISS_MUTANTS = [
     ("complement shifted by V's first row", (nilbij.bijection,), "steinitz_complement",
      steinitz_complement_shifted_by_the_first_row,
      "CHANGES.md: `forward` ends in `block_assemble`",
-     lambda: inverse_digest(GF2, 2) == INVERSE_DIGESTS[GF2, 2], True),
+     lambda: direct_sum_mismatches(GF2, 1, 1)[0] == 0, True),
     ("basis read reversed", (nilbij.subspaces, nilbij.bijection), "basis_to_automorphism",
      basis_to_automorphism_reading_the_basis_reversed,
      "CHANGES.md: one audit engine for the constructions",
