@@ -16,14 +16,22 @@ U -> U block, a block of a nilpotent; inverse's T is nilpotent because
 it is block-triangular over (V, U), with diagonal blocks conjugate to
 the shift and to S.  The one nilpotency decided here is that of the T
 given to forward or degree, by their public guard; ``fitting_assemble``
-is the checked entry point for Fitting data from outside.  The orbit
-is one call of the field's row kernel, which reads T's columns once,
-and the spans and maps both directions derive are built trusted, by
-``subspaces._span`` and ``subspaces._map``; only forward's zero
-W -> V block is a public ``SubspaceMap.zero`` build.  Both
-directions are mutually inverse, which is what the census module
-checks exhaustively: its walk decides the nilpotency of each T that
-inverse returns, and counts a step that raises as that input's failure.
+is the checked entry point for Fitting data from outside.
+
+Both directions run on row tuples.  They chain the private cores of
+:mod:`nilbij.subspaces` and :mod:`nilbij.fitting`, the same cores that
+the public lemmas (``steinitz_complement``, ``block_decompose``,
+``map_to_complement``, ``canonical_iso``, ``basis_to_automorphism``,
+``fitting_decompose``, ``block_assemble``, ...) validate for and wrap,
+so each step of the construction exists once.  Neither direction
+builds an intermediate value: the orbit is one call of the field's row
+kernel, and each direction builds one ``Matrix`` and one ``Vector`` at
+the end.  The Steinitz split [V | U]^-1 is read off V's pivots, and
+the canonical map W -> U is read against it, so a direction inverts
+only [V | W] and, in inverse, R.  Both directions are mutually
+inverse, which is what the census module checks exhaustively: its walk
+decides the nilpotency of each T that inverse returns, and counts a
+step that raises as that input's failure.
 """
 
 from __future__ import annotations
@@ -37,31 +45,17 @@ from .errors import (
     NotNilpotent,
     _json_fields,
 )
-from .fitting import fitting_decompose
-from .linalg import (
-    Matrix,
-    Vector,
-    _matrix,
-    _vector,
-    is_nilpotent,
-    mat_inv,
-    mat_mul,
-)
+from .fitting import _fitting
+from .linalg import Matrix, Vector, _matrix, _vector, is_nilpotent, mat_inv
 from .subspaces import (
-    SubspaceMap,
+    _assemble,
+    _automorphism,
+    _decompose,
+    _echelon,
+    _graph,
     _graph_and_iso,
-    _map,
-    _ordered_basis,
-    _span,
-    basis_to_automorphism,
-    block_assemble,
-    block_decompose,
-    canonical_iso,
-    compose,
-    from_coords,
-    map_inverse,
-    map_to_complement,
-    steinitz_complement,
+    _split,
+    _steinitz,
 )
 
 __all__ = ["NilpotentPair", "degree", "forward", "inverse"]
@@ -76,13 +70,13 @@ def _check_pair(t: Matrix, v: Vector) -> None:
         raise DimensionMismatch("vector length does not match the operator size")
 
 
-def _orbit(t: Matrix, v: Vector) -> tuple[Vector, ...]:
+def _orbit(t: Matrix, v: Vector) -> tuple[tuple[int, ...], ...]:
     """The orbit (v, Tv, ..., T^(k-1)v) of v under a nilpotent T, up to
-    its first zero: one call of the row kernel's ``orbit``."""
+    its first zero, as rows: one call of the row kernel's ``orbit``."""
     _check_pair(t, v)
     if not is_nilpotent(t):
         raise NotNilpotent("the pair's operator T must be nilpotent")
-    return tuple(_vector(t.spec, x) for x in t.spec._kernel.orbit(t.data, v.entries))
+    return t.spec._kernel.orbit(t.data, v.entries)
 
 
 def degree(t: Matrix, v: Vector) -> int:
@@ -93,17 +87,23 @@ def degree(t: Matrix, v: Vector) -> int:
 def forward(t: Matrix, v: Vector) -> Matrix:
     """Map a nilpotent pair (T, v) to the operator Q it corresponds to."""
     orbit = _orbit(t, v)
-    v_sub = _span(t.spec, t.rows, tuple(x.entries for x in orbit))
-    assert v_sub.dim == len(orbit), "iterates up to the degree must be independent"
-    u_sub = steinitz_complement(v_sub)
-    _, t_uv, t_uu = block_decompose(t, v_sub, u_sub)
-    w_sub = map_to_complement(t_uv)
-    iso = canonical_iso(v_sub, u_sub, w_sub)
-    s = compose(compose(iso, t_uu), map_inverse(iso))
-    r = basis_to_automorphism(_ordered_basis(v_sub, orbit))
-    # the one validated Matrix build on verify_theorem's path, which the
-    # benchmark's tracer test counts (ROADMAP item 9)
-    return block_assemble(v_sub, w_sub, r, SubspaceMap.zero(w_sub, v_sub), s)
+    spec, n, k = t.spec, t.rows, len(orbit)
+    kernel = spec._kernel
+    v_sub = _echelon(kernel, orbit, n)
+    assert len(v_sub[1]) == k, "iterates up to the degree must be independent"
+    u_sub = _steinitz(n, v_sub)
+    b, b_inv = _split(kernel, n, v_sub, u_sub, "U is not a complement of V")
+    _, t_uv, t_uu, _ = _decompose(kernel, n, k, t.data, b, b_inv)
+    w_sub = _graph(kernel, n, v_sub[0], u_sub[0], t_uv)
+    c, c_inv = _split(kernel, n, v_sub, w_sub, "W is not a complement of V")
+    # the canonical U -> W against [V | W], and its inverse W -> U, the
+    # same core against the Steinitz split: nothing more is inverted
+    iso = _graph_and_iso(kernel, k, c_inv, u_sub[0])[1]
+    iso_inv = _graph_and_iso(kernel, k, b_inv, w_sub[0])[1]
+    s = kernel.product(iso, kernel.product(t_uu, iso_inv, n - k), n - k)
+    r = _automorphism(v_sub[1], orbit)
+    zero = ((0,) * (n - k),) * k
+    return _matrix(spec, n, n, _assemble(kernel, n, c, c_inv, r, zero, s))
 
 
 def inverse(q: Matrix) -> tuple[Matrix, Vector]:
@@ -115,16 +115,22 @@ def inverse(q: Matrix) -> tuple[Matrix, Vector]:
     e_j -> e_(j+1).  So T acts on V as R N R^-1 (R N is R's columns
     moved one place left), and v has R's first column as coordinates
     (none, so v = 0, when V = 0)."""
-    pair = fitting_decompose(q)
-    v_sub, r = pair.V, pair.R.matrix
-    k = v_sub.dim
-    u_sub = steinitz_complement(v_sub)
-    t_uv, iso = _graph_and_iso(v_sub, u_sub, pair.W)
-    t_uu = compose(compose(map_inverse(iso), pair.S), iso)
-    rn = _matrix(q.spec, k, k, tuple(row[1:] + (0,) for row in r.data))
-    t_vv = _map(v_sub, v_sub, mat_mul(rn, mat_inv(r)))
-    t = block_assemble(v_sub, u_sub, t_vv, t_uv, t_uu)
-    return t, from_coords(v_sub, _vector(q.spec, tuple([row[0] for row in r.data])))
+    v_sub, w_sub, (c, c_inv), r, s = _fitting(q)
+    spec, n, k = q.spec, q.rows, len(r)
+    kernel = spec._kernel
+    # R's inversion is Fitting's assertion that R is invertible, and R is
+    # the one validated Matrix build on verify_theorem's path, which the
+    # benchmark's tracer test counts (ROADMAP item 11)
+    r_inv = mat_inv(Matrix(spec, k, k, r)).data
+    u_sub = _steinitz(n, v_sub)
+    b, b_inv = _split(kernel, n, v_sub, u_sub, "U is not a complement of V")
+    t_uv, iso = _graph_and_iso(kernel, k, c_inv, u_sub[0])
+    iso_inv = _graph_and_iso(kernel, k, b_inv, w_sub[0])[1]  # as in forward
+    t_uu = kernel.product(iso_inv, kernel.product(s, iso, n - k), n - k)
+    t_vv = kernel.product(tuple(row[1:] + (0,) for row in r), r_inv, k)
+    t = _assemble(kernel, n, b, b_inv, t_vv, t_uv, t_uu)
+    v = kernel.combine([row[0] for row in r], v_sub[0], (0,) * n)
+    return _matrix(spec, n, n, t), _vector(spec, v)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,13 @@ restrictions, in reference-basis coordinates, determines Q together
 with the two subspaces, and ``fitting_assemble`` rebuilds it: the
 checked entry point for Fitting data from outside the library, which
 proves R invertible and S nilpotent before it answers.
-``fitting_decompose`` asserts its R invertible by the inversion that
-``bijection.inverse`` reads back, but does not prove its S nilpotent,
-which it is because Q^n vanishes on W: the census walks that audit it
-decide nilpotency themselves, and count a step that raises as that
-input's failure.
+``fitting_decompose`` wraps the row core ``_fitting``, which
+``bijection.inverse`` runs too, and builds the subspaces and maps of
+its result; the bijection builds none.  It asserts its R invertible by
+an inversion, as ``inverse`` does by inverting R, but does not prove
+its S nilpotent, which it is because Q^n vanishes on W: the census
+walks that audit it decide nilpotency themselves, and count a step
+that raises as that input's failure.
 """
 
 from __future__ import annotations
@@ -25,19 +27,16 @@ from .errors import (
     NonSquare,
     _json_fields,
 )
-from .linalg import (
-    Matrix,
-    image_basis,
-    is_invertible,
-    is_nilpotent,
-    kernel_basis,
-)
+from .linalg import Matrix, _matrix, _null_rows, is_invertible, is_nilpotent
 from .subspaces import (
     Subspace,
     SubspaceMap,
-    _span,
+    _decompose,
+    _echelon,
+    _map,
+    _split,
+    _subspace,
     block_assemble,
-    block_decompose,
 )
 
 __all__ = ["FittingPair", "fitting_assemble", "fitting_decompose"]
@@ -80,26 +79,41 @@ class FittingPair:
         return cls(v, w, SubspaceMap(v, v, r), SubspaceMap(w, w, s))
 
 
+def _fitting(q: Matrix):
+    """The Fitting data of Q on rows: V = im(Q^m) and W = ker(Q^m), each
+    the pair (rows, pivots), the split ([V | W], its inverse), and the
+    blocks R of Q on V and S on W over it.
+
+    Both subspaces are read off Q's stable power Q^m, m the least power
+    of two >= n, whose image and kernel are those of Q^n.
+    """
+    if not q.is_square():
+        raise NonSquare("operator must be square")
+    n, kernel = q.rows, q.spec._kernel
+    qm = q._stable_power
+    reduced, pivots = qm._rref
+    v = _echelon(kernel, tuple(tuple([row[c] for row in qm.data]) for c in pivots), n)
+    w = _echelon(kernel, _null_rows(kernel.neg, reduced.data, pivots, n), n)
+    split = _split(kernel, n, v, w, "W is not a complement of V")
+    r, cross, s, invariant = _decompose(kernel, n, len(v[0]), q.data, *split)
+    assert invariant and not any(map(any, cross)), "V and W must be Q-invariant"
+    return v, w, split, r, s
+
+
 def fitting_decompose(q: Matrix) -> FittingPair:
     """Split Q into its invertible and nilpotent parts.
 
     V = im(Q^n) and W = ker(Q^n) are complementary and Q-invariant; the
-    restrictions are read off by block decomposition.  Both subspaces
-    are read off Q's stable power Q^m, m the least power of two >= n,
-    whose image and kernel are those of Q^n; S is nilpotent because
-    Q^m vanishes on W.
+    restrictions are read off by block decomposition.  S is nilpotent
+    because Q^m vanishes on W.
     """
-    if not q.is_square():
-        raise NonSquare("operator must be square")
-    n = q.rows
-    qm = q._stable_power
-    v = _span(q.spec, n, tuple(x.entries for x in image_basis(qm)))
-    w = _span(q.spec, n, tuple(x.entries for x in kernel_basis(qm)))
-    r, cross, s = block_decompose(q, v, w)
-    assert cross.matrix.is_zero(), "W must be Q-invariant"
-    # by R's inversion, which ``bijection.inverse`` reads back, not by a rank
-    assert r.matrix._inverse[0] is not None, "restriction to im(Q^n) must be invertible"
-    return FittingPair(v, w, r, s)
+    v, w, _, r, s = _fitting(q)
+    spec, n, k = q.spec, q.rows, len(r)
+    v, w = _subspace(spec, n, *v), _subspace(spec, n, *w)
+    r = _matrix(spec, k, k, r)
+    # by R's inversion, which ``bijection.inverse`` runs too, not by a rank
+    assert r._inverse[0] is not None, "restriction to im(Q^n) must be invertible"
+    return FittingPair(v, w, _map(v, v, r), _map(w, w, _matrix(spec, n - k, n - k, s)))
 
 
 def fitting_assemble(pair: FittingPair) -> Matrix:

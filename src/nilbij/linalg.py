@@ -27,7 +27,12 @@ by x), ``mat_pow`` and the stable power call its ``product``, ``rref``
 its ``rref``, and the nilpotency test its ``nilpotent``.  The orbit
 (x, Tx, T²x, ...) that the bijection walks is one call of its
 ``orbit``, which reads T's columns once where ``apply`` reads them per
-vector.
+vector.  Two row-level steps serve both the values here and the row
+cores of :mod:`nilbij.subspaces` and :mod:`nilbij.fitting`, through
+which the bijection runs without building an intermediate value:
+:func:`_inverse_rows`, the inversion behind ``mat_inv``, and
+:func:`_null_rows`, the canonical kernel basis of an RREF behind
+``kernel_basis``.
 
 A ``Matrix`` remembers four derived facts on first use: its RREF with
 the pivot columns, its inverse or, when it has none, its rank, whether
@@ -190,14 +195,8 @@ class Matrix:
         """The inverse of a square matrix, None when it is singular, and
         its rank: the pivots of [T | I] that fall among T's columns."""
         n = self.rows
-        aug = _matrix(
-            self.spec, n, 2 * n,
-            tuple(row + irow for row, irow in zip(self.data, _identity_rows(n))),
-        )
-        r, pivots = rref(aug)
-        if pivots != tuple(range(n)):
-            return None, sum(1 for c in pivots if c < n)
-        return _matrix(self.spec, n, n, tuple(row[n:] for row in r.data)), n
+        inv, r = _inverse_rows(self.spec._kernel, self.data, n)
+        return (None if inv is None else _matrix(self.spec, n, n, inv)), r
 
     @cached_property
     def _nilpotent(self) -> bool:
@@ -252,6 +251,35 @@ def _unit_row(n: int, j: int) -> tuple[int, ...]:
 
 def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_unit_row(n, j) for j in range(n))
+
+
+def _inverse_rows(kernel, rows, n: int) -> tuple[tuple[tuple[int, ...], ...] | None, int]:
+    """The inverse of the n x n matrix ``rows``, None when it is
+    singular, and its rank: the pivots of [T | I] that fall among T's
+    columns, by one elimination in the field's row kernel."""
+    reduced, pivots = kernel.rref(
+        tuple(row + irow for row, irow in zip(rows, _identity_rows(n))), 2 * n
+    )
+    if pivots != tuple(range(n)):
+        return None, sum(1 for c in pivots if c < n)
+    return tuple(row[n:] for row in reduced), n
+
+
+def _null_rows(neg, rows, pivots, cols: int) -> tuple[tuple[int, ...], ...]:
+    """The canonical basis of the right kernel of the RREF ``rows`` with
+    these pivots, one row per free column in ascending order: the free
+    coordinate is 1, the other free coordinates 0, and each pivot
+    coordinate minus the RREF entry in the free column."""
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(cols):
+        if f not in pivot_set:
+            x = [0] * cols
+            x[f] = 1
+            for row, p in zip(rows, pivots):
+                x[p] = neg[row[f]]
+            basis.append(tuple(x))
+    return tuple(basis)
 
 
 def _require_same_spec(a: FieldSpec, b: FieldSpec) -> None:
@@ -318,19 +346,8 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     coordinates to 0, and each pivot coordinate to minus the RREF entry
     in the free column.
     """
-    spec = a.spec
-    neg = spec._kernel.neg
     r, pivots = a._rref
-    pivot_set = set(pivots)
-    free = [c for c in range(a.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        x = [0] * a.cols
-        x[f] = 1
-        for i, p in enumerate(pivots):
-            x[p] = neg[r.data[i][f]]
-        basis.append(_vector(spec, tuple(x)))
-    return basis
+    return [_vector(a.spec, x) for x in _null_rows(a.spec._kernel.neg, r.data, pivots, a.cols)]
 
 
 def image_basis(a: Matrix) -> list[Vector]:

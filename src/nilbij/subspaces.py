@@ -26,33 +26,30 @@ The public ``Subspace`` constructor takes the rows alone; the one
 elimination that checks they are their own RREF also yields the
 pivots.  ``Subspace.from_json`` goes through it, and the public
 ``OrderedBasis``, ``SubspaceMap`` and ``span`` validate their inputs.
-Values the constructions below derive from valid operands are built
-trusted, by :func:`_subspace`, :func:`_span` (the RREF of rows the
-library holds; public ``span`` ends in it), :func:`_map`,
-:func:`_ordered_basis` and the :mod:`nilbij.linalg` factories, and
-read facts off the canonical rows: a vector of V has its entries at
-V's pivots as its reference-basis coordinates.  ``compose`` and
-``map_inverse`` check their operands, then build trusted.
+
+Each construction is one private core on row tuples that calls the
+field's row kernel directly and builds no value: ``_echelon`` (a
+span), ``_steinitz``, ``_split`` (the change of basis), ``_decompose``,
+``_assemble``, ``_graph``, ``_graph_and_iso`` and ``_automorphism``.
+A core takes a subspace as the pair (rows, pivots) of its RREF, and a
+map as the rows of its matrix over the reference bases.  The public
+functions check their operands, call the core and wrap its result
+trusted, by :func:`_subspace`, :func:`_map`, :func:`_ordered_basis`
+and the :mod:`nilbij.linalg` factories; they are the only builders of
+``Subspace`` and ``SubspaceMap`` results.  ``bijection.forward`` and
+``inverse`` chain the same cores.
 
 Splitting X = V + U reads coordinates off the inverse of the basis
 matrix B = [V | U], and that inversion is also the check that U
-complements V.  A ``Subspace`` remembers the matrix B of the last
-complement U it was split against, and B in turn remembers its inverse
-or that it has none (see :mod:`nilbij.linalg`).  One ``forward`` or
-``inverse`` splits V against one complement and then against the
-other, never back, so its block decompositions, graph and canonical
-isomorphism invert each [V | U] and [V | W] once, and a long-lived V
-keeps one B, not one per complement.  B is a pure function of the
-immutable fields of V and U, so remembering it is safe; it lives in
-V's instance ``__dict__`` and never enters ``==``, ``hash``, ``repr``
-or ``to_json``.  Nothing is remembered across values: an equal
-subspace built anew splits again.
+complements V.  Against the Steinitz complement of V nothing is
+inverted: a vector's V-coordinates are its entries at V's pivots, and
+its U-coordinates its free entries minus their V part.  A ``Subspace``
+remembers nothing, so a split is made again each time it is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable
 
 from .errors import (
@@ -64,7 +61,6 @@ from .errors import (
     NotComplement,
     NotInSubspace,
     NotInvariant,
-    NotInvertible,
     SchemaError,
     _json_fields,
     _json_int,
@@ -74,7 +70,9 @@ from .field import FieldSpec
 from .linalg import (
     Matrix,
     Vector,
+    _inverse_rows,
     _matrix,
+    _null_rows,
     _unit_row,
     _vector,
     apply,
@@ -149,19 +147,6 @@ class Subspace:
     def full(cls, spec: FieldSpec, ambient_dim: int) -> "Subspace":
         return cls(spec, ambient_dim, Matrix.identity(spec, ambient_dim).data)
 
-    def basis_matrix(self) -> Matrix:
-        """n x m matrix whose columns are the reference basis vectors."""
-        data = tuple(
-            tuple(row[i] for row in self.rows) for i in range(self.ambient_dim)
-        )
-        return _matrix(self.spec, self.ambient_dim, self.dim, data)
-
-    @cached_property
-    def _splits(self) -> dict["Subspace", Matrix]:
-        """The [self | U] basis matrix of the last U this space was
-        split against, keyed by U; see :func:`_change_of_basis`."""
-        return {}
-
     def to_json(self) -> dict:
         return {
             "field": self.spec.to_json(),
@@ -204,7 +189,7 @@ def span(
     if not vecs:
         if spec is None or ambient_dim is None:
             raise DimensionMismatch("empty span needs explicit spec and ambient_dim")
-        return _span(spec, _json_int(ambient_dim, "ambient_dim", 0), ())
+        return _subspace(spec, _json_int(ambient_dim, "ambient_dim", 0), (), ())
     for v in vecs:  # vecs[0] is checked as a Vector before it is read
         if not isinstance(v, Vector):
             raise SchemaError(f"a spanning vector must be a Vector, got {type(v).__name__}")
@@ -217,17 +202,16 @@ def span(
         raise FieldMismatch(f"vectors over {first} spanned in {spec}")
     if ambient_dim is not None and ambient_dim != n:
         raise DimensionMismatch(f"length-{n} vectors vs another ambient_dim")
-    return _span(first, n, tuple(v.entries for v in vecs))
+    return _subspace(first, n, *_echelon(first._kernel, tuple(v.entries for v in vecs), n))
 
 
-def _span(spec: FieldSpec, n: int, rows: tuple[tuple[int, ...], ...]) -> Subspace:
-    """The subspace spanned by rows of n codes the library holds, as
-    their RREF, unchecked; no rows span the zero subspace, with no
-    elimination."""
+def _echelon(kernel, rows, n: int):
+    """The span of rows of n codes, as the pair (RREF rows, pivots);
+    no rows span the zero subspace, with no elimination."""
     if not rows:
-        return _subspace(spec, n, (), ())
-    reduced, pivots = rref(_matrix(spec, len(rows), n, rows))
-    return _subspace(spec, n, reduced.data[: len(pivots)], pivots)
+        return (), ()
+    reduced, pivots = kernel.rref(rows, n)
+    return reduced[: len(pivots)], pivots
 
 
 def _reduce_against(v: Subspace, x: Vector) -> tuple[tuple[int, ...], Vector]:
@@ -264,12 +248,17 @@ def from_coords(v: Subspace, c: Vector) -> Vector:
     return _vector(v.spec, v.spec._kernel.combine(c.entries, v.rows, zero))
 
 
+def _steinitz(n: int, v):
+    """The Steinitz complement of v = (rows, pivots): the unit rows at
+    the columns that are not v's pivots, their own RREF."""
+    pivot_set = set(v[1])
+    free = tuple(j for j in range(n) if j not in pivot_set)
+    return tuple(_unit_row(n, j) for j in free), free
+
+
 def steinitz_complement(v: Subspace) -> Subspace:
     """The complement spanned by standard vectors at non-pivot columns."""
-    pivot_set = set(v.pivots)
-    free = tuple(j for j in range(v.ambient_dim) if j not in pivot_set)
-    rows = tuple(_unit_row(v.ambient_dim, j) for j in free)
-    return _subspace(v.spec, v.ambient_dim, rows, free)
+    return _subspace(v.spec, v.ambient_dim, *_steinitz(v.ambient_dim, (v.rows, v.pivots)))
 
 
 def is_complementary(u: Subspace, v: Subspace) -> bool:
@@ -336,53 +325,91 @@ def map_inverse(f: SubspaceMap) -> SubspaceMap:
     return _map(f.codomain, f.domain, mat_inv(f.matrix))
 
 
-def _block(m: Matrix, r0: int, r1: int, c0: int, c1: int) -> Matrix:
-    return _matrix(
-        m.spec, r1 - r0, c1 - c0, tuple(row[c0:c1] for row in m.data[r0:r1])
-    )
+def _split(kernel, n: int, v, u, what: str):
+    """B = [v | u] and B^-1, row-major, for subspaces v and u of F^n of
+    dimensions adding to n, each the pair (rows, pivots); the top
+    dim(v) rows of B^-1 read off v-coordinates and the rest
+    u-coordinates.  When u is v's Steinitz complement (its rows are
+    unit rows off v's pivots), B^-1 needs no elimination: a vector's
+    v-coordinates are its entries at v's pivots, and its u-coordinates
+    its free entries minus their v part, read by the rows
+    e_f - sum_i v_i[f] e_(p_i), v's canonical kernel basis.  Any other
+    B is inverted, and B is invertible exactly when v and u are
+    complementary, so that inversion is the check; it raises
+    :class:`NotComplement` with message ``what`` otherwise."""
+    b = tuple(zip(*(v[0] + u[0])))
+    if set(u[1]).isdisjoint(v[1]) and all(row.count(0) == n - 1 for row in u[0]):
+        return b, tuple(_unit_row(n, p) for p in v[1]) + _null_rows(kernel.neg, v[0], v[1], n)
+    b_inv = _inverse_rows(kernel, b, n)[0]
+    if b_inv is None:
+        raise NotComplement(what)
+    return b, b_inv
 
 
-def _change_of_basis(v: Subspace, u: Subspace, what: str) -> tuple[Matrix, Matrix]:
-    """B = [v | u] and its inverse, whose top dim(v) rows read off
-    v-coordinates and the rest u-coordinates.  B is invertible exactly
-    when v and u are complementary, so this inversion is the check; it
-    raises :class:`NotComplement` with message ``what`` otherwise.  B is
-    kept on v in place of the last split, and remembers its inverse or
-    its failure, so a next split of the same pair inverts nothing."""
+def _change_of_basis(v: Subspace, u: Subspace, what: str):
+    """:func:`_split` of two subspaces, which must share field and
+    ambient space and have dimensions adding to n, or it raises
+    :class:`NotComplement` with message ``what``."""
     n = v.ambient_dim
     if v.spec != u.spec or u.ambient_dim != n or v.dim + u.dim != n:
         raise NotComplement(what)
-    splits = v._splits
-    b = splits.get(u)
-    if b is None:
-        splits.clear()
-        b = splits[u] = _matrix(v.spec, n, n, tuple(zip(*(v.rows + u.rows))))
-    try:
-        return b, mat_inv(b)
-    except NotInvertible:
-        raise NotComplement(what) from None
+    return _split(v.spec._kernel, n, (v.rows, v.pivots), (u.rows, u.pivots), what)
 
 
-def _graph_and_iso(v: Subspace, u: Subspace, w: Subspace) -> tuple[SubspaceMap, SubspaceMap]:
-    """(f, i) with graph of f : U -> V equal to W and i : U -> W canonical.
+def _conjugate(kernel, n: int, t, b, b_inv):
+    """B^-1 T B: the n x n operator T in the basis of B's columns."""
+    return kernel.product(b_inv, kernel.product(t, b, n), n)
 
-    Writing u = a + b in X = V + W, i(u) = b and f(u) = i(u) - u = -a, so
-    both are blocks of split([V | W]) U.  U complements V exactly when
+
+def _decompose(kernel, n: int, k: int, t, b, b_inv):
+    """The blocks T_VV, T_UV, T_UU of T over B = [V | U], dim V = k, and
+    whether T maps V into V: B^-1 T B cut at k."""
+    conj = _conjugate(kernel, n, t, b, b_inv)
+    top, bottom = conj[:k], conj[k:]
+    return (tuple(row[:k] for row in top), tuple(row[k:] for row in top),
+            tuple(row[k:] for row in bottom), not any(any(row[:k]) for row in bottom))
+
+
+def _assemble(kernel, n: int, b, b_inv, t_vv, t_uv, t_uu):
+    """The operator with blocks T_VV, T_UV, T_UU over B = [V | U], and
+    no U -> V leakage from V: B C B^-1 for C = [[T_VV, T_UV], [0, T_UU]]."""
+    k = len(t_vv)
+    c = tuple(a + x for a, x in zip(t_vv, t_uv)) + tuple((0,) * k + row for row in t_uu)
+    return _conjugate(kernel, n, c, b_inv, b)
+
+
+def _graph(kernel, n: int, v_rows, u_rows, f):
+    """The graph {u + f(u)} of f : U -> V, given as the rows of its
+    matrix, as the pair (rows, pivots): the span of u_j + sum_i f[i][j] v_i."""
+    # column j of f, read by index: with V = 0 the matrix has no rows to zip
+    graph = tuple(kernel.combine([row[j] for row in f], v_rows, urow)
+                  for j, urow in enumerate(u_rows))
+    return _echelon(kernel, graph, n)
+
+
+def _graph_and_iso(kernel, k: int, b_inv, u_rows):
+    """(f, i) for U against B = [V | W], dim V = k: writing u = a + b in
+    X = V + W, i(u) = b, the canonical map U -> W, and f(u) = i(u) - u
+    = -a, the map U -> V whose graph is W.  Both are blocks of
+    B^-1 [U], U's basis in the coordinates of B."""
+    m = kernel.product(b_inv, tuple(zip(*u_rows)), len(u_rows))
+    neg = kernel.neg
+    return tuple(tuple([neg[x] for x in row]) for row in m[:k]), m[k:]
+
+
+def _maps_of_complement(v: Subspace, u: Subspace, w: Subspace) -> tuple[SubspaceMap, SubspaceMap]:
+    """:func:`_graph_and_iso` as maps.  U complements V exactly when
     dim U = dim W and the W-block is invertible; the check inverts it,
-    so :func:`map_inverse` of i reads the remembered inverse.
-    """
-    _, split = _change_of_basis(v, w, "W is not a complement of V")
+    so :func:`map_inverse` of i reads the remembered inverse."""
+    _, b_inv = _change_of_basis(v, w, "W is not a complement of V")
     if u.spec != v.spec or u.ambient_dim != v.ambient_dim or u.dim != w.dim:
         raise NotComplement("U is not a complement of V")
-    m, k = mat_mul(split, u.basis_matrix()), v.dim
-    iso = _block(m, k, k + w.dim, 0, u.dim)
-    try:
-        mat_inv(iso)
-    except NotInvertible:
-        raise NotComplement("U is not a complement of V") from None
-    neg = v.spec._kernel.neg
-    f = _matrix(v.spec, k, u.dim, tuple(tuple([neg[x] for x in row]) for row in m.data[:k]))
-    return _map(u, v, f), _map(u, w, iso)
+    spec, k = v.spec, v.dim
+    f, iso = _graph_and_iso(spec._kernel, k, b_inv, u.rows)
+    iso = _matrix(spec, w.dim, u.dim, iso)
+    if iso._inverse[0] is None:
+        raise NotComplement("U is not a complement of V")
+    return _map(u, v, _matrix(spec, k, u.dim, f)), _map(u, w, iso)
 
 
 def canonical_iso(v: Subspace, u: Subspace, w: Subspace) -> SubspaceMap:
@@ -392,29 +419,24 @@ def canonical_iso(v: Subspace, u: Subspace, w: Subspace) -> SubspaceMap:
     V: the W-block of u's coordinates in X = V + W.  That one change of
     basis also checks that U and W are complements of V.
     """
-    return _graph_and_iso(v, u, w)[1]
+    return _maps_of_complement(v, u, w)[1]
 
 
 def map_to_complement(f: SubspaceMap) -> Subspace:
     """The graph {u + f(u)} of f : U -> V, a complement of V.
 
-    Complementarity is checked by the [V | U] change of basis, which a
-    block decomposition over (V, U) has usually made already."""
+    Complementarity is checked by the [V | U] change of basis."""
     u, v = f.domain, f.codomain
     _change_of_basis(v, u, "domain and codomain are not complementary")
-    combine, data = u.spec._kernel.combine, f.matrix.data
-    # column j of f, read by index: with V = 0 the matrix has no rows to zip
-    graph = tuple(
-        combine([row[j] for row in data], v.rows, urow) for j, urow in enumerate(u.rows)
-    )
-    return _span(u.spec, u.ambient_dim, graph)
+    n = u.ambient_dim
+    return _subspace(u.spec, n, *_graph(u.spec._kernel, n, v.rows, u.rows, f.matrix.data))
 
 
 def complement_to_map(w: Subspace, v: Subspace, u: Subspace) -> SubspaceMap:
     """The unique f : U -> V whose graph over U is W; f(u) = i(u) - u,
     which is minus the V-block of the change of basis that
     :func:`canonical_iso` reads i off, and checked the same way."""
-    return _graph_and_iso(v, u, w)[0]
+    return _maps_of_complement(v, u, w)[0]
 
 
 def block_decompose(
@@ -430,14 +452,12 @@ def block_decompose(
     if not t.is_square() or t.rows != v.ambient_dim:
         raise DimensionMismatch("operator must be square, of the ambient dimension")
     b, b_inv = _change_of_basis(v, u, "V and U are not complementary")
-    conj = mat_mul(b_inv, mat_mul(t, b))
-    m, n = v.dim, v.ambient_dim
-    if not _block(conj, m, n, 0, m).is_zero():
+    spec, n, m, r = v.spec, v.ambient_dim, v.dim, u.dim
+    t_vv, t_uv, t_uu, invariant = _decompose(spec._kernel, n, m, t.data, b, b_inv)
+    if not invariant:
         raise NotInvariant("T does not map V into V")
-    t_vv = _map(v, v, _block(conj, 0, m, 0, m))
-    t_uv = _map(u, v, _block(conj, 0, m, m, n))
-    t_uu = _map(u, u, _block(conj, m, n, m, n))
-    return t_vv, t_uv, t_uu
+    return (_map(v, v, _matrix(spec, m, m, t_vv)), _map(u, v, _matrix(spec, m, r, t_uv)),
+            _map(u, u, _matrix(spec, r, r, t_uu)))
 
 
 def block_assemble(
@@ -450,11 +470,9 @@ def block_assemble(
               t_uu.domain, t_uu.codomain)
     if blocks != (v, v, u, v, u, u):
         raise DimensionMismatch("blocks must map V to V, U to V and U to U")
-    m, n = v.dim, v.ambient_dim
-    top = tuple(a + b for a, b in zip(t_vv.matrix.data, t_uv.matrix.data))
-    bottom = tuple((0,) * m + row for row in t_uu.matrix.data)
-    conj = _matrix(v.spec, n, n, top + bottom)
-    return mat_mul(b, mat_mul(conj, b_inv))
+    n = v.ambient_dim
+    return _matrix(v.spec, n, n, _assemble(v.spec._kernel, n, b, b_inv, t_vv.matrix.data,
+                                           t_uv.matrix.data, t_uu.matrix.data))
 
 
 @dataclass(frozen=True)
@@ -494,13 +512,17 @@ def _ordered_basis(subspace: Subspace, vectors: tuple[Vector, ...]) -> OrderedBa
     return b
 
 
-def basis_to_automorphism(b: OrderedBasis) -> SubspaceMap:
-    """The unique automorphism sending the reference basis to b.
+def _automorphism(pivots, vectors):
+    """The matrix of the automorphism of V sending its reference basis
+    to the basis ``vectors`` of V, rows of codes: column j holds the
+    coordinates of vectors[j], its entries at V's pivots."""
+    return tuple(tuple([x[p] for x in vectors]) for p in pivots)
 
-    Column j holds the coordinates of b's j-th vector, which lies in V
-    since b is a basis of V: its entries at V's pivots."""
+
+def basis_to_automorphism(b: OrderedBasis) -> SubspaceMap:
+    """The unique automorphism sending the reference basis to b."""
     v = b.subspace
-    data = tuple(tuple(vec.entries[p] for vec in b.vectors) for p in v.pivots)
+    data = _automorphism(v.pivots, tuple(x.entries for x in b.vectors))
     return _map(v, v, _matrix(v.spec, v.dim, v.dim, data))
 
 

@@ -1,6 +1,7 @@
-"""The main bijection: frozen hand-traces, degree behavior, the output
-bytes of inverse at four grid points, and round trips on grids small
-enough to enumerate inline (census covers the rest)."""
+"""The main bijection: frozen hand-traces, degree behavior, both
+directions against references composed from the public lemmas, the
+output bytes of inverse at four grid points, and round trips on grids
+small enough to enumerate inline (census covers the rest)."""
 
 import hashlib
 from itertools import product
@@ -18,9 +19,15 @@ from nilbij import (
     NilpotentPair,
     NonSquare,
     NotNilpotent,
+    OrderedBasis,
     SchemaError,
+    SubspaceMap,
     Vector,
+    apply,
     automorphism_to_basis,
+    basis_to_automorphism,
+    block_assemble,
+    block_decompose,
     canonical_iso,
     complement_to_map,
     compose,
@@ -32,8 +39,10 @@ from nilbij import (
     is_nilpotent,
     map_apply,
     map_inverse,
+    map_to_complement,
     mat_inv,
     mat_mul,
+    span,
     steinitz_complement,
 )
 from nilbij.cli import canonical_dumps
@@ -180,6 +189,53 @@ def test_inverse_matches_reference_sampled(spec, n, data):
     flat = data.draw(st.lists(entry, min_size=n * n, max_size=n * n))
     q = Matrix(spec, n, n, tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)))
     assert inverse(q) == ref_inverse(q)
+
+
+# forward against the composition of the public lemmas
+
+def ref_forward(t, v):
+    """forward composed from the public lemmas alone, as its body was
+    before the bijection ran on row cores: the orbit's span V, its
+    Steinitz complement U, T's blocks over (V, U), the graph W of the
+    U -> V block, S the U -> U block carried to W by the canonical
+    isomorphism, and R the orbit basis read as an automorphism,
+    assembled over (V, W)."""
+    orbit, x = [], v
+    while not x.is_zero():
+        orbit.append(x)
+        x = apply(t, x)
+    v_sub = span(orbit, spec=t.spec, ambient_dim=t.rows)
+    u_sub = steinitz_complement(v_sub)
+    _, t_uv, t_uu = block_decompose(t, v_sub, u_sub)
+    w_sub = map_to_complement(t_uv)
+    iso = canonical_iso(v_sub, u_sub, w_sub)
+    s = compose(compose(iso, t_uu), map_inverse(iso))
+    r = basis_to_automorphism(OrderedBasis(v_sub, tuple(orbit)))
+    return block_assemble(v_sub, w_sub, r, SubspaceMap.zero(w_sub, v_sub), s)
+
+
+@pytest.mark.parametrize(
+    "spec,n", [(GF2, 0), (GF2, 1), (GF2, 2), (GF2, 3), (GF3, 2), (GF4, 2)], ids=str
+)
+def test_forward_matches_reference_exhaustive(spec, n):
+    for t in nilpotents(spec, n):
+        for v in all_vectors(spec, n):
+            assert forward(t, v) == ref_forward(t, v)
+
+
+@pytest.mark.parametrize(
+    "spec,n", [(GF2, 8), (GF3, 6), (GF9, 5), (GF4099, 2)], ids=str
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_forward_matches_reference_sampled(spec, n, data):
+    # the pairs of drawn operators, zeros drawn often enough to reach
+    # every degree stratum
+    entry = st.just(0) | st.integers(0, spec.q - 1)
+    flat = data.draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    q = Matrix(spec, n, n, tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)))
+    t, v = inverse(q)
+    assert forward(t, v) == ref_forward(t, v) == q
 
 
 # which bijection: the output bytes of inverse, pinned

@@ -342,10 +342,13 @@ def test_joyal_mutant_is_reported(monkeypatch, name, mutate):
 
 # Construction mutants: each breaks one construction, which its own
 # criterion-6 audit must report and no other audit may.  Of the three,
-# only map_to_complement lies on the path of forward and inverse.
+# only the graph core, which map_to_complement wraps, lies on the path
+# of forward and inverse.
 
 def map_to_complement_drops_the_map(real):
-    return lambda f: real(SubspaceMap.zero(f.domain, f.codomain))
+    """The graph core reading f as zero, so the graph of every map is U."""
+    return lambda kernel, n, v_rows, u_rows, f: real(
+        kernel, n, v_rows, u_rows, tuple((0,) * len(row) for row in f))
 
 
 def automorphism_to_basis_reverses_the_basis(real):
@@ -357,23 +360,31 @@ def fitting_assemble_drops_s(real):
         FittingPair(pair.V, pair.W, pair.R, SubspaceMap.zero(pair.W, pair.W)))
 
 
-CONSTRUCTION_MUTANTS = [
-    ("complements", "map_to_complement", map_to_complement_drops_the_map),
-    ("torsor", "automorphism_to_basis", automorphism_to_basis_reverses_the_basis),
-    ("fitting", "fitting_assemble", fitting_assemble_drops_s),
-]
-
-
-@pytest.mark.parametrize(
-    "broken,name,mutate", CONSTRUCTION_MUTANTS,
-    ids=[m.__name__ for _, _, m in CONSTRUCTION_MUTANTS],
-)
-def test_construction_mutant_fails_its_own_audit(monkeypatch, broken, name, mutate):
-    real = getattr(nilbij, name)
+def patch_everywhere(monkeypatch, owner, name, mutate):
+    """Replace ``owner.name`` by what ``mutate`` makes of it, in every
+    nilbij module that binds it: a core is run by its public lemma and
+    by the bijection alike."""
+    real = getattr(owner, name)
     mutant = mutate(real)
     for module in (nilbij, nilbij.subspaces, nilbij.fitting, nilbij.bijection):
         if getattr(module, name, None) is real:
             monkeypatch.setattr(module, name, mutant)
+
+
+CONSTRUCTION_MUTANTS = [
+    ("complements", nilbij.subspaces, "_graph", map_to_complement_drops_the_map),
+    ("torsor", nilbij.subspaces, "automorphism_to_basis",
+     automorphism_to_basis_reverses_the_basis),
+    ("fitting", nilbij.fitting, "fitting_assemble", fitting_assemble_drops_s),
+]
+
+
+@pytest.mark.parametrize(
+    "broken,owner,name,mutate", CONSTRUCTION_MUTANTS,
+    ids=[m.__name__ for *_, m in CONSTRUCTION_MUTANTS],
+)
+def test_construction_mutant_fails_its_own_audit(monkeypatch, broken, owner, name, mutate):
+    patch_everywhere(monkeypatch, owner, name, mutate)
     for construction, audit in AUDITS.items():
         failures, left, right, expected = audit(GF2, 2)
         if construction == broken:
@@ -392,31 +403,35 @@ def test_construction_mutant_fails_its_own_audit(monkeypatch, broken, name, muta
 # input as failed, and the CLI exit 1 with a report, never 2.
 
 def steinitz_complement_returns_the_line_itself(real):
-    return lambda v: v if (v.ambient_dim, v.dim) == (2, 1) else real(v)
+    """The Steinitz core returning a line of the plane as its own
+    complement, which the [V | U] change of basis refuses."""
+    return lambda n, v: v if (n, len(v[0])) == (2, 1) else real(n, v)
 
 
 def fitting_decompose_gives_a_non_nilpotent_s(real):
+    """The Fitting core giving S = I for the zero operator."""
     def mutant(q):
-        pair = real(q)
-        if q != ZERO:
-            return pair
-        return FittingPair(pair.V, pair.W, pair.R, SubspaceMap(pair.W, pair.W, IDENT))
+        data = real(q)
+        return data if q != ZERO else data[:4] + (IDENT.data,)
     return mutant
 
 
-# (name bound in bijection, mutant, whether the degree walk meets it):
-# fitting_decompose runs only in inverse, which the degree walk never calls
+# (module owning the core, the core, mutant, whether the degree walk meets
+# it): the Fitting core runs only in inverse, which the degree walk never calls
 FAULT_MUTANTS = [
-    ("steinitz_complement", steinitz_complement_returns_the_line_itself, True),
-    ("fitting_decompose", fitting_decompose_gives_a_non_nilpotent_s, False),
+    (nilbij.subspaces, "_steinitz", steinitz_complement_returns_the_line_itself, True),
+    (nilbij.fitting, "_fitting", fitting_decompose_gives_a_non_nilpotent_s, False),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,mutate,on_degree_path", FAULT_MUTANTS, ids=[m.__name__ for _, m, _ in FAULT_MUTANTS]
+    "owner,name,mutate,on_degree_path", FAULT_MUTANTS,
+    ids=[m.__name__ for _, _, m, _ in FAULT_MUTANTS],
 )
-def test_construction_fault_is_that_inputs_failure(monkeypatch, name, mutate, on_degree_path):
-    monkeypatch.setattr(nilbij.bijection, name, mutate(getattr(nilbij.bijection, name)))
+def test_construction_fault_is_that_inputs_failure(
+    monkeypatch, owner, name, mutate, on_degree_path
+):
+    patch_everywhere(monkeypatch, owner, name, mutate)
     report = verify_theorem(GF2, 2)
     assert report.roundtrip_failures > 0 and not report.ok
     strata = verify_degree_refinement(GF2, 2)
@@ -433,20 +448,23 @@ def test_construction_fault_is_that_inputs_failure(monkeypatch, name, mutate, on
 # between them is on record, so a change that closes or widens it says so.
 
 def steinitz_complement_shifted_by_the_first_row(real):
-    """The complement spanned by e_j + b_1, j over V's free columns and b_1
-    V's first row: a complement of V, but not the Steinitz one."""
-    def mutant(v):
-        u = real(v)
-        if not v.rows:
+    """The Steinitz core returning the span of e_j + b_1, j over V's free
+    columns and b_1 V's first row: a complement of V, but not the
+    Steinitz one.  The core holds no field, so the sum is GF(2)'s, the
+    field of the checks that run it."""
+    def mutant(n, v):
+        u = real(n, v)
+        if not v[0]:
             return u
-        shifted = [Vector(v.spec, tuple(v.spec.add(e, b) for e, b in zip(row, v.rows[0])))
-                   for row in u.rows]
-        return span(shifted, spec=v.spec, ambient_dim=v.ambient_dim)
+        shifted = [Vector(GF2, tuple(e ^ b for e, b in zip(row, v[0][0]))) for row in u[0]]
+        w = span(shifted, spec=GF2, ambient_dim=n)
+        return w.rows, w.pivots
     return mutant
 
 
 def basis_to_automorphism_reading_the_basis_reversed(real):
-    return lambda b: real(OrderedBasis(b.subspace, b.vectors[::-1]))
+    """The core of ``basis_to_automorphism`` reading the basis reversed."""
+    return lambda pivots, vectors: real(pivots, vectors[::-1])
 
 
 def or_for_xor(real):
@@ -505,11 +523,11 @@ E1 = Vector(GF2, (1, 0))  # J e_1 = (1, 1) and J² e_1 = 0: an orbit of length 2
 # Each check returns True where the code is right.  The census misses
 # the complement mutant because it proves a bijection, not which one.
 NEAR_MISS_MUTANTS = [
-    ("complement shifted by V's first row", (nilbij.bijection,), "steinitz_complement",
+    ("complement shifted by V's first row", (nilbij.subspaces, nilbij.bijection), "_steinitz",
      steinitz_complement_shifted_by_the_first_row,
      "CHANGES.md: `forward` ends in `block_assemble`",
      lambda: direct_sum_mismatches(GF2, 1, 1)[0] == 0, True),
-    ("basis read reversed", (nilbij.subspaces, nilbij.bijection), "basis_to_automorphism",
+    ("basis read reversed", (nilbij.subspaces, nilbij.bijection), "_automorphism",
      basis_to_automorphism_reading_the_basis_reversed,
      "CHANGES.md: one audit engine for the constructions",
      lambda: audit_passes(AUDITS["torsor"](GF2, 2)), False),

@@ -1,7 +1,7 @@
 """Remembered facts: a Matrix keeps its RREF, inverse, nilpotency and
-stable power, a Subspace the [V | U] basis matrix of its last split, an
-EndoFunction the value table of its stable power, and the process keeps
-one row kernel for each field with q <= 64, shared by equal specs.
+stable power, an EndoFunction the value table of its stable power, and
+the process keeps one row kernel for each field with q <= 64, shared by
+equal specs; a Subspace keeps nothing.
 Turning every lookup into a miss, and giving each spec its own tables,
 must change no result, the facts must stay out of equality, hashing,
 repr and JSON, and failures must repeat."""
@@ -39,7 +39,6 @@ from nilbij import (
     rank,
     span,
     steinitz_complement,
-    subspaces,
     verify_degree_refinement,
     verify_joyal,
     verify_theorem,
@@ -149,13 +148,9 @@ def test_facts_stay_out_of_eq_hash_repr_and_json():
     assert repr(m) == repr(fresh) and m.to_json() == fresh.to_json()
 
     v = span([Vector(GF2, (1, 1, 0))])
-    u = steinitz_complement(v)
-    _change_of_basis(v, u, "not a complement")
-    assert u in vars(v)["_splits"]
-    other = span([Vector(GF2, (1, 0, 0)), Vector(GF2, (0, 0, 1))])
-    assert other != u
-    _change_of_basis(v, other, "not a complement")
-    assert vars(v)["_splits"].keys() == {other}  # only the last split is kept
+    for u in (steinitz_complement(v), span([Vector(GF2, (1, 0, 0)), Vector(GF2, (0, 0, 1))])):
+        _change_of_basis(v, u, "not a complement")
+        assert vars(v).keys() == {"spec", "ambient_dim", "rows", "pivots"}  # no split kept
     bare = Subspace(GF2, 3, v.rows)
     assert v == bare and hash(v) == hash(bare)
     assert repr(v) == repr(bare) and v.to_json() == bare.to_json()
@@ -185,18 +180,19 @@ def test_failures_repeat():
 
 
 def count_eliminations(call):
-    """Run ``call`` with ``rref`` recorded in every module that binds it;
-    return its result and the matrices eliminated."""
+    """Run ``call`` with the ``rref`` of both row kernel types recorded;
+    return its result and the (rows, cols) of each elimination."""
     seen = []
-    real = linalg.rref
 
-    def recorded(a):
-        seen.append(a)
-        return real(a)
+    def recording(real):
+        def recorded(kernel, rows, cols):
+            seen.append((rows, cols))
+            return real(kernel, rows, cols)
+        return recorded
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (linalg, subspaces):
-            mp.setattr(module, "rref", recorded)
+        for kernel in (field._Rows, field._PackedGF2):
+            mp.setattr(kernel, "rref", recording(kernel.rref))
         return call(), seen
 
 
@@ -204,18 +200,20 @@ def test_each_direction_inverts_its_v_w_basis_once():
     data = ((1, 1, 0), (0, 0, 0), (0, 0, 1))
     pair = fitting_decompose(Matrix(GF2, 3, 3, data))
     assert 0 < pair.V.dim < 3 and pair.W != steinitz_complement(pair.V)
-    v_w = tuple(a + b for a, b in zip(pair.V.basis_matrix().data, pair.W.basis_matrix().data))
+    v_w = tuple(zip(*(pair.V.rows + pair.W.rows)))  # [V | W], row-major
 
     def inverts_v_w(seen):
-        return sum(1 for a in seen if a.cols == 6 and tuple(r[:3] for r in a.data) == v_w)
+        return sum(1 for rows, cols in seen if cols == 6 and tuple(r[:3] for r in rows) == v_w)
 
+    # Q^m's RREF, the spans V and W, [V | W] and R; the Steinitz split
+    # [V | U] and the canonical map W -> U are read off V's pivots
     (t, v), seen = count_eliminations(lambda: inverse(Matrix(GF2, 3, 3, data)))
     assert inverts_v_w(seen) == 1
-    assert len(seen) == 7
+    assert len(seen) == 5
     q, seen = count_eliminations(lambda: forward(t, v))
     assert q.data == data
     assert inverts_v_w(seen) == 1
-    assert len(seen) == 5  # R is not proved invertible again
+    assert len(seen) == 3  # the orbit's span, the graph W and [V | W]
 
 
 def count_nilpotency_decisions(call):
