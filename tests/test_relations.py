@@ -8,13 +8,10 @@ from itertools import product
 
 import pytest
 
-from conftest import GF2, GF3, all_matrices, all_vectors
+from conftest import GF2, GF3, all_vectors
 from nilbij import Matrix, Vector, enumerate_operators, forward, inverse, is_nilpotent
 from test_acceptance import SPEC_FOR_Q, VERIFY_GRID
-
-
-def nilpotents(spec, n):
-    return [t for t in all_matrices(spec, n, n) if is_nilpotent(t)]
+from test_bijection import nilpotents
 
 
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
