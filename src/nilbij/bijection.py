@@ -15,8 +15,13 @@ a basis of V, and its S is nilpotent because it is conjugate to T's
 U -> U block, a block of a nilpotent; inverse's T is nilpotent because
 it is block-triangular over (V, U), with diagonal blocks conjugate to
 the shift and to S.  The one nilpotency decided here is that of the T
-given to forward or degree, by their public guard; ``fitting_assemble``
-is the checked entry point for Fitting data from outside.
+given to forward or degree, by their public guard, which then calls the
+unchecked core ``_forward`` or ``_degree``.  The census calls the cores
+itself, as it calls ``joyal._joyal_forward``: its walks have decided,
+or proved by rank(T^m) = 0, that T is nilpotent before they get there,
+and nothing on T remembers that decision for a guard to read.
+``fitting_assemble`` is the checked entry point for Fitting data from
+outside.
 
 Both directions run on row tuples.  They chain the private cores of
 :mod:`nilbij.subspaces` and :mod:`nilbij.fitting`, the same cores that
@@ -30,8 +35,8 @@ the end.  The Steinitz split [V | U]^-1 is read off V's pivots, and
 the canonical map W -> U is read against it, so a direction inverts
 only [V | W] and, in inverse, R.  Both directions are mutually
 inverse, which is what the census module checks exhaustively: its walk
-decides the nilpotency of each T that inverse returns, and counts a
-step that raises as that input's failure.
+decides the nilpotency of each T that inverse returns, once, and
+counts a step that raises as that input's failure.
 """
 
 from __future__ import annotations
@@ -70,23 +75,35 @@ def _check_pair(t: Matrix, v: Vector) -> None:
         raise DimensionMismatch("vector length does not match the operator size")
 
 
-def _orbit(t: Matrix, v: Vector) -> tuple[tuple[int, ...], ...]:
-    """The orbit (v, Tv, ..., T^(k-1)v) of v under a nilpotent T, up to
-    its first zero, as rows: one call of the row kernel's ``orbit``."""
+def _check_nilpotent_pair(t: Matrix, v: Vector) -> None:
+    """The public guard of :func:`forward` and :func:`degree`."""
     _check_pair(t, v)
     if not is_nilpotent(t):
         raise NotNilpotent("the pair's operator T must be nilpotent")
-    return t.spec._kernel.orbit(t.data, v.entries)
 
 
 def degree(t: Matrix, v: Vector) -> int:
     """Least k >= 0 with T^k v = 0; requires T nilpotent."""
-    return len(_orbit(t, v))
+    _check_nilpotent_pair(t, v)
+    return _degree(t, v)
+
+
+def _degree(t: Matrix, v: Vector) -> int:
+    """:func:`degree` of a pair known to be nilpotent, unchecked."""
+    return len(t.spec._kernel.orbit(t.data, v.entries))
 
 
 def forward(t: Matrix, v: Vector) -> Matrix:
     """Map a nilpotent pair (T, v) to the operator Q it corresponds to."""
-    orbit = _orbit(t, v)
+    _check_nilpotent_pair(t, v)
+    return _forward(t, v)
+
+
+def _forward(t: Matrix, v: Vector) -> Matrix:
+    """:func:`forward` of a pair known to be nilpotent, unchecked: the
+    orbit (v, Tv, ..., T^(k-1)v) up to its first zero is one call of the
+    row kernel's ``orbit``."""
+    orbit = t.spec._kernel.orbit(t.data, v.entries)
     spec, n, k = t.spec, t.rows, len(orbit)
     kernel = spec._kernel
     v_sub = _echelon(kernel, orbit, n)

@@ -17,7 +17,10 @@ and equal marks on the set side.  The walk is the one judge of an
 enumerated input: the constructions do not prove again that their
 output lies in the domain, and a step that raises while x is judged
 makes x fail, so a broken construction yields a report that is not
-ok, never an escaped error.
+ok, never an escaped error.  Past its own domain check the walk calls
+the unchecked cores of forward and degree, so each operator's
+nilpotency is decided once, by the walk, and never read back from a
+value.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import product, repeat
 
-from .bijection import degree, forward, inverse
+from .bijection import _degree, _forward, inverse
 from .errors import BudgetExceeded, NilbijError, _json_int
 from .field import FieldSpec
 from .joyal import (
@@ -38,7 +41,7 @@ from .joyal import (
     is_eventually_constant,
     joyal_inverse,
 )
-from .linalg import _SIZE_MAX, Matrix, _matrix, _vector, is_nilpotent, rank
+from .linalg import _SIZE_MAX, Matrix, _matrix, _stable_power, _vector, is_nilpotent, rank
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -88,7 +91,7 @@ def enumerate_operators(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET):
 def _stable_image_dim(q_op: Matrix) -> int:
     """dim im(Q^n), the dimension of Q's Fitting V, without building V:
     the rank of Q's stable power Q^m, m the least power of two >= n."""
-    return rank(q_op._stable_power)
+    return rank(_stable_power(q_op))
 
 
 def expected_strata(q: int, n: int) -> tuple[int, ...]:
@@ -219,9 +222,11 @@ def verify_theorem(
     passes; the nilpotent count is the right-hand stratum 0.
     """
     started = time.perf_counter()
+    # T's nilpotency is decided once, as in_domain; the walk's short
+    # circuit keeps the unchecked _forward and _degree from any T that fails it
     failures, left, right = _walk(
         enumerate_operators(spec, n, budget), inverse,
-        lambda t, v: is_nilpotent(t), forward, degree, _stable_image_dim,
+        lambda t, v: is_nilpotent(t), _forward, _degree, _stable_image_dim,
     )
     degrees = sorted(right.keys() | set(range(n + 1)))  # every left key is a right key
     return CensusReport(
@@ -289,11 +294,11 @@ def verify_degree_refinement(
     for t in operators:
         dim = _stable_image_dim(t)
         right[dim] += 1
-        if dim == 0:  # rank(T^n) = 0: T is nilpotent
+        if dim == 0:  # rank(T^m) = 0 proves T nilpotent, so the cores run unchecked
             for vec in vectors:
                 try:
-                    k = degree(t, vec)
-                    image_dim = _stable_image_dim(forward(t, vec))
+                    k = _degree(t, vec)
+                    image_dim = _stable_image_dim(_forward(t, vec))
                 except _FAULTS:
                     continue
                 left[k] += 1

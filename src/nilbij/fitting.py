@@ -9,11 +9,13 @@ checked entry point for Fitting data from outside the library, which
 proves R invertible and S nilpotent before it answers.
 ``fitting_decompose`` wraps the row core ``_fitting``, which
 ``bijection.inverse`` runs too, and builds the subspaces and maps of
-its result; the bijection builds none.  It asserts its R invertible by
-an inversion, as ``inverse`` does by inverting R, but does not prove
-its S nilpotent, which it is because Q^n vanishes on W: the census
-walks that audit it decide nilpotency themselves, and count a step
-that raises as that input's failure.
+its result; the bijection builds none.  ``_fitting`` squares Q up to
+its stable power, ``linalg._stable_power``, on each call: nothing is
+kept on Q, and the census squares again for its stratum key.  It
+asserts its R invertible by an inversion, as ``inverse`` does by
+inverting R, but does not prove its S nilpotent, which it is because
+Q^n vanishes on W: the census walks that audit it decide nilpotency
+themselves, and count a step that raises as that input's failure.
 """
 
 from __future__ import annotations
@@ -27,7 +29,16 @@ from .errors import (
     NonSquare,
     _json_fields,
 )
-from .linalg import Matrix, _matrix, _null_rows, is_invertible, is_nilpotent
+from .linalg import (
+    Matrix,
+    _inverse_rows,
+    _matrix,
+    _null_rows,
+    _stable_power,
+    is_invertible,
+    is_nilpotent,
+    rref,
+)
 from .subspaces import (
     Subspace,
     SubspaceMap,
@@ -90,8 +101,8 @@ def _fitting(q: Matrix):
     if not q.is_square():
         raise NonSquare("operator must be square")
     n, kernel = q.rows, q.spec._kernel
-    qm = q._stable_power
-    reduced, pivots = qm._rref
+    qm = _stable_power(q)
+    reduced, pivots = rref(qm)
     v = _echelon(kernel, tuple(tuple([row[c] for row in qm.data]) for c in pivots), n)
     w = _echelon(kernel, _null_rows(kernel.neg, reduced.data, pivots, n), n)
     split = _split(kernel, n, v, w, "W is not a complement of V")
@@ -110,10 +121,10 @@ def fitting_decompose(q: Matrix) -> FittingPair:
     v, w, _, r, s = _fitting(q)
     spec, n, k = q.spec, q.rows, len(r)
     v, w = _subspace(spec, n, *v), _subspace(spec, n, *w)
-    r = _matrix(spec, k, k, r)
-    # by R's inversion, which ``bijection.inverse`` runs too, not by a rank
-    assert r._inverse[0] is not None, "restriction to im(Q^n) must be invertible"
-    return FittingPair(v, w, _map(v, v, r), _map(w, w, _matrix(spec, n - k, n - k, s)))
+    # R's inversion, which ``bijection.inverse`` runs too, reaches rank k only if R is invertible
+    assert _inverse_rows(spec._kernel, r, k)[1] == k, "restriction to im(Q^n) must be invertible"
+    r, s = _matrix(spec, k, k, r), _matrix(spec, n - k, n - k, s)
+    return FittingPair(v, w, _map(v, v, r), _map(w, w, s))
 
 
 def fitting_assemble(pair: FittingPair) -> Matrix:

@@ -5,14 +5,16 @@ to an endofunction of {0..n-1}: the unique path between the marks
 becomes the cycle part (the increasing enumeration of the path's vertex
 set is sent to the path order), and every off-path vertex points one
 step toward v, which in a tree is its step toward the path, so one
-breadth-first search from v finds both.  Inverting reads the cycle part
-off the periodic points, im(f^m) for any m >= n, found by squaring the
-value table as V = im(Q^n) is found on the linear side; an
-``EndoFunction`` remembers that power, as a ``Matrix`` remembers Q^n,
-outside ``==``, ``hash`` and ``to_json``.  Counting both
-sides gives the n^(n-2) tree count; the functions whose iterates
-collapse to a single fixed point are exactly the images of pairs with
-both marks equal, n^(n-1) of them.
+breadth-first search from v finds both.  Inverting reads the cycle
+part off the periodic points, im(f^m) for any m >= n, found by
+squaring the value table as V = im(Q^n) is found on the linear side.
+An ``EndoFunction`` remembers that power outside ``==``, ``hash`` and
+``to_json``, because the census reads it twice per function, through
+:func:`joyal_inverse` and through the stratum key; a ``Matrix``
+remembers nothing, and its Q^m is squared again where it is asked for.
+Counting both sides gives the n^(n-2) tree count; the functions whose
+iterates collapse to a single fixed point are exactly the images of
+pairs with both marks equal, n^(n-1) of them.
 
 The ``Tree`` and ``EndoFunction`` constructors validate their input,
 integer and sequence slots included, and :func:`joyal_forward` reads

@@ -34,33 +34,28 @@ which the bijection runs without building an intermediate value:
 :func:`_null_rows`, the canonical kernel basis of an RREF behind
 ``kernel_basis``.
 
-A ``Matrix`` remembers four derived facts on first use: its RREF with
-the pivot columns, its inverse or, when it has none, its rank, whether
-it is nilpotent, and its stable power T**m, m the least power of two
->= n, found by squaring through :func:`mat_pow` as ``EndoFunction``
-finds its own; the census and the Fitting decomposition both read its
-image.  Each is a pure
-function of the matrix's immutable fields, so computing it once per
-value is safe; the facts live in the instance ``__dict__``
-(``functools.cached_property``) and never enter ``==``, ``hash``,
-``repr`` or ``to_json``.  ``rank``, ``image_basis``, ``kernel_basis``,
-``is_invertible``, ``mat_inv`` and ``is_nilpotent`` read them, so a
-call to :func:`rref` is a real elimination.  Nothing is remembered
-across values: an equal matrix built anew computes its facts again.
+A ``Matrix`` holds its four fields and nothing else.  Each fact about
+it is computed where it is asked for: ``rank``, ``kernel_basis`` and
+``image_basis`` by one :func:`rref`, ``mat_inv`` by one
+:func:`_inverse_rows`, ``is_nilpotent`` by the kernel's ``nilpotent``,
+and :func:`_stable_power`, T**m with m the least power of two >= n, by
+squaring through :func:`mat_pow`, for the Fitting decomposition and the
+census, which read its image.  Nothing is cached, so the callers do
+not ask twice: the census decides each operator's nilpotency once, by
+its own walk, and the bijection proves nothing it has just built.
 
 Nilpotency is decided by the row kernel, on the rows alone, so the
-census counts nilpotents without building a ``Matrix``; a ``Matrix``
-only remembers the kernel's answer.  The kernel squares, and sums each
-power's trace before the next product: a nonzero trace rejects at
-once, which is exact because a power of a nilpotent is nilpotent and a
-nilpotent has trace 0 in every characteristic.  A zero trace never
-accepts; the zero power or the bound e >= n decides.
+census counts nilpotents without building a ``Matrix``.  The kernel
+squares, and sums each power's trace before the next product: a
+nonzero trace rejects at once, which is exact because a power of a
+nilpotent is nilpotent and a nilpotent has trace 0 in every
+characteristic.  A zero trace never accepts; the zero power or the
+bound e >= n decides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     DimensionMismatch,
@@ -176,33 +171,6 @@ class Matrix:
     def column(self, j: int) -> tuple[int, ...]:
         j = _json_int(j, "column", 0, self.cols - 1)
         return tuple(row[j] for row in self.data)
-
-    @cached_property
-    def _rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        return rref(self)
-
-    @cached_property
-    def _stable_power(self) -> "Matrix":
-        """T**m for a square n x n matrix by squaring, m the least power
-        of two >= n.  The image and kernel chains of T have stabilized
-        by step n, so im(T**m) = im(T**n) and ker(T**m) = ker(T**n).
-        For an exponent 2^j, :func:`mat_pow` squares j times and never
-        multiplies."""
-        return mat_pow(self, 1 << max(self.rows - 1, 0).bit_length())
-
-    @cached_property
-    def _inverse(self) -> tuple["Matrix | None", int]:
-        """The inverse of a square matrix, None when it is singular, and
-        its rank: the pivots of [T | I] that fall among T's columns."""
-        n = self.rows
-        inv, r = _inverse_rows(self.spec._kernel, self.data, n)
-        return (None if inv is None else _matrix(self.spec, n, n, inv)), r
-
-    @cached_property
-    def _nilpotent(self) -> bool:
-        """Whether a square matrix has T**n = 0, as the row kernel
-        decides it (``_Rows.nilpotent``)."""
-        return self.spec._kernel.nilpotent(self.data, self.rows)
 
     def to_json(self) -> dict:
         return {
@@ -322,6 +290,14 @@ def mat_pow(t: Matrix, e: int) -> Matrix:
     return _matrix(spec, n, n, _identity_rows(n) if result is None else result)
 
 
+def _stable_power(t: Matrix) -> Matrix:
+    """T**m for a square n x n matrix, m the least power of two >= n.
+    The image and kernel chains of T have stabilized by step n, so
+    im(T**m) = im(T**n) and ker(T**m) = ker(T**n).  For an exponent
+    2^j, :func:`mat_pow` squares j times and never multiplies."""
+    return mat_pow(t, 1 << max(t.rows - 1, 0).bit_length())
+
+
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form.
 
@@ -335,7 +311,7 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(a: Matrix) -> int:
-    return len(a._rref[1])
+    return len(rref(a)[1])
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
@@ -346,14 +322,13 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     coordinates to 0, and each pivot coordinate to minus the RREF entry
     in the free column.
     """
-    r, pivots = a._rref
+    r, pivots = rref(a)
     return [_vector(a.spec, x) for x in _null_rows(a.spec._kernel.neg, r.data, pivots, a.cols)]
 
 
 def image_basis(a: Matrix) -> list[Vector]:
     """Columns of ``a`` at the pivot positions of its RREF, ascending."""
-    _, pivots = a._rref
-    return [_vector(a.spec, tuple([row[c] for row in a.data])) for c in pivots]
+    return [_vector(a.spec, tuple([row[c] for row in a.data])) for c in rref(a)[1]]
 
 
 def is_invertible(t: Matrix) -> bool:
@@ -370,14 +345,14 @@ def is_nilpotent(t: Matrix) -> bool:
     0; a zero trace never decides True."""
     if not t.is_square():
         raise NonSquare("nilpotency needs a square matrix")
-    return t._nilpotent
+    return t.spec._kernel.nilpotent(t.data, t.rows)
 
 
 def mat_inv(t: Matrix) -> Matrix:
     """Inverse via Gauss-Jordan on the augmented matrix [T | I]."""
     if not t.is_square():
         raise NonSquare("inverse needs a square matrix")
-    inv, r = t._inverse
+    inv, r = _inverse_rows(t.spec._kernel, t.data, t.rows)
     if inv is None:
         raise NotInvertible(f"matrix of rank {r} < {t.rows} has no inverse")
-    return inv
+    return _matrix(t.spec, t.rows, t.rows, inv)

@@ -399,17 +399,16 @@ def _graph_and_iso(kernel, k: int, b_inv, u_rows):
 
 def _maps_of_complement(v: Subspace, u: Subspace, w: Subspace) -> tuple[SubspaceMap, SubspaceMap]:
     """:func:`_graph_and_iso` as maps.  U complements V exactly when
-    dim U = dim W and the W-block is invertible; the check inverts it,
-    so :func:`map_inverse` of i reads the remembered inverse."""
+    dim U = dim W and the W-block is invertible; the check inverts it on
+    rows, and :func:`map_inverse` of i inverts it again."""
     _, b_inv = _change_of_basis(v, w, "W is not a complement of V")
     if u.spec != v.spec or u.ambient_dim != v.ambient_dim or u.dim != w.dim:
         raise NotComplement("U is not a complement of V")
     spec, k = v.spec, v.dim
     f, iso = _graph_and_iso(spec._kernel, k, b_inv, u.rows)
-    iso = _matrix(spec, w.dim, u.dim, iso)
-    if iso._inverse[0] is None:
+    if _inverse_rows(spec._kernel, iso, u.dim)[0] is None:
         raise NotComplement("U is not a complement of V")
-    return _map(u, v, _matrix(spec, k, u.dim, f)), _map(u, w, iso)
+    return _map(u, v, _matrix(spec, k, u.dim, f)), _map(u, w, _matrix(spec, w.dim, u.dim, iso))
 
 
 def canonical_iso(v: Subspace, u: Subspace, w: Subspace) -> SubspaceMap:

@@ -4,7 +4,6 @@ output bytes of inverse at four grid points, and round trips on grids
 small enough to enumerate inline (census covers the rest)."""
 
 import hashlib
-from itertools import product
 
 import pytest
 from hypothesis import given, settings

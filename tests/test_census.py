@@ -148,14 +148,14 @@ def test_report_json_and_table():
 
 
 def test_broken_bijection_is_reported(monkeypatch):
-    real_forward = nilbij.census.forward
+    real_forward = nilbij.census._forward
     ident = Matrix.identity(GF2, 2)
 
     def forward_missing_identity(t, v):
         out = real_forward(t, v)
         return Matrix.zero(GF2, 2, 2) if out == ident else out
 
-    monkeypatch.setattr(nilbij.census, "forward", forward_missing_identity)
+    monkeypatch.setattr(nilbij.census, "_forward", forward_missing_identity)
     report = verify_theorem(GF2, 2)
     assert report.roundtrip_failures > 0
     assert report.surjectivity_gap > 0
@@ -219,13 +219,15 @@ def inverse_and_forward_swap_degrees_0_and_2(real_inverse, real_forward):
     return swap_preimages(real_inverse, real_forward, ZERO, IDENT)
 
 
+# The census calls the unchecked cores _forward and _degree, so a mutant
+# of forward or degree replaces the core there.
 THEOREM_MUTANTS = [
-    ("forward", forward_wrong_on_one_pair),
+    ("_forward", forward_wrong_on_one_pair),
     ("inverse", inverse_merges_two_operators),
     ("inverse", inverse_gives_a_non_nilpotent_t),
-    ("degree", degree_off_by_one_on_one_stratum),
+    ("_degree", degree_off_by_one_on_one_stratum),
     ("_stable_image_dim", stable_image_dim_wrong_on_one_operator),
-    (("inverse", "forward"), inverse_and_forward_swap_degrees_0_and_2),
+    (("inverse", "_forward"), inverse_and_forward_swap_degrees_0_and_2),
 ]
 
 
@@ -256,7 +258,7 @@ def test_strata_shifted_alike_on_both_sides_are_reported(monkeypatch):
     def one_reads_as_two(real):
         return lambda *args: 2 if real(*args) == 1 else real(*args)
 
-    for name in ("degree", "_stable_image_dim"):
+    for name in ("_degree", "_stable_image_dim"):
         monkeypatch.setattr(nilbij.census, name, one_reads_as_two(getattr(nilbij.census, name)))
     report = verify_theorem(GF2, 2)
     assert report.per_degree == ((0, 4, 4), (1, 0, 0), (2, 12, 12))

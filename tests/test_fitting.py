@@ -3,6 +3,7 @@ GF(2)^2 and GF(2)^3, chain stabilization, and assembly validation."""
 
 import pytest
 
+import nilbij.fitting
 from conftest import GF2, GF3, all_matrices
 from nilbij import (
     FittingPair,
@@ -44,11 +45,12 @@ def test_decompose_invertible_and_nilpotent_extremes():
     assert pair.S.matrix == nil
 
 
-def test_singular_restriction_is_an_internal_fault():
+def test_singular_restriction_is_an_internal_fault(monkeypatch):
     """A wrong Q^n that keeps Q's kernel inside V makes R singular; the
     inversion that checks R says so at once."""
     q = Matrix.from_rows(GF2, [(0, 0), (1, 0)])
-    vars(q)["_stable_power"] = Matrix.identity(GF2, 2)  # V is everything, R is Q
+    # V is everything, R is Q
+    monkeypatch.setattr(nilbij.fitting, "_stable_power", lambda t: Matrix.identity(GF2, 2))
     with pytest.raises(AssertionError, match="must be invertible"):
         fitting_decompose(q)
 
@@ -84,7 +86,7 @@ def test_roundtrip_decompose_then_assemble_exhaustive(spec, n):
 @pytest.mark.parametrize("spec,n", [(GF2, 2), (GF3, 2)], ids=str)
 def test_roundtrip_assemble_then_decompose_exhaustive(spec, n):
     from conftest import all_subspaces
-    from nilbij import is_complementary, steinitz_complement
+    from nilbij import steinitz_complement
 
     for v in all_subspaces(spec, n):
         w = steinitz_complement(v)

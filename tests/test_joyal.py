@@ -2,7 +2,7 @@
 trips, and an independent spanning-tree count oracle."""
 
 from collections import deque
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings

@@ -218,9 +218,9 @@ def ref_is_nilpotent(spec, data, n):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([GF2, GF3, GF9, GF67, GF128]), st.data())
 def test_nilpotent_matches_reference_power(spec, data):
-    """``_Rows.nilpotent`` and ``is_nilpotent``, which remembers its
-    answer, on each kind of kernel: packed GF(2), tables, and on-demand
-    views over a prime and over an extension field."""
+    """``_Rows.nilpotent`` and ``is_nilpotent``, which asks it on the
+    matrix's rows, on each kind of kernel: packed GF(2), tables, and
+    on-demand views over a prime and over an extension field."""
     n = data.draw(st.integers(8, 16) if spec == GF2 else st.integers(1, 6))
 
     def check(t_data):

@@ -1,10 +1,12 @@
-"""Remembered facts: a Matrix keeps its RREF, inverse, nilpotency and
-stable power, an EndoFunction the value table of its stable power, and
-the process keeps one row kernel for each field with q <= 64, shared by
-equal specs; a Subspace keeps nothing.
-Turning every lookup into a miss, and giving each spec its own tables,
-must change no result, the facts must stay out of equality, hashing,
-repr and JSON, and failures must repeat."""
+"""Remembered facts: an EndoFunction keeps the value table of its stable
+power, and the process keeps one row kernel for each field with
+q <= 64, shared by equal specs; a Matrix and a Subspace keep nothing
+but their fields, so the census decides each fact once by the order of
+its own calls.  Turning every lookup into a miss, and giving each spec
+its own tables, must change no result, the facts must stay out of
+equality, hashing, repr and JSON, failures must repeat, and the census
+must decide each nilpotency, and square each stable power, as often as
+pinned here."""
 
 import math
 import sys
@@ -28,10 +30,12 @@ from nilbij import (
     field,
     fitting_decompose,
     forward,
+    image_basis,
     inverse,
     is_invertible,
     is_nilpotent,
     joyal_inverse,
+    kernel_basis,
     linalg,
     mat_inv,
     mat_pow,
@@ -46,11 +50,16 @@ from nilbij import (
 from nilbij.subspaces import _change_of_basis
 
 GF9 = FieldSpec(3, 2)
-MEMO_CLASSES = (Matrix, Subspace, EndoFunction)
+MEMO_CLASSES = (EndoFunction,)
 
 
 def remembered(cls) -> list[str]:
     return [name for name, attr in vars(cls).items() if isinstance(attr, cached_property)]
+
+
+def test_linear_values_remember_nothing():
+    assert remembered(Matrix) == remembered(Subspace) == []
+    assert remembered(EndoFunction) == ["_stable_power"]
 
 
 def memo_off(mp: pytest.MonkeyPatch) -> None:
@@ -135,17 +144,14 @@ def test_memo_off_stores_nothing():
 
 
 def test_facts_stay_out_of_eq_hash_repr_and_json():
-    data = ((1, 1, 0), (0, 0, 0), (0, 0, 1))
-    m, fresh = Matrix(GF2, 3, 3, data), Matrix(GF2, 3, 3, data)
-    assert is_invertible(m) is False
-    assert "_inverse" not in vars(m)  # answered by rank, not by inverting
+    m = Matrix(GF2, 3, 3, ((1, 1, 0), (0, 0, 0), (0, 0, 1)))
+    assert rank(m) == 2 and is_invertible(m) is False
     with pytest.raises(NotInvertible):
         mat_inv(m)
-    is_nilpotent(m)
+    assert is_nilpotent(m) is False
+    assert len(kernel_basis(m)) == 1 and len(image_basis(m)) == 2
     fitting_decompose(m)
-    assert {"_rref", "_inverse", "_nilpotent", "_stable_power"} <= vars(m).keys()
-    assert m == fresh and hash(m) == hash(fresh)
-    assert repr(m) == repr(fresh) and m.to_json() == fresh.to_json()
+    assert vars(m).keys() == {"spec", "rows", "cols", "data"}  # nothing kept
 
     v = span([Vector(GF2, (1, 1, 0))])
     for u in (steinitz_complement(v), span([Vector(GF2, (1, 0, 0)), Vector(GF2, (0, 0, 1))])):
@@ -217,20 +223,19 @@ def test_each_direction_inverts_its_v_w_basis_once():
 
 
 def count_nilpotency_decisions(call):
-    """Run ``call`` with ``Matrix._nilpotent`` counted; return its result
-    and the number of nilpotency decisions actually computed."""
+    """Run ``call`` with the row kernel's ``nilpotent`` counted (the
+    packed GF(2) kernel inherits it); return its result and the number
+    of nilpotency decisions."""
     calls = 0
-    real = vars(Matrix)["_nilpotent"].func
+    real = field._Rows.nilpotent
 
-    def counted(self):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return real(self)
+        return real(*args)
 
-    fact = cached_property(counted)
-    fact.__set_name__(Matrix, "_nilpotent")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Matrix, "_nilpotent", fact)
+        mp.setattr(field._Rows, "nilpotent", counted)
         return call(), calls
 
 
@@ -238,19 +243,19 @@ def test_inverse_decides_nilpotency_never_and_forward_once():
     data = ((1, 1, 0), (0, 0, 0), (0, 0, 1))
     (t, v), decided = count_nilpotency_decisions(lambda: inverse(Matrix(GF2, 3, 3, data)))
     assert decided == 0  # neither S nor the rebuilt T: the census decides T
-    fresh = Matrix(GF2, 3, 3, t.data)
-    q, decided = count_nilpotency_decisions(lambda: forward(fresh, v))
+    q, decided = count_nilpotency_decisions(lambda: forward(t, v))
     assert q.data == data
     assert decided == 1  # T, by the public guard; not its U -> U block
 
 
 def test_census_decides_nilpotency_once_per_operator():
+    assert "nilpotent" not in vars(field._PackedGF2)
     report, decided = count_nilpotency_decisions(lambda: verify_theorem(GF2, 3))
     assert report.ok
-    assert decided == 512  # each T once; forward and degree read it back
+    assert decided == 512  # each T once, as in_domain; _forward and _degree decide none
     strata, decided = count_nilpotency_decisions(lambda: verify_degree_refinement(GF2, 3))
     assert all(s.ok for s in strata)
-    assert decided == 64  # each nilpotent T once, no pair
+    assert decided == 0  # rank(T^m) = 0 proves each T nilpotent
 
 
 def count_products(call):
@@ -275,7 +280,7 @@ def test_stable_power_squares_ceil_log2_n_times():
     for spec in (GF2, GF3):
         for n in range(18):
             m = Matrix.identity(spec, n)
-            _, seen = count_products(lambda: m._stable_power)
+            _, seen = count_products(lambda: linalg._stable_power(m))
             assert seen == (math.ceil(math.log2(n)) if n > 1 else 0), n
     t = Matrix.identity(GF3, 7)
     _, seen = count_products(lambda: mat_pow(t, 7))
