@@ -3,23 +3,30 @@ operators on F_q^n.
 
 Forward: a pair (T, v) with T nilpotent determines the cyclic subspace
 V spanned by the iterates of v, an ordered basis (v, Tv, ..., T^(k-1)v)
-of it, and, over the Steinitz complement U of V, the blocks of T; the
-U -> V block becomes a graph complement W and the U -> U block a
-nilpotent action on W.  These assemble, by ``block_assemble`` over
-(V, W), into a single operator Q whose Fitting decomposition is exactly
-that data.  Inverse runs the same steps backwards: it reads the Fitting
-data of Q off, turns each piece back into a block of T and rebuilds T
-with ``block_assemble`` over (V, U).  Neither direction proves again
-what it has just built: forward's R is invertible because the orbit is
-a basis of V, and its S is nilpotent because it is conjugate to T's
-U -> U block, a block of a nilpotent; inverse's T is nilpotent because
-it is block-triangular over (V, U), with diagonal blocks conjugate to
-the shift and to S.  The one nilpotency decided here is that of the T
-given to forward or degree, by their public guard, which then calls the
-unchecked core ``_forward`` or ``_degree``.  The census calls the cores
-itself, as it calls ``joyal._joyal_forward``: its walks have decided,
-or proved by rank(T^m) = 0, that T is nilpotent before they get there,
-and nothing on T remembers that decision for a guard to read.
+of it, and, over the Steinitz complement U of V, the blocks of T.  By
+definition the U -> V block F becomes a graph complement W of V, the
+U -> U block T_UU a nilpotent S on W by the canonical isomorphism, and
+these assemble, by ``block_assemble`` over (V, W), into a single
+operator Q whose Fitting decomposition is exactly that data.  The
+canonical isomorphism sends u_j to the graph basis vector
+g_j = u_j + sum_i F[i][j] v_i, so over [V | G] Q is diag(R, T_UU), and
+[V | G] = [V | U] [[I, F], [0, I]]; so ``forward`` builds Q over the
+Steinitz split [V | U] alone, as [[R, F T_UU - R F], [0, T_UU]], with
+no graph, no [V | W] and no isomorphism.  Q does not depend on the
+basis of W, so this is the same Q.  Inverse runs the definition
+backwards: it reads the Fitting data of Q off, turns each piece back
+into a block of T and rebuilds T with ``block_assemble`` over (V, U).
+Neither direction proves again what it has just built: forward's R is
+invertible because the orbit is a basis of V, and Q is nilpotent on W
+because it is conjugate there to T_UU, a block of a nilpotent;
+inverse's T is nilpotent because it is block-triangular over (V, U),
+with diagonal blocks conjugate to the shift and to S.  The one
+nilpotency decided here is that of the T given to forward or degree,
+by their public guard, which then calls the unchecked core
+``_forward`` or ``_degree``.  The census calls the cores itself, as it
+calls ``joyal._joyal_forward``: its walks have decided, or proved by
+rank(T^m) = 0, that T is nilpotent before they get there, and nothing
+on T remembers that decision for a guard to read.
 ``fitting_assemble`` is the checked entry point for Fitting data from
 outside.
 
@@ -31,12 +38,12 @@ the public lemmas (``steinitz_complement``, ``block_decompose``,
 so each step of the construction exists once.  Neither direction
 builds an intermediate value: the orbit is one call of the field's row
 kernel, and each direction builds one ``Matrix`` and one ``Vector`` at
-the end.  The Steinitz split [V | U]^-1 is read off V's pivots, and
-the canonical map W -> U is read against it, so a direction inverts
-only [V | W] and, in inverse, R.  Both directions are mutually
-inverse, which is what the census module checks exhaustively: its walk
-decides the nilpotency of each T that inverse returns, once, and
-counts a step that raises as that input's failure.
+the end.  The Steinitz split [V | U]^-1 is read off V's pivots, so
+forward inverts nothing, and inverse, which reads the canonical map
+W -> U against it, inverts only [V | W] and R.  Both directions are
+mutually inverse, which is what the census module checks exhaustively:
+its walk decides the nilpotency of each T that inverse returns, once,
+and counts a step that raises as that input's failure.
 """
 
 from __future__ import annotations
@@ -57,7 +64,6 @@ from .subspaces import (
     _automorphism,
     _decompose,
     _echelon,
-    _graph,
     _graph_and_iso,
     _split,
     _steinitz,
@@ -102,25 +108,26 @@ def forward(t: Matrix, v: Vector) -> Matrix:
 def _forward(t: Matrix, v: Vector) -> Matrix:
     """:func:`forward` of a pair known to be nilpotent, unchecked: the
     orbit (v, Tv, ..., T^(k-1)v) up to its first zero is one call of the
-    row kernel's ``orbit``."""
+    row kernel's ``orbit``, and Q is assembled over the Steinitz split
+    [V | U] from R, T_UU and :func:`_u_to_v`."""
     orbit = t.spec._kernel.orbit(t.data, v.entries)
     spec, n, k = t.spec, t.rows, len(orbit)
     kernel = spec._kernel
     v_sub = _echelon(kernel, orbit, n)
     assert len(v_sub[1]) == k, "iterates up to the degree must be independent"
-    u_sub = _steinitz(n, v_sub)
-    b, b_inv = _split(kernel, n, v_sub, u_sub, "U is not a complement of V")
-    _, t_uv, t_uu, _ = _decompose(kernel, n, k, t.data, b, b_inv)
-    w_sub = _graph(kernel, n, v_sub[0], u_sub[0], t_uv)
-    c, c_inv = _split(kernel, n, v_sub, w_sub, "W is not a complement of V")
-    # the canonical U -> W against [V | W], and its inverse W -> U, the
-    # same core against the Steinitz split: nothing more is inverted
-    iso = _graph_and_iso(kernel, k, c_inv, u_sub[0])[1]
-    iso_inv = _graph_and_iso(kernel, k, b_inv, w_sub[0])[1]
-    s = kernel.product(iso, kernel.product(t_uu, iso_inv, n - k), n - k)
+    b, b_inv = _split(kernel, n, v_sub, _steinitz(n, v_sub), "U is not a complement of V")
+    _, f, t_uu, _ = _decompose(kernel, n, k, t.data, b, b_inv)
     r = _automorphism(v_sub[1], orbit)
-    zero = ((0,) * (n - k),) * k
-    return _matrix(spec, n, n, _assemble(kernel, n, c, c_inv, r, zero, s))
+    q = _assemble(kernel, n, b, b_inv, r, _u_to_v(kernel, r, f, t_uu), t_uu)
+    return _matrix(spec, n, n, q)
+
+
+def _u_to_v(kernel, r, f, t_uu):
+    """Q's U -> V block over [V | U], F T_UU - R F for F = T_UV: one
+    product, [F | -R] times T_UU stacked on F."""
+    neg = kernel.neg
+    a = tuple(frow + tuple([neg[x] for x in rrow]) for frow, rrow in zip(f, r))
+    return kernel.product(a, t_uu + f, len(t_uu))
 
 
 def inverse(q: Matrix) -> tuple[Matrix, Vector]:

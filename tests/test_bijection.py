@@ -48,6 +48,7 @@ from nilbij.cli import canonical_dumps
 
 GF9 = FieldSpec(3, 2)
 GF4099 = FieldSpec(4099)  # too large to tabulate: the on-demand path
+GF128 = FieldSpec(2, 7, (1, 1, 0, 0, 0, 0, 0, 1))  # the on-demand path over an extension
 
 
 def nilpotents(spec, n):
@@ -235,6 +236,30 @@ def test_forward_matches_reference_sampled(spec, n, data):
     q = Matrix(spec, n, n, tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)))
     t, v = inverse(q)
     assert forward(t, v) == ref_forward(t, v) == q
+
+
+@pytest.mark.parametrize("spec,n", [(GF4099, 4), (GF128, 4)], ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_forward_matches_reference_on_conjugated_nilpotents(spec, n, data):
+    # T = P N P^-1 with N strictly lower triangular and P = L U unit
+    # triangular, v = P x with x zero above a drawn row: a random v would
+    # span all of X under a regular T, and here dim U >= 2 and T_UU != 0
+    # are common, so the term F T_UU of Q's U -> V block is exercised
+    def draw(where, diagonal):
+        return Matrix(spec, n, n, tuple(
+            tuple(data.draw(st.integers(0, spec.q - 1)) if where(i, j) else diagonal * (i == j)
+                  for j in range(n)) for i in range(n)))
+
+    p = mat_mul(draw(lambda i, j: i > j, 1), draw(lambda i, j: i < j, 1))
+    t = mat_mul(mat_mul(p, draw(lambda i, j: i > j, 0)), mat_inv(p))
+    top = data.draw(st.integers(0, n))
+    x = Vector(spec, tuple(data.draw(st.integers(0, spec.q - 1)) if i >= top else 0
+                           for i in range(n)))
+    v = apply(p, x)
+    q = forward(t, v)
+    assert q == ref_forward(t, v)
+    assert inverse(q) == (t, v)
 
 
 # which bijection: the output bytes of inverse, pinned

@@ -12,7 +12,7 @@ import pytest
 import nilbij.census
 import nilbij.field
 import nilbij.subspaces
-from conftest import AUDITS, GF2, GF3, GF4
+from conftest import AUDITS, GF2, GF3, GF4, all_vectors
 from nilbij import (
     BudgetExceeded,
     EndoFunction,
@@ -27,6 +27,7 @@ from nilbij import (
     count_nilpotents,
     degree,
     enumerate_operators,
+    forward,
     inverse,
     joyal,
     joyal_inverse,
@@ -37,6 +38,7 @@ from nilbij import (
     verify_theorem,
 )
 from nilbij.cli import main
+from test_bijection import nilpotents, ref_forward
 from test_relations import direct_sum_mismatches
 
 
@@ -343,9 +345,13 @@ def test_joyal_mutant_is_reported(monkeypatch, name, mutate):
 
 
 # Construction mutants: each breaks one construction, which its own
-# criterion-6 audit must report and no other audit may.  Of the three,
-# only the graph core, which map_to_complement wraps, lies on the path
-# of forward and inverse.
+# criterion-6 audit must report and no other audit may.  None of the
+# three lemma cores lies on the path of the census: forward assembles Q
+# over the Steinitz split and builds no graph, and inverse reads W's map
+# off the change of basis.  The fourth breaks forward's own U -> V block,
+# which no audit covers and the census catches.  A check of forward
+# against ref_forward, which composes the lemmas, catches the graph core
+# and the block alike.
 
 def map_to_complement_drops_the_map(real):
     """The graph core reading f as zero, so the graph of every map is U."""
@@ -362,6 +368,15 @@ def fitting_assemble_drops_s(real):
         FittingPair(pair.V, pair.W, pair.R, SubspaceMap.zero(pair.W, pair.W)))
 
 
+def zeros(rows):
+    return tuple((0,) * len(row) for row in rows)
+
+
+def u_to_v_block_drops_r_f(real):
+    """Forward's U -> V block F T_UU - R F with R read as zero."""
+    return lambda kernel, r, f, t_uu: real(kernel, zeros(r), f, t_uu)
+
+
 def patch_everywhere(monkeypatch, owner, name, mutate):
     """Replace ``owner.name`` by what ``mutate`` makes of it, in every
     nilbij module that binds it: a core is run by its public lemma and
@@ -373,19 +388,30 @@ def patch_everywhere(monkeypatch, owner, name, mutate):
             monkeypatch.setattr(module, name, mutant)
 
 
+def forward_parts_from_its_reference(spec, n):
+    return any(forward(t, v) != ref_forward(t, v)
+               for t in nilpotents(spec, n) for v in all_vectors(spec, n))
+
+
+# (the audit it fails, if any, module owning the core, the core, mutant,
+# whether verify_theorem(GF(2), 2) fails, whether forward and ref_forward
+# part on a pair of GF(2)^2)
 CONSTRUCTION_MUTANTS = [
-    ("complements", nilbij.subspaces, "_graph", map_to_complement_drops_the_map),
+    ("complements", nilbij.subspaces, "_graph", map_to_complement_drops_the_map, False, True),
     ("torsor", nilbij.subspaces, "automorphism_to_basis",
-     automorphism_to_basis_reverses_the_basis),
-    ("fitting", nilbij.fitting, "fitting_assemble", fitting_assemble_drops_s),
+     automorphism_to_basis_reverses_the_basis, False, False),
+    ("fitting", nilbij.fitting, "fitting_assemble", fitting_assemble_drops_s, False, False),
+    (None, nilbij.bijection, "_u_to_v", u_to_v_block_drops_r_f, True, True),
 ]
 
 
 @pytest.mark.parametrize(
-    "broken,owner,name,mutate", CONSTRUCTION_MUTANTS,
-    ids=[m.__name__ for *_, m in CONSTRUCTION_MUTANTS],
+    "broken,owner,name,mutate,on_path,parts", CONSTRUCTION_MUTANTS,
+    ids=[entry[3].__name__ for entry in CONSTRUCTION_MUTANTS],
 )
-def test_construction_mutant_fails_its_own_audit(monkeypatch, broken, owner, name, mutate):
+def test_construction_mutant_fails_its_own_audit(
+    monkeypatch, broken, owner, name, mutate, on_path, parts
+):
     patch_everywhere(monkeypatch, owner, name, mutate)
     for construction, audit in AUDITS.items():
         failures, left, right, expected = audit(GF2, 2)
@@ -393,10 +419,10 @@ def test_construction_mutant_fails_its_own_audit(monkeypatch, broken, owner, nam
             assert failures > 0
         else:
             assert failures == 0 and left == right == expected, construction
-    on_path = broken == "complements"
     assert verify_theorem(GF2, 2).ok is not on_path
     assert main(["verify-theorem", "--p", "2", "--n", "2", "--json"],
                 stdout=io.StringIO()) == (1 if on_path else 0)
+    assert forward_parts_from_its_reference(GF2, 2) is parts
 
 
 # Construction faults: each breaks a construction on the path of forward
@@ -516,8 +542,17 @@ def kernel_memoizing_the_views(real):
     return fact
 
 
+def u_to_v_block_drops_f_t_uu(real):
+    """Forward's U -> V block F T_UU - R F with T_UU read as zero: the
+    census misses it at GF(2) and GF(3), n = 2, where T_UU is an empty
+    or 1 x 1 nilpotent, and catches it at GF(2), n = 3."""
+    return lambda kernel, r, f, t_uu: real(kernel, r, f, zeros(t_uu))
+
+
 J = Matrix.from_rows(GF2, [(1, 1), (1, 1)])  # J² = 2J = 0 over GF(2)
 E1 = Vector(GF2, (1, 0))  # J e_1 = (1, 1) and J² e_1 = 0: an orbit of length 2
+SHIFT3 = Matrix.from_rows(GF2, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])  # e_1 -> e_2 -> e_3 -> 0
+E3 = Vector(GF2, (0, 0, 1))  # V = <e_3>, so T_UU sends e_1 to e_2 and F T_UU != 0
 
 # (name, modules or classes whose binding of the name it patches, the name,
 # mutant, the CHANGES.md entry it comes from, the cheapest check known
@@ -550,6 +585,9 @@ NEAR_MISS_MUTANTS = [
      kernel_memoizing_the_views,
      "CHANGES.md: each small field is tabulated once per process",
      lambda: FieldSpec(4099)._kernel is not FieldSpec(4099)._kernel, True),
+    ("U -> V block drops F T_UU", (nilbij.bijection,), "_u_to_v", u_to_v_block_drops_f_t_uu,
+     "CHANGES.md: forward builds Q over the Steinitz split alone",
+     lambda: forward(SHIFT3, E3) == ref_forward(SHIFT3, E3), True),
 ]
 
 

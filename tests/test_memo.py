@@ -202,7 +202,7 @@ def count_eliminations(call):
         return call(), seen
 
 
-def test_each_direction_inverts_its_v_w_basis_once():
+def test_forward_eliminates_only_its_orbit_and_inverse_inverts_v_w_once():
     data = ((1, 1, 0), (0, 0, 0), (0, 0, 1))
     pair = fitting_decompose(Matrix(GF2, 3, 3, data))
     assert 0 < pair.V.dim < 3 and pair.W != steinitz_complement(pair.V)
@@ -216,10 +216,11 @@ def test_each_direction_inverts_its_v_w_basis_once():
     (t, v), seen = count_eliminations(lambda: inverse(Matrix(GF2, 3, 3, data)))
     assert inverts_v_w(seen) == 1
     assert len(seen) == 5
+    # forward assembles Q over the Steinitz split [V | U]: it spans the
+    # orbit and eliminates nothing else, so no W and no [V | W]
     q, seen = count_eliminations(lambda: forward(t, v))
     assert q.data == data
-    assert inverts_v_w(seen) == 1
-    assert len(seen) == 3  # the orbit's span, the graph W and [V | W]
+    assert seen == [(GF2._kernel.orbit(t.data, v.entries), 3)]
 
 
 def count_nilpotency_decisions(call):
