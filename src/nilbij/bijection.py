@@ -13,14 +13,22 @@ g_j = u_j + sum_i F[i][j] v_i, so over [V | G] Q is diag(R, T_UU), and
 [V | G] = [V | U] [[I, F], [0, I]]; so ``forward`` builds Q over the
 Steinitz split [V | U] alone, as [[R, F T_UU - R F], [0, T_UU]], with
 no graph, no [V | W] and no isomorphism.  Q does not depend on the
-basis of W, so this is the same Q.  Inverse runs the definition
-backwards: it reads the Fitting data of Q off, turns each piece back
-into a block of T and rebuilds T with ``block_assemble`` over (V, U).
+basis of W, so this is the same Q.  Inverse runs the closed form
+backwards over the Steinitz split of V = im(Q^m), which Q preserves:
+there Q is [[R, X], [0, Q_UU]], so T_UU = Q_UU, and T's U -> V block F
+solves the Sylvester equation F T_UU - R F = X.  The solution is unique,
+because R is invertible and T_UU nilpotent, and it is the finite series
+F = -sum_i R^-(i+1) X T_UU^i.  Inverse rebuilds T from R N R^-1, F and
+T_UU by the core of ``block_assemble`` over (V, U).  So neither
+direction spans W, inverts [V | W] or forms the canonical isomorphism;
+the public lemmas, which do, remain the definition that the tests
+compare both directions against.
 Neither direction proves again what it has just built: forward's R is
 invertible because the orbit is a basis of V, and Q is nilpotent on W
 because it is conjugate there to T_UU, a block of a nilpotent;
 inverse's T is nilpotent because it is block-triangular over (V, U),
-with diagonal blocks conjugate to the shift and to S.  The one
+with diagonal blocks conjugate to the shift and to Q's nilpotent part
+on ker(Q^m).  The one
 nilpotency decided here is that of the T given to forward or degree,
 by their public guard, which then calls the unchecked core
 ``_forward`` or ``_degree``.  The census calls the cores itself, as it
@@ -36,12 +44,13 @@ the public lemmas (``steinitz_complement``, ``block_decompose``,
 ``map_to_complement``, ``canonical_iso``, ``basis_to_automorphism``,
 ``fitting_decompose``, ``block_assemble``, ...) validate for and wrap,
 so each step of the construction exists once.  Neither direction
-builds an intermediate value: the orbit is one call of the field's row
-kernel, and each direction builds one ``Matrix`` and one ``Vector`` at
-the end.  The Steinitz split [V | U]^-1 is read off V's pivots, so
-forward inverts nothing, and inverse, which reads the canonical map
-W -> U against it, inverts only [V | W] and R.  Both directions are
-mutually inverse, which is what the census module checks exhaustively:
+builds an intermediate subspace or map: the orbit is one call of the
+field's row kernel, and each direction builds one ``Matrix`` and one
+``Vector`` at the end; inverse also builds Q^m, its transpose, that
+transpose's RREF and R as ``Matrix`` values, for the public ``rref``
+and ``mat_inv``.  The Steinitz split [V | U]^-1 is read off V's pivots,
+so forward inverts nothing and inverse inverts only R.  Both directions
+are mutually inverse, which is what the census module checks exhaustively:
 its walk decides the nilpotency of each T that inverse returns, once,
 and counts a step that raises as that input's failure.
 """
@@ -57,17 +66,9 @@ from .errors import (
     NotNilpotent,
     _json_fields,
 )
-from .fitting import _fitting
+from .fitting import _stable_image
 from .linalg import Matrix, Vector, _matrix, _vector, is_nilpotent, mat_inv
-from .subspaces import (
-    _assemble,
-    _automorphism,
-    _decompose,
-    _echelon,
-    _graph_and_iso,
-    _split,
-    _steinitz,
-)
+from .subspaces import _assemble, _automorphism, _decompose, _echelon, _split, _steinitz
 
 __all__ = ["NilpotentPair", "degree", "forward", "inverse"]
 
@@ -133,28 +134,45 @@ def _u_to_v(kernel, r, f, t_uu):
 def inverse(q: Matrix) -> tuple[Matrix, Vector]:
     """Map an operator Q back to its nilpotent pair (T, v).
 
-    The mirror of :func:`forward`: W is the graph of T's U -> V block,
-    S is T's U -> U block carried to W, and R sends the reference basis
-    of V to the orbit (v, Tv, ...), on which T acts as the shift N,
-    e_j -> e_(j+1).  So T acts on V as R N R^-1 (R N is R's columns
-    moved one place left), and v has R's first column as coordinates
-    (none, so v = 0, when V = 0)."""
-    v_sub, w_sub, (c, c_inv), r, s = _fitting(q)
-    spec, n, k = q.spec, q.rows, len(r)
+    The mirror of :func:`forward`, over the same Steinitz split [V | U]
+    of V = im(Q^m): Q preserves V, so there it reads [[R, X], [0, Q_UU]],
+    and forward's closed form gives T_UU = Q_UU and T's U -> V block F
+    as the solution of F T_UU - R F = X (:func:`_sylvester`).  R sends
+    the reference basis of V to the orbit (v, Tv, ...), on which T acts
+    as the shift N, e_j -> e_(j+1).  So T acts on V as R N R^-1 (R N is
+    R's columns moved one place left), and v has R's first column as
+    coordinates (none, so v = 0, when V = 0)."""
+    v_sub = _stable_image(q)[1]
+    spec, n, k = q.spec, q.rows, len(v_sub[1])
     kernel = spec._kernel
-    # R's inversion is Fitting's assertion that R is invertible, and R is
-    # the one validated Matrix build on verify_theorem's path, which the
+    b, b_inv = _split(kernel, n, v_sub, _steinitz(n, v_sub), "U is not a complement of V")
+    r, x, t_uu, invariant = _decompose(kernel, n, k, q.data, b, b_inv)
+    assert invariant, "im(Q^m) must be Q-invariant"
+    # R's inversion is the assertion that R is invertible, and R is the
+    # one validated Matrix build on verify_theorem's path, which the
     # benchmark's tracer test counts (ROADMAP item 11)
     r_inv = mat_inv(Matrix(spec, k, k, r)).data
-    u_sub = _steinitz(n, v_sub)
-    b, b_inv = _split(kernel, n, v_sub, u_sub, "U is not a complement of V")
-    t_uv, iso = _graph_and_iso(kernel, k, c_inv, u_sub[0])
-    iso_inv = _graph_and_iso(kernel, k, b_inv, w_sub[0])[1]  # as in forward
-    t_uu = kernel.product(iso_inv, kernel.product(s, iso, n - k), n - k)
     t_vv = kernel.product(tuple(row[1:] + (0,) for row in r), r_inv, k)
-    t = _assemble(kernel, n, b, b_inv, t_vv, t_uv, t_uu)
+    t = _assemble(kernel, n, b, b_inv, t_vv, _sylvester(kernel, r_inv, x, t_uu), t_uu)
     v = kernel.combine([row[0] for row in r], v_sub[0], (0,) * n)
     return _matrix(spec, n, n, t), _vector(spec, v)
+
+
+def _sylvester(kernel, r_inv, x, t_uu):
+    """T's U -> V block F over [V | U] from Q's, X: the solution of
+    F T_UU - R F = X, given R^-1.  It is F = -sum_i R^-(i+1) X T_UU^i,
+    unique because R is invertible and T_UU nilpotent.  Each term is
+    R^-1 times the one before times T_UU, so once one is zero all later
+    ones are, and T_UU^(n-k) = 0 bounds the sum at n - k terms."""
+    m, add, neg = len(t_uu), kernel.add, kernel.neg
+    f = term = kernel.product(r_inv, tuple(tuple([neg[e] for e in row]) for row in x), m)
+    for _ in range(m):
+        term = kernel.product(term, t_uu, m)
+        if not any(map(any, term)):
+            break
+        term = kernel.product(r_inv, term, m)
+        f = tuple(tuple([add[a][c] for a, c in zip(frow, trow)]) for frow, trow in zip(f, term))
+    return f
 
 
 @dataclass(frozen=True)

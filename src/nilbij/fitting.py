@@ -7,15 +7,18 @@ restrictions, in reference-basis coordinates, determines Q together
 with the two subspaces, and ``fitting_assemble`` rebuilds it: the
 checked entry point for Fitting data from outside the library, which
 proves R invertible and S nilpotent before it answers.
-``fitting_decompose`` wraps the row core ``_fitting``, which
-``bijection.inverse`` runs too, and builds the subspaces and maps of
-its result; the bijection builds none.  ``_fitting`` squares Q up to
-its stable power, ``linalg._stable_power``, on each call: nothing is
-kept on Q, and the census squares again for its stratum key.  It
-asserts its R invertible by an inversion, as ``inverse`` does by
-inverting R, but does not prove its S nilpotent, which it is because
-Q^n vanishes on W: the census walks that audit it decide nilpotency
-themselves, and count a step that raises as that input's failure.
+``fitting_decompose`` wraps the row core ``_fitting`` and builds the
+subspaces and maps of its result.  V = im(Q^n) has one home,
+``_stable_image``, which ``_fitting`` and ``bijection.inverse`` both
+call: it squares Q up to its stable power, ``linalg._stable_power``, on
+each call, and spans V by one RREF of that power's transpose.  Nothing
+is kept on Q, and the census squares again for its stratum key.
+``inverse`` needs no W: it splits the space by V's Steinitz complement.
+``fitting_decompose`` asserts its R invertible by an inversion, as
+``inverse`` does by inverting R, but does not prove its S nilpotent,
+which it is because Q^n vanishes on W: the census walks that audit it
+decide nilpotency themselves, and count a step that raises as that
+input's failure.
 """
 
 from __future__ import annotations
@@ -90,21 +93,26 @@ class FittingPair:
         return cls(v, w, SubspaceMap(v, v, r), SubspaceMap(w, w, s))
 
 
-def _fitting(q: Matrix):
-    """The Fitting data of Q on rows: V = im(Q^m) and W = ker(Q^m), each
-    the pair (rows, pivots), the split ([V | W], its inverse), and the
-    blocks R of Q on V and S on W over it.
-
-    Both subspaces are read off Q's stable power Q^m, m the least power
-    of two >= n, whose image and kernel are those of Q^n.
+def _stable_image(q: Matrix):
+    """Q's stable power Q^m, m the least power of two >= n, whose image
+    and kernel are those of Q^n, and V = im(Q^m) as the pair (rows,
+    pivots): the RREF of Q^m's transpose, whose rows span Q^m's columns.
     """
     if not q.is_square():
         raise NonSquare("operator must be square")
-    n, kernel = q.rows, q.spec._kernel
     qm = _stable_power(q)
-    reduced, pivots = rref(qm)
-    v = _echelon(kernel, tuple(tuple([row[c] for row in qm.data]) for c in pivots), n)
-    w = _echelon(kernel, _null_rows(kernel.neg, reduced.data, pivots, n), n)
+    reduced, pivots = rref(_matrix(q.spec, q.rows, q.rows, tuple(zip(*qm.data))))
+    return qm, (reduced.data[: len(pivots)], pivots)
+
+
+def _fitting(q: Matrix):
+    """The Fitting data of Q on rows: V = im(Q^m) and W = ker(Q^m), each
+    the pair (rows, pivots), the split ([V | W], its inverse), and the
+    blocks R of Q on V and S on W over it."""
+    qm, v = _stable_image(q)
+    n, kernel = q.rows, q.spec._kernel
+    reduced, pivots = kernel.rref(qm.data, n)
+    w = _echelon(kernel, _null_rows(kernel.neg, reduced, pivots, n), n)
     split = _split(kernel, n, v, w, "W is not a complement of V")
     r, cross, s, invariant = _decompose(kernel, n, len(v[0]), q.data, *split)
     assert invariant and not any(map(any, cross)), "V and W must be Q-invariant"

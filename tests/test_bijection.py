@@ -41,9 +41,11 @@ from nilbij import (
     map_to_complement,
     mat_inv,
     mat_mul,
+    mat_pow,
     span,
     steinitz_complement,
 )
+from nilbij.bijection import _sylvester
 from nilbij.cli import canonical_dumps
 
 GF9 = FieldSpec(3, 2)
@@ -191,6 +193,102 @@ def test_inverse_matches_reference_sampled(spec, n, data):
     assert inverse(q) == ref_inverse(q)
 
 
+# drawn matrices, over fields of any size
+
+def drawn(data, spec, rows, cols, where, diagonal=0):
+    """A rows x cols matrix with entries drawn where ``where(i, j)``,
+    ``diagonal`` on the rest of the diagonal and 0 elsewhere."""
+    return Matrix(spec, rows, cols, tuple(
+        tuple(data.draw(st.integers(0, spec.q - 1)) if where(i, j) else diagonal * (i == j)
+              for j in range(cols)) for i in range(rows)))
+
+
+def unit_triangular_product(data, spec, n):
+    """P = L U with L and U drawn unit lower and upper triangular."""
+    return mat_mul(drawn(data, spec, n, n, lambda i, j: i > j, 1),
+                   drawn(data, spec, n, n, lambda i, j: i < j, 1))
+
+
+def invertible(data, spec, k):
+    """L U D with D drawn diagonal and nonzero."""
+    d = Matrix(spec, k, k, tuple(
+        tuple(data.draw(st.integers(1, spec.q - 1)) if i == j else 0 for j in range(k))
+        for i in range(k)))
+    return mat_mul(unit_triangular_product(data, spec, k), d)
+
+
+def jordan_block(spec, m):
+    """The nilpotent Jordan block e_j -> e_(j+1) of size m, of index m."""
+    return Matrix(spec, m, m, tuple(tuple(int(i == j + 1) for j in range(m)) for i in range(m)))
+
+
+# inverse's U -> V block: the Sylvester series against its equation
+
+SYLVESTER_SPECS = [GF2, GF3, GF9, GF4099, GF128]
+
+
+def sylvester(r, x, t_uu):
+    """F with F T_UU - R F = X, by the series core of ``inverse``."""
+    f = _sylvester(r.spec._kernel, mat_inv(r).data, x.data, t_uu.data)
+    return Matrix(r.spec, x.rows, x.cols, f)
+
+
+def sylvester_lhs(r, f, t_uu):
+    """F T_UU - R F, entry by entry through ``FieldSpec.sub``."""
+    sub = r.spec.sub
+    return tuple(tuple(sub(a, b) for a, b in zip(left, right))
+                 for left, right in zip(mat_mul(f, t_uu).data, mat_mul(r, f).data))
+
+
+@pytest.mark.parametrize("spec", SYLVESTER_SPECS, ids=str)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_sylvester_series_solves_its_equation(spec, data):
+    # R = L U D invertible, T_UU = P N P^-1 with N strictly lower triangular
+    k, m = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 4))
+    r = invertible(data, spec, k)
+    p = unit_triangular_product(data, spec, m)
+    t_uu = mat_mul(mat_mul(p, drawn(data, spec, m, m, lambda i, j: i > j)), mat_inv(p))
+    x = drawn(data, spec, k, m, lambda i, j: True)
+    assert sylvester_lhs(r, sylvester(r, x, t_uu), t_uu) == x.data
+
+
+@pytest.mark.parametrize("spec", SYLVESTER_SPECS, ids=str)
+def test_sylvester_series_at_the_edges(spec):
+    # k = 0 and n - k = 0: F has no rows, or rows with no entries
+    assert sylvester(Matrix(spec, 0, 0, ()), Matrix(spec, 0, 3, ()), jordan_block(spec, 3)).data == ()
+    r = Matrix.identity(spec, 2)
+    assert sylvester(r, Matrix(spec, 2, 0, ((), ())), Matrix(spec, 0, 0, ())).data == ((), ())
+    # T_UU of full index m, and X with a nonzero last column, so each of
+    # the m terms R^-(i+1) X T_UU^i is nonzero
+    m, top = 4, spec.q - 1
+    r = Matrix(spec, 2, 2, ((1, 1), (0, top)))
+    x, t_uu = Matrix(spec, 2, m, ((0, 0, 0, 1), (1, 0, 0, top))), jordan_block(spec, m)
+    r_inv = mat_inv(r)
+    assert all(not mat_mul(mat_mul(mat_pow(r_inv, i + 1), x), mat_pow(t_uu, i)).is_zero()
+               for i in range(m))
+    assert sylvester_lhs(r, sylvester(r, x, t_uu), t_uu) == x.data
+
+
+@pytest.mark.parametrize("spec", [GF4099, GF128], ids=str)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_inverse_matches_reference_on_conjugated_jordan_blocks(spec, data):
+    # Q = P diag(R, J) P^-1 with R invertible, J one nilpotent Jordan
+    # block of size >= 3 and P = L U unit triangular: Q's U -> U block is
+    # conjugate to J, so the Sylvester series of inverse runs to more
+    # than the one term that a random Q mostly needs
+    n = 5
+    m = data.draw(st.integers(3, n))
+    k = n - m
+    r, j = invertible(data, spec, k), jordan_block(spec, m)
+    block = Matrix(spec, n, n, tuple(row + (0,) * m for row in r.data)
+                   + tuple((0,) * k + row for row in j.data))
+    p = unit_triangular_product(data, spec, n)
+    q = mat_mul(mat_mul(p, block), mat_inv(p))
+    assert inverse(q) == ref_inverse(q)
+
+
 # forward against the composition of the public lemmas
 
 def ref_forward(t, v):
@@ -246,13 +344,8 @@ def test_forward_matches_reference_on_conjugated_nilpotents(spec, n, data):
     # triangular, v = P x with x zero above a drawn row: a random v would
     # span all of X under a regular T, and here dim U >= 2 and T_UU != 0
     # are common, so the term F T_UU of Q's U -> V block is exercised
-    def draw(where, diagonal):
-        return Matrix(spec, n, n, tuple(
-            tuple(data.draw(st.integers(0, spec.q - 1)) if where(i, j) else diagonal * (i == j)
-                  for j in range(n)) for i in range(n)))
-
-    p = mat_mul(draw(lambda i, j: i > j, 1), draw(lambda i, j: i < j, 1))
-    t = mat_mul(mat_mul(p, draw(lambda i, j: i > j, 0)), mat_inv(p))
+    p = unit_triangular_product(data, spec, n)
+    t = mat_mul(mat_mul(p, drawn(data, spec, n, n, lambda i, j: i > j)), mat_inv(p))
     top = data.draw(st.integers(0, n))
     x = Vector(spec, tuple(data.draw(st.integers(0, spec.q - 1)) if i >= top else 0
                            for i in range(n)))

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import operator
+import sys
 from itertools import product
 
 import pytest
@@ -347,11 +348,11 @@ def test_joyal_mutant_is_reported(monkeypatch, name, mutate):
 # Construction mutants: each breaks one construction, which its own
 # criterion-6 audit must report and no other audit may.  None of the
 # three lemma cores lies on the path of the census: forward assembles Q
-# over the Steinitz split and builds no graph, and inverse reads W's map
-# off the change of basis.  The fourth breaks forward's own U -> V block,
-# which no audit covers and the census catches.  A check of forward
-# against ref_forward, which composes the lemmas, catches the graph core
-# and the block alike.
+# over the Steinitz split and builds no graph, and inverse solves for
+# T's U -> V block there and builds no W.  The fourth breaks forward's
+# own U -> V block, which no audit covers and the census catches.  A
+# check of forward against ref_forward, which composes the lemmas,
+# catches the graph core and the block alike.
 
 def map_to_complement_drops_the_map(real):
     """The graph core reading f as zero, so the graph of every map is U."""
@@ -436,19 +437,24 @@ def steinitz_complement_returns_the_line_itself(real):
     return lambda n, v: v if (n, len(v[0])) == (2, 1) else real(n, v)
 
 
-def fitting_decompose_gives_a_non_nilpotent_s(real):
-    """The Fitting core giving S = I for the zero operator."""
-    def mutant(q):
-        data = real(q)
-        return data if q != ZERO else data[:4] + (IDENT.data,)
+def decompose_gives_inverse_a_non_nilpotent_t_uu(real):
+    """The Steinitz-split core giving T_UU = I when ``inverse`` cuts the
+    zero operator.  ``forward`` cuts the same blocks of the same zero
+    matrix for the pair (0, 0), so the mutant reads which function
+    called it."""
+    def mutant(kernel, n, k, t, b, b_inv):
+        blocks = real(kernel, n, k, t, b, b_inv)
+        if t != ZERO.data or sys._getframe(1).f_code.co_name != "inverse":
+            return blocks
+        return blocks[:2] + (IDENT.data,) + blocks[3:]
     return mutant
 
 
 # (module owning the core, the core, mutant, whether the degree walk meets
-# it): the Fitting core runs only in inverse, which the degree walk never calls
+# it): the degree walk never calls inverse, where the second mutant acts
 FAULT_MUTANTS = [
     (nilbij.subspaces, "_steinitz", steinitz_complement_returns_the_line_itself, True),
-    (nilbij.fitting, "_fitting", fitting_decompose_gives_a_non_nilpotent_s, False),
+    (nilbij.subspaces, "_decompose", decompose_gives_inverse_a_non_nilpotent_t_uu, False),
 ]
 
 
@@ -549,10 +555,22 @@ def u_to_v_block_drops_f_t_uu(real):
     return lambda kernel, r, f, t_uu: real(kernel, r, f, zeros(t_uu))
 
 
+def sylvester_series_stops_after_its_first_term(real):
+    """Inverse's U -> V block with T_UU read as zero, so the series
+    -sum_i R^-(i+1) X T_UU^i stops at its first term -R^-1 X: the census
+    misses it at GF(2) and GF(3), n = 2, and catches it at GF(2), n = 3."""
+    return lambda kernel, r_inv, x, t_uu: real(kernel, r_inv, x, zeros(t_uu))
+
+
 J = Matrix.from_rows(GF2, [(1, 1), (1, 1)])  # J² = 2J = 0 over GF(2)
 E1 = Vector(GF2, (1, 0))  # J e_1 = (1, 1) and J² e_1 = 0: an orbit of length 2
 SHIFT3 = Matrix.from_rows(GF2, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])  # e_1 -> e_2 -> e_3 -> 0
 E3 = Vector(GF2, (0, 0, 1))  # V = <e_3>, so T_UU sends e_1 to e_2 and F T_UU != 0
+# the GF(3) pair that CI pipes through the console script: V = <e_4>,
+# R = (2), and X T_UU != 0, so F needs the series' second term
+T3 = Matrix.from_rows(GF3, [(0, 0, 0, 0), (1, 0, 0, 0), (2, 1, 0, 0), (0, 2, 1, 0)])
+V3 = Vector(GF3, (0, 0, 0, 2))
+Q3 = Matrix.from_rows(GF3, [(0, 0, 0, 0), (1, 0, 0, 0), (2, 1, 0, 0), (1, 0, 1, 2)])
 
 # (name, modules or classes whose binding of the name it patches, the name,
 # mutant, the CHANGES.md entry it comes from, the cheapest check known
@@ -588,6 +606,10 @@ NEAR_MISS_MUTANTS = [
     ("U -> V block drops F T_UU", (nilbij.bijection,), "_u_to_v", u_to_v_block_drops_f_t_uu,
      "CHANGES.md: forward builds Q over the Steinitz split alone",
      lambda: forward(SHIFT3, E3) == ref_forward(SHIFT3, E3), True),
+    ("Sylvester series stops after its first term", (nilbij.bijection,), "_sylvester",
+     sylvester_series_stops_after_its_first_term,
+     "CHANGES.md: inverse in closed form over the Steinitz split",
+     lambda: inverse(Q3) == (T3, V3), True),
 ]
 
 

@@ -202,20 +202,20 @@ def count_eliminations(call):
         return call(), seen
 
 
-def test_forward_eliminates_only_its_orbit_and_inverse_inverts_v_w_once():
+def test_forward_eliminates_only_its_orbit_and_inverse_only_its_image_and_r():
     data = ((1, 1, 0), (0, 0, 0), (0, 0, 1))
-    pair = fitting_decompose(Matrix(GF2, 3, 3, data))
+    q = Matrix(GF2, 3, 3, data)
+    pair = fitting_decompose(q)
     assert 0 < pair.V.dim < 3 and pair.W != steinitz_complement(pair.V)
     v_w = tuple(zip(*(pair.V.rows + pair.W.rows)))  # [V | W], row-major
+    r_i = tuple(row + irow for row, irow in zip(pair.R.matrix.data, ((1, 0), (0, 1))))
 
-    def inverts_v_w(seen):
-        return sum(1 for rows, cols in seen if cols == 6 and tuple(r[:3] for r in rows) == v_w)
-
-    # Q^m's RREF, the spans V and W, [V | W] and R; the Steinitz split
-    # [V | U] and the canonical map W -> U are read off V's pivots
-    (t, v), seen = count_eliminations(lambda: inverse(Matrix(GF2, 3, 3, data)))
-    assert inverts_v_w(seen) == 1
-    assert len(seen) == 5
+    # inverse spans im(Q^m) by one RREF of Q^m's transpose and inverts R;
+    # the Steinitz split [V | U] is read off V's pivots, and T's U -> V
+    # block is a series in R^-1: no W and no [V | W]
+    (t, v), seen = count_eliminations(lambda: inverse(q))
+    assert seen == [(tuple(zip(*linalg._stable_power(q).data)), 3), (r_i, 4)]
+    assert not any(cols == 6 and tuple(r[:3] for r in rows) == v_w for rows, cols in seen)
     # forward assembles Q over the Steinitz split [V | U]: it spans the
     # orbit and eliminates nothing else, so no W and no [V | W]
     q, seen = count_eliminations(lambda: forward(t, v))
