@@ -39,17 +39,18 @@ on T remembers that decision for a guard to read.
 outside.
 
 Both directions run on row tuples.  They chain the private cores of
-:mod:`nilbij.subspaces` and :mod:`nilbij.fitting`, the same cores that
-the public lemmas (``steinitz_complement``, ``block_decompose``,
-``map_to_complement``, ``canonical_iso``, ``basis_to_automorphism``,
-``fitting_decompose``, ``block_assemble``, ...) validate for and wrap,
-so each step of the construction exists once.  Neither direction
-builds an intermediate subspace or map: the orbit is one call of the
-field's row kernel, and each direction builds one ``Matrix`` and one
-``Vector`` at the end; inverse also builds Q^m, its transpose, that
-transpose's RREF and R as ``Matrix`` values, for the public ``rref``
-and ``mat_inv``.  The Steinitz split [V | U]^-1 is read off V's pivots,
-so forward inverts nothing and inverse inverts only R.  Both directions
+:mod:`nilbij.subspaces`, the same cores that the public lemmas
+(``steinitz_complement``, ``block_decompose``, ``basis_to_automorphism``,
+``block_assemble``, ...) validate for and wrap, so each step of the
+construction exists once.  Neither runs the Fitting core
+``fitting._fitting``: inverse spans V = im(Q^m) itself, by one RREF of
+Q^m's transpose.  Neither direction builds an intermediate subspace or
+map: the orbit is one call of the field's row kernel, and each
+direction builds one ``Matrix`` and one ``Vector`` at the end; inverse
+also builds Q^m, its transpose, that transpose's RREF and R as
+``Matrix`` values, for the public ``rref`` and ``mat_inv``.  The
+Steinitz split [V | U]^-1 is read off V's pivots, so forward inverts
+nothing and inverse inverts only R.  Both directions
 are mutually inverse, which is what the census module checks exhaustively:
 its walk decides the nilpotency of each T that inverse returns, once,
 and counts a step that raises as that input's failure.
@@ -66,8 +67,7 @@ from .errors import (
     NotNilpotent,
     _json_fields,
 )
-from .fitting import _stable_image
-from .linalg import Matrix, Vector, _matrix, _vector, is_nilpotent, mat_inv
+from .linalg import Matrix, Vector, _matrix, _stable_power, _vector, is_nilpotent, mat_inv, rref
 from .subspaces import _assemble, _automorphism, _decompose, _echelon, _split, _steinitz
 
 __all__ = ["NilpotentPair", "degree", "forward", "inverse"]
@@ -135,15 +135,19 @@ def inverse(q: Matrix) -> tuple[Matrix, Vector]:
     """Map an operator Q back to its nilpotent pair (T, v).
 
     The mirror of :func:`forward`, over the same Steinitz split [V | U]
-    of V = im(Q^m): Q preserves V, so there it reads [[R, X], [0, Q_UU]],
+    of V = im(Q^m), the span of the rows of the RREF of Q^m's transpose
+    (Q^m's columns): Q preserves V, so there it reads [[R, X], [0, Q_UU]],
     and forward's closed form gives T_UU = Q_UU and T's U -> V block F
     as the solution of F T_UU - R F = X (:func:`_sylvester`).  R sends
     the reference basis of V to the orbit (v, Tv, ...), on which T acts
     as the shift N, e_j -> e_(j+1).  So T acts on V as R N R^-1 (R N is
     R's columns moved one place left), and v has R's first column as
     coordinates (none, so v = 0, when V = 0)."""
-    v_sub = _stable_image(q)[1]
-    spec, n, k = q.spec, q.rows, len(v_sub[1])
+    if not q.is_square():
+        raise NonSquare("operator must be square")
+    reduced, pivots = rref(_matrix(q.spec, q.rows, q.rows, tuple(zip(*_stable_power(q).data))))
+    v_sub = reduced.data[: len(pivots)], pivots
+    spec, n, k = q.spec, q.rows, len(pivots)
     kernel = spec._kernel
     b, b_inv = _split(kernel, n, v_sub, _steinitz(n, v_sub), "U is not a complement of V")
     r, x, t_uu, invariant = _decompose(kernel, n, k, q.data, b, b_inv)

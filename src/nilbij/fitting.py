@@ -8,17 +8,22 @@ with the two subspaces, and ``fitting_assemble`` rebuilds it: the
 checked entry point for Fitting data from outside the library, which
 proves R invertible and S nilpotent before it answers.
 ``fitting_decompose`` wraps the row core ``_fitting`` and builds the
-subspaces and maps of its result.  V = im(Q^n) has one home,
-``_stable_image``, which ``_fitting`` and ``bijection.inverse`` both
-call: it squares Q up to its stable power, ``linalg._stable_power``, on
-each call, and spans V by one RREF of that power's transpose.  Nothing
-is kept on Q, and the census squares again for its stratum key.
-``inverse`` needs no W: it splits the space by V's Steinitz complement.
-``fitting_decompose`` asserts its R invertible by an inversion, as
-``inverse`` does by inverting R, but does not prove its S nilpotent,
-which it is because Q^n vanishes on W: the census walks that audit it
-decide nilpotency themselves, and count a step that raises as that
-input's failure.
+subspaces and maps of its result.  The core squares Q up to its stable
+power Q^m, ``linalg._stable_power``, and makes one elimination, of the
+n x 2n matrix [Q^m^T | I]: V = im(Q^m) is spanned by the rows with a
+pivot in the left half, and W = ker(Q^m) by the right halves of the
+others.  Q^m commutes with Q, so Q maps V and W into themselves, and R
+and S are Q's images of the two reference bases read at the pivots:
+no [V | W] is inverted, and no block is checked zero.  The Fitting
+audit of criterion 6 reassembles every decomposition it walks, and is
+the check on a wrong read.  Nothing is kept on Q.
+``bijection.inverse`` does not run this core: it needs no W, spans V
+by one RREF of Q^m's transpose and splits the space by V's Steinitz
+complement.  ``fitting_decompose`` asserts its R invertible by an
+inversion, as ``inverse`` does by inverting R, but does not prove its
+S nilpotent, which it is because Q^m vanishes on W: the census walks
+that audit it decide nilpotency themselves, and count a step that
+raises as that input's failure.
 """
 
 from __future__ import annotations
@@ -34,21 +39,18 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    _identity_rows,
     _inverse_rows,
     _matrix,
-    _null_rows,
     _stable_power,
     is_invertible,
     is_nilpotent,
-    rref,
 )
 from .subspaces import (
     Subspace,
     SubspaceMap,
-    _decompose,
-    _echelon,
+    _automorphism,
     _map,
-    _split,
     _subspace,
     block_assemble,
 )
@@ -93,40 +95,39 @@ class FittingPair:
         return cls(v, w, SubspaceMap(v, v, r), SubspaceMap(w, w, s))
 
 
-def _stable_image(q: Matrix):
-    """Q's stable power Q^m, m the least power of two >= n, whose image
-    and kernel are those of Q^n, and V = im(Q^m) as the pair (rows,
-    pivots): the RREF of Q^m's transpose, whose rows span Q^m's columns.
-    """
-    if not q.is_square():
-        raise NonSquare("operator must be square")
-    qm = _stable_power(q)
-    reduced, pivots = rref(_matrix(q.spec, q.rows, q.rows, tuple(zip(*qm.data))))
-    return qm, (reduced.data[: len(pivots)], pivots)
-
-
 def _fitting(q: Matrix):
     """The Fitting data of Q on rows: V = im(Q^m) and W = ker(Q^m), each
-    the pair (rows, pivots), the split ([V | W], its inverse), and the
-    blocks R of Q on V and S on W over it."""
-    qm, v = _stable_image(q)
+    the pair (rows, pivots), and the blocks R of Q on V and S on W.
+
+    One elimination of [Q^m^T | I] gives both subspaces.  The rows whose
+    pivot falls in the left half are the RREF of Q^m^T, so their left
+    halves span Q^m's columns, V.  The right half y of each other row
+    has y Q^m^T = 0, so Q^m y^T = 0, and the n - k of them span
+    ker(Q^m) with their pivots in the right half, already in RREF.
+    Column j of R (of S) holds the reference coordinates of Q b_j, its
+    entries at the subspace's pivots, as :func:`_automorphism` reads
+    them."""
+    if not q.is_square():
+        raise NonSquare("operator must be square")
     n, kernel = q.rows, q.spec._kernel
-    reduced, pivots = kernel.rref(qm.data, n)
-    w = _echelon(kernel, _null_rows(kernel.neg, reduced, pivots, n), n)
-    split = _split(kernel, n, v, w, "W is not a complement of V")
-    r, cross, s, invariant = _decompose(kernel, n, len(v[0]), q.data, *split)
-    assert invariant and not any(map(any, cross)), "V and W must be Q-invariant"
-    return v, w, split, r, s
+    qm_t = zip(*_stable_power(q).data)
+    reduced, pivots = kernel.rref(tuple(a + b for a, b in zip(qm_t, _identity_rows(n))), 2 * n)
+    k = sum(1 for p in pivots if p < n)
+    v = tuple(row[:n] for row in reduced[:k]), pivots[:k]
+    w = tuple(row[n:] for row in reduced[k:]), tuple(p - n for p in pivots[k:])
+    q_t = tuple(zip(*q.data))
+    r, s = (_automorphism(piv, kernel.product(rows, q_t, n)) for rows, piv in (v, w))
+    return v, w, r, s
 
 
 def fitting_decompose(q: Matrix) -> FittingPair:
     """Split Q into its invertible and nilpotent parts.
 
-    V = im(Q^n) and W = ker(Q^n) are complementary and Q-invariant; the
-    restrictions are read off by block decomposition.  S is nilpotent
-    because Q^m vanishes on W.
+    V = im(Q^n) and W = ker(Q^n) are complementary and Q-invariant, and
+    R and S are Q restricted to each.  S is nilpotent because Q^m
+    vanishes on W.
     """
-    v, w, _, r, s = _fitting(q)
+    v, w, r, s = _fitting(q)
     spec, n, k = q.spec, q.rows, len(r)
     v, w = _subspace(spec, n, *v), _subspace(spec, n, *w)
     # R's inversion, which ``bijection.inverse`` runs too, reaches rank k only if R is invertible

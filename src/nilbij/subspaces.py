@@ -30,7 +30,8 @@ pivots.  ``Subspace.from_json`` goes through it, and the public
 Each construction is one private core on row tuples that calls the
 field's row kernel directly and builds no value: ``_echelon`` (a
 span), ``_steinitz``, ``_split`` (the change of basis), ``_decompose``,
-``_assemble``, ``_graph``, ``_graph_and_iso`` and ``_automorphism``.
+``_assemble``, ``_graph``, ``_graph_and_iso`` and ``_automorphism``
+(a torsor point, or a restriction to an invariant subspace).
 A core takes a subspace as the pair (rows, pivots) of its RREF, and a
 map as the rows of its matrix over the reference bases.  The public
 functions check their operands, call the core and wrap its result
@@ -512,9 +513,13 @@ def _ordered_basis(subspace: Subspace, vectors: tuple[Vector, ...]) -> OrderedBa
 
 
 def _automorphism(pivots, vectors):
-    """The matrix of the automorphism of V sending its reference basis
-    to the basis ``vectors`` of V, rows of codes: column j holds the
-    coordinates of vectors[j], its entries at V's pivots."""
+    """The matrix of the map of V to itself sending its reference basis
+    to ``vectors``, vectors of V as rows of codes: column j holds the
+    coordinates of vectors[j], its entries at V's pivots.  For a basis
+    of V that is the automorphism of the torsor; for the images of the
+    reference basis under an operator that maps V into V, it is the
+    operator's restriction to V, which ``fitting._fitting`` reads as R
+    and S."""
     return tuple(tuple([x[p] for x in vectors]) for p in pivots)
 
 

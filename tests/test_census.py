@@ -347,12 +347,14 @@ def test_joyal_mutant_is_reported(monkeypatch, name, mutate):
 
 # Construction mutants: each breaks one construction, which its own
 # criterion-6 audit must report and no other audit may.  None of the
-# three lemma cores lies on the path of the census: forward assembles Q
-# over the Steinitz split and builds no graph, and inverse solves for
-# T's U -> V block there and builds no W.  The fourth breaks forward's
-# own U -> V block, which no audit covers and the census catches.  A
-# check of forward against ref_forward, which composes the lemmas,
-# catches the graph core and the block alike.
+# lemmas broken here lies on the path of the census: forward assembles
+# Q over the Steinitz split and builds no graph, and inverse solves for
+# T's U -> V block there and builds no W, so it runs no Fitting core
+# either.  The criterion-6 Fitting audit is the only gate on that core.
+# The last mutant breaks forward's own U -> V block, which no audit
+# covers and the census catches.  A check of forward against
+# ref_forward, which composes the lemmas, catches the graph core and
+# the block alike.
 
 def map_to_complement_drops_the_map(real):
     """The graph core reading f as zero, so the graph of every map is U."""
@@ -367,6 +369,14 @@ def automorphism_to_basis_reverses_the_basis(real):
 def fitting_assemble_drops_s(real):
     return lambda pair: real(
         FittingPair(pair.V, pair.W, pair.R, SubspaceMap.zero(pair.W, pair.W)))
+
+
+def fitting_transposes_r_and_s(real):
+    """The Fitting core returning R and S transposed."""
+    def mutant(q):
+        v, w, r, s = real(q)
+        return v, w, tuple(zip(*r)), tuple(zip(*s))
+    return mutant
 
 
 def zeros(rows):
@@ -402,6 +412,7 @@ CONSTRUCTION_MUTANTS = [
     ("torsor", nilbij.subspaces, "automorphism_to_basis",
      automorphism_to_basis_reverses_the_basis, False, False),
     ("fitting", nilbij.fitting, "fitting_assemble", fitting_assemble_drops_s, False, False),
+    ("fitting", nilbij.fitting, "_fitting", fitting_transposes_r_and_s, False, False),
     (None, nilbij.bijection, "_u_to_v", u_to_v_block_drops_r_f, True, True),
 ]
 

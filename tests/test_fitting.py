@@ -1,7 +1,10 @@
 """Fitting decomposition: frozen examples, exhaustive round trips on
-GF(2)^2 and GF(2)^3, chain stabilization, and assembly validation."""
+GF(2)^2 and GF(2)^3, chain stabilization, assembly validation, and the
+one-elimination core against the route through the public lemmas."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nilbij.fitting
 from conftest import GF2, GF3, all_matrices
@@ -14,15 +17,19 @@ from nilbij import (
     Subspace,
     SubspaceMap,
     Vector,
+    block_decompose,
     fitting_assemble,
     fitting_decompose,
     image_basis,
     is_invertible,
     is_nilpotent,
     kernel_basis,
+    mat_inv,
+    mat_mul,
     mat_pow,
     span,
 )
+from test_bijection import GF4099, GF9, GF128, drawn, invertible, unit_triangular_product
 
 
 def test_decompose_frozen_diag():
@@ -122,6 +129,36 @@ def test_stable_power_splits_as_the_nth_power_exhaustive(spec, n):
         qn = mat_pow(q, n)
         assert pair.V == span(image_basis(qn), spec=spec, ambient_dim=n)
         assert pair.W == span(kernel_basis(qn), spec=spec, ambient_dim=n)
+
+
+def lemma_route(q):
+    """The Fitting data by the public lemmas: V = im(Q^n) and W = ker(Q^n)
+    spanned from the bases of ``linalg``, and R and S the diagonal
+    blocks of Q over the [V | W] change of basis, which inverts [V | W]
+    and raises NotInvariant unless Q maps V into V."""
+    n, spec = q.rows, q.spec
+    qn = mat_pow(q, n)
+    v = span(image_basis(qn), spec=spec, ambient_dim=n)
+    w = span(kernel_basis(qn), spec=spec, ambient_dim=n)
+    r, cross, s = block_decompose(q, v, w)
+    assert cross.matrix.is_zero()  # Q maps W into W
+    return FittingPair(v, w, r, s)
+
+
+@pytest.mark.parametrize("spec,n", [(GF2, 16), (GF3, 6), (GF9, 5), (GF4099, 6), (GF128, 4)],
+                         ids=str)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_decompose_matches_the_lemma_route(spec, n, data):
+    # Q = P diag(R, J) P^-1 with R invertible, J strictly lower triangular
+    # and P = L U unit triangular, so that 0 < dim V < n and S != 0 are common
+    k = data.draw(st.integers(0, n))
+    r, j = invertible(data, spec, k), drawn(data, spec, n - k, n - k, lambda a, b: a > b)
+    block = Matrix(spec, n, n, tuple(row + (0,) * (n - k) for row in r.data)
+                   + tuple((0,) * k + row for row in j.data))
+    p = unit_triangular_product(data, spec, n)
+    q = mat_mul(mat_mul(p, block), mat_inv(p))
+    assert fitting_decompose(q) == lemma_route(q)
 
 
 def test_nilpotent_iff_trivial_automorphism_part():
