@@ -18,7 +18,9 @@ matrix and decides whether that matrix is nilpotent, and
   of rows and elimination never scales: at n = 16 about 4 times faster
   than the tables, and level at n = 3.
 - 3 <= q <= ``_TABLE_MAX`` looks each entry up in the tables
-  ``add[a][b]``, ``mul[a][b]`` and ``neg[a]``.
+  ``add[a][b]``, ``mul[a][b]``, ``neg[a]`` and ``inv[a]``.
+  ``FieldSpec.inv`` does not read ``inv``: it stays square-and-multiply,
+  the oracle the table is tested against.
 - Larger fields get no table: same-shaped views compute on demand.
 
 The kernels of the first two kinds are built once per process for each
@@ -125,8 +127,8 @@ class _OnDemand:
 
 
 class _Rows:
-    """A row kernel over ``add[a][b]``, ``mul[a][b]`` and ``neg[a]``,
-    tables or on-demand views; ``inv`` is the field's inverse."""
+    """A row kernel over ``add[a][b]``, ``mul[a][b]``, ``neg[a]`` and
+    ``inv[a]``, tables or on-demand views; ``inv[0]`` is never read."""
 
     def __init__(self, add, mul, neg, inv) -> None:
         self.add, self.mul, self.neg, self.inv = add, mul, neg, inv
@@ -184,7 +186,7 @@ class _Rows:
     def rref(self, rows, cols: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """The RREF of ``rows`` and its pivot columns, by the row
         operation ``row + (-f) * pivot_row``."""
-        add, mul, neg = self.add, self.mul, self.neg
+        add, mul, neg, inv = self.add, self.mul, self.neg, self.inv
         rows = list(rows)
         m = len(rows)
         pivots: list[int] = []
@@ -199,7 +201,7 @@ class _Rows:
             rows[pr] = rows[r]
             pv = prow[c]
             if pv != 1:
-                srow = mul[self.inv(pv)]
+                srow = mul[inv[pv]]
                 prow = tuple([srow[x] for x in prow])
             rows[r] = prow
             for i in range(m):
@@ -450,7 +452,7 @@ class FieldSpec:
             _OnDemand(lambda a: _OnDemand(partial(self._add_direct, a))),
             _OnDemand(lambda a: _OnDemand(partial(self._mul_direct, a))),
             _OnDemand(self._neg_direct),
-            self.inv,
+            _OnDemand(self.inv),
         )
 
     def add(self, a: int, b: int) -> int:
@@ -510,14 +512,16 @@ def _tabulated(spec: FieldSpec) -> _Rows:
     parsed payload over one field read one set of tables.  No size bound
     is needed: exactly 81 fields have q <= 64 (18 primes and 63
     irreducibles), while fields past the limit, unbounded in number,
-    never enter.  A test that patches ``_add_direct``, ``_mul_direct``
+    never enter.  The inverse of a != 0 is where row a of the product
+    table holds 1.  A test that patches ``_add_direct``, ``_mul_direct``
     or ``_neg_direct`` must call ``_tabulated.cache_clear()``, or fields
     already built keep their tables and the patch is silently ignored.
     """
     q = spec.q
+    mul = tuple(tuple(spec._mul_direct(a, b) for b in range(q)) for a in range(q))
     return (_PackedGF2 if q == 2 else _Rows)(
         tuple(tuple(spec._add_direct(a, b) for b in range(q)) for a in range(q)),
-        tuple(tuple(spec._mul_direct(a, b) for b in range(q)) for a in range(q)),
+        mul,
         tuple(spec._neg_direct(a) for a in range(q)),
-        spec.inv,
+        (0,) + tuple(row.index(1) for row in mul[1:]),
     )

@@ -19,11 +19,9 @@ audit of criterion 6 reassembles every decomposition it walks, and is
 the check on a wrong read.  Nothing is kept on Q.
 ``bijection.inverse`` does not run this core: it needs no W, spans V
 by one RREF of Q^m's transpose and splits the space by V's Steinitz
-complement.  ``fitting_decompose`` asserts its R invertible by an
-inversion, as ``inverse`` does by inverting R, but does not prove its
-S nilpotent, which it is because Q^m vanishes on W: the census walks
-that audit it decide nilpotency themselves, and count a step that
-raises as that input's failure.
+complement.  ``fitting_decompose`` proves neither of its blocks
+again: R is invertible because Q^m, a power of Q, maps V onto itself,
+and S is nilpotent because Q^m vanishes on W.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from .errors import (
 from .linalg import (
     Matrix,
     _identity_rows,
-    _inverse_rows,
     _matrix,
     _stable_power,
     is_invertible,
@@ -124,14 +121,13 @@ def fitting_decompose(q: Matrix) -> FittingPair:
     """Split Q into its invertible and nilpotent parts.
 
     V = im(Q^n) and W = ker(Q^n) are complementary and Q-invariant, and
-    R and S are Q restricted to each.  S is nilpotent because Q^m
-    vanishes on W.
+    R and S are Q restricted to each.  R is invertible because Q^m maps
+    V onto itself, and S is nilpotent because Q^m vanishes on W; neither
+    is proved again here.
     """
     v, w, r, s = _fitting(q)
     spec, n, k = q.spec, q.rows, len(r)
     v, w = _subspace(spec, n, *v), _subspace(spec, n, *w)
-    # R's inversion, which ``bijection.inverse`` runs too, reaches rank k only if R is invertible
-    assert _inverse_rows(spec._kernel, r, k)[1] == k, "restriction to im(Q^n) must be invertible"
     r, s = _matrix(spec, k, k, r), _matrix(spec, n - k, n - k, s)
     return FittingPair(v, w, _map(v, v, r), _map(w, w, s))
 

@@ -53,13 +53,16 @@ def test_decompose_invertible_and_nilpotent_extremes():
 
 
 def test_singular_restriction_is_an_internal_fault(monkeypatch):
-    """A wrong Q^n that keeps Q's kernel inside V makes R singular; the
-    inversion that checks R says so at once."""
+    """A wrong Q^n that keeps Q's kernel inside V makes R singular.
+    ``fitting_decompose`` does not prove R again; the Fitting audit
+    reassembles through ``fitting_assemble``, which refuses it."""
     q = Matrix.from_rows(GF2, [(0, 0), (1, 0)])
     # V is everything, R is Q
     monkeypatch.setattr(nilbij.fitting, "_stable_power", lambda t: Matrix.identity(GF2, 2))
-    with pytest.raises(AssertionError, match="must be invertible"):
-        fitting_decompose(q)
+    pair = fitting_decompose(q)
+    assert pair.V.dim == 2 and pair.R.matrix == q
+    with pytest.raises(NotAutomorphism):
+        fitting_assemble(pair)
 
 
 def test_assemble_frozen_examples():

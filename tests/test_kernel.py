@@ -3,12 +3,13 @@
 The references below are the per-entry algorithms the kernels replaced:
 every entry goes through ``FieldSpec.add``/``sub``/``mul``/``inv`` one
 at a time, so they share the field's arithmetic with the kernel but
-none of its row code; the GF(2) product sums in integers mod 2 and
-shares nothing.  Each kernel must agree with them exactly, on every
-small matrix and on sampled ones, including a field too large to
-tabulate (GF(4099)), and with sympy's RREF over prime fields.  GF(2)
-packs its rows, so it is also sampled up to 20 x 20, where a row spans
-several machine words."""
+none of its row code, and ``FieldSpec.inv`` squares and multiplies
+where the kernel reads its ``inv`` table; the GF(2) product sums in
+integers mod 2 and shares nothing.  Each kernel must agree with them
+exactly, on every small matrix and on sampled ones, including a field
+too large to tabulate (GF(4099)), and with sympy's RREF over prime
+fields.  GF(2) packs its rows, so it is also sampled up to 20 x 20,
+where a row spans several machine words."""
 
 import signal
 from itertools import product
@@ -39,6 +40,7 @@ GF9 = FieldSpec(3, 2)
 GF4099 = FieldSpec(4099)  # q > _TABLE_MAX: the on-demand path
 GF67 = FieldSpec(67)  # the smallest prime past _TABLE_MAX
 GF128 = FieldSpec(2, 7, (1, 1, 0, 0, 0, 0, 0, 1))  # x^7 + x + 1, past _TABLE_MAX
+GF64 = FieldSpec(2, 6, (1, 1, 0, 0, 0, 0, 1))  # x^6 + x + 1, the largest table
 
 
 def ref_rref(spec, data, cols):
@@ -323,16 +325,49 @@ def test_kernel_is_chosen_from_q():
     """Packed rows for GF(2), tables for 3 <= q <= 64, on-demand views
     past that, for prime and extension fields alike."""
     assert type(GF2._kernel) is _PackedGF2
-    gf64 = FieldSpec(2, 6, (1, 1, 0, 0, 0, 0, 1))  # x^6 + x + 1
-    for spec in (GF3, GF4, gf64):
+    for spec in (GF3, GF4, GF64):
         kernel = spec._kernel
         assert type(kernel) is _Rows
-        for op in (kernel.add, kernel.mul, kernel.neg):
+        for op in (kernel.add, kernel.mul, kernel.neg, kernel.inv):
             assert isinstance(op, tuple) and len(op) == spec.q
     for spec in (GF67, GF128):
         kernel = spec._kernel
         assert type(kernel) is _Rows
-        assert not any(isinstance(op, tuple) for op in (kernel.add, kernel.mul, kernel.neg))
+        assert not any(isinstance(op, tuple)
+                       for op in (kernel.add, kernel.mul, kernel.neg, kernel.inv))
+
+
+TABLE_FIELDS = [GF3, GF4, FieldSpec(5), FieldSpec(7), FieldSpec(2, 3), GF9,
+                FieldSpec(2, 4), FieldSpec(5, 2), FieldSpec(3, 3), GF64]
+
+
+@pytest.mark.parametrize("spec", TABLE_FIELDS, ids=[f"q{s.q}" for s in TABLE_FIELDS])
+def test_inverse_table_matches_the_field_inverse(spec):
+    """The kernel's ``inv`` table against ``FieldSpec.inv``, which
+    stays square-and-multiply, at every nonzero code."""
+    kernel = spec._kernel
+    for a in range(1, spec.q):
+        assert kernel.inv[a] == spec.inv(a)
+        assert kernel.mul[a][kernel.inv[a]] == 1
+
+
+def test_table_rref_makes_no_call_to_the_field_inverse(monkeypatch):
+    """The table kernel scales each pivot by its own ``inv`` table: a
+    fresh GF(9) kernel is built, and eliminates, with ``FieldSpec.inv``
+    refusing every call."""
+    data = ((2, 5, 7, 1), (4, 0, 3, 8), (8, 6, 1, 5))  # pivot 2 first
+    expected = ref_rref(GF9, data, 4)  # the reference calls FieldSpec.inv
+    assert expected[1] == (0, 1, 2)
+
+    def refuse(self, a):
+        raise AssertionError("the row kernel called FieldSpec.inv")
+
+    monkeypatch.setattr(FieldSpec, "inv", refuse)
+    _tabulated.cache_clear()
+    gf9 = FieldSpec(3, 2)
+    assert gf9._kernel.rref(data, 4) == expected
+    r, pivots = rref(Matrix(gf9, 3, 4, data))
+    assert (r.data, pivots) == expected
 
 
 def test_equal_tabulated_specs_share_one_kernel():

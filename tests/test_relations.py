@@ -1,17 +1,18 @@
 """Relations the construction must satisfy, from its canonical choices
 alone (README criterion 8): the RREF and the Steinitz complement split
-along a direct sum of coordinate blocks, and the pairs with v = 0 are
-the nilpotents themselves.  Each relation is checked exhaustively,
-with no second implementation of the bijection."""
+along a direct sum of coordinate blocks, the pairs with v = 0 are the
+nilpotents themselves, and ``inverse`` commutes with the embedding of
+GF(p) into GF(p^k).  Each relation is checked exhaustively, with no
+second implementation of the bijection."""
 
 from itertools import product
 
 import pytest
 
-from conftest import GF2, GF3, all_vectors
+from conftest import GF2, GF3, GF4, all_vectors
 from nilbij import Matrix, Vector, enumerate_operators, forward, inverse, is_nilpotent
 from test_acceptance import SPEC_FOR_Q, VERIFY_GRID
-from test_bijection import nilpotents
+from test_bijection import GF9, GF128, nilpotents
 
 
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
@@ -67,3 +68,29 @@ def test_the_zero_vector_pairs_are_the_nilpotents(q, n):
             assert forward(t, zero) == t
             assert inverse(t) == (t, zero)
     assert found == q ** (n * (n - 1))
+
+
+EMBEDDINGS = [(GF2, big, n) for big in (GF4, SPEC_FOR_Q[8], GF128) for n in (1, 2, 3)] + [
+    (GF3, GF9, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "small,big,n", EMBEDDINGS, ids=[f"q{s.q}-in-q{b.q}-n{n}" for s, b, n in EMBEDDINGS]
+)
+def test_inverse_commutes_with_the_subfield_embedding(small, big, n):
+    """inverse(ιQ) == ι(inverse(Q)) for every operator Q over GF(p),
+    where ι sends each code below p to itself.  Over GF(2) the packed
+    kernel runs against the tables of GF(4) and GF(8) and the views of
+    GF(2^7)."""
+    p = small.p
+    for a, b in product(range(p), repeat=2):  # ι is a field homomorphism
+        assert (big.add(a, b), big.mul(a, b)) == (small.add(a, b), small.mul(a, b))
+    ops = mismatches = 0
+    for q in enumerate_operators(small, n):
+        t, v = inverse(q)
+        got = inverse(Matrix(big, n, n, q.data))
+        mismatches += got != (Matrix(big, n, n, t.data), Vector(big, v.entries))
+        ops += 1
+    assert ops == p ** (n * n)
+    assert mismatches == 0
