@@ -31,29 +31,32 @@ with diagonal blocks conjugate to the shift and to Q's nilpotent part
 on ker(Q^m).  The one
 nilpotency decided here is that of the T given to forward or degree,
 by their public guard, which then calls the unchecked core
-``_forward`` or ``_degree``.  The census calls the cores itself, as it
-calls ``joyal._joyal_forward``: its walks have decided, or proved by
-rank(T^m) = 0, that T is nilpotent before they get there, and nothing
-on T remembers that decision for a guard to read.
+``_forward`` or ``_degree``.  The census calls the cores itself, on
+rows, as it calls ``joyal._joyal_forward``: its walks have decided, or
+proved by rank(T^m) = 0, that T is nilpotent before they get there,
+and nothing on T's rows remembers that decision for a guard to read.
 ``fitting_assemble`` is the checked entry point for Fitting data from
 outside.
 
-Both directions run on row tuples.  They chain the private cores of
+Both directions run on row tuples, in one row core per operation:
+``_inverse``, ``_forward`` and ``_degree`` take and return rows, and
+the public ``inverse``, ``forward`` and ``degree`` check their input,
+call the core and wrap its result, as every lemma of
+:mod:`nilbij.subspaces` does.  The cores chain the private cores of
 :mod:`nilbij.subspaces`, the same cores that the public lemmas
 (``steinitz_complement``, ``block_decompose``, ``basis_to_automorphism``,
 ``block_assemble``, ...) validate for and wrap, so each step of the
 construction exists once.  Neither runs the Fitting core
 ``fitting._fitting``: inverse spans V = im(Q^m) itself, by one RREF of
 Q^m's transpose.  Neither direction builds an intermediate subspace or
-map: the orbit is one call of the field's row kernel, and each
-direction builds one ``Matrix`` and one ``Vector`` at the end; inverse
-also builds Q^m, its transpose, that transpose's RREF and R as
-``Matrix`` values, for the public ``rref`` and ``mat_inv``.  The
-Steinitz split [V | U]^-1 is read off V's pivots, so forward inverts
-nothing and inverse inverts only R.  Both directions
+map: the orbit is one call of the field's row kernel, and of the cores
+only ``_inverse`` builds values, four ``Matrix`` values: Q^m's
+transpose and its RREF, for the public ``rref``, and R and R^-1, for
+``mat_inv``.  The Steinitz split [V | U]^-1 is read off V's pivots, so
+forward inverts nothing and inverse inverts only R.  Both directions
 are mutually inverse, which is what the census module checks exhaustively:
-its walk decides the nilpotency of each T that inverse returns, once,
-and counts a step that raises as that input's failure.
+its walk decides the nilpotency of each T that ``_inverse`` returns,
+once, and counts a step that raises as that input's failure.
 """
 
 from __future__ import annotations
@@ -92,35 +95,33 @@ def _check_nilpotent_pair(t: Matrix, v: Vector) -> None:
 def degree(t: Matrix, v: Vector) -> int:
     """Least k >= 0 with T^k v = 0; requires T nilpotent."""
     _check_nilpotent_pair(t, v)
-    return _degree(t, v)
+    return _degree(t.spec._kernel, t.data, v.entries)
 
 
-def _degree(t: Matrix, v: Vector) -> int:
-    """:func:`degree` of a pair known to be nilpotent, unchecked."""
-    return len(t.spec._kernel.orbit(t.data, v.entries))
+def _degree(kernel, t, v) -> int:
+    """:func:`degree` on the rows of a pair known to be nilpotent, unchecked."""
+    return len(kernel.orbit(t, v))
 
 
 def forward(t: Matrix, v: Vector) -> Matrix:
     """Map a nilpotent pair (T, v) to the operator Q it corresponds to."""
     _check_nilpotent_pair(t, v)
-    return _forward(t, v)
+    return _matrix(t.spec, t.rows, t.rows, _forward(t.spec._kernel, t.data, v.entries))
 
 
-def _forward(t: Matrix, v: Vector) -> Matrix:
-    """:func:`forward` of a pair known to be nilpotent, unchecked: the
-    orbit (v, Tv, ..., T^(k-1)v) up to its first zero is one call of the
-    row kernel's ``orbit``, and Q is assembled over the Steinitz split
-    [V | U] from R, T_UU and :func:`_u_to_v`."""
-    orbit = t.spec._kernel.orbit(t.data, v.entries)
-    spec, n, k = t.spec, t.rows, len(orbit)
-    kernel = spec._kernel
+def _forward(kernel, t, v):
+    """:func:`forward` on the rows of a pair known to be nilpotent,
+    unchecked: the orbit (v, Tv, ..., T^(k-1)v) up to its first zero is
+    one call of the row kernel's ``orbit``, and Q's rows are assembled
+    over the Steinitz split [V | U] from R, T_UU and :func:`_u_to_v`."""
+    orbit = kernel.orbit(t, v)
+    n, k = len(t), len(orbit)
     v_sub = _echelon(kernel, orbit, n)
     assert len(v_sub[1]) == k, "iterates up to the degree must be independent"
     b, b_inv = _split(kernel, n, v_sub, _steinitz(n, v_sub), "U is not a complement of V")
-    _, f, t_uu, _ = _decompose(kernel, n, k, t.data, b, b_inv)
+    _, f, t_uu, _ = _decompose(kernel, n, k, t, b, b_inv)
     r = _automorphism(v_sub[1], orbit)
-    q = _assemble(kernel, n, b, b_inv, r, _u_to_v(kernel, r, f, t_uu), t_uu)
-    return _matrix(spec, n, n, q)
+    return _assemble(kernel, n, b, b_inv, r, _u_to_v(kernel, r, f, t_uu), t_uu)
 
 
 def _u_to_v(kernel, r, f, t_uu):
@@ -132,9 +133,17 @@ def _u_to_v(kernel, r, f, t_uu):
 
 
 def inverse(q: Matrix) -> tuple[Matrix, Vector]:
-    """Map an operator Q back to its nilpotent pair (T, v).
+    """Map an operator Q back to its nilpotent pair (T, v)."""
+    if not q.is_square():
+        raise NonSquare("operator must be square")
+    t, v = _inverse(q.spec, q.data)
+    return _matrix(q.spec, q.rows, q.rows, t), _vector(q.spec, v)
 
-    The mirror of :func:`forward`, over the same Steinitz split [V | U]
+
+def _inverse(spec, q):
+    """:func:`inverse` on the rows of a square Q: T's rows and v's entries.
+
+    The mirror of :func:`_forward`, over the same Steinitz split [V | U]
     of V = im(Q^m), the span of the rows of the RREF of Q^m's transpose
     (Q^m's columns): Q preserves V, so there it reads [[R, X], [0, Q_UU]],
     and forward's closed form gives T_UU = Q_UU and T's U -> V block F
@@ -143,14 +152,12 @@ def inverse(q: Matrix) -> tuple[Matrix, Vector]:
     as the shift N, e_j -> e_(j+1).  So T acts on V as R N R^-1 (R N is
     R's columns moved one place left), and v has R's first column as
     coordinates (none, so v = 0, when V = 0)."""
-    if not q.is_square():
-        raise NonSquare("operator must be square")
-    reduced, pivots = rref(_matrix(q.spec, q.rows, q.rows, tuple(zip(*_stable_power(q).data))))
-    v_sub = reduced.data[: len(pivots)], pivots
-    spec, n, k = q.spec, q.rows, len(pivots)
-    kernel = spec._kernel
+    n, kernel = len(q), spec._kernel
+    reduced, pivots = rref(_matrix(spec, n, n, tuple(zip(*_stable_power(kernel, q)))))
+    k = len(pivots)
+    v_sub = reduced.data[:k], pivots
     b, b_inv = _split(kernel, n, v_sub, _steinitz(n, v_sub), "U is not a complement of V")
-    r, x, t_uu, invariant = _decompose(kernel, n, k, q.data, b, b_inv)
+    r, x, t_uu, invariant = _decompose(kernel, n, k, q, b, b_inv)
     assert invariant, "im(Q^m) must be Q-invariant"
     # R's inversion is the assertion that R is invertible, and R is the
     # one validated Matrix build on verify_theorem's path, which the
@@ -158,8 +165,7 @@ def inverse(q: Matrix) -> tuple[Matrix, Vector]:
     r_inv = mat_inv(Matrix(spec, k, k, r)).data
     t_vv = kernel.product(tuple(row[1:] + (0,) for row in r), r_inv, k)
     t = _assemble(kernel, n, b, b_inv, t_vv, _sylvester(kernel, r_inv, x, t_uu), t_uu)
-    v = kernel.combine([row[0] for row in r], v_sub[0], (0,) * n)
-    return _matrix(spec, n, n, t), _vector(spec, v)
+    return t, kernel.combine([row[0] for row in r], v_sub[0], (0,) * n)
 
 
 def _sylvester(kernel, r_inv, x, t_uu):

@@ -21,6 +21,15 @@ ok, never an escaped error.  Past its own domain check the walk calls
 the unchecked cores of forward and degree, so each operator's
 nilpotency is decided once, by the walk, and never read back from a
 value.
+
+The three linear walks run on rows: each enumerates the row tuples of
+:func:`_operator_rows` and hands them to the row kernel and to the row
+cores ``_inverse``, ``_forward`` and ``_degree`` of
+:mod:`nilbij.bijection`, so no ``Matrix`` or ``Vector`` is built per
+element, save the four matrices that ``_inverse`` builds for the public
+``rref`` and ``mat_inv``.  Each walk keys its strata by
+:func:`_stable_image_dim`, its own stable power and rank on the rows,
+apart from ``_inverse``.  :func:`_table` writes the report tables.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import product, repeat
 
-from .bijection import _degree, _forward, inverse
+from .bijection import _degree, _forward, _inverse
 from .errors import BudgetExceeded, NilbijError, _json_int
 from .field import FieldSpec
 from .joyal import (
@@ -41,7 +50,7 @@ from .joyal import (
     is_eventually_constant,
     joyal_inverse,
 )
-from .linalg import _SIZE_MAX, Matrix, _matrix, _stable_power, _vector, is_nilpotent, rank
+from .linalg import _SIZE_MAX, _matrix, _stable_power
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -67,31 +76,32 @@ def _check_budget(base: int, exp: int, budget: int, what: str) -> None:
 
 
 def _operator_rows(spec: FieldSpec, n: int, budget: int):
-    """n, read as a size, and the row tuples of every n x n operator over
-    the field, lexicographic in element codes, as an iterator; n and the
-    budget are checked at the call.
+    """n, read as a size, the q^n rows of F_q^n, and the row tuples of
+    every n x n operator over the field, lexicographic in element codes,
+    as an iterator; n and the budget are checked at the call.
 
-    The q^n rows are built once, after the budget check, and each
-    operator is a tuple of n of them: ``product`` over whole rows gives
-    the same row-major order, first entry most significant, as
-    ``product`` over the n² entries."""
+    The rows are built once, after the budget check, and each operator
+    is a tuple of n of them: ``product`` over whole rows gives the same
+    row-major order, first entry most significant, as ``product`` over
+    the n² entries."""
     n = _json_int(n, "n", 0, _SIZE_MAX)
     _check_budget(spec.q, n * n, budget, f"enumerating {n}x{n} operators over GF({spec.q})")
     rows = tuple(product(range(spec.q), repeat=n))
-    return n, product(rows, repeat=n)
+    return n, rows, product(rows, repeat=n)
 
 
 def enumerate_operators(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET):
     """All n x n matrices over the field, lexicographic in element codes,
     as an iterator; n and the budget are checked at the call."""
-    n, operators = _operator_rows(spec, n, budget)
+    n, _, operators = _operator_rows(spec, n, budget)
     return (_matrix(spec, n, n, data) for data in operators)
 
 
-def _stable_image_dim(q_op: Matrix) -> int:
+def _stable_image_dim(kernel, rows) -> int:
     """dim im(Q^n), the dimension of Q's Fitting V, without building V:
-    the rank of Q's stable power Q^m, m the least power of two >= n."""
-    return rank(_stable_power(q_op))
+    the rank of the rows of Q's stable power Q^m, m the least power of
+    two >= n."""
+    return len(kernel.rref(_stable_power(kernel, rows), len(rows))[1])
 
 
 def expected_strata(q: int, n: int) -> tuple[int, ...]:
@@ -121,7 +131,7 @@ def count_nilpotents(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET) -> i
 
     The field's row kernel decides each operator on its row tuples, in
     the order of :func:`enumerate_operators`; no ``Matrix`` is built."""
-    n, operators = _operator_rows(spec, n, budget)
+    n, _, operators = _operator_rows(spec, n, budget)
     return sum(map(spec._kernel.nilpotent, operators, repeat(n)))
 
 
@@ -162,19 +172,25 @@ class CensusReport:
                 "ok": self.ok}
 
     def render_table(self) -> str:
-        lines = [
-            f"census over GF({self.q}), n = {self.n}",
-            f"{'total operators':<22}{self.total_operators}",
-            f"{'nilpotent count':<22}{self.nilpotent_count} (expected {self.expected_nilpotents})",
-            f"{'round-trip failures':<22}{self.roundtrip_failures}",
-            f"{'surjectivity gap':<22}{self.surjectivity_gap}",
-            f"{'degree':>6} {'left':>10} {'right':>10}",
-        ]
-        for k, left, right in self.per_degree:
-            lines.append(f"{k:>6} {left:>10} {right:>10}")
-        lines.append(f"{'status':<22}{'ok' if self.ok else 'FAILED'}")
-        lines.append(f"{'elapsed':<22}{self.elapsed_s:.3f} s")
-        return "\n".join(lines)
+        grid = [f"{'degree':>6} {'left':>10} {'right':>10}"]
+        grid += [f"{k:>6} {left:>10} {right:>10}" for k, left, right in self.per_degree]
+        return _table(f"census over GF({self.q}), n = {self.n}", 22, [
+            ("total operators", self.total_operators),
+            ("nilpotent count", f"{self.nilpotent_count} (expected {self.expected_nilpotents})"),
+            ("round-trip failures", self.roundtrip_failures),
+            ("surjectivity gap", self.surjectivity_gap),
+        ], grid, self.ok, self.elapsed_s)
+
+
+def _table(title, width, fields, grid, ok, elapsed_s=None) -> str:
+    """A report table: the title, one line per (label, value) field with
+    the labels padded to ``width``, the grid lines, the status and, when
+    the report is timed, the elapsed time."""
+    lines = [title, *(f"{label:<{width}}{value}" for label, value in fields), *grid,
+             f"{'status':<{width}}{'ok' if ok else 'FAILED'}"]
+    if elapsed_s is not None:
+        lines.append(f"{'elapsed':<{width}}{elapsed_s:.3f} s")
+    return "\n".join(lines)
 
 
 # What a construction raises on an input it cannot take: a refusal of
@@ -222,11 +238,14 @@ def verify_theorem(
     passes; the nilpotent count is the right-hand stratum 0.
     """
     started = time.perf_counter()
+    n, _, operators = _operator_rows(spec, n, budget)
+    kernel = spec._kernel
     # T's nilpotency is decided once, as in_domain; the walk's short
     # circuit keeps the unchecked _forward and _degree from any T that fails it
     failures, left, right = _walk(
-        enumerate_operators(spec, n, budget), inverse,
-        lambda t, v: is_nilpotent(t), _forward, _degree, _stable_image_dim,
+        operators, functools.partial(_inverse, spec), lambda t, v: kernel.nilpotent(t, n),
+        functools.partial(_forward, kernel), functools.partial(_degree, kernel),
+        functools.partial(_stable_image_dim, kernel),
     )
     degrees = sorted(right.keys() | set(range(n + 1)))  # every left key is a right key
     return CensusReport(
@@ -286,19 +305,19 @@ def verify_degree_refinement(
     raises one of the ``_FAULTS`` is tallied in no stratum, so the left
     counts fall short of the q^(n²) the rows expect together.
     """
-    operators = enumerate_operators(spec, n, budget)  # checks n before the q^n vectors
+    n, vectors, operators = _operator_rows(spec, n, budget)
+    kernel = spec._kernel
     left: Counter[int] = Counter()
     right: Counter[int] = Counter()
     consistent: dict[int, bool] = {}
-    vectors = [_vector(spec, e) for e in product(range(spec.q), repeat=n)]
     for t in operators:
-        dim = _stable_image_dim(t)
+        dim = _stable_image_dim(kernel, t)
         right[dim] += 1
         if dim == 0:  # rank(T^m) = 0 proves T nilpotent, so the cores run unchecked
             for vec in vectors:
                 try:
-                    k = _degree(t, vec)
-                    image_dim = _stable_image_dim(_forward(t, vec))
+                    k = _degree(kernel, t, vec)
+                    image_dim = _stable_image_dim(kernel, _forward(kernel, t, vec))
                 except _FAULTS:
                     continue
                 left[k] += 1
@@ -334,17 +353,13 @@ class JoyalReport:
         return {**asdict(self), "ok": self.ok}
 
     def render_table(self) -> str:
-        lines = [
-            f"tree/function census, n = {self.n}",
-            f"{'total functions':<28}{self.total_functions}",
-            f"{'distinct trees':<28}{self.tree_count} (expected {self.expected_trees})",
-            f"{'eventually constant':<28}{self.eventually_constant_count} "
-            f"(expected {self.expected_eventually_constant})",
-            f"{'round-trip failures':<28}{self.roundtrip_failures}",
-            f"{'status':<28}{'ok' if self.ok else 'FAILED'}",
-            f"{'elapsed':<28}{self.elapsed_s:.3f} s",
-        ]
-        return "\n".join(lines)
+        return _table(f"tree/function census, n = {self.n}", 28, [
+            ("total functions", self.total_functions),
+            ("distinct trees", f"{self.tree_count} (expected {self.expected_trees})"),
+            ("eventually constant",
+             f"{self.eventually_constant_count} (expected {self.expected_eventually_constant})"),
+            ("round-trip failures", self.roundtrip_failures),
+        ], (), self.ok, self.elapsed_s)
 
 
 def verify_joyal(n: int, budget: int = DEFAULT_BUDGET) -> JoyalReport:

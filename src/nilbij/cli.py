@@ -27,6 +27,7 @@ from pathlib import Path
 from .bijection import NilpotentPair, degree, forward, inverse
 from .census import (
     DEFAULT_BUDGET,
+    _table,
     count_nilpotents,
     verify_degree_refinement,
     verify_joyal,
@@ -120,13 +121,8 @@ def _count_nilpotents(args):
     expected = spec.q ** (args.n * (args.n - 1))
     ok = count == expected
     payload = {"q": spec.q, "n": args.n, "count": count, "expected": expected, "ok": ok}
-    table = [
-        f"nilpotent operators over GF({spec.q}), n = {args.n}",
-        f"{'count':<10}{count}",
-        f"{'expected':<10}{expected}",
-        f"{'status':<10}{'ok' if ok else 'FAILED'}",
-    ]
-    return payload, "\n".join(table)
+    title = f"nilpotent operators over GF({spec.q}), n = {args.n}"
+    return payload, _table(title, 10, (("count", count), ("expected", expected)), (), ok)
 
 
 def _verify_theorem(args):

@@ -107,7 +107,7 @@ def _fitting(q: Matrix):
     if not q.is_square():
         raise NonSquare("operator must be square")
     n, kernel = q.rows, q.spec._kernel
-    qm_t = zip(*_stable_power(q).data)
+    qm_t = zip(*_stable_power(kernel, q.data))
     reduced, pivots = kernel.rref(tuple(a + b for a, b in zip(qm_t, _identity_rows(n))), 2 * n)
     k = sum(1 for p in pivots if p < n)
     v = tuple(row[:n] for row in reduced[:k]), pivots[:k]

@@ -37,15 +37,17 @@ which the bijection runs without building an intermediate value:
 A ``Matrix`` holds its four fields and nothing else.  Each fact about
 it is computed where it is asked for: ``rank``, ``kernel_basis`` and
 ``image_basis`` by one :func:`rref`, ``mat_inv`` by one
-:func:`_inverse_rows`, ``is_nilpotent`` by the kernel's ``nilpotent``,
-and :func:`_stable_power`, T**m with m the least power of two >= n, by
-squaring through :func:`mat_pow`, for the Fitting decomposition and the
-census, which read its image.  Nothing is cached, so the callers do
-not ask twice: the census decides each operator's nilpotency once, by
-its own walk, and the bijection proves nothing it has just built.
+:func:`_inverse_rows` and ``is_nilpotent`` by the kernel's
+``nilpotent``.  The stable power T**m, m the least power of two >= n,
+is a row-level step too: :func:`_stable_power` squares T's rows in the
+row kernel, for the Fitting core, ``bijection._inverse`` and the
+census, which read its image; :func:`mat_pow` stays the public
+square-and-multiply.  Nothing is cached, so the callers do not ask
+twice: the census decides each operator's nilpotency once, by its own
+walk, and the bijection proves nothing it has just built.
 
 Nilpotency is decided by the row kernel, on the rows alone, so the
-census counts nilpotents without building a ``Matrix``.  The kernel
+census decides it without building a ``Matrix``.  The kernel
 squares, and sums each power's trace before the next product: a
 nonzero trace rejects at once, which is exact because a power of a
 nilpotent is nilpotent and a nilpotent has trace 0 in every
@@ -290,12 +292,14 @@ def mat_pow(t: Matrix, e: int) -> Matrix:
     return _matrix(spec, n, n, _identity_rows(n) if result is None else result)
 
 
-def _stable_power(t: Matrix) -> Matrix:
-    """T**m for a square n x n matrix, m the least power of two >= n.
-    The image and kernel chains of T have stabilized by step n, so
-    im(T**m) = im(T**n) and ker(T**m) = ker(T**n).  For an exponent
-    2^j, :func:`mat_pow` squares j times and never multiplies."""
-    return mat_pow(t, 1 << max(t.rows - 1, 0).bit_length())
+def _stable_power(kernel, rows):
+    """T**m for the rows of a square n x n matrix, m the least power of
+    two >= n, by squaring j = ceil(log2 n) times in the row kernel.  The
+    image and kernel chains of T have stabilized by step n, so
+    im(T**m) = im(T**n) and ker(T**m) = ker(T**n)."""
+    for _ in range(max(len(rows) - 1, 0).bit_length()):
+        rows = kernel.product(rows, rows, len(rows))
+    return rows
 
 
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:

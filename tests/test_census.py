@@ -152,11 +152,10 @@ def test_report_json_and_table():
 
 def test_broken_bijection_is_reported(monkeypatch):
     real_forward = nilbij.census._forward
-    ident = Matrix.identity(GF2, 2)
 
-    def forward_missing_identity(t, v):
-        out = real_forward(t, v)
-        return Matrix.zero(GF2, 2, 2) if out == ident else out
+    def forward_missing_identity(kernel, t, v):
+        out = real_forward(kernel, t, v)
+        return ZERO.data if out == IDENT.data else out
 
     monkeypatch.setattr(nilbij.census, "_forward", forward_missing_identity)
     report = verify_theorem(GF2, 2)
@@ -177,30 +176,31 @@ IDENT_F = EndoFunction(4, (0, 1, 2, 3))
 
 
 def forward_wrong_on_one_pair(real):
-    pair = inverse(IDENT)
-    return lambda t, v: ZERO if (t, v) == pair else real(t, v)
+    t, v = inverse(IDENT)
+    pair = t.data, v.entries
+    return lambda kernel, t, v: ZERO.data if (t, v) == pair else real(kernel, t, v)
 
 
 def inverse_merges_two_operators(real):
-    return lambda q: real(ZERO) if q == IDENT else real(q)
+    return lambda spec, q: real(spec, ZERO.data) if q == IDENT.data else real(spec, q)
 
 
 def inverse_gives_a_non_nilpotent_t(real):
-    def mutant(q):
-        t, v = real(q)
-        return (IDENT, v) if q == IDENT else (t, v)
+    def mutant(spec, q):
+        t, v = real(spec, q)
+        return (IDENT.data, v) if q == IDENT.data else (t, v)
     return mutant
 
 
 def degree_off_by_one_on_one_stratum(real):
-    def mutant(t, v):
-        k = real(t, v)
+    def mutant(kernel, t, v):
+        k = real(kernel, t, v)
         return k + 1 if k == 1 else k
     return mutant
 
 
 def stable_image_dim_wrong_on_one_operator(real):
-    return lambda q: real(q) + 1 if q == ZERO else real(q)
+    return lambda kernel, q: real(kernel, q) + 1 if q == ZERO.data else real(kernel, q)
 
 
 def swap_preimages(real_inverse, real_forward, x, y):
@@ -219,18 +219,22 @@ def swap_preimages(real_inverse, real_forward, x, y):
 
 
 def inverse_and_forward_swap_degrees_0_and_2(real_inverse, real_forward):
-    return swap_preimages(real_inverse, real_forward, ZERO, IDENT)
+    inverse, forward = swap_preimages(functools.partial(real_inverse, GF2),
+                                      functools.partial(real_forward, GF2._kernel),
+                                      ZERO.data, IDENT.data)
+    return lambda spec, q: inverse(q), lambda kernel, t, v: forward(t, v)
 
 
-# The census calls the unchecked cores _forward and _degree, so a mutant
-# of forward or degree replaces the core there.
+# The census walks row tuples through the unchecked row cores _inverse,
+# _forward and _degree, so a mutant of inverse, forward or degree
+# replaces the core there, and compares rows.
 THEOREM_MUTANTS = [
     ("_forward", forward_wrong_on_one_pair),
-    ("inverse", inverse_merges_two_operators),
-    ("inverse", inverse_gives_a_non_nilpotent_t),
+    ("_inverse", inverse_merges_two_operators),
+    ("_inverse", inverse_gives_a_non_nilpotent_t),
     ("_degree", degree_off_by_one_on_one_stratum),
     ("_stable_image_dim", stable_image_dim_wrong_on_one_operator),
-    (("inverse", "_forward"), inverse_and_forward_swap_degrees_0_and_2),
+    (("_inverse", "_forward"), inverse_and_forward_swap_degrees_0_and_2),
 ]
 
 
@@ -449,13 +453,13 @@ def steinitz_complement_returns_the_line_itself(real):
 
 
 def decompose_gives_inverse_a_non_nilpotent_t_uu(real):
-    """The Steinitz-split core giving T_UU = I when ``inverse`` cuts the
-    zero operator.  ``forward`` cuts the same blocks of the same zero
+    """The Steinitz-split core giving T_UU = I when ``_inverse`` cuts the
+    zero operator.  ``_forward`` cuts the same blocks of the same zero
     matrix for the pair (0, 0), so the mutant reads which function
     called it."""
     def mutant(kernel, n, k, t, b, b_inv):
         blocks = real(kernel, n, k, t, b, b_inv)
-        if t != ZERO.data or sys._getframe(1).f_code.co_name != "inverse":
+        if t != ZERO.data or sys._getframe(1).f_code.co_name != "_inverse":
             return blocks
         return blocks[:2] + (IDENT.data,) + blocks[3:]
     return mutant

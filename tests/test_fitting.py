@@ -58,7 +58,7 @@ def test_singular_restriction_is_an_internal_fault(monkeypatch):
     reassembles through ``fitting_assemble``, which refuses it."""
     q = Matrix.from_rows(GF2, [(0, 0), (1, 0)])
     # V is everything, R is Q
-    monkeypatch.setattr(nilbij.fitting, "_stable_power", lambda t: Matrix.identity(GF2, 2))
+    monkeypatch.setattr(nilbij.fitting, "_stable_power", lambda kernel, rows: ((1, 0), (0, 1)))
     pair = fitting_decompose(q)
     assert pair.V.dim == 2 and pair.R.matrix == q
     with pytest.raises(NotAutomorphism):

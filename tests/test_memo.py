@@ -5,11 +5,12 @@ but their fields, so the census decides each fact once by the order of
 its own calls.  Turning every lookup into a miss, and giving each spec
 its own tables, must change no result, the facts must stay out of
 equality, hashing, repr and JSON, failures must repeat, and the census
-must decide each nilpotency, and square each stable power, as often as
-pinned here."""
+must decide each nilpotency, square each stable power and build each
+value as often as pinned here."""
 
 import math
 import sys
+from collections import Counter
 from functools import cached_property
 
 import pytest
@@ -214,7 +215,7 @@ def test_forward_eliminates_only_its_orbit_and_inverse_only_its_image_and_r():
     # the Steinitz split [V | U] is read off V's pivots, and T's U -> V
     # block is a series in R^-1: no W and no [V | W]
     (t, v), seen = count_eliminations(lambda: inverse(q))
-    assert seen == [(tuple(zip(*linalg._stable_power(q).data)), 3), (r_i, 4)]
+    assert seen == [(tuple(zip(*linalg._stable_power(GF2._kernel, data))), 3), (r_i, 4)]
     assert not any(cols == 6 and tuple(r[:3] for r in rows) == v_w for rows, cols in seen)
     # forward assembles Q over the Steinitz split [V | U]: it spans the
     # orbit and eliminates nothing else, so no W and no [V | W]
@@ -229,7 +230,7 @@ def test_fitting_decompose_eliminates_once():
     # no [V | W] is
     pair, seen = count_eliminations(lambda: fitting_decompose(q))
     assert 0 < pair.V.dim < 3 and pair.W != steinitz_complement(pair.V)
-    qm_t = zip(*linalg._stable_power(q).data)
+    qm_t = zip(*linalg._stable_power(GF2._kernel, q.data))
     assert seen == [(tuple(a + b for a, b in zip(qm_t, linalg._identity_rows(3))), 6)]
     v_w = tuple(zip(*(pair.V.rows + pair.W.rows)))
     assert not any(tuple(r[:3] for r in rows) == v_w for rows, _ in seen)
@@ -271,6 +272,43 @@ def test_census_decides_nilpotency_once_per_operator():
     assert decided == 0  # rank(T^m) = 0 proves each T nilpotent
 
 
+def count_builds(call):
+    """Run ``call`` with the values it builds counted: the validated
+    ``Matrix`` and ``Vector`` by their ``__post_init__``, and the
+    unchecked ``linalg._matrix`` and ``_vector`` in every nilbij module
+    that binds them; return its result and the counts."""
+    built = Counter()
+
+    def counting(name, real):
+        def counted(*args):
+            built[name] += 1
+            return real(*args)
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (Matrix, Vector):
+            mp.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+        for name in ("_matrix", "_vector"):
+            real = getattr(linalg, name)
+            for mod_name, module in list(sys.modules.items()):
+                if mod_name.startswith("nilbij") and vars(module).get(name) is real:
+                    mp.setattr(module, name, counting(name, real))
+        return call(), built
+
+
+def test_the_census_walks_build_no_value_per_element():
+    """Both linear walks run on row tuples.  The degree walk builds no
+    value; the theorem walk builds only the four of ``_inverse`` per
+    operator, for the public ``rref`` and ``mat_inv``: Q^m's transpose,
+    its RREF, the validated R and R's inverse."""
+    strata, built = count_builds(lambda: verify_degree_refinement(GF2, 3))
+    assert all(s.ok for s in strata)
+    assert built == {}
+    report, built = count_builds(lambda: verify_theorem(GF2, 3))
+    assert report.ok
+    assert built == {"_matrix": 3 * 512, "Matrix": 512}
+
+
 def count_products(call):
     """Run ``call`` with the ``product`` of both row kernel types
     counted; return its result and the number of raw products."""
@@ -293,7 +331,7 @@ def test_stable_power_squares_ceil_log2_n_times():
     for spec in (GF2, GF3):
         for n in range(18):
             m = Matrix.identity(spec, n)
-            _, seen = count_products(lambda: linalg._stable_power(m))
+            _, seen = count_products(lambda: linalg._stable_power(spec._kernel, m.data))
             assert seen == (math.ceil(math.log2(n)) if n > 1 else 0), n
     t = Matrix.identity(GF3, 7)
     _, seen = count_products(lambda: mat_pow(t, 7))
