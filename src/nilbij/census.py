@@ -29,7 +29,14 @@ cores ``_inverse``, ``_forward`` and ``_degree`` of
 element, save the four matrices that ``_inverse`` builds for the public
 ``rref`` and ``mat_inv``.  Each walk keys its strata by
 :func:`_stable_image_dim`, its own stable power and rank on the rows,
-apart from ``_inverse``.  :func:`_table` writes the report tables.
+apart from ``_inverse``.
+
+The reports are records.  Each census decides its verdict ``ok`` once,
+at the end of its walk where the tallies are, against
+:func:`expected_strata` or the closed forms of the set side, and
+stores it as a field; no method of a report computes anything from its
+fields, so any values build one.  :func:`_table` writes the report
+tables.
 """
 
 from __future__ import annotations
@@ -137,7 +144,8 @@ def count_nilpotents(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET) -> i
 
 @dataclass(frozen=True)
 class CensusReport:
-    """Outcome of a full bijectivity audit at one (q, n) grid point.
+    """Outcome of a full bijectivity audit at one (q, n) grid point: a
+    record whose verdict ``ok`` :func:`verify_theorem` decides once.
 
     In the one-walk census every failing operator is one not known to
     be hit, so ``surjectivity_gap`` equals ``roundtrip_failures`` by
@@ -153,23 +161,10 @@ class CensusReport:
     surjectivity_gap: int
     per_degree: tuple[tuple[int, int, int], ...]
     elapsed_s: float
-
-    @property
-    def ok(self) -> bool:
-        """No failures, and both tallies of every stratum k = 0..n equal
-        :func:`expected_strata`.  The nilpotent count is the right-hand
-        tally of stratum 0 and ``expected_strata(q, n)[0]`` is
-        q^(n(n-1)), so this checks it too."""
-        expected = tuple((k, e, e) for k, e in enumerate(expected_strata(self.q, self.n)))
-        return (
-            self.roundtrip_failures == 0
-            and self.surjectivity_gap == 0
-            and self.per_degree == expected
-        )
+    ok: bool
 
     def to_json(self) -> dict:
-        return {**asdict(self), "per_degree": [list(row) for row in self.per_degree],
-                "ok": self.ok}
+        return {**asdict(self), "per_degree": [list(row) for row in self.per_degree]}
 
     def render_table(self) -> str:
         grid = [f"{'degree':>6} {'left':>10} {'right':>10}"]
@@ -248,6 +243,10 @@ def verify_theorem(
         functools.partial(_stable_image_dim, kernel),
     )
     degrees = sorted(right.keys() | set(range(n + 1)))  # every left key is a right key
+    per_degree = tuple((k, left[k], right[k]) for k in degrees)
+    # the nilpotent count is the right-hand tally of stratum 0, and
+    # expected_strata(q, n)[0] is q^(n(n-1)), so per_degree checks it too
+    expected = tuple((k, e, e) for k, e in enumerate(expected_strata(spec.q, n)))
     return CensusReport(
         q=spec.q,
         n=n,
@@ -256,40 +255,25 @@ def verify_theorem(
         expected_nilpotents=spec.q ** (n * (n - 1)),
         roundtrip_failures=failures,
         surjectivity_gap=failures,
-        per_degree=tuple((k, left[k], right[k]) for k in degrees),
+        per_degree=per_degree,
         elapsed_s=time.perf_counter() - started,
+        ok=failures == 0 and per_degree == expected,
     )
 
 
 @dataclass(frozen=True)
 class DegreeStratum:
-    """One row of the degree refinement table over GF(q), n x n."""
+    """One row of the degree refinement table: a record whose verdict
+    ``ok`` :func:`verify_degree_refinement` decides once."""
 
     k: int
     left_count: int
     right_count: int
     forward_consistent: bool
-    q: int
-    n: int
-
-    @property
-    def ok(self) -> bool:
-        """Both counts equal :func:`expected_strata` at k, and forward
-        keeps the stratum; a row k > n is never ok."""
-        return (
-            self.k <= self.n
-            and self.left_count == self.right_count == expected_strata(self.q, self.n)[self.k]
-            and self.forward_consistent
-        )
+    ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "left_count": self.left_count,
-            "right_count": self.right_count,
-            "forward_consistent": self.forward_consistent,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def verify_degree_refinement(
@@ -322,15 +306,18 @@ def verify_degree_refinement(
                     continue
                 left[k] += 1
                 consistent[k] = consistent.get(k, True) and image_dim == k
-    return tuple(
-        DegreeStratum(k, left[k], right[k], consistent.get(k, True), spec.q, n)
-        for k in sorted(left.keys() | right.keys() | set(range(n + 1)))
-    )
+    # a degree row with k > n expects None, so it is never ok
+    expected = dict(enumerate(expected_strata(spec.q, n)))
+    rows = ((k, left[k], right[k], consistent.get(k, True))
+            for k in sorted(left.keys() | right.keys() | set(range(n + 1))))
+    return tuple(DegreeStratum(k, lc, rc, kept, lc == rc == expected.get(k) and kept)
+                 for k, lc, rc, kept in rows)
 
 
 @dataclass(frozen=True)
 class JoyalReport:
-    """Outcome of the set-level audit at one n."""
+    """Outcome of the set-level audit at one n: a record whose verdict
+    ``ok`` :func:`verify_joyal` decides once."""
 
     n: int
     total_functions: int
@@ -340,17 +327,10 @@ class JoyalReport:
     expected_eventually_constant: int
     roundtrip_failures: int
     elapsed_s: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.tree_count == self.expected_trees
-            and self.eventually_constant_count == self.expected_eventually_constant
-            and self.roundtrip_failures == 0
-        )
+    ok: bool
 
     def to_json(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        return asdict(self)
 
     def render_table(self) -> str:
         return _table(f"tree/function census, n = {self.n}", 28, [
@@ -382,13 +362,16 @@ def verify_joyal(n: int, budget: int = DEFAULT_BUDGET) -> JoyalReport:
         functions, joyal_inverse, lambda tree, v, v2: is_tree(tree),
         _joyal_forward, lambda tree, v, v2: v == v2, is_eventually_constant,
     )
+    trees, expected_trees = is_tree.cache_info().currsize, 1 if n == 1 else n ** (n - 2)
+    constant, expected_constant = right[True], n ** (n - 1)
     return JoyalReport(
         n=n,
         total_functions=n**n,
-        tree_count=is_tree.cache_info().currsize,
-        expected_trees=1 if n == 1 else n ** (n - 2),
-        eventually_constant_count=right[True],
-        expected_eventually_constant=n ** (n - 1),
+        tree_count=trees,
+        expected_trees=expected_trees,
+        eventually_constant_count=constant,
+        expected_eventually_constant=expected_constant,
         roundtrip_failures=failures,
         elapsed_s=time.perf_counter() - started,
+        ok=trees == expected_trees and constant == expected_constant and failures == 0,
     )

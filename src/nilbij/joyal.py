@@ -31,7 +31,7 @@ of :func:`joyal_inverse`, the two ends of its path, by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 
 from .errors import InvalidVertex, SchemaError, _json_fields, _json_int, _json_seq
@@ -207,10 +207,6 @@ def joyal_inverse(f: EndoFunction) -> tuple[Tree, int, int]:
 def all_endofunctions(n: int):
     """All n^n endofunctions, in lexicographic table order, as an
     iterator; n is checked at the call."""
-    return _endofunctions(_json_int(n, "n", 1, _SIZE_MAX))
-
-
-def _endofunctions(n: int):
-    for table in product(range(n), repeat=n):
-        yield _endofunction(n, table)
+    n = _json_int(n, "n", 1, _SIZE_MAX)
+    return map(partial(_endofunction, n), product(range(n), repeat=n))
 

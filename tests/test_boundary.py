@@ -15,9 +15,12 @@ import pytest
 import nilbij
 from conftest import GF2, GF4
 from nilbij import (
+    CensusReport,
+    DegreeStratum,
     EndoFunction,
     FieldSpec,
     FittingPair,
+    JoyalReport,
     Matrix,
     NilbijError,
     NilpotentPair,
@@ -96,6 +99,11 @@ PUBLIC_SLOTS = {
     "all_endofunctions": (all_endofunctions, (3,)),
     "mat_pow": (lambda e: mat_pow(Matrix.identity(GF2, 2), e), (3,)),
     "span": (lambda vectors, n: span(vectors, GF2, n), ((Vector(GF2, (1, 1)),), 2)),
+    # the census records, as verify_theorem(GF(2), 1), one row of
+    # verify_degree_refinement(GF(2), 1) and verify_joyal(3) build them
+    "CensusReport": (CensusReport, (2, 1, 2, 1, 1, 0, 0, ((0, 1, 1), (1, 1, 1)), 0.0, True)),
+    "DegreeStratum": (DegreeStratum, (0, 1, 1, True, True)),
+    "JoyalReport": (JoyalReport, (3, 27, 3, 3, 9, 9, 0, 0.0, True)),
 }
 
 GF4_DOC = {"p": 2, "k": 2, "poly": [1, 1, 1]}
@@ -177,8 +185,6 @@ def test_the_public_surface_is_declared_once():
         assert getattr(obj, "__module__", owner) == owner, name
 
 
-# Types that only the library builds, and that no call takes as an argument.
-RESULT_TYPES = {"CensusReport", "DegreeStratum", "JoyalReport"}
 VALUE_CLASSES = {getattr(nilbij, name) for name in nilbij.__all__
                  if isinstance(getattr(nilbij, name), type)
                  and not issubclass(getattr(nilbij, name), Exception)}
@@ -196,15 +202,15 @@ def _is_library_value(annotation) -> bool:
 
 def _public_callables():
     """(name, callable) for each callable of nilbij.__all__ and each public
-    method of its classes, __call__ included; the exception classes, the
-    result types and from_json (which VALID_DOCS covers) are left out."""
+    method of its classes, __call__ included; the exception classes and
+    from_json (which VALID_DOCS covers) are left out."""
     for name in nilbij.__all__:
         obj = getattr(nilbij, name)
         if not isinstance(obj, type):
             if callable(obj):
                 yield name, obj
             continue
-        if issubclass(obj, Exception) or name in RESULT_TYPES:
+        if issubclass(obj, Exception):
             continue
         yield name, obj
         for attr in dir(obj):

@@ -13,7 +13,7 @@ import pytest
 import nilbij.census
 import nilbij.field
 import nilbij.subspaces
-from conftest import AUDITS, GF2, GF3, GF4, all_vectors
+from conftest import AUDITS, GF2, GF3, GF4, all_vectors, patch_everywhere
 from nilbij import (
     BudgetExceeded,
     EndoFunction,
@@ -392,17 +392,6 @@ def u_to_v_block_drops_r_f(real):
     return lambda kernel, r, f, t_uu: real(kernel, zeros(r), f, t_uu)
 
 
-def patch_everywhere(monkeypatch, owner, name, mutate):
-    """Replace ``owner.name`` by what ``mutate`` makes of it, in every
-    nilbij module that binds it: a core is run by its public lemma and
-    by the bijection alike."""
-    real = getattr(owner, name)
-    mutant = mutate(real)
-    for module in (nilbij, nilbij.subspaces, nilbij.fitting, nilbij.bijection):
-        if getattr(module, name, None) is real:
-            monkeypatch.setattr(module, name, mutant)
-
-
 def forward_parts_from_its_reference(spec, n):
     return any(forward(t, v) != ref_forward(t, v)
                for t in nilpotents(spec, n) for v in all_vectors(spec, n))
@@ -428,7 +417,8 @@ CONSTRUCTION_MUTANTS = [
 def test_construction_mutant_fails_its_own_audit(
     monkeypatch, broken, owner, name, mutate, on_path, parts
 ):
-    patch_everywhere(monkeypatch, owner, name, mutate)
+    real = getattr(owner, name)
+    patch_everywhere(monkeypatch, real, mutate(real))
     for construction, audit in AUDITS.items():
         failures, left, right, expected = audit(GF2, 2)
         if construction == broken:
@@ -480,7 +470,8 @@ FAULT_MUTANTS = [
 def test_construction_fault_is_that_inputs_failure(
     monkeypatch, owner, name, mutate, on_degree_path
 ):
-    patch_everywhere(monkeypatch, owner, name, mutate)
+    real = getattr(owner, name)
+    patch_everywhere(monkeypatch, real, mutate(real))
     report = verify_theorem(GF2, 2)
     assert report.roundtrip_failures > 0 and not report.ok
     strata = verify_degree_refinement(GF2, 2)
@@ -581,7 +572,7 @@ J = Matrix.from_rows(GF2, [(1, 1), (1, 1)])  # J² = 2J = 0 over GF(2)
 E1 = Vector(GF2, (1, 0))  # J e_1 = (1, 1) and J² e_1 = 0: an orbit of length 2
 SHIFT3 = Matrix.from_rows(GF2, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])  # e_1 -> e_2 -> e_3 -> 0
 E3 = Vector(GF2, (0, 0, 1))  # V = <e_3>, so T_UU sends e_1 to e_2 and F T_UU != 0
-# the GF(3) pair that CI pipes through the console script: V = <e_4>,
+# the GF(3) pair of test_cli.py::DATA_PINS, pinned to its bytes: V = <e_4>,
 # R = (2), and X T_UU != 0, so F needs the series' second term
 T3 = Matrix.from_rows(GF3, [(0, 0, 0, 0), (1, 0, 0, 0), (2, 1, 0, 0), (0, 2, 1, 0)])
 V3 = Vector(GF3, (0, 0, 0, 2))

@@ -186,6 +186,68 @@ def test_report_bytes_are_pinned(command):
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[command]
 
 
+# The data commands against their exact bytes, document in and document
+# out: a round trip cannot tell which bijection runs.
+GF2_FIELD = '"field":{"k":1,"p":2}'
+GF3_FIELD = '"field":{"k":1,"p":3}'
+GF9_FIELD = '"field":{"k":2,"p":3,"poly":[2,2,1]}'
+PAIR = ('{"T":{"cols":2,"data":[[0,0],[1,0]],' + GF2_FIELD + ',"rows":2},'
+        '"v":{"entries":[1,0],' + GF2_FIELD + '}}')
+# over GF(3), v = 2e_4 spans V, so R = (2), and T's U -> U block is
+# nonzero, so both terms of Q's U -> V block F T_UU - R F show; back,
+# T's U -> V block is the series -R^-1 X - R^-2 X T_UU - ..., which
+# here needs its second term
+PAIR3 = ('{"T":{"cols":4,"data":[[0,0,0,0],[1,0,0,0],[2,1,0,0],[0,2,1,0]],' + GF3_FIELD
+         + ',"rows":4},"v":{"entries":[0,0,0,2],' + GF3_FIELD + '}}')
+Q3 = '{"cols":4,"data":[[0,0,0,0],[1,0,0,0],[2,1,0,0],[1,0,1,2]],' + GF3_FIELD + ',"rows":4}'
+DATA_PINS = {
+    "forward GF(3)": ("forward", PAIR3, Q3),
+    "inverse GF(3)": ("inverse", Q3, PAIR3),
+    "degree GF(2)": ("degree", PAIR, '{"degree":2}'),
+    "fitting GF(2)": (
+        "fitting", '{"cols":2,"data":[[1,0],[0,0]],' + GF2_FIELD + ',"rows":2}',
+        '{"R":{"cols":1,"data":[[1]],' + GF2_FIELD + ',"rows":1},'
+        '"S":{"cols":1,"data":[[0]],' + GF2_FIELD + ',"rows":1},'
+        '"V":{"ambient":2,"basis":[[1,0]],' + GF2_FIELD + '},'
+        '"W":{"ambient":2,"basis":[[0,1]],' + GF2_FIELD + '}}'),
+    # over GF(3), dim V = 2 and W = ker(Q^4) shares V's pivots, so it is
+    # not V's Steinitz complement, and S is nonzero and not symmetric
+    "fitting GF(3)": (
+        "fitting", '{"cols":4,"data":[[0,0,1,2],[1,1,0,0],[0,2,0,2],[2,2,0,0]],'
+        + GF3_FIELD + ',"rows":4}',
+        '{"R":{"cols":2,"data":[[0,1],[1,1]],' + GF3_FIELD + ',"rows":2},'
+        '"S":{"cols":2,"data":[[2,2],[1,1]],' + GF3_FIELD + ',"rows":2},'
+        '"V":{"ambient":4,"basis":[[1,0,0,0],[0,1,0,2]],' + GF3_FIELD + '},'
+        '"W":{"ambient":4,"basis":[[1,0,0,1],[0,1,2,0]],' + GF3_FIELD + '}}'),
+    # over GF(9), dim V = 2 of 4: the one elimination of [Q^m^T | I] scales
+    # by the inv table, and R and S, proved by no one here, are pinned
+    "fitting GF(9)": (
+        "fitting", '{"cols":4,"data":[[7,4,5,7],[1,0,8,6],[3,2,5,0],[5,3,7,8]],'
+        + GF9_FIELD + ',"rows":4}',
+        '{"R":{"cols":2,"data":[[1,8],[0,7]],' + GF9_FIELD + ',"rows":2},'
+        '"S":{"cols":2,"data":[[6,3],[6,3]],' + GF9_FIELD + ',"rows":2},'
+        '"V":{"ambient":4,"basis":[[1,0,7,3],[0,1,5,7]],' + GF9_FIELD + '},'
+        '"W":{"ambient":4,"basis":[[1,0,0,3],[0,1,2,5]],' + GF9_FIELD + '}}'),
+    # a nilpotent operator, where the row cores meet blocks with no rows:
+    # V = 0 and S = Q
+    "fitting GF(3) nilpotent": (
+        "fitting", '{"cols":5,"data":[[0,1,0,2,0],[0,0,0,0,0],[0,1,0,2,0],[0,0,0,0,0],'
+        '[2,2,2,0,0]],' + GF3_FIELD + ',"rows":5}',
+        '{"R":{"cols":0,"data":[],' + GF3_FIELD + ',"rows":0},'
+        '"S":{"cols":5,"data":[[0,1,0,2,0],[0,0,0,0,0],[0,1,0,2,0],[0,0,0,0,0],[2,2,2,0,0]],'
+        + GF3_FIELD + ',"rows":5},'
+        '"V":{"ambient":5,"basis":[],' + GF3_FIELD + '},'
+        '"W":{"ambient":5,"basis":[[1,0,0,0,0],[0,1,0,0,0],[0,0,1,0,0],[0,0,0,1,0],'
+        '[0,0,0,0,1]],' + GF3_FIELD + '}}'),
+}
+
+
+@pytest.mark.parametrize("name", DATA_PINS)
+def test_data_command_bytes_are_pinned(name):
+    command, doc, expected = DATA_PINS[name]
+    assert run([command], doc + "\n") == (0, expected + "\n", "")
+
+
 def test_explicit_poly_flag():
     code, out, _ = run(["count-nilpotents", "--p", "2", "--k", "2",
                         "--poly", "1,1,1", "--n", "1", "--json"])
@@ -328,7 +390,7 @@ def test_exit_one_on_verification_failure(monkeypatch):
     broken = CensusReport(
         q=2, n=1, total_operators=2, nilpotent_count=1, expected_nilpotents=1,
         roundtrip_failures=1, surjectivity_gap=0, per_degree=((0, 1, 1),),
-        elapsed_s=0.0,
+        elapsed_s=0.0, ok=False,
     )
     monkeypatch.setattr(cli_mod, "verify_theorem", lambda *a, **k: broken)
     code, out, _ = run(["verify-theorem", "--p", "2", "--n", "1", "--json"])

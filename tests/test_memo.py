@@ -9,7 +9,6 @@ must decide each nilpotency, square each stable power and build each
 value as often as pinned here."""
 
 import math
-import sys
 from collections import Counter
 from functools import cached_property
 
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GF2, GF3, GF4
+from conftest import GF2, GF3, GF4, patch_everywhere
 from nilbij import (
     EndoFunction,
     FieldSpec,
@@ -48,6 +47,7 @@ from nilbij import (
     verify_joyal,
     verify_theorem,
 )
+from nilbij.census import expected_strata
 from nilbij.subspaces import _change_of_basis
 
 GF9 = FieldSpec(3, 2)
@@ -290,9 +290,7 @@ def count_builds(call):
             mp.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
         for name in ("_matrix", "_vector"):
             real = getattr(linalg, name)
-            for mod_name, module in list(sys.modules.items()):
-                if mod_name.startswith("nilbij") and vars(module).get(name) is real:
-                    mp.setattr(module, name, counting(name, real))
+            patch_everywhere(mp, real, counting(name, real))
         return call(), built
 
 
@@ -307,6 +305,29 @@ def test_the_census_walks_build_no_value_per_element():
     report, built = count_builds(lambda: verify_theorem(GF2, 3))
     assert report.ok
     assert built == {"_matrix": 3 * 512, "Matrix": 512}
+
+
+def test_each_census_verdict_is_decided_once():
+    """Each linear walk calls ``expected_strata`` once, where its tallies
+    are, and stores the verdict: reading ``ok`` and ``to_json`` again
+    calls it no more."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return expected_strata(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        patch_everywhere(mp, expected_strata, counted)
+        report = verify_theorem(GF2, 3)
+        assert calls == 1
+        strata = verify_degree_refinement(GF2, 3)
+        assert calls == 2
+        for _ in range(3):
+            assert report.ok and report.to_json()["ok"]
+            assert all(s.ok and s.to_json()["ok"] for s in strata)
+        assert calls == 2
 
 
 def count_products(call):
@@ -362,9 +383,7 @@ def test_the_orbit_is_one_kernel_call():
         return real(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        for name, module in list(sys.modules.items()):
-            if name.startswith("nilbij") and vars(module).get("apply") is real:
-                mp.setattr(module, "apply", counted)
+        patch_everywhere(mp, real, counted)
         assert inverse(forward(t, v)) == (t, v)
         assert degree(t, v) == 3
     assert applied == 0

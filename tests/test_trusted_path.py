@@ -4,12 +4,11 @@ public constructors must change no census result and raise nothing:
 every value the library makes itself is one the public checks accept,
 already in the canonical form those constructors would produce."""
 
-import sys
 from collections import Counter
 
 import pytest
 
-from conftest import AUDITS, GF2, GF3
+from conftest import AUDITS, GF2, GF3, patch_everywhere
 from nilbij import (
     EndoFunction,
     Matrix,
@@ -66,10 +65,7 @@ def route_to_public_constructors(monkeypatch) -> Counter:
         return build
 
     for name, (trusted, public) in FACTORIES.items():
-        patched = checked(name, trusted, public)
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.startswith("nilbij") and vars(mod).get(name) is trusted:
-                monkeypatch.setattr(mod, name, patched)
+        patch_everywhere(monkeypatch, trusted, checked(name, trusted, public))
     return calls
 
 
