@@ -22,14 +22,19 @@ the unchecked cores of forward and degree, so each operator's
 nilpotency is decided once, by the walk, and never read back from a
 value.
 
-The three linear walks run on rows: each enumerates the row tuples of
-:func:`_operator_rows` and hands them to the row kernel and to the row
-cores ``_inverse``, ``_forward`` and ``_degree`` of
+All four walks run on tuples.  The three linear walks enumerate the
+row tuples of :func:`_operator_rows` and hand them to the row kernel
+and to the row cores ``_inverse``, ``_forward`` and ``_degree`` of
 :mod:`nilbij.bijection`, so no ``Matrix`` or ``Vector`` is built per
 element, save the four matrices that ``_inverse`` builds for the public
-``rref`` and ``mat_inv``.  Each walk keys its strata by
+``rref`` and ``mat_inv``.  Each keys its strata by
 :func:`_stable_image_dim`, its own stable power and rank on the rows,
-apart from ``_inverse``.
+apart from ``_inverse``.  The Joyal walk enumerates value tables and
+hands them to the table cores ``_joyal_inverse``, ``_joyal_forward``
+and ``_eventually_constant`` of :mod:`nilbij.joyal`, keying each tree
+by its edge tuple, so it builds no ``EndoFunction`` and a ``Tree`` only
+to validate each distinct tree once; like the linear walks, it squares
+each stable power where it is asked for, twice per table.
 
 The reports are records.  Each census decides its verdict ``ok`` once,
 at the end of its walk where the tallies are, against
@@ -50,13 +55,7 @@ from itertools import product, repeat
 from .bijection import _degree, _forward, _inverse
 from .errors import BudgetExceeded, NilbijError, _json_int
 from .field import FieldSpec
-from .joyal import (
-    Tree,
-    _joyal_forward,
-    all_endofunctions,
-    is_eventually_constant,
-    joyal_inverse,
-)
+from .joyal import Tree, _eventually_constant, _joyal_forward, _joyal_inverse
 from .linalg import _SIZE_MAX, _matrix, _stable_power
 
 __all__ = [
@@ -345,22 +344,23 @@ class JoyalReport:
 def verify_joyal(n: int, budget: int = DEFAULT_BUDGET) -> JoyalReport:
     """Audit the tree/function bijection exhaustively at one n, in one walk.
 
-    f fails unless joyal_inverse(f) is a (tree, v, v2) that joyal_forward
-    maps back to f, with a tree the public constructor accepts as it
-    stands (run once per distinct tree; a refusal is f's failure), and
-    v == v2 exactly when f is eventually constant.  With no failures and
-    n^(n-2) trees, the n^n functions inject into as many marked trees: no
-    walk over the marked trees is needed.  The walk maps back with the
-    unchecked core of joyal_forward: the marks are the two ends of
-    joyal_inverse's path, in range by construction.
+    A value table f fails unless ``_joyal_inverse(f)`` is an (edges, v,
+    v2) that ``_joyal_forward`` maps back to f, with edges that the
+    public ``Tree`` constructor accepts as they stand (run once per
+    distinct edge tuple; a refusal is f's failure), and v == v2 exactly
+    when f is eventually constant.  With no failures and n^(n-2) trees,
+    the n^n functions inject into as many marked trees: no walk over the
+    marked trees is needed.  The walk runs on tuples through the table
+    cores of :mod:`nilbij.joyal`, so it builds a ``Tree`` only to
+    validate each distinct tree, and no ``EndoFunction``.
     """
     started = time.perf_counter()
-    functions = all_endofunctions(n)
+    n = _json_int(n, "n", 1, _SIZE_MAX)
     _check_budget(n, n, budget, f"verifying the tree bijection at n={n}")
-    is_tree = functools.cache(lambda tree: Tree(tree.n, tree.edges) == tree)
+    is_tree = functools.cache(lambda edges: Tree(n, edges).edges == edges)
     failures, _, right = _walk(
-        functions, joyal_inverse, lambda tree, v, v2: is_tree(tree),
-        _joyal_forward, lambda tree, v, v2: v == v2, is_eventually_constant,
+        product(range(n), repeat=n), _joyal_inverse, lambda edges, v, v2: is_tree(edges),
+        functools.partial(_joyal_forward, n), lambda _, v, v2: v == v2, _eventually_constant,
     )
     trees, expected_trees = is_tree.cache_info().currsize, 1 if n == 1 else n ** (n - 2)
     constant, expected_constant = right[True], n ** (n - 1)

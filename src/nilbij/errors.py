@@ -142,11 +142,17 @@ def _json_int(
 
 def _json_seq(value: object, what: str) -> tuple:
     """A sequence slot of a JSON payload or of a public constructor, as a
-    tuple; a value that does not iterate is refused.
+    tuple; a value that does not iterate is refused, and so are a string,
+    bytes and a mapping, which iterate but are no sequence of entries: a
+    JSON string or object in a sequence slot would otherwise be read as
+    its characters or its keys.  Any other iterable, a generator
+    included, is read.
 
     Only ``tuple(value)`` runs under the handler, so a ``TypeError`` the
     library raises later is a fault, never a malformed slot."""
     try:
+        if isinstance(value, (str, bytes, dict)):
+            raise TypeError
         return tuple(value)  # type: ignore[arg-type]
     except TypeError:
         raise SchemaError(f"{what} must be a sequence, got {type(value).__name__}") from None

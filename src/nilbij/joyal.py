@@ -8,30 +8,38 @@ step toward v, which in a tree is its step toward the path, so one
 breadth-first search from v finds both.  Inverting reads the cycle
 part off the periodic points, im(f^m) for any m >= n, found by
 squaring the value table as V = im(Q^n) is found on the linear side.
-An ``EndoFunction`` remembers that power outside ``==``, ``hash`` and
-``to_json``, because the census reads it twice per function, through
-:func:`joyal_inverse` and through the stratum key; a ``Matrix``
-remembers nothing, and its Q^m is squared again where it is asked for.
 Counting both sides gives the n^(n-2) tree count; the functions whose
 iterates collapse to a single fixed point are exactly the images of
 pairs with both marks equal, n^(n-1) of them.
+
+Each operation has one table core that takes and returns tuples:
+:func:`_joyal_inverse` maps a value table to a tree's canonical edge
+tuple and its marks, :func:`_joyal_forward` maps them back to a table,
+and :func:`_eventually_constant`, :func:`_stable_power` and
+:func:`_parents` read a table or an edge tuple.  The public
+:func:`joyal_inverse`, :func:`joyal_forward`,
+:func:`is_eventually_constant` and :func:`periodic_points` check their
+input (a validated value, and the marks of :func:`joyal_forward`), call
+the core and wrap its result, as ``bijection.forward`` and ``inverse``
+do on the linear side.  The census walk calls the cores on tuples, so,
+like a ``Matrix``, an ``EndoFunction`` remembers nothing: the walk
+squares each table's stable power twice, once for the inverse and once
+for the stratum key.
 
 The ``Tree`` and ``EndoFunction`` constructors validate their input,
 integer and sequence slots included, and :func:`joyal_forward` reads
 its marks as :func:`all_endofunctions` reads n: each integer with its
 range, through ``_json_int``, a vertex count in [1, 2^20] and a vertex
-in [0, n - 1] (``InvalidVertex`` outside it); the
-endofunctions that the enumeration and :func:`joyal_forward` build
-themselves are made unchecked by :func:`_endofunction`, the trees of
-:func:`joyal_inverse` by :func:`_tree`, and the census maps the marks
-of :func:`joyal_inverse`, the two ends of its path, by
-:func:`_joyal_forward`, which reads them unchecked.
+in [0, n - 1] (``InvalidVertex`` outside it).  The endofunctions that
+the enumeration and :func:`joyal_forward` build themselves are made
+unchecked by :func:`_endofunction`, the trees of :func:`joyal_inverse`
+by :func:`_tree`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import product
 
 from .errors import InvalidVertex, SchemaError, _json_fields, _json_int, _json_seq
@@ -74,15 +82,11 @@ class Tree:
         object.__setattr__(self, "edges", tuple(norm))
         if len(norm) != self.n - 1:
             raise SchemaError(f"expected {self.n - 1} edges, got {len(norm)}")
-        if -1 in _parents(self, 0):
+        if -1 in _parents(self.n, self.edges, 0):
             raise SchemaError("edges do not connect all vertices")
 
     def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
+        return _adjacency(self.n, self.edges)
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
@@ -110,16 +114,6 @@ class EndoFunction:
     def __call__(self, x: int) -> int:
         return self.table[_json_int(x, "vertex", 0, self.n - 1, InvalidVertex)]
 
-    @cached_property
-    def _stable_power(self) -> tuple[int, ...]:
-        """Value table of f^m by squaring, m the least power of two >= n.
-        Every tail of f has length <= n - 1, so for any m >= n the image
-        of f^m is exactly the set of periodic points."""
-        cur = self.table
-        for _ in range((self.n - 1).bit_length()):
-            cur = tuple(map(cur.__getitem__, cur))
-        return cur
-
     def to_json(self) -> dict:
         return {"n": self.n, "table": list(self.table)}
 
@@ -143,12 +137,20 @@ def _tree(n: int, edges: tuple[tuple[int, int], ...]) -> Tree:
     return t
 
 
-def _parents(tree: Tree, root: int) -> list[int]:
-    """Breadth-first search from ``root``: each vertex's neighbour one step
-    nearer ``root``, ``root`` itself at ``root``, and -1 where the search
-    never reaches."""
-    adj = tree.adjacency()
-    parent = [-1] * tree.n
+def _adjacency(n: int, edges) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def _parents(n: int, edges, root: int) -> list[int]:
+    """Breadth-first search from ``root`` over the edges on n vertices:
+    each vertex's neighbour one step nearer ``root``, ``root`` itself at
+    ``root``, and -1 where the search never reaches."""
+    adj = _adjacency(n, edges)
+    parent = [-1] * n
     parent[root] = root
     order = [root]
     for x in order:
@@ -159,28 +161,41 @@ def _parents(tree: Tree, root: int) -> list[int]:
     return parent
 
 
+def _stable_power(table: tuple[int, ...]) -> tuple[int, ...]:
+    """Value table of f^m by squaring, m the least power of two >= n.
+    Every tail of f has length <= n - 1, so for any m >= n the image of
+    f^m is exactly the set of periodic points."""
+    for _ in range((len(table) - 1).bit_length()):
+        table = tuple(map(table.__getitem__, table))
+    return table
+
+
 def is_eventually_constant(f: EndoFunction) -> bool:
     """Whether every orbit of f lands on one common fixed point."""
-    return len(set(f._stable_power)) == 1
+    return _eventually_constant(f.table)
+
+
+def _eventually_constant(table: tuple[int, ...]) -> bool:
+    """:func:`is_eventually_constant` on a value table."""
+    return len(set(_stable_power(table))) == 1
 
 
 def periodic_points(f: EndoFunction) -> tuple[int, ...]:
     """The vertices lying on cycles of f, ascending."""
-    return tuple(sorted(set(f._stable_power)))
+    return tuple(sorted(set(_stable_power(f.table))))
 
 
 def joyal_forward(tree: Tree, v: int, v2: int) -> EndoFunction:
     """Endofunction of the tree with marked vertices (v, v2)."""
     _json_int(v, "v", 0, tree.n - 1, InvalidVertex)
     _json_int(v2, "v2", 0, tree.n - 1, InvalidVertex)
-    return _joyal_forward(tree, v, v2)
+    return _endofunction(tree.n, _joyal_forward(tree.n, tree.edges, v, v2))
 
 
-def _joyal_forward(tree: Tree, v: int, v2: int) -> EndoFunction:
-    """:func:`joyal_forward` on marks the library made itself, unchecked:
-    ``v`` and ``v2`` are vertices of the tree."""
-    n = tree.n
-    table = _parents(tree, v)
+def _joyal_forward(n: int, edges, v: int, v2: int) -> tuple[int, ...]:
+    """:func:`joyal_forward` on a tree's edges, unchecked: the value
+    table; ``v`` and ``v2`` are vertices of the tree."""
+    table = _parents(n, edges, v)
     if table[v2] < 0:  # a Tree is connected; only an unchecked build can get here
         raise AssertionError(f"vertex {v2} is not connected to vertex {v}")
     path = [v2]
@@ -190,18 +205,25 @@ def _joyal_forward(tree: Tree, v: int, v2: int) -> EndoFunction:
     # off-path vertices keep their step toward v: their step toward the path
     for a, b in zip(sorted(path), path):
         table[a] = b
-    return _endofunction(n, tuple(table))
+    return tuple(table)
 
 
 def joyal_inverse(f: EndoFunction) -> tuple[Tree, int, int]:
     """Tree and marked vertices recovering f under :func:`joyal_forward`."""
-    on_cycle = set(f._stable_power)
-    path = [f.table[a] for a in sorted(on_cycle)]
+    edges, v, v2 = _joyal_inverse(f.table)
+    return _tree(f.n, edges), v, v2
+
+
+def _joyal_inverse(table: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """:func:`joyal_inverse` on a value table: the tree's canonical edge
+    tuple and the two ends of its path, the marks."""
+    on_cycle = set(_stable_power(table))
+    path = [table[a] for a in sorted(on_cycle)]
     edges = [(a, b) if a < b else (b, a) for a, b in zip(path, path[1:])]
     edges += [(x, y) if x < y else (y, x)
-              for x, y in enumerate(f.table) if x not in on_cycle]
+              for x, y in enumerate(table) if x not in on_cycle]
     edges.sort()
-    return _tree(f.n, tuple(edges)), path[0], path[-1]
+    return tuple(edges), path[0], path[-1]
 
 
 def all_endofunctions(n: int):
@@ -209,4 +231,3 @@ def all_endofunctions(n: int):
     iterator; n is checked at the call."""
     n = _json_int(n, "n", 1, _SIZE_MAX)
     return map(partial(_endofunction, n), product(range(n), repeat=n))
-

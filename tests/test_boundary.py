@@ -25,6 +25,7 @@ from nilbij import (
     NilbijError,
     NilpotentPair,
     OrderedBasis,
+    SchemaError,
     Subspace,
     SubspaceMap,
     Tree,
@@ -160,6 +161,31 @@ SILENT_MISREADS = {
 def test_a_scalar_out_of_range_is_refused_not_misread(name):
     with pytest.raises(NilbijError):
         SILENT_MISREADS[name]()
+
+
+# A string, bytes or a mapping iterates, but is no sequence of entries:
+# read as one, "" and {} would be an empty matrix, table or edge list.
+SEQUENCE_SLOTS = {
+    "matrix data": lambda value: Matrix(GF2, 0, 0, value),
+    "matrix row": lambda value: Matrix(GF2, 1, 1, (value,)),
+    "vector entries": lambda value: Vector(GF2, value),
+    "edges": lambda value: Tree(1, value),
+    "table": lambda value: EndoFunction(1, value),
+    "vectors": lambda value: span(value, GF2, 2),
+}
+
+
+@pytest.mark.parametrize("value", ["", "0", b"", {}, {0: 0}], ids=repr)
+def test_a_string_or_mapping_is_no_sequence(value):
+    for what, call in SEQUENCE_SLOTS.items():
+        message = f"^{what} must be a sequence, got {type(value).__name__}$"
+        with pytest.raises(SchemaError, match=message):
+            call(value)
+
+
+def test_any_other_iterable_is_read():
+    assert span((v for v in [Vector(GF2, (1, 1))]), GF2, 2).dim == 1
+    assert Matrix(GF2, 1, 2, iter([range(2)])).data == ((0, 1),)
 
 
 # The public surface, as nilbij.__all__ declares it: the sha256 of its

@@ -16,7 +16,6 @@ import nilbij.subspaces
 from conftest import AUDITS, GF2, GF3, GF4, all_vectors, patch_everywhere
 from nilbij import (
     BudgetExceeded,
-    EndoFunction,
     FieldSpec,
     FittingPair,
     Matrix,
@@ -31,7 +30,6 @@ from nilbij import (
     forward,
     inverse,
     joyal,
-    joyal_inverse,
     mat_mul,
     span,
     verify_degree_refinement,
@@ -171,8 +169,8 @@ def test_broken_bijection_is_reported(monkeypatch):
 
 ZERO = Matrix.zero(GF2, 2, 2)
 IDENT = Matrix.identity(GF2, 2)
-CONST = EndoFunction(4, (0, 0, 0, 0))
-IDENT_F = EndoFunction(4, (0, 1, 2, 3))
+CONST = (0, 0, 0, 0)  # value tables, as the Joyal walk enumerates them
+IDENT_F = (0, 1, 2, 3)
 
 
 def forward_wrong_on_one_pair(real):
@@ -299,8 +297,8 @@ def test_strata_factor_as_the_construction_audits_count(spec, n):
 
 
 def joyal_forward_wrong_on_one_triple(real):
-    triple = joyal_inverse(IDENT_F)
-    return lambda *t: CONST if t == triple else real(*t)
+    triple = joyal._joyal_inverse(IDENT_F)
+    return lambda n, *t: CONST if t == triple else real(n, *t)
 
 
 def joyal_inverse_merges_two_functions(real):
@@ -308,35 +306,41 @@ def joyal_inverse_merges_two_functions(real):
 
 
 def joyal_inverse_gives_a_cycle_for_one_function(real):
-    cyclic = joyal._tree(4, ((0, 1), (0, 2), (0, 3), (1, 2)))
+    cyclic = ((0, 1), (0, 2), (0, 3), (1, 2))
     return lambda f: (cyclic, 0, 0) if f == CONST else real(f)
 
 
 def joyal_inverse_doubles_an_edge_of_one_tree(real):
-    # joyal_forward reads the doubled edge as the tree itself, so the
+    # _joyal_forward reads the doubled edge as the tree itself, so the
     # round trips and the tree count hold: only validation sees it
     star = real(CONST)[0]
-    doubled = joyal._tree(4, star.edges[:1] + star.edges)
+    doubled = star[:1] + star
 
     def mutant(f):
-        tree, v, v2 = real(f)
-        return (doubled if tree == star else tree), v, v2
+        edges, v, v2 = real(f)
+        return (doubled if edges == star else edges), v, v2
     return mutant
 
 
 def joyal_inverse_and_forward_swap_equal_and_distinct_marks(real_inverse, real_forward):
     # (T, a, a) and (T, a, a + 1) stay marked trees of T, so the tree
     # count holds too; the constant function now has distinct marks
-    tree, a, _ = real_inverse(CONST)
-    return swap_preimages(real_inverse, real_forward, CONST, real_forward(tree, a, a + 1))
+    edges, a, _ = real_inverse(CONST)
+    inverse, forward = swap_preimages(real_inverse, functools.partial(real_forward, 4),
+                                      CONST, real_forward(4, edges, a, a + 1))
+    return inverse, lambda n, *p: forward(*p)
 
 
+# The Joyal walk runs value tables through the table cores
+# _joyal_inverse and _joyal_forward, which take and return tuples, so a
+# mutant of either replaces the core there, and compares tables and
+# edge tuples.
 JOYAL_MUTANTS = [
     ("_joyal_forward", joyal_forward_wrong_on_one_triple),
-    ("joyal_inverse", joyal_inverse_merges_two_functions),
-    ("joyal_inverse", joyal_inverse_gives_a_cycle_for_one_function),
-    ("joyal_inverse", joyal_inverse_doubles_an_edge_of_one_tree),
-    (("joyal_inverse", "_joyal_forward"), joyal_inverse_and_forward_swap_equal_and_distinct_marks),
+    ("_joyal_inverse", joyal_inverse_merges_two_functions),
+    ("_joyal_inverse", joyal_inverse_gives_a_cycle_for_one_function),
+    ("_joyal_inverse", joyal_inverse_doubles_an_edge_of_one_tree),
+    (("_joyal_inverse", "_joyal_forward"), joyal_inverse_and_forward_swap_equal_and_distinct_marks),
 ]
 
 

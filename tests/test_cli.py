@@ -200,6 +200,8 @@ PAIR = ('{"T":{"cols":2,"data":[[0,0],[1,0]],' + GF2_FIELD + ',"rows":2},'
 PAIR3 = ('{"T":{"cols":4,"data":[[0,0,0,0],[1,0,0,0],[2,1,0,0],[0,2,1,0]],' + GF3_FIELD
          + ',"rows":4},"v":{"entries":[0,0,0,2],' + GF3_FIELD + '}}')
 Q3 = '{"cols":4,"data":[[0,0,0,0],[1,0,0,0],[2,1,0,0],[1,0,1,2]],' + GF3_FIELD + ',"rows":4}'
+FUNCTION7 = '{"n":7,"table":[1,2,0,2,3,6,5]}'
+MARKED_TREE7 = '{"tree":{"edges":[[0,2],[0,6],[1,2],[2,3],[3,4],[5,6]],"n":7},"v":1,"v2":5}'
 DATA_PINS = {
     "forward GF(3)": ("forward", PAIR3, Q3),
     "inverse GF(3)": ("inverse", Q3, PAIR3),
@@ -239,6 +241,9 @@ DATA_PINS = {
         '"V":{"ambient":5,"basis":[],' + GF3_FIELD + '},'
         '"W":{"ambient":5,"basis":[[1,0,0,0,0],[0,1,0,0,0],[0,0,1,0,0],[0,0,0,1,0],'
         '[0,0,0,0,1]],' + GF3_FIELD + '}}'),
+    # two cycles, (0 1 2) and (5 6), and the tail 4 -> 3 -> 2 of length 2
+    "joyal-inverse": ("joyal-inverse", FUNCTION7, MARKED_TREE7),
+    "joyal-forward": ("joyal-forward", MARKED_TREE7, FUNCTION7),
 }
 
 
@@ -315,6 +320,11 @@ def test_exit_two_on_bad_inputs(tmp_path):
         (["inverse"], io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8")),
         (["inverse"], "1" * 5000),
         (["inverse"], "[" * 100_000),
+        # a JSON string or object in a sequence slot is no sequence of entries
+        (["inverse"], '{"cols":0,"data":"","field":{"p":2},"rows":0}'),
+        (["inverse"], '{"cols":0,"data":{},"field":{"p":2},"rows":0}'),
+        (["inverse"], '{"cols":1,"data":[{"a":1}],"field":{"p":2},"rows":1}'),
+        (["joyal-forward"], '{"tree":{"n":1,"edges":{}},"v":0,"v2":0}'),
     ]
     for args, doc in cases:
         code, out, err = run(args, doc)

@@ -1,13 +1,13 @@
-"""Remembered facts: an EndoFunction keeps the value table of its stable
-power, and the process keeps one row kernel for each field with
-q <= 64, shared by equal specs; a Matrix and a Subspace keep nothing
-but their fields, so the census decides each fact once by the order of
-its own calls.  Turning every lookup into a miss, and giving each spec
-its own tables, must change no result, the facts must stay out of
-equality, hashing, repr and JSON, failures must repeat, and the census
-must decide each nilpotency, square each stable power and build each
-value as often as pinned here."""
+"""Remembered facts: a FieldSpec keeps its row kernel, and the process
+keeps one for each field with q <= 64, shared by equal specs; every
+other value type keeps nothing but its fields, so the census decides
+each fact once by the order of its own calls.  Giving each spec its own
+tables must change no result, the facts must stay out of equality,
+hashing, repr and JSON, failures must repeat, and the census must
+decide each nilpotency, square each stable power and build each value
+as often as pinned here."""
 
+import inspect
 import math
 from collections import Counter
 from functools import cached_property
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nilbij
 from conftest import GF2, GF3, GF4, patch_everywhere
 from nilbij import (
     EndoFunction,
@@ -24,6 +25,7 @@ from nilbij import (
     NotComplement,
     NotInvertible,
     Subspace,
+    Tree,
     Vector,
     count_nilpotents,
     degree,
@@ -34,6 +36,7 @@ from nilbij import (
     inverse,
     is_invertible,
     is_nilpotent,
+    joyal,
     joyal_inverse,
     kernel_basis,
     linalg,
@@ -51,25 +54,23 @@ from nilbij.census import expected_strata
 from nilbij.subspaces import _change_of_basis
 
 GF9 = FieldSpec(3, 2)
-MEMO_CLASSES = (EndoFunction,)
 
 
 def remembered(cls) -> list[str]:
     return [name for name, attr in vars(cls).items() if isinstance(attr, cached_property)]
 
 
-def test_linear_values_remember_nothing():
-    assert remembered(Matrix) == remembered(Subspace) == []
-    assert remembered(EndoFunction) == ["_stable_power"]
+def test_no_value_type_remembers_anything():
+    classes = [value for value in map(vars(nilbij).get, nilbij.__all__)
+               if inspect.isclass(value) and value is not FieldSpec]
+    assert Matrix in classes and Subspace in classes and EndoFunction in classes
+    assert [cls for cls in classes if remembered(cls)] == []
+    assert remembered(FieldSpec) == ["_kernel"]
 
 
 def memo_off(mp: pytest.MonkeyPatch) -> None:
-    """Make every remembered fact a plain property: each read recomputes,
-    and nothing is stored on the value.  A spec made after this builds
-    its own tables instead of reading the shared kernel."""
-    for cls in MEMO_CLASSES:
-        for name in remembered(cls):
-            mp.setattr(cls, name, property(vars(cls)[name].func))
+    """Un-share the row kernels: a spec made after this builds its own
+    tables instead of reading the shared kernel."""
     mp.setattr(field, "_tabulated", field._tabulated.__wrapped__)
 
 
@@ -164,7 +165,7 @@ def test_facts_stay_out_of_eq_hash_repr_and_json():
 
     f, fresh_f = EndoFunction(3, (1, 2, 1)), EndoFunction(3, (1, 2, 1))
     assert periodic_points(f) == (1, 2)
-    assert "_stable_power" in vars(f)
+    assert vars(f).keys() == {"n", "table"}  # nothing kept
     assert f == fresh_f and hash(f) == hash(fresh_f)
     assert repr(f) == repr(fresh_f) and f.to_json() == fresh_f.to_json()
 
@@ -274,9 +275,10 @@ def test_census_decides_nilpotency_once_per_operator():
 
 def count_builds(call):
     """Run ``call`` with the values it builds counted: the validated
-    ``Matrix`` and ``Vector`` by their ``__post_init__``, and the
-    unchecked ``linalg._matrix`` and ``_vector`` in every nilbij module
-    that binds them; return its result and the counts."""
+    ``Matrix``, ``Vector``, ``Tree`` and ``EndoFunction`` by their
+    ``__post_init__``, and the unchecked ``linalg._matrix`` and
+    ``_vector`` and ``joyal._tree`` and ``_endofunction`` in every nilbij
+    module that binds them; return its result and the counts."""
     built = Counter()
 
     def counting(name, real):
@@ -286,25 +288,29 @@ def count_builds(call):
         return counted
 
     with pytest.MonkeyPatch.context() as mp:
-        for cls in (Matrix, Vector):
+        for cls in (Matrix, Vector, Tree, EndoFunction):
             mp.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
-        for name in ("_matrix", "_vector"):
-            real = getattr(linalg, name)
-            patch_everywhere(mp, real, counting(name, real))
+        for real in (linalg._matrix, linalg._vector, joyal._tree, joyal._endofunction):
+            patch_everywhere(mp, real, counting(real.__name__, real))
         return call(), built
 
 
 def test_the_census_walks_build_no_value_per_element():
-    """Both linear walks run on row tuples.  The degree walk builds no
-    value; the theorem walk builds only the four of ``_inverse`` per
-    operator, for the public ``rref`` and ``mat_inv``: Q^m's transpose,
-    its RREF, the validated R and R's inverse."""
+    """The linear walks run on row tuples and the Joyal walk on value
+    tables.  The degree walk builds no value; the theorem walk builds
+    only the four of ``_inverse`` per operator, for the public ``rref``
+    and ``mat_inv``: Q^m's transpose, its RREF, the validated R and R's
+    inverse; the Joyal walk builds no function, and one validated
+    ``Tree`` per distinct tree, n^(n-2) of them."""
     strata, built = count_builds(lambda: verify_degree_refinement(GF2, 3))
     assert all(s.ok for s in strata)
     assert built == {}
     report, built = count_builds(lambda: verify_theorem(GF2, 3))
     assert report.ok
     assert built == {"_matrix": 3 * 512, "Matrix": 512}
+    report, built = count_builds(lambda: verify_joyal(5))
+    assert report.ok
+    assert built == {"Tree": 5 ** 3}
 
 
 def test_each_census_verdict_is_decided_once():
