@@ -41,8 +41,8 @@ outside.
 Both directions run on row tuples, in one row core per operation:
 ``_inverse``, ``_forward`` and ``_degree`` take and return rows, and
 the public ``inverse``, ``forward`` and ``degree`` check their input,
-call the core and wrap its result, as every lemma of
-:mod:`nilbij.subspaces` does.  The cores chain the private cores of
+call the core and wrap its result by ``errors._trusted``, as every
+lemma of :mod:`nilbij.subspaces` does.  The cores chain the private cores of
 :mod:`nilbij.subspaces`, the same cores that the public lemmas
 (``steinitz_complement``, ``block_decompose``, ``basis_to_automorphism``,
 ``block_assemble``, ...) validate for and wrap, so each step of the
@@ -52,11 +52,12 @@ Q^m's transpose.  Neither direction builds an intermediate subspace or
 map: the orbit is one call of the field's row kernel, and of the cores
 only ``_inverse`` builds values, four ``Matrix`` values: Q^m's
 transpose and its RREF, for the public ``rref``, and R and R^-1, for
-``mat_inv``.  The Steinitz split [V | U]^-1 is read off V's pivots, so
-forward inverts nothing and inverse inverts only R.  Both directions
-are mutually inverse, which is what the census module checks exhaustively:
-its walk decides the nilpotency of each T that ``_inverse`` returns,
-once, and counts a step that raises as that input's failure.
+``mat_inv``; all but R are ``_trusted`` builds.  The Steinitz split
+[V | U]^-1 is read off V's pivots, so forward inverts nothing and
+inverse inverts only R.  Both directions are mutually inverse, which is what
+the census module checks exhaustively: its walk decides the nilpotency
+of each T that ``_inverse`` returns, once, and counts a step that
+raises as that input's failure.
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ from .errors import (
     NonSquare,
     NotNilpotent,
     _json_fields,
+    _trusted,
 )
-from .linalg import Matrix, Vector, _matrix, _stable_power, _vector, is_nilpotent, mat_inv, rref
+from .linalg import Matrix, Vector, _stable_power, is_nilpotent, mat_inv, rref
 from .subspaces import _assemble, _automorphism, _decompose, _echelon, _split, _steinitz
 
 __all__ = ["NilpotentPair", "degree", "forward", "inverse"]
@@ -106,7 +108,7 @@ def _degree(kernel, t, v) -> int:
 def forward(t: Matrix, v: Vector) -> Matrix:
     """Map a nilpotent pair (T, v) to the operator Q it corresponds to."""
     _check_nilpotent_pair(t, v)
-    return _matrix(t.spec, t.rows, t.rows, _forward(t.spec._kernel, t.data, v.entries))
+    return _trusted(Matrix, t.spec, t.rows, t.rows, _forward(t.spec._kernel, t.data, v.entries))
 
 
 def _forward(kernel, t, v):
@@ -137,7 +139,7 @@ def inverse(q: Matrix) -> tuple[Matrix, Vector]:
     if not q.is_square():
         raise NonSquare("operator must be square")
     t, v = _inverse(q.spec, q.data)
-    return _matrix(q.spec, q.rows, q.rows, t), _vector(q.spec, v)
+    return _trusted(Matrix, q.spec, q.rows, q.rows, t), _trusted(Vector, q.spec, v)
 
 
 def _inverse(spec, q):
@@ -153,7 +155,7 @@ def _inverse(spec, q):
     R's columns moved one place left), and v has R's first column as
     coordinates (none, so v = 0, when V = 0)."""
     n, kernel = len(q), spec._kernel
-    reduced, pivots = rref(_matrix(spec, n, n, tuple(zip(*_stable_power(kernel, q)))))
+    reduced, pivots = rref(_trusted(Matrix, spec, n, n, tuple(zip(*_stable_power(kernel, q)))))
     k = len(pivots)
     v_sub = reduced.data[:k], pivots
     b, b_inv = _split(kernel, n, v_sub, _steinitz(n, v_sub), "U is not a complement of V")

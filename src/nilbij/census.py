@@ -27,14 +27,16 @@ row tuples of :func:`_operator_rows` and hand them to the row kernel
 and to the row cores ``_inverse``, ``_forward`` and ``_degree`` of
 :mod:`nilbij.bijection`, so no ``Matrix`` or ``Vector`` is built per
 element, save the four matrices that ``_inverse`` builds for the public
-``rref`` and ``mat_inv``.  Each keys its strata by
-:func:`_stable_image_dim`, its own stable power and rank on the rows,
-apart from ``_inverse``.  The Joyal walk enumerates value tables and
-hands them to the table cores ``_joyal_inverse``, ``_joyal_forward``
-and ``_eventually_constant`` of :mod:`nilbij.joyal`, keying each tree
-by its edge tuple, so it builds no ``EndoFunction`` and a ``Tree`` only
-to validate each distinct tree once; like the linear walks, it squares
-each stable power where it is asked for, twice per table.
+``rref`` and ``mat_inv``, three of them by ``errors._trusted``; the
+public :func:`enumerate_operators` builds each operator by it too.
+Each keys its strata by :func:`_stable_image_dim`, its own stable
+power and rank on the rows, apart from ``_inverse``.  The Joyal walk
+enumerates value tables and hands them to the table cores
+``_joyal_inverse``, ``_joyal_forward`` and ``_eventually_constant`` of
+:mod:`nilbij.joyal`, keying each tree by its edge tuple, so it builds
+no ``EndoFunction`` and a ``Tree`` only to validate each distinct tree
+once; like the linear walks, it squares each stable power where it is
+asked for, twice per table.
 
 The reports are records.  Each census decides its verdict ``ok`` once,
 at the end of its walk where the tallies are, against
@@ -53,10 +55,10 @@ from dataclasses import asdict, dataclass
 from itertools import product, repeat
 
 from .bijection import _degree, _forward, _inverse
-from .errors import BudgetExceeded, NilbijError, _json_int
+from .errors import BudgetExceeded, NilbijError, _json_int, _trusted
 from .field import FieldSpec
 from .joyal import Tree, _eventually_constant, _joyal_forward, _joyal_inverse
-from .linalg import _SIZE_MAX, _matrix, _stable_power
+from .linalg import _SIZE_MAX, Matrix, _stable_power
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -100,7 +102,7 @@ def enumerate_operators(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET):
     """All n x n matrices over the field, lexicographic in element codes,
     as an iterator; n and the budget are checked at the call."""
     n, _, operators = _operator_rows(spec, n, budget)
-    return (_matrix(spec, n, n, data) for data in operators)
+    return (_trusted(Matrix, spec, n, n, data) for data in operators)
 
 
 def _stable_image_dim(kernel, rows) -> int:

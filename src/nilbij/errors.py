@@ -26,6 +26,11 @@ integer only once the reader has bounded it, so a shape check names
 the mismatch and not the sizes: a ``Matrix`` or ``Subspace`` built
 from data takes any size its data has, and a 0 x 10^5000 matrix holds
 no entry.
+
+:func:`_trusted` is the one way past the readers: the library builds
+each value it derives from valid operands, of any class, by
+``_trusted(cls, *fields)``, unchecked, and no other code skips a
+constructor.
 """
 
 __all__ = [
@@ -156,6 +161,15 @@ def _json_seq(value: object, what: str) -> tuple:
         return tuple(value)  # type: ignore[arg-type]
     except TypeError:
         raise SchemaError(f"{what} must be a sequence, got {type(value).__name__}") from None
+
+
+def _trusted(cls, *values):
+    """A value of the dataclass ``cls`` that the library built itself,
+    unchecked: ``values`` are its fields in declaration order, exactly
+    as its public constructor would store them."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 def _json_fields(obj: object, what: str, *keys: str) -> tuple:

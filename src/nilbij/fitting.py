@@ -7,16 +7,18 @@ restrictions, in reference-basis coordinates, determines Q together
 with the two subspaces, and ``fitting_assemble`` rebuilds it: the
 checked entry point for Fitting data from outside the library, which
 proves R invertible and S nilpotent before it answers.
-``fitting_decompose`` wraps the row core ``_fitting`` and builds the
-subspaces and maps of its result.  The core squares Q up to its stable
-power Q^m, ``linalg._stable_power``, and makes one elimination, of the
-n x 2n matrix [Q^m^T | I]: V = im(Q^m) is spanned by the rows with a
-pivot in the left half, and W = ker(Q^m) by the right halves of the
-others.  Q^m commutes with Q, so Q maps V and W into themselves, and R
-and S are Q's images of the two reference bases read at the pivots:
-no [V | W] is inverted, and no block is checked zero.  The Fitting
-audit of criterion 6 reassembles every decomposition it walks, and is
-the check on a wrong read.  Nothing is kept on Q.
+``fitting_decompose`` checks that Q is square, hands its field's row
+kernel and its rows to the row core ``_fitting``, and builds the
+subspaces and maps of the result by ``errors._trusted``.  The core
+squares Q up to its stable power Q^m, ``linalg._stable_power``, and
+makes one elimination, of the n x 2n matrix [Q^m^T | I]: V = im(Q^m)
+is spanned by the rows with a pivot in the left half, and W = ker(Q^m)
+by the right halves of the others.  Q^m commutes with Q, so Q maps V
+and W into themselves, and R and S are Q's images of the two reference
+bases read at the pivots: no [V | W] is inverted, and no block is
+checked zero.  The Fitting audit of criterion 6 reassembles every
+decomposition it walks, and is the check on a wrong read.  Nothing is
+kept on Q.
 ``bijection.inverse`` does not run this core: it needs no W, spans V
 by one RREF of Q^m's transpose and splits the space by V's Steinitz
 complement.  ``fitting_decompose`` proves neither of its blocks
@@ -34,11 +36,11 @@ from .errors import (
     NotNilpotent,
     NonSquare,
     _json_fields,
+    _trusted,
 )
 from .linalg import (
     Matrix,
     _identity_rows,
-    _matrix,
     _stable_power,
     is_invertible,
     is_nilpotent,
@@ -47,8 +49,6 @@ from .subspaces import (
     Subspace,
     SubspaceMap,
     _automorphism,
-    _map,
-    _subspace,
     block_assemble,
 )
 
@@ -92,9 +92,10 @@ class FittingPair:
         return cls(v, w, SubspaceMap(v, v, r), SubspaceMap(w, w, s))
 
 
-def _fitting(q: Matrix):
-    """The Fitting data of Q on rows: V = im(Q^m) and W = ker(Q^m), each
-    the pair (rows, pivots), and the blocks R of Q on V and S on W.
+def _fitting(kernel, q):
+    """The Fitting data of the rows of a square Q: V = im(Q^m) and
+    W = ker(Q^m), each the pair (rows, pivots), and the blocks R of Q on
+    V and S on W.
 
     One elimination of [Q^m^T | I] gives both subspaces.  The rows whose
     pivot falls in the left half are the RREF of Q^m^T, so their left
@@ -104,15 +105,13 @@ def _fitting(q: Matrix):
     Column j of R (of S) holds the reference coordinates of Q b_j, its
     entries at the subspace's pivots, as :func:`_automorphism` reads
     them."""
-    if not q.is_square():
-        raise NonSquare("operator must be square")
-    n, kernel = q.rows, q.spec._kernel
-    qm_t = zip(*_stable_power(kernel, q.data))
+    n = len(q)
+    qm_t = zip(*_stable_power(kernel, q))
     reduced, pivots = kernel.rref(tuple(a + b for a, b in zip(qm_t, _identity_rows(n))), 2 * n)
     k = sum(1 for p in pivots if p < n)
     v = tuple(row[:n] for row in reduced[:k]), pivots[:k]
     w = tuple(row[n:] for row in reduced[k:]), tuple(p - n for p in pivots[k:])
-    q_t = tuple(zip(*q.data))
+    q_t = tuple(zip(*q))
     r, s = (_automorphism(piv, kernel.product(rows, q_t, n)) for rows, piv in (v, w))
     return v, w, r, s
 
@@ -125,11 +124,13 @@ def fitting_decompose(q: Matrix) -> FittingPair:
     V onto itself, and S is nilpotent because Q^m vanishes on W; neither
     is proved again here.
     """
-    v, w, r, s = _fitting(q)
+    if not q.is_square():
+        raise NonSquare("operator must be square")
+    v, w, r, s = _fitting(q.spec._kernel, q.data)
     spec, n, k = q.spec, q.rows, len(r)
-    v, w = _subspace(spec, n, *v), _subspace(spec, n, *w)
-    r, s = _matrix(spec, k, k, r), _matrix(spec, n - k, n - k, s)
-    return FittingPair(v, w, _map(v, v, r), _map(w, w, s))
+    v, w = _trusted(Subspace, spec, n, *v), _trusted(Subspace, spec, n, *w)
+    r, s = _trusted(Matrix, spec, k, k, r), _trusted(Matrix, spec, n - k, n - k, s)
+    return FittingPair(v, w, _trusted(SubspaceMap, v, v, r), _trusted(SubspaceMap, w, w, s))
 
 
 def fitting_assemble(pair: FittingPair) -> Matrix:

@@ -31,9 +31,9 @@ integer and sequence slots included, and :func:`joyal_forward` reads
 its marks as :func:`all_endofunctions` reads n: each integer with its
 range, through ``_json_int``, a vertex count in [1, 2^20] and a vertex
 in [0, n - 1] (``InvalidVertex`` outside it).  The endofunctions that
-the enumeration and :func:`joyal_forward` build themselves are made
-unchecked by :func:`_endofunction`, the trees of :func:`joyal_inverse`
-by :func:`_tree`.
+the enumeration and :func:`joyal_forward` build themselves, and the
+trees of :func:`joyal_inverse`, are made unchecked by
+``errors._trusted``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import product
 
-from .errors import InvalidVertex, SchemaError, _json_fields, _json_int, _json_seq
+from .errors import InvalidVertex, SchemaError, _json_fields, _json_int, _json_seq, _trusted
 from .linalg import _SIZE_MAX
 
 __all__ = [
@@ -122,21 +122,6 @@ class EndoFunction:
         return cls(*_json_fields(obj, "endofunction", "n", "table"))
 
 
-def _endofunction(n: int, table: tuple[int, ...]) -> EndoFunction:
-    """An EndoFunction the library built itself, unchecked: ``table`` is
-    already a tuple of n codes in 0..n-1."""
-    f = object.__new__(EndoFunction)
-    f.__dict__.update(n=n, table=table)
-    return f
-
-
-def _tree(n: int, edges: tuple[tuple[int, int], ...]) -> Tree:
-    """A Tree the library built itself, unchecked: ``edges`` are canonical."""
-    t = object.__new__(Tree)
-    t.__dict__.update(n=n, edges=edges)
-    return t
-
-
 def _adjacency(n: int, edges) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
@@ -189,7 +174,7 @@ def joyal_forward(tree: Tree, v: int, v2: int) -> EndoFunction:
     """Endofunction of the tree with marked vertices (v, v2)."""
     _json_int(v, "v", 0, tree.n - 1, InvalidVertex)
     _json_int(v2, "v2", 0, tree.n - 1, InvalidVertex)
-    return _endofunction(tree.n, _joyal_forward(tree.n, tree.edges, v, v2))
+    return _trusted(EndoFunction, tree.n, _joyal_forward(tree.n, tree.edges, v, v2))
 
 
 def _joyal_forward(n: int, edges, v: int, v2: int) -> tuple[int, ...]:
@@ -211,7 +196,7 @@ def _joyal_forward(n: int, edges, v: int, v2: int) -> tuple[int, ...]:
 def joyal_inverse(f: EndoFunction) -> tuple[Tree, int, int]:
     """Tree and marked vertices recovering f under :func:`joyal_forward`."""
     edges, v, v2 = _joyal_inverse(f.table)
-    return _tree(f.n, edges), v, v2
+    return _trusted(Tree, f.n, edges), v, v2
 
 
 def _joyal_inverse(table: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], int, int]:
@@ -230,4 +215,4 @@ def all_endofunctions(n: int):
     """All n^n endofunctions, in lexicographic table order, as an
     iterator; n is checked at the call."""
     n = _json_int(n, "n", 1, _SIZE_MAX)
-    return map(partial(_endofunction, n), product(range(n), repeat=n))
+    return map(partial(_trusted, EndoFunction, n), product(range(n), repeat=n))

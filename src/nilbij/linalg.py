@@ -13,8 +13,9 @@ each slot read by the readers of :mod:`nilbij.errors`; an integer slot
 and its range are read together by ``_json_int``, so a size or code
 past its bounds is refused without its value in the message.
 Values the library derives from already-valid operands are built by
-the private factories :func:`_matrix` and :func:`_vector`, which skip
-those checks; a broken internal invariant surfaces as an
+``errors._trusted(Matrix, spec, rows, cols, data)`` and
+``_trusted(Vector, spec, entries)``, which skip those checks; a broken
+internal invariant surfaces as an
 ``AssertionError`` from the asserts downstream, not as a
 :class:`SchemaError`.  Library code reads the columns of a matrix it
 holds by indexing ``data``; ``Matrix.column`` is the public reader, and
@@ -69,6 +70,7 @@ from .errors import (
     _json_fields,
     _json_int,
     _json_seq,
+    _trusted,
 )
 from .field import FieldSpec
 
@@ -195,25 +197,6 @@ def _check_codes(values: tuple, q: int, what: str) -> None:
         _json_int(x, what, 0, hi)
 
 
-def _matrix(
-    spec: FieldSpec, rows: int, cols: int, data: tuple[tuple[int, ...], ...]
-) -> Matrix:
-    """A Matrix the library built from valid operands, unchecked.
-
-    ``data`` must already be a tuple of ``rows`` tuples of ``cols``
-    codes; only library code may call this."""
-    m = object.__new__(Matrix)
-    m.__dict__.update(spec=spec, rows=rows, cols=cols, data=data)
-    return m
-
-
-def _vector(spec: FieldSpec, entries: tuple[int, ...]) -> Vector:
-    """A Vector the library built from valid operands, unchecked."""
-    v = object.__new__(Vector)
-    v.__dict__.update(spec=spec, entries=entries)
-    return v
-
-
 def _unit_row(n: int, j: int) -> tuple[int, ...]:
     """The j-th standard basis vector of F^n, as a row of codes."""
     return (0,) * j + (1,) + (0,) * (n - 1 - j)
@@ -262,7 +245,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     _require_same_spec(a.spec, b.spec)
     if a.cols != b.rows:
         raise DimensionMismatch("cannot multiply: the left columns do not match the right rows")
-    return _matrix(a.spec, a.rows, b.cols, a.spec._kernel.product(a.data, b.data, b.cols))
+    return _trusted(Matrix, a.spec, a.rows, b.cols, a.spec._kernel.product(a.data, b.data, b.cols))
 
 
 def apply(t: Matrix, x: Vector) -> Vector:
@@ -272,7 +255,7 @@ def apply(t: Matrix, x: Vector) -> Vector:
         raise DimensionMismatch("vector length does not match the matrix columns")
     # Tx as a row vector: the combination of T's columns weighted by x.
     (tx,) = t.spec._kernel.product((x.entries,), tuple(zip(*t.data)), t.rows)
-    return _vector(t.spec, tx)
+    return _trusted(Vector, t.spec, tx)
 
 
 def mat_pow(t: Matrix, e: int) -> Matrix:
@@ -289,7 +272,7 @@ def mat_pow(t: Matrix, e: int) -> Matrix:
         e >>= 1
         if e:
             base = spec._kernel.product(base, base, n)
-    return _matrix(spec, n, n, _identity_rows(n) if result is None else result)
+    return _trusted(Matrix, spec, n, n, _identity_rows(n) if result is None else result)
 
 
 def _stable_power(kernel, rows):
@@ -311,7 +294,7 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         the pivot column indices in ascending order.
     """
     data, pivots = a.spec._kernel.rref(a.data, a.cols)
-    return _matrix(a.spec, a.rows, a.cols, data), pivots
+    return _trusted(Matrix, a.spec, a.rows, a.cols, data), pivots
 
 
 def rank(a: Matrix) -> int:
@@ -327,12 +310,13 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     in the free column.
     """
     r, pivots = rref(a)
-    return [_vector(a.spec, x) for x in _null_rows(a.spec._kernel.neg, r.data, pivots, a.cols)]
+    null_rows = _null_rows(a.spec._kernel.neg, r.data, pivots, a.cols)
+    return [_trusted(Vector, a.spec, x) for x in null_rows]
 
 
 def image_basis(a: Matrix) -> list[Vector]:
     """Columns of ``a`` at the pivot positions of its RREF, ascending."""
-    return [_vector(a.spec, tuple([row[c] for row in a.data])) for c in rref(a)[1]]
+    return [_trusted(Vector, a.spec, tuple([row[c] for row in a.data])) for c in rref(a)[1]]
 
 
 def is_invertible(t: Matrix) -> bool:
@@ -359,4 +343,4 @@ def mat_inv(t: Matrix) -> Matrix:
     inv, r = _inverse_rows(t.spec._kernel, t.data, t.rows)
     if inv is None:
         raise NotInvertible(f"matrix of rank {r} < {t.rows} has no inverse")
-    return _matrix(t.spec, t.rows, t.rows, inv)
+    return _trusted(Matrix, t.spec, t.rows, t.rows, inv)

@@ -35,9 +35,9 @@ span), ``_steinitz``, ``_split`` (the change of basis), ``_decompose``,
 A core takes a subspace as the pair (rows, pivots) of its RREF, and a
 map as the rows of its matrix over the reference bases.  The public
 functions check their operands, call the core and wrap its result
-trusted, by :func:`_subspace`, :func:`_map`, :func:`_ordered_basis`
-and the :mod:`nilbij.linalg` factories; they are the only builders of
-``Subspace`` and ``SubspaceMap`` results.  ``bijection.forward`` and
+trusted, by ``errors._trusted``: a ``Subspace`` from its spec, ambient
+dimension, rows and pivots, in the order of its fields; they are the
+only builders of ``Subspace`` and ``SubspaceMap`` results.  ``bijection.forward`` and
 ``inverse`` chain the same cores.
 
 Splitting X = V + U reads coordinates off the inverse of the basis
@@ -66,16 +66,15 @@ from .errors import (
     _json_fields,
     _json_int,
     _json_seq,
+    _trusted,
 )
 from .field import FieldSpec
 from .linalg import (
     Matrix,
     Vector,
     _inverse_rows,
-    _matrix,
     _null_rows,
     _unit_row,
-    _vector,
     apply,
     is_invertible,
     mat_inv,
@@ -138,7 +137,7 @@ class Subspace:
 
     def basis_vectors(self) -> tuple[Vector, ...]:
         """The reference basis, as ambient vectors."""
-        return tuple(_vector(self.spec, row) for row in self.rows)
+        return tuple(_trusted(Vector, self.spec, row) for row in self.rows)
 
     @classmethod
     def zero(cls, spec: FieldSpec, ambient_dim: int) -> "Subspace":
@@ -163,18 +162,6 @@ class Subspace:
         return cls(FieldSpec.from_json(field), ambient, basis)
 
 
-def _subspace(
-    spec: FieldSpec,
-    ambient_dim: int,
-    rows: tuple[tuple[int, ...], ...],
-    pivots: tuple[int, ...],
-) -> Subspace:
-    """A Subspace from rows the library already holds in RREF, unchecked."""
-    s = object.__new__(Subspace)
-    s.__dict__.update(spec=spec, ambient_dim=ambient_dim, rows=rows, pivots=pivots)
-    return s
-
-
 def span(
     vectors: Iterable[Vector],
     spec: FieldSpec | None = None,
@@ -190,7 +177,7 @@ def span(
     if not vecs:
         if spec is None or ambient_dim is None:
             raise DimensionMismatch("empty span needs explicit spec and ambient_dim")
-        return _subspace(spec, _json_int(ambient_dim, "ambient_dim", 0), (), ())
+        return _trusted(Subspace, spec, _json_int(ambient_dim, "ambient_dim", 0), (), ())
     for v in vecs:  # vecs[0] is checked as a Vector before it is read
         if not isinstance(v, Vector):
             raise SchemaError(f"a spanning vector must be a Vector, got {type(v).__name__}")
@@ -203,7 +190,8 @@ def span(
         raise FieldMismatch(f"vectors over {first} spanned in {spec}")
     if ambient_dim is not None and ambient_dim != n:
         raise DimensionMismatch(f"length-{n} vectors vs another ambient_dim")
-    return _subspace(first, n, *_echelon(first._kernel, tuple(v.entries for v in vecs), n))
+    rows = tuple(v.entries for v in vecs)
+    return _trusted(Subspace, first, n, *_echelon(first._kernel, rows, n))
 
 
 def _echelon(kernel, rows, n: int):
@@ -224,7 +212,7 @@ def _reduce_against(v: Subspace, x: Vector) -> tuple[tuple[int, ...], Vector]:
     coeffs = tuple(x.entries[p] for p in v.pivots)
     kernel = v.spec._kernel
     residue = kernel.combine([kernel.neg[c] for c in coeffs], v.rows, x.entries)
-    return coeffs, _vector(v.spec, residue)
+    return coeffs, _trusted(Vector, v.spec, residue)
 
 
 def contains(v: Subspace, x: Vector) -> bool:
@@ -236,7 +224,7 @@ def coords(v: Subspace, x: Vector) -> Vector:
     coeffs, residue = _reduce_against(v, x)
     if not residue.is_zero():
         raise NotInSubspace(f"{x.entries} is not in the subspace")
-    return _vector(v.spec, coeffs)
+    return _trusted(Vector, v.spec, coeffs)
 
 
 def from_coords(v: Subspace, c: Vector) -> Vector:
@@ -246,7 +234,7 @@ def from_coords(v: Subspace, c: Vector) -> Vector:
     if c.n != v.dim:
         raise DimensionMismatch(f"expected {v.dim} coordinates, got {c.n}")
     zero = (0,) * v.ambient_dim
-    return _vector(v.spec, v.spec._kernel.combine(c.entries, v.rows, zero))
+    return _trusted(Vector, v.spec, v.spec._kernel.combine(c.entries, v.rows, zero))
 
 
 def _steinitz(n: int, v):
@@ -259,7 +247,7 @@ def _steinitz(n: int, v):
 
 def steinitz_complement(v: Subspace) -> Subspace:
     """The complement spanned by standard vectors at non-pivot columns."""
-    return _subspace(v.spec, v.ambient_dim, *_steinitz(v.ambient_dim, (v.rows, v.pivots)))
+    return _trusted(Subspace, v.spec, v.ambient_dim, *_steinitz(v.ambient_dim, (v.rows, v.pivots)))
 
 
 def is_complementary(u: Subspace, v: Subspace) -> bool:
@@ -269,7 +257,7 @@ def is_complementary(u: Subspace, v: Subspace) -> bool:
     n = u.ambient_dim
     if u.dim + v.dim != n:
         return False
-    return rank(_matrix(u.spec, n, n, u.rows + v.rows)) == n
+    return rank(_trusted(Matrix, u.spec, n, n, u.rows + v.rows)) == n
 
 
 @dataclass(frozen=True)
@@ -299,14 +287,6 @@ class SubspaceMap:
         return cls(domain, codomain, Matrix.zero(domain.spec, codomain.dim, domain.dim))
 
 
-def _map(domain: Subspace, codomain: Subspace, matrix: Matrix) -> SubspaceMap:
-    """A SubspaceMap the library built from valid operands, unchecked:
-    ``matrix`` is dim codomain x dim domain, over their field."""
-    f = object.__new__(SubspaceMap)
-    f.__dict__.update(domain=domain, codomain=codomain, matrix=matrix)
-    return f
-
-
 def map_apply(f: SubspaceMap, x: Vector) -> Vector:
     """Apply f to an ambient vector of its domain; result is ambient."""
     return from_coords(f.codomain, apply(f.matrix, coords(f.domain, x)))
@@ -316,14 +296,14 @@ def compose(g: SubspaceMap, f: SubspaceMap) -> SubspaceMap:
     """g after f."""
     if f.codomain != g.domain:
         raise DimensionMismatch("compose: codomain of f is not the domain of g")
-    return _map(f.domain, g.codomain, mat_mul(g.matrix, f.matrix))
+    return _trusted(SubspaceMap, f.domain, g.codomain, mat_mul(g.matrix, f.matrix))
 
 
 def map_inverse(f: SubspaceMap) -> SubspaceMap:
     """Inverse of an isomorphism (equal dimensions, invertible matrix)."""
     if f.domain.dim != f.codomain.dim:
         raise DimensionMismatch("only maps between equal dimensions can invert")
-    return _map(f.codomain, f.domain, mat_inv(f.matrix))
+    return _trusted(SubspaceMap, f.codomain, f.domain, mat_inv(f.matrix))
 
 
 def _split(kernel, n: int, v, u, what: str):
@@ -409,7 +389,8 @@ def _maps_of_complement(v: Subspace, u: Subspace, w: Subspace) -> tuple[Subspace
     f, iso = _graph_and_iso(spec._kernel, k, b_inv, u.rows)
     if _inverse_rows(spec._kernel, iso, u.dim)[0] is None:
         raise NotComplement("U is not a complement of V")
-    return _map(u, v, _matrix(spec, k, u.dim, f)), _map(u, w, _matrix(spec, w.dim, u.dim, iso))
+    return (_trusted(SubspaceMap, u, v, _trusted(Matrix, spec, k, u.dim, f)),
+            _trusted(SubspaceMap, u, w, _trusted(Matrix, spec, w.dim, u.dim, iso)))
 
 
 def canonical_iso(v: Subspace, u: Subspace, w: Subspace) -> SubspaceMap:
@@ -429,7 +410,7 @@ def map_to_complement(f: SubspaceMap) -> Subspace:
     u, v = f.domain, f.codomain
     _change_of_basis(v, u, "domain and codomain are not complementary")
     n = u.ambient_dim
-    return _subspace(u.spec, n, *_graph(u.spec._kernel, n, v.rows, u.rows, f.matrix.data))
+    return _trusted(Subspace, u.spec, n, *_graph(u.spec._kernel, n, v.rows, u.rows, f.matrix.data))
 
 
 def complement_to_map(w: Subspace, v: Subspace, u: Subspace) -> SubspaceMap:
@@ -456,8 +437,9 @@ def block_decompose(
     t_vv, t_uv, t_uu, invariant = _decompose(spec._kernel, n, m, t.data, b, b_inv)
     if not invariant:
         raise NotInvariant("T does not map V into V")
-    return (_map(v, v, _matrix(spec, m, m, t_vv)), _map(u, v, _matrix(spec, m, r, t_uv)),
-            _map(u, u, _matrix(spec, r, r, t_uu)))
+    return (_trusted(SubspaceMap, v, v, _trusted(Matrix, spec, m, m, t_vv)),
+            _trusted(SubspaceMap, u, v, _trusted(Matrix, spec, m, r, t_uv)),
+            _trusted(SubspaceMap, u, u, _trusted(Matrix, spec, r, r, t_uu)))
 
 
 def block_assemble(
@@ -471,8 +453,9 @@ def block_assemble(
     if blocks != (v, v, u, v, u, u):
         raise DimensionMismatch("blocks must map V to V, U to V and U to U")
     n = v.ambient_dim
-    return _matrix(v.spec, n, n, _assemble(v.spec._kernel, n, b, b_inv, t_vv.matrix.data,
-                                           t_uv.matrix.data, t_uu.matrix.data))
+    data = _assemble(v.spec._kernel, n, b, b_inv, t_vv.matrix.data, t_uv.matrix.data,
+                     t_uu.matrix.data)
+    return _trusted(Matrix, v.spec, n, n, data)
 
 
 @dataclass(frozen=True)
@@ -505,13 +488,6 @@ class OrderedBasis:
         return cls(v, v.basis_vectors())
 
 
-def _ordered_basis(subspace: Subspace, vectors: tuple[Vector, ...]) -> OrderedBasis:
-    """An OrderedBasis the library has proved is one, unchecked."""
-    b = object.__new__(OrderedBasis)
-    b.__dict__.update(subspace=subspace, vectors=vectors)
-    return b
-
-
 def _automorphism(pivots, vectors):
     """The matrix of the map of V to itself sending its reference basis
     to ``vectors``, vectors of V as rows of codes: column j holds the
@@ -527,7 +503,7 @@ def basis_to_automorphism(b: OrderedBasis) -> SubspaceMap:
     """The unique automorphism sending the reference basis to b."""
     v = b.subspace
     data = _automorphism(v.pivots, tuple(x.entries for x in b.vectors))
-    return _map(v, v, _matrix(v.spec, v.dim, v.dim, data))
+    return _trusted(SubspaceMap, v, v, _trusted(Matrix, v.spec, v.dim, v.dim, data))
 
 
 def automorphism_to_basis(r: SubspaceMap) -> OrderedBasis:
@@ -537,5 +513,5 @@ def automorphism_to_basis(r: SubspaceMap) -> OrderedBasis:
     if not is_invertible(r.matrix):
         raise NotAutomorphism("map matrix is singular")
     v = r.domain
-    vecs = tuple(from_coords(v, _vector(v.spec, col)) for col in zip(*r.matrix.data))
-    return _ordered_basis(v, vecs)
+    vecs = tuple(from_coords(v, _trusted(Vector, v.spec, col)) for col in zip(*r.matrix.data))
+    return _trusted(OrderedBasis, v, vecs)

@@ -381,8 +381,8 @@ def fitting_assemble_drops_s(real):
 
 def fitting_transposes_r_and_s(real):
     """The Fitting core returning R and S transposed."""
-    def mutant(q):
-        v, w, r, s = real(q)
+    def mutant(kernel, q):
+        v, w, r, s = real(kernel, q)
         return v, w, tuple(zip(*r)), tuple(zip(*s))
     return mutant
 

@@ -15,12 +15,12 @@ from nilbij import (
     Tree,
     all_endofunctions,
     is_eventually_constant,
-    joyal,
     joyal_forward,
     joyal_inverse,
     periodic_points,
     verify_joyal,
 )
+from nilbij.errors import _trusted
 
 
 def brute_tree_count(n: int) -> int:
@@ -238,7 +238,7 @@ def test_forward_reads_its_marks_as_integers():
 def test_forward_fails_at_once_on_an_unchecked_disconnected_tree():
     """The path walk needs v2 reachable from v; an unchecked build that
     breaks this is an internal fault, not an endless walk."""
-    broken = joyal._tree(4, ((0, 1), (0, 2), (1, 2)))  # vertex 3 is isolated
+    broken = _trusted(Tree, 4, ((0, 1), (0, 2), (1, 2)))  # vertex 3 is isolated
     with pytest.raises(AssertionError):
         joyal_forward(broken, 0, 3)
 

@@ -5,7 +5,8 @@ each fact once by the order of its own calls.  Giving each spec its own
 tables must change no result, the facts must stay out of equality,
 hashing, repr and JSON, failures must repeat, and the census must
 decide each nilpotency, square each stable power and build each value
-as often as pinned here."""
+as often as pinned here: validated by its ``__post_init__``, or
+unchecked by ``errors._trusted``, counted by class."""
 
 import inspect
 import math
@@ -36,7 +37,6 @@ from nilbij import (
     inverse,
     is_invertible,
     is_nilpotent,
-    joyal,
     joyal_inverse,
     kernel_basis,
     linalg,
@@ -51,6 +51,7 @@ from nilbij import (
     verify_theorem,
 )
 from nilbij.census import expected_strata
+from nilbij.errors import _trusted
 from nilbij.subspaces import _change_of_basis
 
 GF9 = FieldSpec(3, 2)
@@ -274,25 +275,28 @@ def test_census_decides_nilpotency_once_per_operator():
 
 
 def count_builds(call):
-    """Run ``call`` with the values it builds counted: the validated
-    ``Matrix``, ``Vector``, ``Tree`` and ``EndoFunction`` by their
-    ``__post_init__``, and the unchecked ``linalg._matrix`` and
-    ``_vector`` and ``joyal._tree`` and ``_endofunction`` in every nilbij
-    module that binds them; return its result and the counts."""
-    built = Counter()
+    """Run ``call`` with the values it builds counted by class: the
+    validated ``Matrix``, ``Vector``, ``Tree`` and ``EndoFunction`` by
+    their ``__post_init__``, and the unchecked builds of every class by
+    ``errors._trusted``, in every nilbij module that binds it; return its
+    result, the validated counts and the trusted counts."""
+    validated, trusted = Counter(), Counter()
 
-    def counting(name, real):
-        def counted(*args):
-            built[name] += 1
-            return real(*args)
+    def post_init(real):
+        def counted(self):
+            validated[type(self)] += 1
+            return real(self)
         return counted
+
+    def counted_trusted(cls, *values):
+        trusted[cls] += 1
+        return _trusted(cls, *values)
 
     with pytest.MonkeyPatch.context() as mp:
         for cls in (Matrix, Vector, Tree, EndoFunction):
-            mp.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
-        for real in (linalg._matrix, linalg._vector, joyal._tree, joyal._endofunction):
-            patch_everywhere(mp, real, counting(real.__name__, real))
-        return call(), built
+            mp.setattr(cls, "__post_init__", post_init(cls.__post_init__))
+        patch_everywhere(mp, _trusted, counted_trusted)
+        return call(), validated, trusted
 
 
 def test_the_census_walks_build_no_value_per_element():
@@ -302,15 +306,15 @@ def test_the_census_walks_build_no_value_per_element():
     and ``mat_inv``: Q^m's transpose, its RREF, the validated R and R's
     inverse; the Joyal walk builds no function, and one validated
     ``Tree`` per distinct tree, n^(n-2) of them."""
-    strata, built = count_builds(lambda: verify_degree_refinement(GF2, 3))
+    strata, validated, trusted = count_builds(lambda: verify_degree_refinement(GF2, 3))
     assert all(s.ok for s in strata)
-    assert built == {}
-    report, built = count_builds(lambda: verify_theorem(GF2, 3))
+    assert validated == trusted == {}
+    report, validated, trusted = count_builds(lambda: verify_theorem(GF2, 3))
     assert report.ok
-    assert built == {"_matrix": 3 * 512, "Matrix": 512}
-    report, built = count_builds(lambda: verify_joyal(5))
+    assert validated == {Matrix: 512} and trusted == {Matrix: 3 * 512}
+    report, validated, trusted = count_builds(lambda: verify_joyal(5))
     assert report.ok
-    assert built == {"Tree": 5 ** 3}
+    assert validated == {Tree: 5 ** 3} and trusted == {}
 
 
 def test_each_census_verdict_is_decided_once():
