@@ -192,6 +192,9 @@ def _table(title, width, fields, grid, ok, elapsed_s=None) -> str:
 # What a construction raises on an input it cannot take: a refusal of
 # the library's own value, or a broken internal invariant.  While a walk
 # judges one element, either is that element's failure, never the run's.
+# On the bijection's path the only NilbijError left is mat_inv refusing
+# the R of _inverse, and no assert is left; a broken construction may
+# still raise either.
 _FAULTS = (NilbijError, AssertionError)
 
 
@@ -245,15 +248,15 @@ def verify_theorem(
     )
     degrees = sorted(right.keys() | set(range(n + 1)))  # every left key is a right key
     per_degree = tuple((k, left[k], right[k]) for k in degrees)
-    # the nilpotent count is the right-hand tally of stratum 0, and
-    # expected_strata(q, n)[0] is q^(n(n-1)), so per_degree checks it too
+    # the nilpotent count is the right-hand tally of stratum 0, so
+    # per_degree checks it too, against expected_strata(q, n)[0]
     expected = tuple((k, e, e) for k, e in enumerate(expected_strata(spec.q, n)))
     return CensusReport(
         q=spec.q,
         n=n,
         total_operators=spec.q ** (n * n),
         nilpotent_count=right[0],  # Q is nilpotent iff rank(Q^n) = 0
-        expected_nilpotents=spec.q ** (n * (n - 1)),
+        expected_nilpotents=expected[0][1],
         roundtrip_failures=failures,
         surjectivity_gap=failures,
         per_degree=per_degree,

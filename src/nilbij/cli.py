@@ -29,11 +29,12 @@ from .census import (
     DEFAULT_BUDGET,
     _table,
     count_nilpotents,
+    expected_strata,
     verify_degree_refinement,
     verify_joyal,
     verify_theorem,
 )
-from .errors import NilbijError, SchemaError, _json_fields
+from .errors import NilbijError, SchemaError, _json_fields, _trusted
 from .field import FieldSpec
 from .fitting import fitting_decompose
 from .joyal import EndoFunction, Tree, joyal_forward, joyal_inverse
@@ -82,7 +83,7 @@ def _forward(doc):
 
 
 def _inverse(doc):
-    return NilpotentPair(*inverse(Matrix.from_json(doc))).to_json()
+    return _trusted(NilpotentPair, *inverse(Matrix.from_json(doc))).to_json()
 
 
 def _fitting(doc):
@@ -118,7 +119,7 @@ def _field_from_args(args: argparse.Namespace) -> FieldSpec:
 def _count_nilpotents(args):
     spec = _field_from_args(args)
     count = count_nilpotents(spec, args.n, args.budget)
-    expected = spec.q ** (args.n * (args.n - 1))
+    expected = expected_strata(spec.q, args.n)[0]
     ok = count == expected
     payload = {"q": spec.q, "n": args.n, "count": count, "expected": expected, "ok": ok}
     title = f"nilpotent operators over GF({spec.q}), n = {args.n}"

@@ -7,9 +7,15 @@ restrictions, in reference-basis coordinates, determines Q together
 with the two subspaces, and ``fitting_assemble`` rebuilds it: the
 checked entry point for Fitting data from outside the library, which
 proves R invertible and S nilpotent before it answers.
+It checks the [V | W] change of basis first, by
+``subspaces._change_of_basis``, then R and S, and assembles Q from the
+blocks by the row core ``subspaces._assemble``: the ``FittingPair``
+constructor has already checked that R and S act on V and W, so no
+block is checked again and no zero map is built.
 ``fitting_decompose`` checks that Q is square, hands its field's row
 kernel and its rows to the row core ``_fitting``, and builds the
-subspaces and maps of the result by ``errors._trusted``.  The core
+subspaces, the maps and the ``FittingPair`` of the result by
+``errors._trusted``.  The core
 squares Q up to its stable power Q^m, ``linalg._stable_power``, and
 makes one elimination, of the n x 2n matrix [Q^m^T | I]: V = im(Q^m)
 is spanned by the rows with a pivot in the left half, and W = ker(Q^m)
@@ -48,8 +54,9 @@ from .linalg import (
 from .subspaces import (
     Subspace,
     SubspaceMap,
+    _assemble,
     _automorphism,
-    block_assemble,
+    _change_of_basis,
 )
 
 __all__ = ["FittingPair", "fitting_assemble", "fitting_decompose"]
@@ -129,22 +136,25 @@ def fitting_decompose(q: Matrix) -> FittingPair:
     v, w, r, s = _fitting(q.spec._kernel, q.data)
     spec, n, k = q.spec, q.rows, len(r)
     v, w = _trusted(Subspace, spec, n, *v), _trusted(Subspace, spec, n, *w)
-    r, s = _trusted(Matrix, spec, k, k, r), _trusted(Matrix, spec, n - k, n - k, s)
-    return FittingPair(v, w, _trusted(SubspaceMap, v, v, r), _trusted(SubspaceMap, w, w, s))
+    r = _trusted(SubspaceMap, v, v, _trusted(Matrix, spec, k, k, r))
+    s = _trusted(SubspaceMap, w, w, _trusted(Matrix, spec, n - k, n - k, s))
+    return _trusted(FittingPair, v, w, r, s)
 
 
 def fitting_assemble(pair: FittingPair) -> Matrix:
     """Rebuild the operator with the given Fitting data.
 
     Conjugates the block-diagonal matrix back into ambient coordinates;
-    the inversion of the [V | W] basis matrix in :func:`block_assemble`
-    raises :class:`NotComplement` if V and W are not complementary.
-    Only then are R checked invertible and S nilpotent.
+    the inversion of the [V | W] basis matrix raises
+    :class:`NotComplement` if V and W are not complementary.  Only then
+    are R checked invertible and S nilpotent.
     """
     v, w = pair.V, pair.W
-    q = block_assemble(v, w, pair.R, SubspaceMap.zero(w, v), pair.S)
+    b, b_inv = _change_of_basis(v, w, "V and U are not complementary")
     if not is_invertible(pair.R.matrix):
         raise NotAutomorphism("R is not invertible on V")
     if not is_nilpotent(pair.S.matrix):
         raise NotNilpotent("S is not nilpotent on W")
-    return q
+    n, zero = v.ambient_dim, ((0,) * w.dim,) * v.dim
+    q = _assemble(v.spec._kernel, n, b, b_inv, pair.R.matrix.data, zero, pair.S.matrix.data)
+    return _trusted(Matrix, v.spec, n, n, q)

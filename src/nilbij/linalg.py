@@ -15,9 +15,9 @@ past its bounds is refused without its value in the message.
 Values the library derives from already-valid operands are built by
 ``errors._trusted(Matrix, spec, rows, cols, data)`` and
 ``_trusted(Vector, spec, entries)``, which skip those checks; a broken
-internal invariant surfaces as an
-``AssertionError`` from the asserts downstream, not as a
-:class:`SchemaError`.  Library code reads the columns of a matrix it
+internal invariant is never reported as a :class:`SchemaError`: it
+surfaces as the ``NilbijError`` of a check that the broken value fails
+downstream, or, in a census walk, as that input's failure.  Library code reads the columns of a matrix it
 holds by indexing ``data``; ``Matrix.column`` is the public reader, and
 checks its index.
 

@@ -26,12 +26,16 @@ The public ``Subspace`` constructor takes the rows alone; the one
 elimination that checks they are their own RREF also yields the
 pivots.  ``Subspace.from_json`` goes through it, and the public
 ``OrderedBasis``, ``SubspaceMap`` and ``span`` validate their inputs.
+Code that holds rows hands them to the row kernel: the ``Subspace``
+and ``OrderedBasis`` checks and ``is_complementary`` take their rank
+from its ``rref``, and build no ``Matrix`` for it.
 
 Each construction is one private core on row tuples that calls the
 field's row kernel directly and builds no value: ``_echelon`` (a
-span), ``_steinitz``, ``_split`` (the change of basis), ``_decompose``,
-``_assemble``, ``_graph``, ``_graph_and_iso`` and ``_automorphism``
-(a torsor point, or a restriction to an invariant subspace).
+span), ``_steinitz``, ``_steinitz_split`` (the change of basis to V
+and its Steinitz complement), ``_decompose``, ``_assemble``,
+``_graph``, ``_graph_and_iso`` and ``_automorphism`` (a torsor point,
+or a restriction to an invariant subspace).
 A core takes a subspace as the pair (rows, pivots) of its RREF, and a
 map as the rows of its matrix over the reference bases.  The public
 functions check their operands, call the core and wrap its result
@@ -41,10 +45,15 @@ only builders of ``Subspace`` and ``SubspaceMap`` results.  ``bijection.forward`
 ``inverse`` chain the same cores.
 
 Splitting X = V + U reads coordinates off the inverse of the basis
-matrix B = [V | U], and that inversion is also the check that U
-complements V.  Against the Steinitz complement of V nothing is
-inverted: a vector's V-coordinates are its entries at V's pivots, and
-its U-coordinates its free entries minus their V part.  A ``Subspace``
+matrix B = [V | U].  The lemmas take any U, so ``_change_of_basis``
+inverts B, and that inversion is also the check that U complements V;
+it inverts B for a Steinitz U too, and the inverse is unique, so the
+bytes are the same.  The bijection splits only by the Steinitz
+complement of a V it has spanned, a complement by definition, through
+``_steinitz_split``, which inverts nothing and raises nothing: a
+vector's V-coordinates are its entries at V's pivots, and its
+U-coordinates its free entries minus their V part.  No code looks at
+a complement's rows to choose between the two.  A ``Subspace``
 remembers nothing, so a split is made again each time it is asked for.
 """
 
@@ -79,8 +88,6 @@ from .linalg import (
     is_invertible,
     mat_inv,
     mat_mul,
-    rank,
-    rref,
 )
 
 __all__ = [
@@ -123,8 +130,8 @@ class Subspace:
         given = _json_seq(self.rows, "basis")
         m = Matrix(self.spec, len(given), _json_int(self.ambient_dim, "ambient", 0), given)
         object.__setattr__(self, "rows", m.data)
-        reduced, pivots = rref(m)
-        canonical = reduced.data[: len(pivots)]
+        reduced, pivots = self.spec._kernel.rref(m.data, m.cols)
+        canonical = reduced[: len(pivots)]
         if canonical != m.data:
             raise NotCanonical(
                 f"basis {list(m.data)} is not RREF; canonical form is {list(canonical)}"
@@ -195,10 +202,7 @@ def span(
 
 
 def _echelon(kernel, rows, n: int):
-    """The span of rows of n codes, as the pair (RREF rows, pivots);
-    no rows span the zero subspace, with no elimination."""
-    if not rows:
-        return (), ()
+    """The span of rows of n codes, as the pair (RREF rows, pivots)."""
     reduced, pivots = kernel.rref(rows, n)
     return reduced[: len(pivots)], pivots
 
@@ -257,7 +261,7 @@ def is_complementary(u: Subspace, v: Subspace) -> bool:
     n = u.ambient_dim
     if u.dim + v.dim != n:
         return False
-    return rank(_trusted(Matrix, u.spec, n, n, u.rows + v.rows)) == n
+    return len(u.spec._kernel.rref(u.rows + v.rows, n)[1]) == n
 
 
 @dataclass(frozen=True)
@@ -306,35 +310,31 @@ def map_inverse(f: SubspaceMap) -> SubspaceMap:
     return _trusted(SubspaceMap, f.codomain, f.domain, mat_inv(f.matrix))
 
 
-def _split(kernel, n: int, v, u, what: str):
-    """B = [v | u] and B^-1, row-major, for subspaces v and u of F^n of
-    dimensions adding to n, each the pair (rows, pivots); the top
-    dim(v) rows of B^-1 read off v-coordinates and the rest
-    u-coordinates.  When u is v's Steinitz complement (its rows are
-    unit rows off v's pivots), B^-1 needs no elimination: a vector's
-    v-coordinates are its entries at v's pivots, and its u-coordinates
-    its free entries minus their v part, read by the rows
-    e_f - sum_i v_i[f] e_(p_i), v's canonical kernel basis.  Any other
-    B is inverted, and B is invertible exactly when v and u are
-    complementary, so that inversion is the check; it raises
-    :class:`NotComplement` with message ``what`` otherwise."""
-    b = tuple(zip(*(v[0] + u[0])))
-    if set(u[1]).isdisjoint(v[1]) and all(row.count(0) == n - 1 for row in u[0]):
-        return b, tuple(_unit_row(n, p) for p in v[1]) + _null_rows(kernel.neg, v[0], v[1], n)
-    b_inv = _inverse_rows(kernel, b, n)[0]
-    if b_inv is None:
-        raise NotComplement(what)
-    return b, b_inv
+def _steinitz_split(kernel, n: int, v):
+    """B = [V | U] and B^-1, row-major, for V = (rows, pivots) and U its
+    Steinitz complement; the top dim(V) rows of B^-1 read off
+    V-coordinates and the rest U-coordinates.  Nothing is inverted: a
+    vector's V-coordinates are its entries at V's pivots, and its
+    U-coordinates its free entries minus their V part, read by the rows
+    e_f - sum_i v_i[f] e_(p_i), V's canonical kernel basis."""
+    b = tuple(zip(*(v[0] + _steinitz(n, v)[0])))
+    return b, tuple(_unit_row(n, p) for p in v[1]) + _null_rows(kernel.neg, v[0], v[1], n)
 
 
 def _change_of_basis(v: Subspace, u: Subspace, what: str):
-    """:func:`_split` of two subspaces, which must share field and
-    ambient space and have dimensions adding to n, or it raises
-    :class:`NotComplement` with message ``what``."""
+    """B = [V | U] and B^-1, row-major, for subspaces V and U of F^n.
+    B is invertible exactly when V and U are complementary, so its
+    inversion is the check; it raises :class:`NotComplement` with
+    message ``what`` otherwise, and when they do not share field and
+    ambient space or their dimensions do not add to n."""
     n = v.ambient_dim
     if v.spec != u.spec or u.ambient_dim != n or v.dim + u.dim != n:
         raise NotComplement(what)
-    return _split(v.spec._kernel, n, (v.rows, v.pivots), (u.rows, u.pivots), what)
+    b = tuple(zip(*(v.rows + u.rows)))
+    b_inv = _inverse_rows(v.spec._kernel, b, n)[0]
+    if b_inv is None:
+        raise NotComplement(what)
+    return b, b_inv
 
 
 def _conjugate(kernel, n: int, t, b, b_inv):
@@ -478,10 +478,9 @@ class OrderedBasis:
                 raise NotBasis(f"basis vector must be a Vector, got {type(vec).__name__}")
             if not contains(self.subspace, vec):
                 raise NotBasis(f"{vec.entries} lies outside the subspace")
-        if vectors:
-            stacked = Matrix.from_rows(self.subspace.spec, [v.entries for v in vectors])
-            if rank(stacked) != len(vectors):
-                raise NotBasis("vectors are linearly dependent")
+        rows, n = tuple(x.entries for x in vectors), self.subspace.ambient_dim
+        if len(self.subspace.spec._kernel.rref(rows, n)[1]) != len(vectors):
+            raise NotBasis("vectors are linearly dependent")
 
     @classmethod
     def reference(cls, v: Subspace) -> "OrderedBasis":
@@ -513,5 +512,5 @@ def automorphism_to_basis(r: SubspaceMap) -> OrderedBasis:
     if not is_invertible(r.matrix):
         raise NotAutomorphism("map matrix is singular")
     v = r.domain
-    vecs = tuple(from_coords(v, _trusted(Vector, v.spec, col)) for col in zip(*r.matrix.data))
-    return _trusted(OrderedBasis, v, vecs)
+    images = v.spec._kernel.product(tuple(zip(*r.matrix.data)), v.rows, v.ambient_dim)
+    return _trusted(OrderedBasis, v, tuple(_trusted(Vector, v.spec, row) for row in images))

@@ -13,11 +13,13 @@ import typing
 import pytest
 
 import nilbij
-from conftest import GF2, GF4
+from conftest import GF2, GF3, GF4
 from nilbij import (
     CensusReport,
     DegreeStratum,
+    DimensionMismatch,
     EndoFunction,
+    FieldMismatch,
     FieldSpec,
     FittingPair,
     JoyalReport,
@@ -33,17 +35,21 @@ from nilbij import (
     all_endofunctions,
     apply,
     block_decompose,
+    compose,
     contains,
     count_nilpotents,
     degree,
     enumerate_operators,
     fitting_decompose,
+    from_coords,
     inverse,
+    is_complementary,
     is_invertible,
     is_nilpotent,
     joyal_forward,
     linalg,
     mat_inv,
+    map_inverse,
     mat_mul,
     mat_pow,
     span,
@@ -309,3 +315,51 @@ HUGE_DIMENSION_CALLS = {
 def test_a_huge_empty_dimension_is_refused_with_a_nilbij_error(name):
     with pytest.raises(NilbijError):
         HUGE_DIMENSION_CALLS[name]()
+
+
+# Operands that are valid on their own but do not match each other:
+# name -> (call, the exact error and its message, or the value returned).
+E2 = Subspace(GF2, 2, ((0, 1),))  # LINE's Steinitz complement
+LINE3 = Subspace(GF3, 2, ((1, 1),))
+ID_LINE = SubspaceMap(LINE, LINE, Matrix.identity(GF2, 1))
+ID_E2 = SubspaceMap(E2, E2, Matrix.identity(GF2, 1))
+ID_LINE3 = SubspaceMap(LINE3, LINE3, Matrix.identity(GF3, 1))
+LINE_IN_PLANE = SubspaceMap(LINE, Subspace.full(GF2, 2), Matrix(GF2, 2, 1, ((1,), (1,))))
+MISMATCHES = {
+    "FieldSpec past the size limit": (lambda: FieldSpec(3, 81), SchemaError, "too large"),
+    "FittingPair with R off V": (lambda: FittingPair(LINE, E2, ID_E2, ID_E2),
+                                 DimensionMismatch, "R must map V to V"),
+    "FittingPair with S off W": (lambda: FittingPair(LINE, E2, ID_LINE, ID_LINE),
+                                 DimensionMismatch, "S must map W to W"),
+    "FittingPair across fields": (lambda: FittingPair(LINE, LINE3, ID_LINE, ID_LINE3),
+                                  DimensionMismatch, "V and W must share spec"),
+    "span of nothing": (lambda: span([]), DimensionMismatch, "empty span needs"),
+    "span across fields": (lambda: span([Vector(GF2, (1, 0)), Vector(GF3, (1, 0))]),
+                           FieldMismatch, "over different fields"),
+    "span across lengths": (lambda: span([Vector(GF2, (1, 0)), Vector(GF2, (1, 0, 0))]),
+                            DimensionMismatch, "of different lengths"),
+    "contains across fields": (lambda: contains(LINE, Vector(GF3, (1, 1))),
+                               FieldMismatch, "different fields"),
+    "from_coords with the wrong count": (lambda: from_coords(LINE, Vector(GF2, (1, 0))),
+                                         DimensionMismatch, "expected 1 coordinates, got 2"),
+    "is_complementary across fields": (lambda: is_complementary(E2, LINE3), False, None),
+    "SubspaceMap across fields": (lambda: SubspaceMap(LINE, LINE3, Matrix.identity(GF2, 1)),
+                                  FieldMismatch, "domain and codomain"),
+    "compose off its domain": (lambda: compose(ID_E2, ID_LINE),
+                               DimensionMismatch, "codomain of f is not the domain of g"),
+    "map_inverse between dimensions": (lambda: map_inverse(LINE_IN_PLANE),
+                                       DimensionMismatch, "equal dimensions"),
+    "block_decompose across fields": (lambda: block_decompose(Matrix.identity(GF3, 2), LINE, E2),
+                                      FieldMismatch, "operator and subspaces"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISMATCHES))
+def test_operands_that_do_not_match_are_refused(name):
+    call, expected, message = MISMATCHES[name]
+    if not isinstance(expected, type):
+        assert call() is expected
+        return
+    with pytest.raises(expected, match=message) as info:
+        call()
+    assert type(info.value) is expected

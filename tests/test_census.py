@@ -19,6 +19,7 @@ from nilbij import (
     FieldSpec,
     FittingPair,
     Matrix,
+    NotComplement,
     OrderedBasis,
     SchemaError,
     SubspaceMap,
@@ -30,6 +31,7 @@ from nilbij import (
     forward,
     inverse,
     joyal,
+    linalg,
     mat_mul,
     span,
     verify_degree_refinement,
@@ -440,10 +442,14 @@ def test_construction_mutant_fails_its_own_audit(
 # not nilpotent, on some enumerated input.  The walk must count that
 # input as failed, and the CLI exit 1 with a report, never 2.
 
-def steinitz_complement_returns_the_line_itself(real):
-    """The Steinitz core returning a line of the plane as its own
-    complement, which the [V | U] change of basis refuses."""
-    return lambda n, v: v if (n, len(v[0])) == (2, 1) else real(n, v)
+def steinitz_split_refuses_a_line_of_the_plane(real):
+    """The Steinitz split refusing each line of the plane, as the
+    inversion of a [V | U] that is no change of basis would."""
+    def mutant(kernel, n, v):
+        if (n, len(v[0])) == (2, 1):
+            raise NotComplement("U is not a complement of V")
+        return real(kernel, n, v)
+    return mutant
 
 
 def decompose_gives_inverse_a_non_nilpotent_t_uu(real):
@@ -462,7 +468,7 @@ def decompose_gives_inverse_a_non_nilpotent_t_uu(real):
 # (module owning the core, the core, mutant, whether the degree walk meets
 # it): the degree walk never calls inverse, where the second mutant acts
 FAULT_MUTANTS = [
-    (nilbij.subspaces, "_steinitz", steinitz_complement_returns_the_line_itself, True),
+    (nilbij.subspaces, "_steinitz_split", steinitz_split_refuses_a_line_of_the_plane, True),
     (nilbij.subspaces, "_decompose", decompose_gives_inverse_a_non_nilpotent_t_uu, False),
 ]
 
@@ -491,18 +497,19 @@ def test_construction_fault_is_that_inputs_failure(
 # cheapest check known to catch it and the checks known not to: the gap
 # between them is on record, so a change that closes or widens it says so.
 
-def steinitz_complement_shifted_by_the_first_row(real):
-    """The Steinitz core returning the span of e_j + b_1, j over V's free
-    columns and b_1 V's first row: a complement of V, but not the
-    Steinitz one.  The core holds no field, so the sum is GF(2)'s, the
-    field of the checks that run it."""
-    def mutant(n, v):
-        u = real(n, v)
+def steinitz_split_shifted_by_the_first_row(real):
+    """The Steinitz split over U', the span of e_j + b_1, j over V's free
+    columns and b_1 V's first row, in place of U: [V | U'] and its
+    inverse, by ``linalg._inverse_rows``.  U' is a complement of V, but
+    not the Steinitz one.  The sum e_j + b_1 is GF(2)'s, the field of
+    the checks that run it."""
+    def mutant(kernel, n, v):
         if not v[0]:
-            return u
-        shifted = [Vector(GF2, tuple(e ^ b for e, b in zip(row, v[0][0]))) for row in u[0]]
-        w = span(shifted, spec=GF2, ambient_dim=n)
-        return w.rows, w.pivots
+            return real(kernel, n, v)
+        units = nilbij.subspaces._steinitz(n, v)[0]
+        shifted = [Vector(GF2, tuple(e ^ b for e, b in zip(row, v[0][0]))) for row in units]
+        b = tuple(zip(*(v[0] + span(shifted, spec=GF2, ambient_dim=n).rows)))
+        return b, linalg._inverse_rows(kernel, b, n)[0]
     return mutant
 
 
@@ -588,8 +595,8 @@ Q3 = Matrix.from_rows(GF3, [(0, 0, 0, 0), (1, 0, 0, 0), (2, 1, 0, 0), (1, 0, 1, 
 # Each check returns True where the code is right.  The census misses
 # the complement mutant because it proves a bijection, not which one.
 NEAR_MISS_MUTANTS = [
-    ("complement shifted by V's first row", (nilbij.subspaces, nilbij.bijection), "_steinitz",
-     steinitz_complement_shifted_by_the_first_row,
+    ("complement shifted by V's first row", (nilbij.subspaces, nilbij.bijection),
+     "_steinitz_split", steinitz_split_shifted_by_the_first_row,
      "CHANGES.md: `forward` ends in `block_assemble`",
      lambda: direct_sum_mismatches(GF2, 1, 1)[0] == 0, True),
     ("basis read reversed", (nilbij.subspaces, nilbij.bijection), "_automorphism",

@@ -9,6 +9,7 @@ as often as pinned here: validated by its ``__post_init__``, or
 unchecked by ``errors._trusted``, counted by class."""
 
 import inspect
+import io
 import math
 from collections import Counter
 from functools import cached_property
@@ -25,16 +26,20 @@ from nilbij import (
     Matrix,
     NotComplement,
     NotInvertible,
+    OrderedBasis,
     Subspace,
     Tree,
     Vector,
+    automorphism_to_basis,
     count_nilpotents,
     degree,
     field,
+    fitting_assemble,
     fitting_decompose,
     forward,
     image_basis,
     inverse,
+    is_complementary,
     is_invertible,
     is_nilpotent,
     joyal_inverse,
@@ -51,6 +56,7 @@ from nilbij import (
     verify_theorem,
 )
 from nilbij.census import expected_strata
+from nilbij.cli import canonical_dumps, main
 from nilbij.errors import _trusted
 from nilbij.subspaces import _change_of_basis
 
@@ -274,10 +280,16 @@ def test_census_decides_nilpotency_once_per_operator():
     assert decided == 0  # rank(T^m) = 0 proves each T nilpotent
 
 
+# Every value class that validates in a ``__post_init__``, but the field:
+# a FieldSpec is only ever read from outside data, never derived.
+VALIDATING = [cls for cls in map(vars(nilbij).get, nilbij.__all__) if inspect.isclass(cls)
+              and "__post_init__" in vars(cls) and cls is not FieldSpec]
+
+
 def count_builds(call):
     """Run ``call`` with the values it builds counted by class: the
-    validated ``Matrix``, ``Vector``, ``Tree`` and ``EndoFunction`` by
-    their ``__post_init__``, and the unchecked builds of every class by
+    validated builds of every class in ``VALIDATING`` by its
+    ``__post_init__``, and the unchecked builds of every class by
     ``errors._trusted``, in every nilbij module that binds it; return its
     result, the validated counts and the trusted counts."""
     validated, trusted = Counter(), Counter()
@@ -293,7 +305,7 @@ def count_builds(call):
         return _trusted(cls, *values)
 
     with pytest.MonkeyPatch.context() as mp:
-        for cls in (Matrix, Vector, Tree, EndoFunction):
+        for cls in VALIDATING:
             mp.setattr(cls, "__post_init__", post_init(cls.__post_init__))
         patch_everywhere(mp, _trusted, counted_trusted)
         return call(), validated, trusted
@@ -315,6 +327,35 @@ def test_the_census_walks_build_no_value_per_element():
     report, validated, trusted = count_builds(lambda: verify_joyal(5))
     assert report.ok
     assert validated == {Tree: 5 ** 3} and trusted == {}
+
+
+# over GF(3), dim V = 2 and W is not V's Steinitz complement
+OPERATOR = Matrix(GF3, 4, 4, ((0, 0, 1, 2), (1, 1, 0, 0), (0, 2, 0, 2), (2, 2, 0, 0)))
+
+
+def test_no_public_call_revalidates_a_value_the_library_built():
+    """A public call validates its operands and builds its result
+    trusted: of these calls on ``OPERATOR``, only the CLI validates a
+    value, its payload and the R of ``_inverse``, and ``OrderedBasis``
+    validates itself alone."""
+    pair = fitting_decompose(OPERATOR)
+    basis = automorphism_to_basis(pair.R)
+    doc = canonical_dumps(OPERATOR.to_json())
+    calls = {
+        "fitting_decompose": (lambda: fitting_decompose(OPERATOR), pair, {}),
+        "fitting_assemble": (lambda: fitting_assemble(pair), OPERATOR, {}),
+        "cli inverse": (lambda: main(["inverse"], stdin=io.StringIO(doc), stdout=io.StringIO()),
+                        0, {Matrix: 2}),
+        "OrderedBasis": (lambda: OrderedBasis(pair.V, basis.vectors), basis, {OrderedBasis: 1}),
+    }
+    for name, (call, result, builds) in calls.items():
+        got, validated, _ = count_builds(call)
+        assert got == result and validated == builds, name
+    # one product of R's columns by V's rows: a trusted Vector per image
+    got, validated, trusted = count_builds(lambda: automorphism_to_basis(pair.R))
+    assert got == basis and validated == {} and trusted[Vector] == pair.V.dim == 2
+    got, validated, trusted = count_builds(lambda: is_complementary(pair.V, pair.W))
+    assert got is True and validated == trusted == {}
 
 
 def test_each_census_verdict_is_decided_once():

@@ -21,8 +21,10 @@ from conftest import AUDITS, GF2, GF3, patch_everywhere
 from nilbij import (
     EndoFunction,
     FieldSpec,
+    FittingPair,
     Matrix,
     NilbijError,
+    NilpotentPair,
     NotCanonical,
     OrderedBasis,
     Subspace,
@@ -42,6 +44,7 @@ from nilbij import (
     verify_theorem,
 )
 from nilbij.errors import _trusted
+from test_cli import DATA_PINS, run as run_cli
 
 GF9 = FieldSpec(3, 2)
 GF4099 = FieldSpec(4099)  # past the table limit: the on-demand kernel
@@ -90,7 +93,7 @@ def test_trusted_values_pass_the_public_checks(monkeypatch, spec, n):
         pytest.fail(f"a library-built value failed validation: {exc!r}")
     assert got == expected
     if n >= 2:
-        assert set(calls) == {Matrix, Vector, Subspace, OrderedBasis, SubspaceMap}
+        assert set(calls) == {Matrix, Vector, Subspace, OrderedBasis, SubspaceMap, FittingPair}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -136,7 +139,18 @@ def test_trusted_values_pass_the_public_checks_past_the_census(point, data):
         calls = route_to_public_constructors(mp)
         got = run()
     assert got == expected and got[2] == q
-    assert set(calls) == {Matrix, Vector, Subspace, SubspaceMap}
+    assert set(calls) == {Matrix, Vector, Subspace, SubspaceMap, FittingPair}
+
+
+def test_cli_data_pins_hold_on_the_route(monkeypatch):
+    """The data commands build their results trusted too: ``inverse``
+    its ``NilpotentPair`` and ``fitting`` its ``FittingPair``.  Through
+    the public constructors every pinned document gives the same bytes,
+    where a refusal would exit 2."""
+    calls = route_to_public_constructors(monkeypatch)
+    for name, (command, doc, expected) in DATA_PINS.items():
+        assert run_cli([command], doc + "\n") == (0, expected + "\n", ""), name
+    assert {NilpotentPair, FittingPair} <= set(calls)
 
 
 def joyal_inverse_leaves_its_edges_unsorted(real):
