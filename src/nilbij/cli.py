@@ -233,3 +233,7 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

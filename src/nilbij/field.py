@@ -8,7 +8,7 @@ fields (``k == 1``) arithmetic is plain mod-p; extension fields reduce
 polynomial products modulo a monic irreducible of degree ``k``.
 
 A :class:`FieldSpec` owns the arithmetic down to whole rows: its
-``_kernel``, chosen once from q with no option, combines, multiplies
+``_kernel``, chosen from q with no option, combines, multiplies
 and eliminates the rows of :mod:`nilbij.linalg` and
 :mod:`nilbij.subspaces`, walks the orbit of a vector under a square
 matrix and decides whether that matrix is nilpotent, and
@@ -21,7 +21,9 @@ matrix and decides whether that matrix is nilpotent, and
   ``add[a][b]``, ``mul[a][b]``, ``neg[a]`` and ``inv[a]``.
   ``FieldSpec.inv`` does not read ``inv``: it stays square-and-multiply,
   the oracle the table is tested against.
-- Larger fields get no table: same-shaped views compute on demand.
+- Larger fields get no table: same-shaped views compute on demand,
+  built again on each read of ``_kernel``, so a spec keeps nothing but
+  (p, k, poly) and pickles and copies as its fields.
 
 The kernels of the first two kinds are built once per process for each
 field (p, k, poly) and shared by every equal spec, so a parsed payload
@@ -40,7 +42,7 @@ with ``c_k == 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, partial, reduce
+from functools import cache, partial, reduce
 from itertools import compress
 from operator import xor
 
@@ -59,9 +61,9 @@ __all__ = ["FieldSpec"]
 # fields compute each value on demand (see FieldSpec._kernel).  A table
 # costs q² products on the field's first arithmetic, paid once per
 # process per field (see _tabulated): GF(2^10) took 33 s on a 2-CPU
-# Linux host.  The census grid and the benchmark use q <= 49, and the
-# tests build tables up to GF(2^6), the largest at this limit, which
-# builds in about 50 ms.
+# Linux host.  The census grids and the benchmark use q <= 9; the tests
+# build tables up to GF(2^6), the largest at this limit, which builds in
+# about 50 ms.
 _TABLE_MAX = 64
 
 # Conway polynomials, little-endian coefficients c_0 .. c_k.
@@ -441,11 +443,13 @@ class FieldSpec:
             return (-a) % self.p
         return self._code(tuple((-d) % self.p for d in self._digits(a)))
 
-    @cached_property
+    @property
     def _kernel(self) -> _Rows:
-        """The row kernel, chosen once from q: packed rows for GF(2),
-        lookup tables up to ``_TABLE_MAX`` (both shared by equal specs),
-        and views that compute each value on demand for larger fields."""
+        """The row kernel, chosen from q on each read: packed rows for
+        GF(2) and lookup tables up to ``_TABLE_MAX``, both the one kernel
+        that :func:`_tabulated` keeps per field; past it, views that
+        compute each value on demand, built again on each read.  The spec
+        keeps nothing but its fields."""
         if self.q <= _TABLE_MAX:
             return _tabulated(self)
         return _Rows(

@@ -37,7 +37,7 @@ which the bijection runs without building an intermediate value:
 
 A ``Matrix`` holds its four fields and nothing else.  Each fact about
 it is computed where it is asked for: ``rank``, ``kernel_basis`` and
-``image_basis`` by one :func:`rref`, ``mat_inv`` by one
+``image_basis`` by one elimination in the row kernel, ``mat_inv`` by one
 :func:`_inverse_rows` and ``is_nilpotent`` by the kernel's
 ``nilpotent``.  The stable power T**m, m the least power of two >= n,
 is a row-level step too: :func:`_stable_power` squares T's rows in the
@@ -298,7 +298,7 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+    return len(a.spec._kernel.rref(a.data, a.cols)[1])
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
@@ -309,14 +309,15 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     coordinates to 0, and each pivot coordinate to minus the RREF entry
     in the free column.
     """
-    r, pivots = rref(a)
-    null_rows = _null_rows(a.spec._kernel.neg, r.data, pivots, a.cols)
-    return [_trusted(Vector, a.spec, x) for x in null_rows]
+    kernel = a.spec._kernel
+    data, pivots = kernel.rref(a.data, a.cols)
+    return [_trusted(Vector, a.spec, x) for x in _null_rows(kernel.neg, data, pivots, a.cols)]
 
 
 def image_basis(a: Matrix) -> list[Vector]:
     """Columns of ``a`` at the pivot positions of its RREF, ascending."""
-    return [_trusted(Vector, a.spec, tuple([row[c] for row in a.data])) for c in rref(a)[1]]
+    pivots = a.spec._kernel.rref(a.data, a.cols)[1]
+    return [_trusted(Vector, a.spec, tuple([row[c] for row in a.data])) for c in pivots]
 
 
 def is_invertible(t: Matrix) -> bool:

@@ -207,26 +207,26 @@ def _echelon(kernel, rows, n: int):
     return reduced[: len(pivots)], pivots
 
 
-def _reduce_against(v: Subspace, x: Vector) -> tuple[tuple[int, ...], Vector]:
-    """Coefficients of x over v's reference basis plus the residue."""
+def _reduce_against(v: Subspace, x: Vector) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Coefficients of x over v's reference basis plus the residue's
+    entries."""
     if x.spec != v.spec:
         raise FieldMismatch("vector and subspace live in different fields")
     if x.n != v.ambient_dim:
         raise DimensionMismatch("vector length does not match the ambient dimension")
     coeffs = tuple(x.entries[p] for p in v.pivots)
     kernel = v.spec._kernel
-    residue = kernel.combine([kernel.neg[c] for c in coeffs], v.rows, x.entries)
-    return coeffs, _trusted(Vector, v.spec, residue)
+    return coeffs, kernel.combine([kernel.neg[c] for c in coeffs], v.rows, x.entries)
 
 
 def contains(v: Subspace, x: Vector) -> bool:
-    return _reduce_against(v, x)[1].is_zero()
+    return not any(_reduce_against(v, x)[1])
 
 
 def coords(v: Subspace, x: Vector) -> Vector:
     """The unique coefficients of x over v's reference basis (length dim v)."""
     coeffs, residue = _reduce_against(v, x)
-    if not residue.is_zero():
+    if any(residue):
         raise NotInSubspace(f"{x.entries} is not in the subspace")
     return _trusted(Vector, v.spec, coeffs)
 

@@ -560,9 +560,7 @@ def tabulated_unshared(real):
 def kernel_memoizing_the_views(real):
     """``FieldSpec._kernel`` memoized by the spec's value past
     ``_TABLE_MAX`` too, where fields are unbounded in number."""
-    fact = functools.cached_property(functools.cache(real.func))
-    fact.__set_name__(FieldSpec, "_kernel")
-    return fact
+    return property(functools.cache(real.fget))
 
 
 def u_to_v_block_drops_f_t_uu(real):

@@ -4,11 +4,16 @@ import copy
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import nilbij
 from conftest import GF2, GF4
 from nilbij import CensusReport, FieldSpec, Matrix, NilpotentPair, Vector
 from nilbij.cli import canonical_dumps, main
@@ -346,6 +351,28 @@ def test_exit_two_on_usage_errors(capsys):
                    ["verify-joyal", "--n", "1"]):  # report commands read no input
         assert run(report + ["--input", "/nonexistent"])[0] == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("module", ["nilbij", "nilbij.cli"])
+def test_module_form_keeps_the_exit_codes(module):
+    """``python -m nilbij`` and ``python -m nilbij.cli`` run ``main``: the
+    same bytes and exit 0 for a report, and exit 2 for a bad flag, never
+    the 1 of a failed verification or a silent 0."""
+    src = str(Path(nilbij.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run_module(*args):
+        return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    args = ["count-nilpotents", "--p", "3", "--n", "2", "--json"]
+    done = run_module(*args)
+    out = io.StringIO()
+    assert main(args, stdout=out) == 0
+    assert (done.returncode, done.stdout, done.stderr) == (0, out.getvalue(), "")
+    done = run_module("verify-joyal", "--n", "0")
+    assert done.returncode == 2 and done.stderr.startswith("error:")
 
 
 def test_usage_and_help_go_to_the_given_streams(capsys):

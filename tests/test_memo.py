@@ -1,18 +1,24 @@
-"""Remembered facts: a FieldSpec keeps its row kernel, and the process
-keeps one for each field with q <= 64, shared by equal specs; every
-other value type keeps nothing but its fields, so the census decides
-each fact once by the order of its own calls.  Giving each spec its own
-tables must change no result, the facts must stay out of equality,
-hashing, repr and JSON, failures must repeat, and the census must
-decide each nilpotency, square each stable power and build each value
-as often as pinned here: validated by its ``__post_init__``, or
-unchecked by ``errors._trusted``, counted by class."""
+"""Remembered facts: the process keeps one row kernel for each field
+with q <= 64, shared by equal specs; every value type, the field
+included, keeps nothing but its fields, so it pickles and copies as
+them and the census decides each fact once by the order of its own
+calls.  Giving each spec its own tables must change no result, the
+facts must stay out of equality, hashing, repr and JSON, failures must
+repeat, and the census must decide each nilpotency, square each stable
+power and build each value as often as pinned here: validated by its
+``__post_init__``, or unchecked by ``errors._trusted``, counted by
+class."""
 
+import ast
+import copy
+import dataclasses
 import inspect
 import io
 import math
+import pickle
 from collections import Counter
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +30,7 @@ from nilbij import (
     EndoFunction,
     FieldSpec,
     Matrix,
+    NilpotentPair,
     NotComplement,
     NotInvertible,
     OrderedBasis,
@@ -31,6 +38,8 @@ from nilbij import (
     Tree,
     Vector,
     automorphism_to_basis,
+    contains,
+    coords,
     count_nilpotents,
     degree,
     field,
@@ -58,9 +67,11 @@ from nilbij import (
 from nilbij.census import expected_strata
 from nilbij.cli import canonical_dumps, main
 from nilbij.errors import _trusted
+from nilbij.field import _TABLE_MAX, _tabulated
 from nilbij.subspaces import _change_of_basis
 
 GF9 = FieldSpec(3, 2)
+GF128 = FieldSpec(2, 7, (1, 1, 0, 0, 0, 0, 0, 1))  # x^7 + x + 1: past the table limit
 
 
 def remembered(cls) -> list[str]:
@@ -68,16 +79,71 @@ def remembered(cls) -> list[str]:
 
 
 def test_no_value_type_remembers_anything():
-    classes = [value for value in map(vars(nilbij).get, nilbij.__all__)
-               if inspect.isclass(value) and value is not FieldSpec]
-    assert Matrix in classes and Subspace in classes and EndoFunction in classes
+    classes = [value for value in map(vars(nilbij).get, nilbij.__all__) if inspect.isclass(value)]
+    assert FieldSpec in classes and Matrix in classes and EndoFunction in classes
     assert [cls for cls in classes if remembered(cls)] == []
-    assert remembered(FieldSpec) == ["_kernel"]
+
+
+def test_no_module_caches_a_property():
+    for path in sorted(Path(nilbij.__file__).parent.glob("*.py")):
+        names = {getattr(node, "id", None) or getattr(node, "attr", None)
+                 or getattr(node, "name", None) for node in ast.walk(ast.parse(path.read_text()))}
+        assert "cached_property" not in names, path.name
+
+
+# every value class of the package: the dataclasses of nilbij.__all__
+VALUE_CLASSES = {cls for cls in map(vars(nilbij).get, nilbij.__all__)
+                 if inspect.isclass(cls) and dataclasses.is_dataclass(cls)}
+
+
+def values_over(spec):
+    """One value of each class in ``VALUE_CLASSES``, the linear ones over
+    spec and built by arithmetic in it; the trees, functions and reports
+    hold no field."""
+    q = Matrix(spec, 3, 3, ((1, 1, 0), (0, 0, 0), (0, 0, 1)))
+    t, v = inverse(q)
+    pair = fitting_decompose(q)
+    f = EndoFunction(3, (1, 2, 1))
+    return [spec, v, t, pair.V, pair.R, automorphism_to_basis(pair.R), pair,
+            NilpotentPair(t, v), joyal_inverse(f)[0], f, verify_theorem(GF2, 2),
+            verify_degree_refinement(GF2, 2)[0], verify_joyal(3)]
+
+
+def keeps_only_its_fields(value) -> bool:
+    """Whether ``value``, and each value it holds, keeps nothing but its
+    dataclass fields."""
+    if isinstance(value, tuple):
+        return all(map(keeps_only_its_fields, value))
+    if not dataclasses.is_dataclass(value):
+        return True
+    names = [f.name for f in dataclasses.fields(value)]
+    return vars(value).keys() == set(names) and all(
+        keeps_only_its_fields(getattr(value, name)) for name in names)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF9, FieldSpec(4099), GF128], ids=lambda s: f"GF{s.q}")
+def test_every_value_copies_as_its_fields(spec):
+    """After arithmetic, every value pickles and copies to an equal value
+    that keeps only its fields, and a copied field reads the kernel its
+    field already has: the shared tables up to the limit, views that
+    compute the same values past it."""
+    values = values_over(spec)
+    assert {type(value) for value in values} == VALUE_CLASSES
+    assert vars(spec).keys() == {"p", "k", "poly"}
+    for value in values:
+        assert keeps_only_its_fields(value)
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert copied == value and keeps_only_its_fields(copied)
+    for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec), copy.copy(spec)):
+        if spec.q <= _TABLE_MAX:
+            assert copied._kernel is _tabulated(spec)
+        top = spec.q - 1
+        assert (copied.mul(top, top), copied.inv(top)) == (spec.mul(top, top), spec.inv(top))
 
 
 def memo_off(mp: pytest.MonkeyPatch) -> None:
-    """Un-share the row kernels: a spec made after this builds its own
-    tables instead of reading the shared kernel."""
+    """Un-share the row kernels: each kernel read after this builds its
+    own tables instead of reading the shared kernel."""
     mp.setattr(field, "_tabulated", field._tabulated.__wrapped__)
 
 
@@ -356,6 +422,31 @@ def test_no_public_call_revalidates_a_value_the_library_built():
     assert got == basis and validated == {} and trusted[Vector] == pair.V.dim == 2
     got, validated, trusted = count_builds(lambda: is_complementary(pair.V, pair.W))
     assert got is True and validated == trusted == {}
+
+
+def test_each_fact_builds_only_its_result():
+    """A fact that holds rows reads them: ``rank``, ``is_invertible`` and
+    ``contains`` build nothing, and the others only their result, with
+    no RREF ``Matrix`` or residue ``Vector`` built and thrown away."""
+    pair = fitting_decompose(OPERATOR)
+    basis = automorphism_to_basis(pair.R)
+    x = Vector(GF3, (1, 1, 0, 2))  # the sum of V's reference basis
+    calls = {
+        "rank": (lambda: rank(OPERATOR), {}, {}),
+        "is_invertible": (lambda: is_invertible(OPERATOR), {}, {}),
+        "kernel_basis": (lambda: kernel_basis(OPERATOR), {}, {Vector: 1}),
+        "image_basis": (lambda: image_basis(OPERATOR), {}, {Vector: 3}),
+        "contains": (lambda: contains(pair.V, x), {}, {}),
+        "coords": (lambda: coords(pair.V, x), {}, {Vector: 1}),
+        "OrderedBasis": (lambda: OrderedBasis(pair.V, basis.vectors), {OrderedBasis: 1}, {}),
+        "automorphism_to_basis": (lambda: automorphism_to_basis(pair.R), {},
+                                  {OrderedBasis: 1, Vector: 2}),
+        "fitting_assemble": (lambda: fitting_assemble(pair), {}, {Matrix: 1}),
+    }
+    for name, (call, validated_builds, trusted_builds) in calls.items():
+        _, validated, trusted = count_builds(call)
+        assert validated == validated_builds and trusted == trusted_builds, name
+    assert contains(pair.V, x) and coords(pair.V, x).entries == (1, 1)
 
 
 def test_each_census_verdict_is_decided_once():
