@@ -29,8 +29,8 @@ no entry.
 
 :func:`_trusted` is the one way past the readers: the library builds
 each value it derives from valid operands, of any class, by
-``_trusted(cls, *fields)``, unchecked, and no other code skips a
-constructor.
+``_trusted(cls, *args)``, exactly its constructor's arguments,
+unchecked, and no other code skips a constructor.
 """
 
 __all__ = [
@@ -165,8 +165,8 @@ def _json_seq(value: object, what: str) -> tuple:
 
 def _trusted(cls, *values):
     """A value of the dataclass ``cls`` that the library built itself,
-    unchecked: ``values`` are its fields in declaration order, exactly
-    as its public constructor would store them."""
+    unchecked: ``values`` are exactly its public constructor's
+    arguments, in canonical form, and they are its fields."""
     obj = object.__new__(cls)
     obj.__dict__.update(zip(cls.__dataclass_fields__, values))
     return obj

@@ -135,7 +135,7 @@ def fitting_decompose(q: Matrix) -> FittingPair:
         raise NonSquare("operator must be square")
     v, w, r, s = _fitting(q.spec._kernel, q.data)
     spec, n, k = q.spec, q.rows, len(r)
-    v, w = _trusted(Subspace, spec, n, *v), _trusted(Subspace, spec, n, *w)
+    v, w = _trusted(Subspace, spec, n, v[0]), _trusted(Subspace, spec, n, w[0])
     r = _trusted(SubspaceMap, v, v, _trusted(Matrix, spec, k, k, r))
     s = _trusted(SubspaceMap, w, w, _trusted(Matrix, spec, n - k, n - k, s))
     return _trusted(FittingPair, v, w, r, s)

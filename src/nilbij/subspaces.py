@@ -22,26 +22,28 @@ Constructions:
   bases of V form a torsor under its automorphism group; anchoring at
   the reference basis turns that into a bijection.
 
-The public ``Subspace`` constructor takes the rows alone; the one
-elimination that checks they are their own RREF also yields the
-pivots.  ``Subspace.from_json`` goes through it, and the public
+The public ``Subspace`` constructor takes the rows alone and keeps
+nothing else: one elimination checks that they are their own RREF, and
+``Subspace.pivots`` reads each row's leading 1 off the rows.
+``Subspace.from_json`` goes through it, and the public
 ``OrderedBasis``, ``SubspaceMap`` and ``span`` validate their inputs.
 Code that holds rows hands them to the row kernel: the ``Subspace``
 and ``OrderedBasis`` checks and ``is_complementary`` take their rank
 from its ``rref``, and build no ``Matrix`` for it.
 
-Each construction is one private core on row tuples that calls the
-field's row kernel directly and builds no value: ``_echelon`` (a
-span), ``_steinitz``, ``_steinitz_split`` (the change of basis to V
-and its Steinitz complement), ``_decompose``, ``_assemble``,
-``_graph``, ``_graph_and_iso`` and ``_automorphism`` (a torsor point,
-or a restriction to an invariant subspace).
+A construction step has a private core on row tuples, which calls
+the field's row kernel directly and builds no value, when the
+bijection chains it or a test substitutes it: ``_echelon`` (a span),
+``_steinitz``, ``_steinitz_split`` (the change of basis to V and its
+Steinitz complement), ``_decompose``, ``_assemble``, ``_graph`` and
+``_automorphism`` (a torsor point, or a restriction to an invariant
+subspace).
 A core takes a subspace as the pair (rows, pivots) of its RREF, and a
 map as the rows of its matrix over the reference bases.  The public
 functions check their operands, call the core and wrap its result
-trusted, by ``errors._trusted``: a ``Subspace`` from its spec, ambient
-dimension, rows and pivots, in the order of its fields; they are the
-only builders of ``Subspace`` and ``SubspaceMap`` results.  ``bijection.forward`` and
+trusted, by ``errors._trusted``: a ``Subspace`` from its constructor's
+arguments, spec, ambient dimension and rows; they are the only
+builders of ``Subspace`` and ``SubspaceMap`` results.  ``bijection.forward`` and
 ``inverse`` chain the same cores.
 
 Splitting X = V + U reads coordinates off the inverse of the basis
@@ -59,7 +61,7 @@ remembers nothing, so a split is made again each time it is asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
@@ -115,16 +117,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of F_q^n, held as its RREF basis rows.
+    """Subspace of F_q^n, held as its RREF basis rows and nothing else.
 
     The rows must be their own RREF, with no zero row, or the
-    constructor raises :class:`NotCanonical` naming the canonical form;
-    ``pivots``, their pivot columns, are derived from that check."""
+    constructor raises :class:`NotCanonical` naming the canonical form."""
 
     spec: FieldSpec
     ambient_dim: int
     rows: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         given = _json_seq(self.rows, "basis")
@@ -136,7 +136,12 @@ class Subspace:
             raise NotCanonical(
                 f"basis {list(m.data)} is not RREF; canonical form is {list(canonical)}"
             )
-        object.__setattr__(self, "pivots", pivots)
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot columns: code 1 is the unit, so an RREF row's first
+        1 is its leading entry."""
+        return tuple(row.index(1) for row in self.rows)
 
     @property
     def dim(self) -> int:
@@ -184,7 +189,7 @@ def span(
     if not vecs:
         if spec is None or ambient_dim is None:
             raise DimensionMismatch("empty span needs explicit spec and ambient_dim")
-        return _trusted(Subspace, spec, _json_int(ambient_dim, "ambient_dim", 0), (), ())
+        return _trusted(Subspace, spec, _json_int(ambient_dim, "ambient_dim", 0), ())
     for v in vecs:  # vecs[0] is checked as a Vector before it is read
         if not isinstance(v, Vector):
             raise SchemaError(f"a spanning vector must be a Vector, got {type(v).__name__}")
@@ -198,7 +203,7 @@ def span(
     if ambient_dim is not None and ambient_dim != n:
         raise DimensionMismatch(f"length-{n} vectors vs another ambient_dim")
     rows = tuple(v.entries for v in vecs)
-    return _trusted(Subspace, first, n, *_echelon(first._kernel, rows, n))
+    return _trusted(Subspace, first, n, _echelon(first._kernel, rows, n)[0])
 
 
 def _echelon(kernel, rows, n: int):
@@ -251,7 +256,7 @@ def _steinitz(n: int, v):
 
 def steinitz_complement(v: Subspace) -> Subspace:
     """The complement spanned by standard vectors at non-pivot columns."""
-    return _trusted(Subspace, v.spec, v.ambient_dim, *_steinitz(v.ambient_dim, (v.rows, v.pivots)))
+    return _trusted(Subspace, v.spec, v.ambient_dim, _steinitz(v.ambient_dim, (v.rows, v.pivots))[0])
 
 
 def is_complementary(u: Subspace, v: Subspace) -> bool:
@@ -368,26 +373,20 @@ def _graph(kernel, n: int, v_rows, u_rows, f):
     return _echelon(kernel, graph, n)
 
 
-def _graph_and_iso(kernel, k: int, b_inv, u_rows):
-    """(f, i) for U against B = [V | W], dim V = k: writing u = a + b in
-    X = V + W, i(u) = b, the canonical map U -> W, and f(u) = i(u) - u
-    = -a, the map U -> V whose graph is W.  Both are blocks of
-    B^-1 [U], U's basis in the coordinates of B."""
-    m = kernel.product(b_inv, tuple(zip(*u_rows)), len(u_rows))
-    neg = kernel.neg
-    return tuple(tuple([neg[x] for x in row]) for row in m[:k]), m[k:]
-
-
 def _maps_of_complement(v: Subspace, u: Subspace, w: Subspace) -> tuple[SubspaceMap, SubspaceMap]:
-    """:func:`_graph_and_iso` as maps.  U complements V exactly when
-    dim U = dim W and the W-block is invertible; the check inverts it on
-    rows, and :func:`map_inverse` of i inverts it again."""
+    """(f, i) for U against B = [V | W]: writing u = a + b in X = V + W,
+    i(u) = b, the canonical map U -> W, and f(u) = i(u) - u = -a, the
+    map U -> V whose graph is W.  Both are blocks of B^-1 [U], U's basis
+    in the coordinates of B.  U complements V exactly when dim U = dim W
+    and the W-block is invertible; the check inverts it on rows, and
+    :func:`map_inverse` of i inverts it again."""
     _, b_inv = _change_of_basis(v, w, "W is not a complement of V")
     if u.spec != v.spec or u.ambient_dim != v.ambient_dim or u.dim != w.dim:
         raise NotComplement("U is not a complement of V")
-    spec, k = v.spec, v.dim
-    f, iso = _graph_and_iso(spec._kernel, k, b_inv, u.rows)
-    if _inverse_rows(spec._kernel, iso, u.dim)[0] is None:
+    spec, kernel, k = v.spec, v.spec._kernel, v.dim
+    m = kernel.product(b_inv, tuple(zip(*u.rows)), u.dim)
+    f, iso = tuple(tuple([kernel.neg[x] for x in row]) for row in m[:k]), m[k:]
+    if _inverse_rows(kernel, iso, u.dim)[0] is None:
         raise NotComplement("U is not a complement of V")
     return (_trusted(SubspaceMap, u, v, _trusted(Matrix, spec, k, u.dim, f)),
             _trusted(SubspaceMap, u, w, _trusted(Matrix, spec, w.dim, u.dim, iso)))
@@ -409,8 +408,8 @@ def map_to_complement(f: SubspaceMap) -> Subspace:
     Complementarity is checked by the [V | U] change of basis."""
     u, v = f.domain, f.codomain
     _change_of_basis(v, u, "domain and codomain are not complementary")
-    n = u.ambient_dim
-    return _trusted(Subspace, u.spec, n, *_graph(u.spec._kernel, n, v.rows, u.rows, f.matrix.data))
+    n, kernel = u.ambient_dim, u.spec._kernel
+    return _trusted(Subspace, u.spec, n, _graph(kernel, n, v.rows, u.rows, f.matrix.data)[0])
 
 
 def complement_to_map(w: Subspace, v: Subspace, u: Subspace) -> SubspaceMap:

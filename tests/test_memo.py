@@ -75,12 +75,16 @@ GF128 = FieldSpec(2, 7, (1, 1, 0, 0, 0, 0, 0, 1))  # x^7 + x + 1: past the table
 
 
 def remembered(cls) -> list[str]:
-    return [name for name, attr in vars(cls).items() if isinstance(attr, cached_property)]
+    """What ``cls`` could keep beside its constructor's arguments: its
+    cached properties, and the dataclass fields no argument sets."""
+    cached = [name for name, attr in vars(cls).items() if isinstance(attr, cached_property)]
+    fields = dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ()
+    return cached + [f.name for f in fields if not f.init]
 
 
 def test_no_value_type_remembers_anything():
     classes = [value for value in map(vars(nilbij).get, nilbij.__all__) if inspect.isclass(value)]
-    assert FieldSpec in classes and Matrix in classes and EndoFunction in classes
+    assert {FieldSpec, Matrix, Subspace, EndoFunction} <= set(classes)
     assert [cls for cls in classes if remembered(cls)] == []
 
 
@@ -214,7 +218,7 @@ def test_memo_off_stores_nothing():
         f = EndoFunction(3, (1, 2, 1))
         joyal_inverse(f)
     assert vars(q).keys() == vars(t).keys() == {"spec", "rows", "cols", "data"}
-    assert vars(pair.V).keys() == {"spec", "ambient_dim", "rows", "pivots"}
+    assert vars(pair.V).keys() == {"spec", "ambient_dim", "rows"}
     assert vars(f).keys() == {"n", "table"}
 
 
@@ -231,7 +235,7 @@ def test_facts_stay_out_of_eq_hash_repr_and_json():
     v = span([Vector(GF2, (1, 1, 0))])
     for u in (steinitz_complement(v), span([Vector(GF2, (1, 0, 0)), Vector(GF2, (0, 0, 1))])):
         _change_of_basis(v, u, "not a complement")
-        assert vars(v).keys() == {"spec", "ambient_dim", "rows", "pivots"}  # no split kept
+        assert vars(v).keys() == {"spec", "ambient_dim", "rows"}  # no split kept
     bare = Subspace(GF2, 3, v.rows)
     assert v == bare and hash(v) == hash(bare)
     assert repr(v) == repr(bare) and v.to_json() == bare.to_json()
@@ -250,7 +254,7 @@ def test_failures_repeat():
             mat_inv(singular)
     assert is_invertible(singular) is False and rank(singular) == 1
     fresh = Matrix(GF3, 2, 2, ((1, 2), (2, 1)))
-    _, seen = count_eliminations(lambda: pytest.raises(NotInvertible, mat_inv, fresh))
+    _, seen = record("rref", lambda: pytest.raises(NotInvertible, mat_inv, fresh))
     assert len(seen) == 1  # the message's rank comes from the [T | I] elimination
 
     line = span([Vector(GF2, (1, 0, 0))])
@@ -260,20 +264,28 @@ def test_failures_repeat():
             _change_of_basis(plane, line, what)
 
 
-def count_eliminations(call):
-    """Run ``call`` with the ``rref`` of both row kernel types recorded;
-    return its result and the (rows, cols) of each elimination."""
+def kernel_classes(cls=field._Rows):
+    """The row kernel class and all its subclasses."""
+    return [cls] + [sub for direct in cls.__subclasses__() for sub in kernel_classes(direct)]
+
+
+def record(method, call):
+    """Run ``call`` with the row kernel's ``method`` recorded, on
+    ``field._Rows`` and on each subclass that defines its own; return
+    its result and the arguments of each call, the kernel's own left
+    out: (rows, cols) for an elimination."""
     seen = []
 
     def recording(real):
-        def recorded(kernel, rows, cols):
-            seen.append((rows, cols))
-            return real(kernel, rows, cols)
+        def recorded(kernel, *args):
+            seen.append(args)
+            return real(kernel, *args)
         return recorded
 
     with pytest.MonkeyPatch.context() as mp:
-        for kernel in (field._Rows, field._PackedGF2):
-            mp.setattr(kernel, "rref", recording(kernel.rref))
+        for kernel in kernel_classes():
+            if method in vars(kernel):
+                mp.setattr(kernel, method, recording(vars(kernel)[method]))
         return call(), seen
 
 
@@ -288,12 +300,12 @@ def test_forward_eliminates_only_its_orbit_and_inverse_only_its_image_and_r():
     # inverse spans im(Q^m) by one RREF of Q^m's transpose and inverts R;
     # the Steinitz split [V | U] is read off V's pivots, and T's U -> V
     # block is a series in R^-1: no W and no [V | W]
-    (t, v), seen = count_eliminations(lambda: inverse(q))
+    (t, v), seen = record("rref", lambda: inverse(q))
     assert seen == [(tuple(zip(*linalg._stable_power(GF2._kernel, data))), 3), (r_i, 4)]
     assert not any(cols == 6 and tuple(r[:3] for r in rows) == v_w for rows, cols in seen)
     # forward assembles Q over the Steinitz split [V | U]: it spans the
     # orbit and eliminates nothing else, so no W and no [V | W]
-    q, seen = count_eliminations(lambda: forward(t, v))
+    q, seen = record("rref", lambda: forward(t, v))
     assert q.data == data
     assert seen == [(GF2._kernel.orbit(t.data, v.entries), 3)]
 
@@ -302,7 +314,7 @@ def test_fitting_decompose_eliminates_once():
     q = Matrix(GF2, 3, 3, ((1, 1, 0), (0, 0, 0), (0, 0, 1)))
     # V and W come from one RREF of [Q^m^T | I]; R is not inverted, and
     # no [V | W] is
-    pair, seen = count_eliminations(lambda: fitting_decompose(q))
+    pair, seen = record("rref", lambda: fitting_decompose(q))
     assert 0 < pair.V.dim < 3 and pair.W != steinitz_complement(pair.V)
     qm_t = zip(*linalg._stable_power(GF2._kernel, q.data))
     assert seen == [(tuple(a + b for a, b in zip(qm_t, linalg._identity_rows(3))), 6)]
@@ -310,40 +322,22 @@ def test_fitting_decompose_eliminates_once():
     assert not any(tuple(r[:3] for r in rows) == v_w for rows, _ in seen)
 
 
-def count_nilpotency_decisions(call):
-    """Run ``call`` with the row kernel's ``nilpotent`` counted (the
-    packed GF(2) kernel inherits it); return its result and the number
-    of nilpotency decisions."""
-    calls = 0
-    real = field._Rows.nilpotent
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(field._Rows, "nilpotent", counted)
-        return call(), calls
-
-
 def test_inverse_decides_nilpotency_never_and_forward_once():
     data = ((1, 1, 0), (0, 0, 0), (0, 0, 1))
-    (t, v), decided = count_nilpotency_decisions(lambda: inverse(Matrix(GF2, 3, 3, data)))
-    assert decided == 0  # neither S nor the rebuilt T: the census decides T
-    q, decided = count_nilpotency_decisions(lambda: forward(t, v))
+    (t, v), decided = record("nilpotent", lambda: inverse(Matrix(GF2, 3, 3, data)))
+    assert len(decided) == 0  # neither S nor the rebuilt T: the census decides T
+    q, decided = record("nilpotent", lambda: forward(t, v))
     assert q.data == data
-    assert decided == 1  # T, by the public guard; not its U -> U block
+    assert len(decided) == 1  # T, by the public guard; not its U -> U block
 
 
 def test_census_decides_nilpotency_once_per_operator():
-    assert "nilpotent" not in vars(field._PackedGF2)
-    report, decided = count_nilpotency_decisions(lambda: verify_theorem(GF2, 3))
+    report, decided = record("nilpotent", lambda: verify_theorem(GF2, 3))
     assert report.ok
-    assert decided == 512  # each T once, as in_domain; _forward and _degree decide none
-    strata, decided = count_nilpotency_decisions(lambda: verify_degree_refinement(GF2, 3))
+    assert len(decided) == 512  # each T once, as in_domain; _forward and _degree decide none
+    strata, decided = record("nilpotent", lambda: verify_degree_refinement(GF2, 3))
     assert all(s.ok for s in strata)
-    assert decided == 0  # rank(T^m) = 0 proves each T nilpotent
+    assert len(decided) == 0  # rank(T^m) = 0 proves each T nilpotent
 
 
 # Every value class that validates in a ``__post_init__``, but the field:
@@ -472,42 +466,24 @@ def test_each_census_verdict_is_decided_once():
         assert calls == 2
 
 
-def count_products(call):
-    """Run ``call`` with the ``product`` of both row kernel types
-    counted; return its result and the number of raw products."""
-    calls = 0
-
-    def counting(real):
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return real(*args)
-        return counted
-
-    with pytest.MonkeyPatch.context() as mp:
-        for kernel in (field._Rows, field._PackedGF2):
-            mp.setattr(kernel, "product", counting(kernel.product))
-        return call(), calls
-
-
 def test_stable_power_squares_ceil_log2_n_times():
     for spec in (GF2, GF3):
         for n in range(18):
             m = Matrix.identity(spec, n)
-            _, seen = count_products(lambda: linalg._stable_power(spec._kernel, m.data))
-            assert seen == (math.ceil(math.log2(n)) if n > 1 else 0), n
+            _, seen = record("product", lambda: linalg._stable_power(spec._kernel, m.data))
+            assert len(seen) == (math.ceil(math.log2(n)) if n > 1 else 0), n
     t = Matrix.identity(GF3, 7)
-    _, seen = count_products(lambda: mat_pow(t, 7))
-    assert seen == 4  # square-and-multiply; the stable power of a 7x7 takes 3
+    _, seen = record("product", lambda: mat_pow(t, 7))
+    assert len(seen) == 4  # square-and-multiply; the stable power of a 7x7 takes 3
 
 
 @pytest.mark.parametrize("spec,n,products", [(GF3, 3, 8_642), (GF9, 2, 728)], ids=str)
 def test_nilpotency_census_squarings(spec, n, products):
     # a nonzero trace of T**e rejects before the next squaring; squaring
     # every power up to e >= n takes 39,260 and 6,560 products
-    count, seen = count_products(lambda: count_nilpotents(spec, n))
+    count, seen = record("product", lambda: count_nilpotents(spec, n))
     assert count == spec.q ** (n * (n - 1))
-    assert seen == products
+    assert len(seen) == products
 
 
 def test_the_orbit_is_one_kernel_call():
@@ -529,6 +505,6 @@ def test_the_orbit_is_one_kernel_call():
         assert inverse(forward(t, v)) == (t, v)
         assert degree(t, v) == 3
     assert applied == 0
-    orbit, seen = count_products(lambda: GF2._kernel.orbit(t.data, v.entries))
+    orbit, seen = record("product", lambda: GF2._kernel.orbit(t.data, v.entries))
     assert orbit == ((1, 0, 0), (0, 1, 1), (0, 0, 1))
-    assert seen == 0
+    assert seen == []

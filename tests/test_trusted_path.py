@@ -9,7 +9,6 @@ that builds a value out of canonical form must make the route raise."""
 
 import ast
 from collections import Counter
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -63,15 +62,13 @@ def census_payloads(spec, n):
 
 def route_to_public_constructors(monkeypatch) -> Counter:
     """Patch ``_trusted``, in every nilbij module that binds it, to build
-    through the public constructor of its class, given the values of the
-    init fields (a ``Subspace`` derives its ``pivots``); returns calls
-    per class."""
+    through the public constructor of its class, given the same
+    arguments; returns calls per class."""
     calls = Counter()
 
     def checked(cls, *values):
         calls[cls] += 1
-        init = [value for f, value in zip(fields(cls), values, strict=True) if f.init]
-        built = cls(*init)
+        built = cls(*values)
         assert vars(built) == vars(_trusted(cls, *values)), (
             f"_trusted({cls.__name__}, {values}) is not canonical")
         return built
