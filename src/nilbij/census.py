@@ -22,13 +22,16 @@ the unchecked cores of forward and degree, so each operator's
 nilpotency is decided once, by the walk, and never read back from a
 value.
 
-All four walks run on tuples.  The three linear walks enumerate the
-row tuples of :func:`_operator_rows` and hand them to the row kernel
+All four walks run on tuples.  The theorem and degree walks enumerate
+the row tuples of :func:`_operator_rows` and hand them to the row kernel
 and to the row cores ``_inverse``, ``_forward`` and ``_degree`` of
-:mod:`nilbij.bijection`, so no ``Matrix`` or ``Vector`` is built per
-element, save the four matrices that ``_inverse`` builds for the public
-``rref`` and ``mat_inv``, three of them by ``errors._trusted``; the
-public :func:`enumerate_operators` builds each operator by it too.
+:mod:`nilbij.bijection`.  The nilpotent count enumerates the row codes
+of ``field._RowCodes`` in the same order, while F_q^n has at most
+``_ROW_CODES_MAX`` rows, and the row tuples past that.  So no
+``Matrix`` or ``Vector`` is built per element, save the four matrices
+that ``_inverse`` builds for the public ``rref`` and ``mat_inv``, three
+of them by ``errors._trusted``; the public :func:`enumerate_operators`
+builds each operator by it too.
 Each keys its strata by :func:`_stable_image_dim`, its own stable
 power and rank on the rows, apart from ``_inverse``.  The Joyal walk
 enumerates value tables and hands them to the table cores
@@ -56,7 +59,7 @@ from itertools import product, repeat
 
 from .bijection import _degree, _forward, _inverse
 from .errors import BudgetExceeded, NilbijError, _json_int, _trusted
-from .field import FieldSpec
+from .field import FieldSpec, _RowCodes
 from .joyal import Tree, _eventually_constant, _joyal_forward, _joyal_inverse
 from .linalg import _SIZE_MAX, Matrix, _stable_power
 
@@ -73,6 +76,13 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1 << 24
+
+# count_nilpotents walks row codes when F_q^n has at most this many rows,
+# so each table of its kernel holds at most 256² = 65,536 codes: GF(2)
+# to n = 8, GF(3) to n = 5, GF(4) to n = 4, GF(16) at n = 2.  The
+# benchmark's points, GF(3) at n = 3 and GF(9) at n = 2, hold at most
+# 81² = 6,561.
+_ROW_CODES_MAX = 256
 
 
 def _check_budget(base: int, exp: int, budget: int, what: str) -> None:
@@ -135,12 +145,20 @@ def expected_strata(q: int, n: int) -> tuple[int, ...]:
 
 
 def count_nilpotents(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Exhaustive count of nilpotent n x n operators over the field.
+    """Exhaustive count of nilpotent n x n operators over the field, in
+    the order of :func:`enumerate_operators`; no ``Matrix`` is built.
 
-    The field's row kernel decides each operator on its row tuples, in
-    the order of :func:`enumerate_operators`; no ``Matrix`` is built."""
-    n, _, operators = _operator_rows(spec, n, budget)
-    return sum(map(spec._kernel.nilpotent, operators, repeat(n)))
+    n and the budget are checked first.  Up to ``_ROW_CODES_MAX`` rows,
+    the walk builds its own ``field._RowCodes`` and decides each
+    operator on its n row codes, ``product`` over the codes being the
+    order of ``product`` over the rows; it keeps nothing once it
+    returns.  Past the cap, the field's row kernel decides each operator
+    on its row tuples, as ``is_nilpotent`` does."""
+    n, rows, operators = _operator_rows(spec, n, budget)
+    if len(rows) > _ROW_CODES_MAX:
+        return sum(map(spec._kernel.nilpotent, operators, repeat(n)))
+    codes = _RowCodes(spec._kernel, spec.q, n)
+    return sum(map(codes.nilpotent, product(range(len(rows)), repeat=n), repeat(n)))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,13 @@ The kernels of the first two kinds are built once per process for each
 field (p, k, poly) and shared by every equal spec, so a parsed payload
 reads the tables its field already has; see :func:`_tabulated`.
 
+A fourth kernel, :class:`_RowCodes`, serves the census alone: it numbers
+the q^n rows of F_q^n, so a row sum or scaling is one lookup.
+``count_nilpotents`` builds one per walk when F_q^n has at most
+``census._ROW_CODES_MAX`` rows and drops it when the walk returns.  That
+census choice is the second and last place that picks a kernel;
+``FieldSpec._kernel`` is the first, and every other call reads it.
+
 Rows go in and come out as tuples of codes.  Codes do not carry their
 field, so mixing fields is detected where specs travel with the data
 (vectors, matrices, JSON payloads), not at the element level.
@@ -43,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from itertools import compress
+from itertools import compress, product
 from operator import xor
 
 from .errors import (
@@ -214,6 +221,62 @@ class _Rows:
             pivots.append(c)
             r += 1
         return tuple(rows), tuple(pivots)
+
+
+class _RowCodes:
+    """A census-only kernel over the row codes of F_q^n: the q^n rows,
+    ``product(range(q), repeat=n)`` in order, are numbered 0 .. q^n - 1,
+    so row code c is the base-q number of row c, first entry most
+    significant, and an n x n operator is a tuple of n codes.
+
+    Built from the field kernel's ``add`` and ``mul``, one digit column
+    at a time: ``row_add[a][b]`` is the code of row a + row b, and
+    ``row_scale[x][a]`` that of x * row a, so a row of a product is n
+    lookups.  ``rows[c]`` is row c, which ``nilpotent`` reads for the
+    trace.  At n = 1 the row tables are the field's own, views past
+    ``_TABLE_MAX`` included; wider rows need tables, q^n x q^n and
+    q x q^n codes."""
+
+    def __init__(self, kernel: _Rows, q: int, n: int) -> None:
+        add, mul = kernel.add, kernel.mul
+        row_add, row_scale = add, mul
+        for _ in range(n - 1):  # append one digit column to every code
+            row_add = tuple(tuple([s * q + x for s in row_add[a // q] for x in add[a % q]])
+                            for a in range(len(row_add) * q))
+            row_scale = tuple(tuple([s * q + x for s in srow for x in mrow])
+                              for srow, mrow in zip(row_scale, mul))
+        self.add, self.row_add, self.row_scale = add, row_add, row_scale
+        self.rows = tuple(product(range(q), repeat=n))
+
+    def product(self, a, b) -> tuple[int, ...]:
+        """The codes of AB, A and B given by their row codes: each row of
+        AB is a combination of the rows of B."""
+        rows, row_add, row_scale = self.rows, self.row_add, self.row_scale
+        out = []
+        for code in a:
+            acc = 0
+            for x, brow in zip(rows[code], b):
+                if x:
+                    acc = row_add[acc][row_scale[x][brow]]
+            out.append(acc)
+        return tuple(out)
+
+    def nilpotent(self, t, n: int) -> bool:
+        """Whether the operator with row codes ``t`` has T**n = 0, decided
+        as ``_Rows.nilpotent`` decides it: squares until the power is zero
+        or T**e with e >= n is not, rejecting a nonzero trace of T**e
+        before each product."""
+        add, rows = self.add, self.rows
+        e = 1
+        while any(t):
+            trace = 0
+            for i, code in enumerate(t):
+                trace = add[trace][rows[code][i]]
+            if trace or e >= n:
+                return False
+            t = self.product(t, t)
+            e *= 2
+        return True
 
 
 class _PackedGF2(_Rows):

@@ -44,15 +44,17 @@ from nilbij import (
 )
 
 COUNT_GRID = [
-    (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2), (8, 2), (9, 2),
+    (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (8, 2),
+    (9, 2),
 ]
 VERIFY_GRID = [
     (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2), (7, 2), (8, 2), (9, 2),
 ]
 DEGREE_GRID = [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (8, 2), (9, 2)]
-# opt-in slow points (NILBIJ_SLOW=1): criterion 2 at 3^9 and 2^16
-# operators, criterion 5 at 7^7 functions, and the criterion-6 audits
-# past about 2 s
+# opt-in slow points (NILBIJ_SLOW=1): criterion 1 at 5^9 operators,
+# criterion 2 at 3^9 and 2^16 operators, criterion 5 at 7^7 functions,
+# and the criterion-6 audits past about 2 s
+SLOW_COUNT_GRID = [(5, 3)]
 SLOW_VERIFY_GRID = [(3, 3), (2, 4)]
 SLOW_JOYAL_N = 7
 AUDIT_GRID = [
@@ -91,6 +93,17 @@ def test_criterion_1_nilpotent_counts(nilpotent_counts):
     assert elapsed < 120
     print(f"criterion 1 (nilpotent counts, {len(COUNT_GRID)} grid points): "
           f"PASS in {elapsed:.1f}s")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q,n", SLOW_COUNT_GRID)
+def test_criterion_1_nilpotent_counts_slow_points(q, n):
+    started = time.perf_counter()
+    count = count_nilpotents(SPEC_FOR_Q[q], n)
+    assert count == q ** (n * (n - 1)), (q, n)
+    assert Fraction(count, q ** (n * n)) == Fraction(1, q**n), (q, n)
+    print(f"criteria 1 and 3 (nilpotent count at q={q}, n={n}): "
+          f"PASS in {time.perf_counter() - started:.1f}s")
 
 
 def test_criterion_2_bijectivity():

@@ -30,6 +30,7 @@ from nilbij import (
     enumerate_operators,
     forward,
     inverse,
+    is_nilpotent,
     joyal,
     linalg,
     mat_mul,
@@ -38,6 +39,7 @@ from nilbij import (
     verify_joyal,
     verify_theorem,
 )
+from nilbij.census import DEFAULT_BUDGET
 from nilbij.cli import main
 from test_bijection import nilpotents, ref_forward
 from test_relations import direct_sum_mismatches
@@ -93,15 +95,39 @@ def test_budget_guard():
                           (verify_joyal, 2000)):
         with pytest.raises(BudgetExceeded, match=r"needs \d+\^\d+ evaluations"):
             census(*args)
-    # and before the q^n rows of an operator are built
+    # and before the q^n rows of an operator, or a row-code table, are
+    # built: GF(2) and GF(4) at n = 3 are below the row-code cap
     def no_rows(*args, **kwargs):
         raise AssertionError("rows built before the budget check")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nilbij.census, "product", no_rows)
-        for spec, n in ((GF2, 200), (GF3, 12000)):
+        mp.setattr(nilbij.field._RowCodes, "__init__", no_rows)
+        for spec, n, budget in ((GF2, 200, DEFAULT_BUDGET), (GF3, 12000, DEFAULT_BUDGET),
+                                (GF2, 3, 100), (GF4, 3, 100)):
             with pytest.raises(BudgetExceeded):
-                count_nilpotents(spec, n)
+                count_nilpotents(spec, n, budget)
+
+
+def test_row_codes_are_built_up_to_the_cap_and_never_past_it(monkeypatch):
+    """``count_nilpotents`` walks row codes while F_q^n has at most
+    ``_ROW_CODES_MAX`` rows: GF(16) at n = 2 is at the cap, and GF(17)
+    at n = 2 past it counts on the field's row kernel, building no
+    table."""
+    built = []
+    real = nilbij.field._RowCodes.__init__
+
+    def recorded(codes, kernel, q, n):
+        if q**n > nilbij.census._ROW_CODES_MAX:
+            raise AssertionError(f"row codes built for GF({q})^{n}")
+        built.append((q, n))
+        real(codes, kernel, q, n)
+
+    monkeypatch.setattr(nilbij.field._RowCodes, "__init__", recorded)
+    assert 16**2 == nilbij.census._ROW_CODES_MAX < 17**2
+    assert count_nilpotents(FieldSpec(2, 4), 2) == 16**2
+    assert count_nilpotents(FieldSpec(17), 2) == 17**2
+    assert built == [(16, 2)]
 
 
 def test_census_entry_points_read_n_and_budget_as_integers():
@@ -529,7 +555,8 @@ def nilpotent_accepting_a_zero_trace_at_the_bound(real):
     at the bound e >= n, so a zero trace accepts there: I_2 over GF(2),
     every power of which has trace 0, reads nilpotent.  The census
     misses it, since its nilpotent count is the rank-0 stratum of the
-    stable power, and so does ``verify_degree_refinement(GF2, 2)``."""
+    stable power, and so do ``verify_degree_refinement(GF2, 2)`` and
+    ``count_nilpotents(GF2, 2)``, which walks row codes."""
     def mutant(kernel, rows, n):
         e = 1
         while any(map(any, rows)):
@@ -541,6 +568,37 @@ def nilpotent_accepting_a_zero_trace_at_the_bound(real):
             rows = kernel.product(rows, rows, n)
             e *= 2
         return True
+    return mutant
+
+
+def row_codes_accepting_a_zero_trace_at_the_bound(real):
+    """``_RowCodes.nilpotent``, the row-code twin of the mutant above:
+    a zero trace accepts at the bound e >= n, so I_2 over GF(2) counts
+    as nilpotent.  The census and ``is_nilpotent`` miss it, since
+    neither walks row codes."""
+    def mutant(codes, t, n):
+        e = 1
+        while any(t):
+            trace = 0
+            for i, code in enumerate(t):
+                trace = codes.add[trace][codes.rows[code][i]]
+            if trace or e >= n:
+                return not trace
+            t = codes.product(t, t)
+            e *= 2
+        return True
+    return mutant
+
+
+def row_sums_by_or(real):
+    """``_RowCodes`` whose row-sum table is built by OR, the row-code
+    twin of ``or_for_xor``: a GF(2) row code is the bit mask of its row,
+    so rows that share a 1 add to their union, and J = [[1, 1], [1, 1]]
+    squares to itself."""
+    def mutant(codes, kernel, q, n):
+        real(codes, kernel, q, n)
+        size = len(codes.rows)
+        codes.row_add = tuple(tuple(a | b for b in range(size)) for a in range(size))
     return mutant
 
 
@@ -607,6 +665,13 @@ NEAR_MISS_MUTANTS = [
     ("zero trace accepts at the bound", (nilbij.field._Rows,), "nilpotent",
      nilpotent_accepting_a_zero_trace_at_the_bound,
      "CHANGES.md: the row kernel decides nilpotency",
+     lambda: not is_nilpotent(Matrix.identity(GF2, 2)), True),
+    ("row codes: zero trace accepts at the bound", (nilbij.field._RowCodes,), "nilpotent",
+     row_codes_accepting_a_zero_trace_at_the_bound,
+     "CHANGES.md: count_nilpotents walks row codes",
+     lambda: count_nilpotents(GF2, 2) == 4, True),
+    ("row codes: row sums by OR", (nilbij.field._RowCodes,), "__init__", row_sums_by_or,
+     "CHANGES.md: count_nilpotents walks row codes",
      lambda: count_nilpotents(GF2, 2) == 4, True),
     ("orbit stops one step short", (nilbij.field._Rows,), "orbit", orbit_one_step_short,
      "CHANGES.md: the bijection walks each orbit in one kernel call",

@@ -9,9 +9,12 @@ integers mod 2 and shares nothing.  Each kernel must agree with them
 exactly, on every small matrix and on sampled ones, including a field
 too large to tabulate (GF(4099)), and with sympy's RREF over prime
 fields.  GF(2) packs its rows, so it is also sampled up to 20 x 20,
-where a row spans several machine words."""
+where a row spans several machine words.  The census's row-code kernel
+is held to the same references, on the rows its codes stand for, on
+every small operator and on samples up to its cap."""
 
 import signal
+from functools import reduce
 from itertools import product
 from operator import mul
 
@@ -34,13 +37,15 @@ from nilbij import (
     mat_pow,
     rref,
 )
-from nilbij.field import _PackedGF2, _Rows, _tabulated
+from nilbij.census import DEFAULT_BUDGET, _operator_rows
+from nilbij.field import _PackedGF2, _RowCodes, _Rows, _tabulated
 
 GF9 = FieldSpec(3, 2)
 GF4099 = FieldSpec(4099)  # q > _TABLE_MAX: the on-demand path
 GF67 = FieldSpec(67)  # the smallest prime past _TABLE_MAX
 GF128 = FieldSpec(2, 7, (1, 1, 0, 0, 0, 0, 0, 1))  # x^7 + x + 1, past _TABLE_MAX
 GF64 = FieldSpec(2, 6, (1, 1, 0, 0, 0, 0, 1))  # x^6 + x + 1, the largest table
+GF16 = FieldSpec(2, 4)  # 16² rows: the row-code cap at n = 2
 
 
 def ref_rref(spec, data, cols):
@@ -217,6 +222,25 @@ def ref_is_nilpotent(spec, data, n):
     return not any(map(any, data))
 
 
+def nilpotency_cases(spec, n, data):
+    """Three n x n operators to decide: a random one, the same with its
+    last diagonal entry set for trace 0, and P N P⁻¹ with N strictly
+    lower triangular, which is nilpotent."""
+    m = data.draw(_matrix_strategy(spec, n, n)).data
+    rows = [list(row) for row in m]
+    trace = 0
+    for i in range(n - 1):
+        trace = spec.add(trace, rows[i][i])
+    rows[-1][-1] = spec.neg(trace)
+    p = data.draw(_matrix_strategy(spec, n, n))
+    p_inv = ref_inv(spec, p.data, n)
+    assume(p_inv is not None)
+    strict = data.draw(_matrix_strategy(spec, n, n))
+    strict = tuple(tuple(x if j < i else 0 for j, x in enumerate(row))
+                   for i, row in enumerate(strict.data))
+    return m, tuple(map(tuple, rows)), ref_mul(spec, ref_mul(spec, p.data, strict, n), p_inv, n)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([GF2, GF3, GF9, GF67, GF128]), st.data())
 def test_nilpotent_matches_reference_power(spec, data):
@@ -231,23 +255,76 @@ def test_nilpotent_matches_reference_power(spec, data):
         assert is_nilpotent(Matrix(spec, n, n, t_data)) == expected
         return expected
 
-    m = data.draw(_matrix_strategy(spec, n, n))
-    check(m.data)
-    # the same matrix with its last diagonal entry set for trace 0
-    rows = [list(row) for row in m.data]
-    trace = 0
-    for i in range(n - 1):
-        trace = spec.add(trace, rows[i][i])
-    rows[-1][-1] = spec.neg(trace)
-    check(tuple(map(tuple, rows)))
-    # P N P⁻¹ with N strictly lower triangular is nilpotent
-    p = data.draw(_matrix_strategy(spec, n, n))
-    p_inv = ref_inv(spec, p.data, n)
-    assume(p_inv is not None)
-    strict = data.draw(_matrix_strategy(spec, n, n))
-    strict = tuple(tuple(x if j < i else 0 for j, x in enumerate(row))
-                   for i, row in enumerate(strict.data))
-    assert check(ref_mul(spec, ref_mul(spec, p.data, strict, n), p_inv, n))
+    *others, nilpotent = nilpotency_cases(spec, n, data)
+    for t_data in others:
+        check(t_data)
+    assert check(nilpotent)
+
+
+def encode(spec, data):
+    """The row codes of ``data``: each row read as a base-q number,
+    first entry most significant."""
+    return tuple(reduce(lambda code, x: code * spec.q + x, row, 0) for row in data)
+
+
+def check_row_codes(spec, codes, a, b, n):
+    """The row-code kernel on the n x n operators ``a`` and ``b``, given
+    as rows, against the per-entry reference: AA, AB, and the nilpotency
+    of A; returns that nilpotency."""
+    ca, cb = encode(spec, a), encode(spec, b)
+    assert codes.product(ca, ca) == encode(spec, ref_mul(spec, a, a, n))
+    assert codes.product(ca, cb) == encode(spec, ref_mul(spec, a, b, n))
+    expected = ref_is_nilpotent(spec, a, n)
+    assert codes.nilpotent(ca, n) == expected
+    return expected
+
+
+ROW_CODE_POINTS = [(GF2, 0), (GF2, 1), (GF2, 2), (GF2, 3), (GF3, 1), (GF3, 2), (GF4, 2), (GF9, 2)]
+ROW_CODE_IDS = [f"q{spec.q}-n{n}" for spec, n in ROW_CODE_POINTS]
+
+
+@pytest.mark.parametrize("spec,n", ROW_CODE_POINTS, ids=ROW_CODE_IDS)
+def test_row_codes_match_reference_exhaustive(spec, n):
+    """The census's row-code kernel on every operator, each squared and
+    multiplied by a partner, against ``ref_mul``, and each decided
+    against the reference power."""
+    codes = _RowCodes(spec._kernel, spec.q, n)
+    ops = [m.data for m in all_matrices(spec, n, n)]
+    partners = ops[:: max(1, len(ops) // 16)]
+    nilpotent = sum(check_row_codes(spec, codes, t, partners[i % len(partners)], n)
+                    for i, t in enumerate(ops))
+    assert nilpotent == spec.q ** (n * (n - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(GF2, 8), (GF3, 5), (GF16, 2)]), st.data())
+def test_row_codes_match_reference_sampled_up_to_the_cap(point, data):
+    """Sampled at the largest row-code points of GF(2), GF(3) and
+    GF(16), where the tables hold up to 256² codes."""
+    spec, n = point
+    codes = _RowCodes(spec._kernel, spec.q, n)
+    *others, nilpotent = nilpotency_cases(spec, n, data)
+    for t_data in others:
+        check_row_codes(spec, codes, t_data, nilpotent, n)
+    assert check_row_codes(spec, codes, nilpotent, others[0], n)
+
+
+@pytest.mark.parametrize("spec,n", ROW_CODE_POINTS, ids=ROW_CODE_IDS)
+def test_row_code_i_is_operator_row_i(spec, n):
+    """Code i decodes to ``_operator_rows``'s row i and is the base-q
+    number of that row, so ``product`` over the codes enumerates the
+    operators of ``_operator_rows`` in its order; each row sum and row
+    scaling is the entrywise one."""
+    codes = _RowCodes(spec._kernel, spec.q, n)
+    _, rows, operators = _operator_rows(spec, n, DEFAULT_BUDGET)
+    assert codes.rows == rows
+    assert [encode(spec, (row,)) for row in rows] == [(code,) for code in range(len(rows))]
+    assert [tuple(map(rows.__getitem__, t)) for t in product(range(len(rows)), repeat=n)] \
+        == list(operators)
+    for a, b in product(range(len(rows)), repeat=2):
+        assert rows[codes.row_add[a][b]] == tuple(map(spec.add, rows[a], rows[b]))
+    for x, a in product(range(spec.q), range(len(rows))):
+        assert rows[codes.row_scale[x][a]] == tuple(spec.mul(x, y) for y in rows[a])
 
 
 def ref_orbit(spec, data, x):

@@ -12,10 +12,12 @@ class."""
 import ast
 import copy
 import dataclasses
+import gc
 import inspect
 import io
 import math
 import pickle
+import weakref
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
@@ -271,9 +273,10 @@ def kernel_classes(cls=field._Rows):
 
 def record(method, call):
     """Run ``call`` with the row kernel's ``method`` recorded, on
-    ``field._Rows`` and on each subclass that defines its own; return
-    its result and the arguments of each call, the kernel's own left
-    out: (rows, cols) for an elimination."""
+    ``field._Rows``, on each subclass that defines its own and on the
+    census's ``field._RowCodes``; return its result and the arguments of
+    each call, the kernel's own left out: (rows, cols) for an
+    elimination."""
     seen = []
 
     def recording(real):
@@ -283,7 +286,7 @@ def record(method, call):
         return recorded
 
     with pytest.MonkeyPatch.context() as mp:
-        for kernel in kernel_classes():
+        for kernel in kernel_classes() + [field._RowCodes]:
             if method in vars(kernel):
                 mp.setattr(kernel, method, recording(vars(kernel)[method]))
         return call(), seen
@@ -480,10 +483,38 @@ def test_stable_power_squares_ceil_log2_n_times():
 @pytest.mark.parametrize("spec,n,products", [(GF3, 3, 8_642), (GF9, 2, 728)], ids=str)
 def test_nilpotency_census_squarings(spec, n, products):
     # a nonzero trace of T**e rejects before the next squaring; squaring
-    # every power up to e >= n takes 39,260 and 6,560 products
+    # every power up to e >= n takes 39,260 and 6,560 products, all of
+    # them on the row codes of the census's own kernel
     count, seen = record("product", lambda: count_nilpotents(spec, n))
     assert count == spec.q ** (n * (n - 1))
     assert len(seen) == products
+    # each product multiplies row codes, (A, B) as tuples of n integers
+    assert all(len(args) == 2 and all(type(code) is int for code in args[0] + args[1])
+               for args in seen)
+
+
+def test_each_count_builds_its_own_row_codes_and_keeps_none(monkeypatch):
+    """Each ``count_nilpotents`` walk below the cap builds its own
+    row-code tables, shares none with the walk before it, and leaves no
+    reference to its kernel once it returns: the row codes join neither
+    remembered exception, the shared field kernels and the CLI parser."""
+    built = []
+    real = field._RowCodes.__init__
+
+    def recorded(codes, *args):
+        real(codes, *args)
+        built.append((weakref.ref(codes), codes.row_add, codes.row_scale))
+
+    monkeypatch.setattr(field._RowCodes, "__init__", recorded)
+    GF3._kernel  # the shared tables of GF(3), tabulated before the walks
+    held = _tabulated.cache_info().currsize
+    for _ in range(2):
+        assert count_nilpotents(GF3, 2) == 9
+    gc.collect()
+    (first, *first_tables), (second, *second_tables) = built
+    assert first() is None and second() is None
+    assert all(a is not b for a, b in zip(first_tables, second_tables))
+    assert _tabulated.cache_info().currsize == held
 
 
 def test_the_orbit_is_one_kernel_call():
