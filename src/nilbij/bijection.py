@@ -19,7 +19,7 @@ there Q is [[R, X], [0, Q_UU]], so T_UU = Q_UU, and T's U -> V block F
 solves the Sylvester equation F T_UU - R F = X.  The solution is unique,
 because R is invertible and T_UU nilpotent, and it is the finite series
 F = -sum_i R^-(i+1) X T_UU^i.  Inverse rebuilds T from R N R^-1, F and
-T_UU by the core of ``block_assemble`` over (V, U).  So neither
+T_UU over (V, U), as ``block_assemble`` would.  So neither
 direction spans W, inverts [V | W] or forms the canonical isomorphism;
 the public lemmas, which do, remain the definition that the tests
 compare both directions against.
@@ -44,18 +44,20 @@ Both directions run on row tuples, in one row core per operation:
 the public ``inverse``, ``forward`` and ``degree`` check their input,
 call the core and wrap its result by ``errors._trusted``, as every
 lemma of :mod:`nilbij.subspaces` does.  The cores chain the private cores of
-:mod:`nilbij.subspaces`, the same cores that the public lemmas
-(``steinitz_complement``, ``block_decompose``, ``basis_to_automorphism``,
-``block_assemble``, ...) validate for and wrap, so each step of the
-construction exists once.  Neither runs the Fitting core
+:mod:`nilbij.subspaces`: ``_echelon`` and ``_automorphism``, which
+``span`` and ``basis_to_automorphism`` wrap, and the Steinitz read cores
+``_steinitz_blocks`` and ``_steinitz_assemble``, which cut and build
+the same blocks as ``block_decompose`` and ``block_assemble`` over the
+Steinitz complement, read at V's pivots with no change of basis; the
+tests hold the read cores to the general ones.  Neither runs the Fitting core
 ``fitting._fitting``: inverse spans V = im(Q^m) itself, by one RREF of
 Q^m's transpose.  Neither direction builds an intermediate subspace or
 map: the orbit is one call of the field's row kernel, and of the cores
 only ``_inverse`` builds values, four ``Matrix`` values: Q^m's
 transpose and its RREF, for the public ``rref``, and R and R^-1, for
-``mat_inv``; all but R are ``_trusted`` builds.  Both split by
-``subspaces._steinitz_split``, which reads [V | U]^-1 off V's pivots
-and never inverts or raises, so forward inverts nothing and inverse
+``mat_inv``; all but R are ``_trusted`` builds.  Neither builds the
+basis matrix [V | U] or conjugates by it: the read cores never invert
+or raise, so forward inverts nothing and inverse
 inverts only R: on the bijection's path the only ``NilbijError`` left
 is ``mat_inv`` refusing R.  Both directions are mutually inverse, which is what
 the census module checks exhaustively: its walk decides the nilpotency
@@ -76,7 +78,7 @@ from .errors import (
     _trusted,
 )
 from .linalg import Matrix, Vector, _stable_power, is_nilpotent, mat_inv, rref
-from .subspaces import _assemble, _automorphism, _decompose, _echelon, _steinitz_split
+from .subspaces import _automorphism, _echelon, _steinitz_assemble, _steinitz_blocks
 
 __all__ = ["NilpotentPair", "degree", "forward", "inverse"]
 
@@ -120,12 +122,11 @@ def _forward(kernel, t, v):
     one call of the row kernel's ``orbit``, and Q's rows are assembled
     over the Steinitz split [V | U] from R, T_UU and :func:`_u_to_v`."""
     orbit = kernel.orbit(t, v)
-    n, k = len(t), len(orbit)
+    n = len(t)
     v_sub = _echelon(kernel, orbit, n)
-    b, b_inv = _steinitz_split(kernel, n, v_sub)
-    _, f, t_uu, _ = _decompose(kernel, n, k, t, b, b_inv)
+    _, f, t_uu = _steinitz_blocks(kernel, n, v_sub, t)
     r = _automorphism(v_sub[1], orbit)
-    return _assemble(kernel, n, b, b_inv, r, _u_to_v(kernel, r, f, t_uu), t_uu)
+    return _steinitz_assemble(kernel, n, v_sub, r, _u_to_v(kernel, r, f, t_uu), t_uu)
 
 
 def _u_to_v(kernel, r, f, t_uu):
@@ -160,14 +161,13 @@ def _inverse(spec, q):
     reduced, pivots = rref(_trusted(Matrix, spec, n, n, tuple(zip(*_stable_power(kernel, q)))))
     k = len(pivots)
     v_sub = reduced.data[:k], pivots
-    b, b_inv = _steinitz_split(kernel, n, v_sub)
-    r, x, t_uu, _ = _decompose(kernel, n, k, q, b, b_inv)
+    r, x, t_uu = _steinitz_blocks(kernel, n, v_sub, q)
     # R's inversion is the assertion that R is invertible, and R is the
     # one validated Matrix build on verify_theorem's path, which the
     # benchmark's tracer test counts (ROADMAP item 11)
     r_inv = mat_inv(Matrix(spec, k, k, r)).data
     t_vv = kernel.product(tuple(row[1:] + (0,) for row in r), r_inv, k)
-    t = _assemble(kernel, n, b, b_inv, t_vv, _sylvester(kernel, r_inv, x, t_uu), t_uu)
+    t = _steinitz_assemble(kernel, n, v_sub, t_vv, _sylvester(kernel, r_inv, x, t_uu), t_uu)
     return t, kernel.combine([row[0] for row in r], v_sub[0], (0,) * n)
 
 

@@ -34,29 +34,35 @@ from its ``rref``, and build no ``Matrix`` for it.
 A construction step has a private core on row tuples, which calls
 the field's row kernel directly and builds no value, when the
 bijection chains it or a test substitutes it: ``_echelon`` (a span),
-``_steinitz``, ``_steinitz_split`` (the change of basis to V and its
-Steinitz complement), ``_decompose``, ``_assemble``, ``_graph`` and
-``_automorphism`` (a torsor point, or a restriction to an invariant
-subspace).
+``_steinitz``, ``_decompose`` and ``_assemble`` (an operator's blocks
+over any split [V | U], and back), ``_steinitz_blocks`` and
+``_steinitz_assemble`` (the same over V and its Steinitz complement,
+by reads), ``_graph`` and ``_automorphism`` (a torsor point, or a
+restriction to an invariant subspace).
 A core takes a subspace as the pair (rows, pivots) of its RREF, and a
 map as the rows of its matrix over the reference bases.  The public
 functions check their operands, call the core and wrap its result
 trusted, by ``errors._trusted``: a ``Subspace`` from its constructor's
 arguments, spec, ambient dimension and rows; they are the only
 builders of ``Subspace`` and ``SubspaceMap`` results.  ``bijection.forward`` and
-``inverse`` chain the same cores.
+``inverse`` chain ``_echelon``, ``_automorphism`` and the two Steinitz
+read cores.
 
 Splitting X = V + U reads coordinates off the inverse of the basis
 matrix B = [V | U].  The lemmas take any U, so ``_change_of_basis``
 inverts B, and that inversion is also the check that U complements V;
 it inverts B for a Steinitz U too, and the inverse is unique, so the
-bytes are the same.  The bijection splits only by the Steinitz
-complement of a V it has spanned, a complement by definition, through
-``_steinitz_split``, which inverts nothing and raises nothing: a
-vector's V-coordinates are its entries at V's pivots, and its
-U-coordinates its free entries minus their V part.  No code looks at
-a complement's rows to choose between the two.  A ``Subspace``
-remembers nothing, so a split is made again each time it is asked for.
+bytes are the same.  ``_decompose`` and ``_assemble`` then conjugate by
+B with two full n x n products each.  The bijection splits only by the
+Steinitz complement of a V it has spanned, a complement by definition,
+and there nothing needs B: a vector's V-coordinates are its entries at
+V's pivots, and its U-coordinates its free entries minus their V part.
+So ``_steinitz_blocks`` and ``_steinitz_assemble`` read the blocks at
+V's pivots and correct them at the free columns, one ``combine`` per
+row; they build no B, invert nothing and raise nothing.  No code looks
+at a complement's rows to choose between the two pairs.  A
+``Subspace`` remembers nothing, so a split is made again each time it
+is asked for.
 """
 
 from __future__ import annotations
@@ -246,17 +252,21 @@ def from_coords(v: Subspace, c: Vector) -> Vector:
     return _trusted(Vector, v.spec, v.spec._kernel.combine(c.entries, v.rows, zero))
 
 
+def _free(n: int, pivots):
+    """The columns of F^n that are not among ``pivots``, ascending."""
+    pivot_set = set(pivots)
+    return tuple(j for j in range(n) if j not in pivot_set)
+
+
 def _steinitz(n: int, v):
     """The Steinitz complement of v = (rows, pivots): the unit rows at
     the columns that are not v's pivots, their own RREF."""
-    pivot_set = set(v[1])
-    free = tuple(j for j in range(n) if j not in pivot_set)
-    return tuple(_unit_row(n, j) for j in free), free
+    return tuple(_unit_row(n, j) for j in _free(n, v[1]))
 
 
 def steinitz_complement(v: Subspace) -> Subspace:
     """The complement spanned by standard vectors at non-pivot columns."""
-    return _trusted(Subspace, v.spec, v.ambient_dim, _steinitz(v.ambient_dim, (v.rows, v.pivots))[0])
+    return _trusted(Subspace, v.spec, v.ambient_dim, _steinitz(v.ambient_dim, (v.rows, v.pivots)))
 
 
 def is_complementary(u: Subspace, v: Subspace) -> bool:
@@ -315,17 +325,6 @@ def map_inverse(f: SubspaceMap) -> SubspaceMap:
     return _trusted(SubspaceMap, f.codomain, f.domain, mat_inv(f.matrix))
 
 
-def _steinitz_split(kernel, n: int, v):
-    """B = [V | U] and B^-1, row-major, for V = (rows, pivots) and U its
-    Steinitz complement; the top dim(V) rows of B^-1 read off
-    V-coordinates and the rest U-coordinates.  Nothing is inverted: a
-    vector's V-coordinates are its entries at V's pivots, and its
-    U-coordinates its free entries minus their V part, read by the rows
-    e_f - sum_i v_i[f] e_(p_i), V's canonical kernel basis."""
-    b = tuple(zip(*(v[0] + _steinitz(n, v)[0])))
-    return b, tuple(_unit_row(n, p) for p in v[1]) + _null_rows(kernel.neg, v[0], v[1], n)
-
-
 def _change_of_basis(v: Subspace, u: Subspace, what: str):
     """B = [V | U] and B^-1, row-major, for subspaces V and U of F^n.
     B is invertible exactly when V and U are complementary, so its
@@ -362,6 +361,47 @@ def _assemble(kernel, n: int, b, b_inv, t_vv, t_uv, t_uu):
     k = len(t_vv)
     c = tuple(a + x for a, x in zip(t_vv, t_uv)) + tuple((0,) * k + row for row in t_uu)
     return _conjugate(kernel, n, c, b_inv, b)
+
+
+def _steinitz_blocks(kernel, n: int, v, t):
+    """The blocks T_VV, T_UV, T_UU that :func:`_decompose` cuts from
+    B^-1 T B, B = [V | U] for V = (rows, pivots) and U its Steinitz
+    complement, read off T with no B.  The rows of B^-1 are the unit
+    rows at V's pivots and V's null rows, so row i of B^-1 T B is row
+    p_i of T B: T[p_i] times V's transpose, then T[p_i] at the free
+    columns.  The row of the j-th free column f is row f of T B less
+    sum_i v_i[f] times its row p_i; of it T_UU keeps the U part, one
+    ``combine`` over T_UV's rows from T[f] at the free columns."""
+    rows, pivots = v
+    free = _free(n, pivots)
+    top = tuple(t[p] for p in pivots)
+    t_uv = tuple(tuple([row[f] for f in free]) for row in top)
+    neg = kernel.neg
+    t_uu = tuple(kernel.combine([neg[x[f]] for x in rows], t_uv, tuple([t[f][g] for g in free]))
+                 for f in free)
+    return kernel.product(top, tuple(zip(*rows)), len(rows)), t_uv, t_uu
+
+
+def _steinitz_assemble(kernel, n: int, v, t_vv, t_uv, t_uu):
+    """What :func:`_assemble` builds over the Steinitz split of
+    V = (rows, pivots), B C B^-1, read with no B.  Row i of M = C B^-1
+    is C's U part combined over V's null rows, the rows of B^-1 below
+    dim V, from its V part placed at the pivots.  Row p_i of B M is M's
+    row i, and row f of the j-th free column f is M's row k + j plus
+    sum_i v_i[f] times M's row i: one ``combine`` over the null rows and
+    M's top rows."""
+    rows, pivots = v
+    null, zero = _null_rows(kernel.neg, rows, pivots, n), (0,) * n
+    out: list = [zero] * n
+    for p, vpart, upart in zip(pivots, t_vv, t_uv):
+        start = list(zero)
+        for c, x in zip(pivots, vpart):
+            start[c] = x
+        out[p] = kernel.combine(upart, null, start)
+    top = tuple(out[p] for p in pivots)
+    for f, upart in zip(_free(n, pivots), t_uu):
+        out[f] = kernel.combine(upart + tuple([x[f] for x in rows]), null + top, zero)
+    return tuple(out)
 
 
 def _graph(kernel, n: int, v_rows, u_rows, f):

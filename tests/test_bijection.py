@@ -1,9 +1,11 @@
 """The main bijection: frozen hand-traces, degree behavior, both
 directions against references composed from the public lemmas, the
-output bytes of inverse at four grid points, and round trips on grids
-small enough to enumerate inline (census covers the rest)."""
+output bytes of inverse at four grid points and on seeded operators
+past them, and round trips on grids small enough to enumerate inline
+(census covers the rest)."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -375,6 +377,44 @@ def test_inverse_output_bytes_are_pinned(spec, n):
     blob = "".join(canonical_dumps(NilpotentPair(*inverse(q)).to_json())
                    for q in enumerate_operators(spec, n))
     assert hashlib.sha256(blob.encode()).hexdigest() == INVERSE_DIGESTS[spec, n]
+
+
+def sampled_operators(spec, n, count):
+    """``count`` seeded operators on F_q^n, each the product of a random
+    n x r and r x n matrix with r drawn from 0 .. n, so that every rank,
+    and with it every size of V = im(Q^m), occurs."""
+    rng = random.Random(f"{spec.q}/{n}")
+    out = []
+    for _ in range(count):
+        r = rng.randrange(n + 1)
+        a = Matrix(spec, n, r, tuple(tuple(rng.randrange(spec.q) for _ in range(r))
+                                     for _ in range(n)))
+        b = Matrix(spec, r, n, tuple(tuple(rng.randrange(spec.q) for _ in range(n))
+                                     for _ in range(r)))
+        out.append(mat_mul(a, b))
+    return out
+
+
+# The sampled twin of INVERSE_DIGESTS, past the census sizes: the packed
+# GF(2) rows at n = 16 and at n = 64, where a row spans several machine
+# words, and the tables over a prime and over an extension field.
+SAMPLED_INVERSE_DIGESTS = {
+    (GF2, 16, 100): "05a02719ee94fea810c5178afafb4af456e601f0e34e22f1dc46d24dfc33a47e",
+    (GF2, 64, 20): "fa92800be5e3377cc4ce273db2e40c88605dd2ddca8f9b2840eb4c7fac2e2264",
+    (GF3, 6, 100): "69c2a7fcfae0c2efb3749d86e813311e56b5460d69bdf094aff8dffbce66963b",
+    (GF9, 5, 100): "d9ab03096ed7082dfcb68be3357406271c8a54099af4dcdb68ecfa7ea4260c40",
+}
+
+
+@pytest.mark.parametrize("spec,n,count", SAMPLED_INVERSE_DIGESTS, ids=str)
+def test_sampled_inverse_output_bytes_are_pinned(spec, n, count):
+    """The bytes of ``inverse`` on seeded operators, and ``forward`` takes
+    each pair back to its operator."""
+    ops = sampled_operators(spec, n, count)
+    pairs = [inverse(q) for q in ops]
+    assert [forward(t, v) for t, v in pairs] == ops
+    blob = "".join(canonical_dumps(NilpotentPair(*pair).to_json()) for pair in pairs)
+    assert hashlib.sha256(blob.encode()).hexdigest() == SAMPLED_INVERSE_DIGESTS[spec, n, count]
 
 
 # round trips on inline grids

@@ -469,33 +469,33 @@ def test_construction_mutant_fails_its_own_audit(
 # input as failed, and the CLI exit 1 with a report, never 2.
 
 def steinitz_split_refuses_a_line_of_the_plane(real):
-    """The Steinitz split refusing each line of the plane, as the
+    """The Steinitz blocks core refusing each line of the plane, as the
     inversion of a [V | U] that is no change of basis would."""
-    def mutant(kernel, n, v):
+    def mutant(kernel, n, v, t):
         if (n, len(v[0])) == (2, 1):
             raise NotComplement("U is not a complement of V")
-        return real(kernel, n, v)
+        return real(kernel, n, v, t)
     return mutant
 
 
 def decompose_gives_inverse_a_non_nilpotent_t_uu(real):
-    """The Steinitz-split core giving T_UU = I when ``_inverse`` cuts the
+    """The Steinitz blocks core giving T_UU = I when ``_inverse`` cuts the
     zero operator.  ``_forward`` cuts the same blocks of the same zero
     matrix for the pair (0, 0), so the mutant reads which function
     called it."""
-    def mutant(kernel, n, k, t, b, b_inv):
-        blocks = real(kernel, n, k, t, b, b_inv)
+    def mutant(kernel, n, v, t):
+        blocks = real(kernel, n, v, t)
         if t != ZERO.data or sys._getframe(1).f_code.co_name != "_inverse":
             return blocks
-        return blocks[:2] + (IDENT.data,) + blocks[3:]
+        return blocks[:2] + (IDENT.data,)
     return mutant
 
 
 # (module owning the core, the core, mutant, whether the degree walk meets
 # it): the degree walk never calls inverse, where the second mutant acts
 FAULT_MUTANTS = [
-    (nilbij.subspaces, "_steinitz_split", steinitz_split_refuses_a_line_of_the_plane, True),
-    (nilbij.subspaces, "_decompose", decompose_gives_inverse_a_non_nilpotent_t_uu, False),
+    (nilbij.subspaces, "_steinitz_blocks", steinitz_split_refuses_a_line_of_the_plane, True),
+    (nilbij.subspaces, "_steinitz_blocks", decompose_gives_inverse_a_non_nilpotent_t_uu, False),
 ]
 
 
@@ -523,19 +523,35 @@ def test_construction_fault_is_that_inputs_failure(
 # cheapest check known to catch it and the checks known not to: the gap
 # between them is on record, so a change that closes or widens it says so.
 
+def shifted_split(kernel, n, v):
+    """B = [V | U'] and its inverse, by ``linalg._inverse_rows``, for U'
+    the span of e_j + b_1, j over V's free columns and b_1 V's first row.
+    U' is a complement of V, but not the Steinitz one.  The sum e_j + b_1
+    is GF(2)'s, the field of the checks that run it."""
+    units = nilbij.subspaces._steinitz(n, v)
+    shifted = [Vector(GF2, tuple(e ^ b for e, b in zip(row, v[0][0]))) for row in units]
+    b = tuple(zip(*(v[0] + span(shifted, spec=GF2, ambient_dim=n).rows)))
+    return b, linalg._inverse_rows(kernel, b, n)[0]
+
+
 def steinitz_split_shifted_by_the_first_row(real):
-    """The Steinitz split over U', the span of e_j + b_1, j over V's free
-    columns and b_1 V's first row, in place of U: [V | U'] and its
-    inverse, by ``linalg._inverse_rows``.  U' is a complement of V, but
-    not the Steinitz one.  The sum e_j + b_1 is GF(2)'s, the field of
-    the checks that run it."""
-    def mutant(kernel, n, v):
+    """Either Steinitz read core, ``_steinitz_blocks`` or
+    ``_steinitz_assemble``, over [V | U'] of :func:`shifted_split` in
+    place of [V | U], by the general cores ``_decompose`` and
+    ``_assemble``; with V = 0 there is no first row, and U' = U."""
+    if real.__name__ == "_steinitz_blocks":
+        def mutant(kernel, n, v, t):
+            if not v[0]:
+                return real(kernel, n, v, t)
+            split = shifted_split(kernel, n, v)
+            return nilbij.subspaces._decompose(kernel, n, len(v[0]), t, *split)[:3]
+        return mutant
+
+    def mutant(kernel, n, v, t_vv, t_uv, t_uu):
         if not v[0]:
-            return real(kernel, n, v)
-        units = nilbij.subspaces._steinitz(n, v)[0]
-        shifted = [Vector(GF2, tuple(e ^ b for e, b in zip(row, v[0][0]))) for row in units]
-        b = tuple(zip(*(v[0] + span(shifted, spec=GF2, ambient_dim=n).rows)))
-        return b, linalg._inverse_rows(kernel, b, n)[0]
+            return real(kernel, n, v, t_vv, t_uv, t_uu)
+        split = shifted_split(kernel, n, v)
+        return nilbij.subspaces._assemble(kernel, n, *split, t_vv, t_uv, t_uu)
     return mutant
 
 
@@ -545,8 +561,8 @@ def basis_to_automorphism_reading_the_basis_reversed(real):
 
 
 def or_for_xor(real):
-    """``field.xor`` is read only by ``_PackedGF2.product``: GF(2)
-    products that add by OR, so 1 + 1 reads 1."""
+    """``field.xor`` is read by ``_PackedGF2.combine``, ``product`` and
+    ``orbit``: GF(2) row sums that add by OR, so 1 + 1 reads 1."""
     return operator.or_
 
 
@@ -603,9 +619,9 @@ def row_sums_by_or(real):
 
 
 def orbit_one_step_short(real):
-    """``_Rows.orbit`` that stops at n - 1 vectors in place of n:
-    an orbit of full length n loses its last vector, a shorter one
-    keeps all of its vectors."""
+    """``_Rows.orbit`` or ``_PackedGF2.orbit`` that stops at n - 1
+    vectors in place of n: an orbit of full length n loses its last
+    vector, a shorter one keeps all of its vectors."""
     return lambda kernel, rows, x: real(kernel, rows, x)[: len(rows) - 1]
 
 
@@ -645,14 +661,15 @@ T3 = Matrix.from_rows(GF3, [(0, 0, 0, 0), (1, 0, 0, 0), (2, 1, 0, 0), (0, 2, 1, 
 V3 = Vector(GF3, (0, 0, 0, 2))
 Q3 = Matrix.from_rows(GF3, [(0, 0, 0, 0), (1, 0, 0, 0), (2, 1, 0, 0), (1, 0, 1, 2)])
 
-# (name, modules or classes whose binding of the name it patches, the name,
-# mutant, the CHANGES.md entry it comes from, the cheapest check known
-# to catch it, whether verify_theorem(GF(2), 2) is still ok under it).
+# (name, modules or classes whose binding of each name it patches, the name
+# or a tuple of names, mutant, the CHANGES.md entry it comes from, the
+# cheapest check known to catch it, whether verify_theorem(GF(2), 2) is
+# still ok under it).
 # Each check returns True where the code is right.  The census misses
 # the complement mutant because it proves a bijection, not which one.
 NEAR_MISS_MUTANTS = [
     ("complement shifted by V's first row", (nilbij.subspaces, nilbij.bijection),
-     "_steinitz_split", steinitz_split_shifted_by_the_first_row,
+     ("_steinitz_blocks", "_steinitz_assemble"), steinitz_split_shifted_by_the_first_row,
      "CHANGES.md: `forward` ends in `block_assemble`",
      lambda: direct_sum_mismatches(GF2, 1, 1)[0] == 0, True),
     ("basis read reversed", (nilbij.subspaces, nilbij.bijection), "_automorphism",
@@ -673,7 +690,8 @@ NEAR_MISS_MUTANTS = [
     ("row codes: row sums by OR", (nilbij.field._RowCodes,), "__init__", row_sums_by_or,
      "CHANGES.md: count_nilpotents walks row codes",
      lambda: count_nilpotents(GF2, 2) == 4, True),
-    ("orbit stops one step short", (nilbij.field._Rows,), "orbit", orbit_one_step_short,
+    ("orbit stops one step short", (nilbij.field._Rows, nilbij.field._PackedGF2), "orbit",
+     orbit_one_step_short,
      "CHANGES.md: the bijection walks each orbit in one kernel call",
      lambda: degree(J, E1) == 2, False),
     ("each spec builds its own tables", (nilbij.field,), "_tabulated", tabulated_unshared,
@@ -702,10 +720,11 @@ def audit_passes(result):
     "entry", NEAR_MISS_MUTANTS, ids=[entry[0] for entry in NEAR_MISS_MUTANTS]
 )
 def test_near_miss_mutant_is_caught_only_where_recorded(monkeypatch, entry):
-    _, modules, name, mutate, _, catches, theorem_misses = entry
+    _, modules, names, mutate, _, catches, theorem_misses = entry
     assert catches() and verify_theorem(GF2, 2).ok
     for module in modules:
-        monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+        for name in (names,) if isinstance(names, str) else names:
+            monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     assert not catches()
     assert verify_theorem(GF2, 2).ok is theorem_misses
 

@@ -478,8 +478,11 @@ def ref_combine(spec, coeffs, rows, start):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([GF2, GF4, GF9, GF4099]), st.data())
 def test_combine_matches_reference(spec, data):
-    """``combine``, the entry point of the subspace constructions."""
-    n, k = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 6))
+    """``combine``, the entry point of the subspace constructions; packed
+    GF(2) rows up to 64 entries wide, where a row spans several machine
+    words."""
+    n = data.draw(st.integers(0, 64 if spec == GF2 else 8))
+    k = data.draw(st.integers(0, 6))
     code = st.integers(0, spec.q - 1)
     rows = data.draw(st.lists(st.tuples(*[code] * n), min_size=k, max_size=k))
     coeffs = data.draw(st.lists(code, min_size=k, max_size=k))

@@ -7,6 +7,8 @@ acceptance criterion 6 (``conftest.audit_complements`` and
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GF2, GF3, all_matrices, all_subspaces, all_vectors, subspace_elements
 from nilbij import (
@@ -50,6 +52,17 @@ from nilbij import (
     span,
     steinitz_complement,
 )
+from nilbij.subspaces import (
+    _assemble,
+    _change_of_basis,
+    _decompose,
+    _echelon,
+    _steinitz_assemble,
+    _steinitz_blocks,
+)
+
+GF9 = FieldSpec(3, 2)
+GF4099 = FieldSpec(4099)  # too large to tabulate: the on-demand kernel
 
 
 def complements_of(v: Subspace) -> list[Subspace]:
@@ -393,6 +406,56 @@ def test_block_roundtrip_exhaustive_gf2_cubed():
             else:
                 with pytest.raises(NotInvariant):
                     block_decompose(t, sub, u)
+
+
+# the Steinitz read cores against the general cores over [V | U]
+
+def check_steinitz_reads(v: Subspace, ts) -> None:
+    """For each operator rows t: ``_steinitz_blocks`` cuts the blocks that
+    ``_decompose`` cuts over B = [V | U], U the Steinitz complement, and
+    ``_steinitz_assemble`` builds from them what ``_assemble`` builds: T
+    itself exactly when T maps V into V, and in every case an operator
+    whose blocks are the same again."""
+    kernel, n, pair = v.spec._kernel, v.ambient_dim, (v.rows, v.pivots)
+    b, b_inv = _change_of_basis(v, steinitz_complement(v), "the Steinitz complement")
+    for t in ts:
+        *blocks, invariant = _decompose(kernel, n, v.dim, t, b, b_inv)
+        assert _steinitz_blocks(kernel, n, pair, t) == tuple(blocks)
+        built = _steinitz_assemble(kernel, n, pair, *blocks)
+        assert built == _assemble(kernel, n, b, b_inv, *blocks)
+        assert (built == t) is invariant
+        assert _steinitz_blocks(kernel, n, pair, built) == tuple(blocks)
+
+
+@pytest.mark.parametrize("spec,n", [(GF2, n) for n in range(4)] + [(GF3, n) for n in range(3)],
+                         ids=str)
+def test_steinitz_reads_match_the_general_cores_exhaustive(spec, n):
+    """Every V, k = 0 and k = n included, against every operator."""
+    ts = [t.data for t in all_matrices(spec, n, n)]
+    for v in all_subspaces(spec, n):
+        check_steinitz_reads(v, ts)
+
+
+def _rows_strategy(spec, rows, cols):
+    if spec == GF2:  # one block of bytes, an entry per low bit, shrinks fast at n = 64
+        return st.binary(min_size=rows * cols, max_size=rows * cols).map(
+            lambda b: tuple(tuple(x & 1 for x in b[i * cols:(i + 1) * cols])
+                            for i in range(rows)))
+    return st.lists(st.tuples(*[st.integers(0, spec.q - 1)] * cols),
+                    min_size=rows, max_size=rows).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(GF2, 64), (GF3, 8), (GF9, 5), (GF4099, 6)]), st.data())
+def test_steinitz_reads_match_the_general_cores_sampled(field_and_most, data):
+    """Packed GF(2) rows up to n = 64, where a row spans several machine
+    words, tables over a prime and an extension field, and the on-demand
+    views: V is the span of up to n drawn rows, so k = 0 and k = n occur."""
+    spec, most = field_and_most
+    n = data.draw(st.integers(0, most))
+    spanning = data.draw(_rows_strategy(spec, data.draw(st.integers(0, n)), n))
+    v = Subspace(spec, n, _echelon(spec._kernel, spanning, n)[0])
+    check_steinitz_reads(v, [data.draw(_rows_strategy(spec, n, n))])
 
 
 # basis / automorphism torsor
